@@ -1,9 +1,12 @@
 """Greedy sign-flip poisoning attacks against the two trust predictors.
 
-Every attack follows the same loop: evaluate the attack objective on the
-current poisoned graph, back-propagate to the adjacency, score each
-not-yet-flipped training link by the first-order objective increase a flip
-would cause, and flip the best one. The objective being *maximized* is the
+Every attack and baseline runs the same loop, flipping one training link
+per step; they differ only in how the step chooses it. The gradient attacks
+evaluate the attack objective on the current poisoned graph, back-propagate
+to the adjacency, score each not-yet-flipped training link by the
+first-order objective increase a flip would cause, and flip the best one.
+The triad baseline scores links by their balanced-triad count and the random
+baseline replays a seeded draw. The objective being *maximized* is the
 prediction error on the self-labelled test links, optionally penalized to
 keep the balance metrics (and thereby the attack's visibility to detectors)
 close to the clean graph:
@@ -21,10 +24,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tape as tp
-from .balance import balance_ratio_terms, polarization_term
+from .balance import abs_triad_trace, balance_ratio_terms, polarization_term
 from .errors import ConfigError, MetricUndefinedError
-from .fextra import link_features, lr_predict, lr_train, lr_train_theta, ols_theta, with_intercept
-from .graph import DEGREE_FLOOR, EdgeSplit, SignedGraph
+from .fextra import (extract_features, link_features, lr_predict, lr_train, lr_train_theta,
+                     ols_theta, with_intercept)
+from .graph import EdgeSplit, SignedGraph
 from .pole import (WalkParams, cosine_normalize, degree_weight_matrix,
                    factorization_steps, pole_predict, transition_matrix)
 
@@ -70,26 +74,37 @@ def flips_for_power(g: SignedGraph, power: float) -> int:
     return int(round(power * g.num_edges))
 
 
-def self_train_labels(model: str, g_clean: SignedGraph, split: EdgeSplit,
+def victim_model_kind(target: str) -> str:
+    return "fextra" if target.startswith("fextra") else "pole"
+
+
+def victim_probs(model: str, g: SignedGraph, split: EdgeSplit, params: WalkParams,
+                 seed: int):
+    """Victim positive-sign probabilities for the test links of ``split``.
+
+    The victim is fit on ``g`` with the test signs hidden, from the training
+    signs only.
+    """
+    masked = g.mask(split.test)
+    if model == "fextra":
+        pairs = [(u, v) for u, v, _ in masked.edges]
+        feats = extract_features(masked, pairs).data
+        y_tr = (masked.signs()[split.train] > 0).astype(float)
+        fitted = lr_train(feats[split.train], y_tr, seed=seed)
+        return lr_predict(fitted, feats[split.test])
+    if model == "pole":
+        return pole_predict(masked, split, params, seed=seed)
+    raise ConfigError(f"unknown victim model {model!r}")
+
+
+def self_train_labels(model, g_clean: SignedGraph, split: EdgeSplit,
                       params: WalkParams | None = None, seed: int = 0):
     """Victim predictions on the test links, thresholded at 0.5 (ties -> 1).
 
     The labels are produced from the clean masked graph once and stay fixed
     for the whole attack.
     """
-    masked = g_clean.mask(split.test)
-    if model == "fextra":
-        from .fextra import extract_features
-
-        pairs = [(u, v) for u, v, _ in masked.edges]
-        feats = extract_features(masked, pairs).data
-        y_tr = (masked.signs()[split.train] > 0).astype(float)
-        fitted = lr_train(feats[split.train], y_tr, seed=seed)
-        probs = lr_predict(fitted, feats[split.test])
-    elif model == "pole":
-        probs = pole_predict(masked, split, params or WalkParams(), seed=seed)
-    else:
-        raise ConfigError(f"unknown victim model {model!r}")
+    probs = victim_probs(model, g_clean, split, params or WalkParams(), seed)
     return (probs >= 0.5).astype(float)
 
 
@@ -171,41 +186,50 @@ def make_attack_loss(target: str, masked: SignedGraph, split: EdgeSplit,
     raise ConfigError(f"unknown attack target {target!r}; expected one of {TARGETS}")
 
 
-def penalized_loss(base, A, abs_mask, degrees, t, lam, eta, events=None):
+@dataclass(frozen=True)
+class Penalty:
+    """Weights of lambda T + eta Pol and the constants of |A| they need.
+
+    Flips never change |A|, so tr(|A|^3) and the unsigned walk are computed
+    once per attack, each only when its weight is nonzero.
+    """
+
+    lam: float
+    eta: float
+    t: float
+    degrees: np.ndarray
+    tr_abs: float
+    M_abs: np.ndarray | None
+
+    @classmethod
+    def for_graph(cls, abs_mask, degrees, t, lam, eta):
+        tr_abs = abs_triad_trace(abs_mask) if lam != 0.0 else 0.0
+        M_abs = transition_matrix(abs_mask, degrees, t, "sym") if eta != 0.0 else None
+        return cls(lam, eta, t, degrees, tr_abs, M_abs)
+
+
+def penalized_loss(base, A, penalty: Penalty, events=None):
     """base + lambda T(A) + eta Pol(A, t), each term on the tape.
 
-    ``abs_mask`` is |A| as a fixed array (flips never change it). An
-    undefined balance term contributes zero and logs an event. The
-    polarization term runs on symmetric-mode transitions, the cheap
-    differentiable path.
+    An undefined balance term contributes zero and logs an event. The
+    polarization term runs on symmetric-mode transitions.
     """
     out = base
-    if lam != 0.0:
+    if penalty.lam != 0.0:
         try:
-            out = out + lam * balance_ratio_terms(A, abs_mask)
+            out = out + penalty.lam * balance_ratio_terms(A, penalty.tr_abs)
         except MetricUndefinedError:
             if events is not None:
                 events.append("balance term undefined (no triads); contributed 0")
-    if eta != 0.0:
-        M_sign = transition_matrix(A, degrees, t, "sym")
-        M_abs = transition_matrix(abs_mask, degrees, t, "sym")
-        out = out + eta * polarization_term(M_sign, M_abs)
+    if penalty.eta != 0.0:
+        M_sign = transition_matrix(A, penalty.degrees, penalty.t, "sym")
+        out = out + penalty.eta * polarization_term(M_sign, penalty.M_abs)
     return out
 
 
-def _apply_flips_full(g_full: SignedGraph, flipped_idx) -> SignedGraph:
-    signs = g_full.signs().astype(int)
-    idx = list(flipped_idx)
-    signs[idx] = -signs[idx]
-    return g_full.with_signs(signs)
-
-
-def _snapshot_plan(g: SignedGraph, powers):
-    """flip count -> list of powers snapshotting there (counts can collide)."""
-    plan = {}
-    for p in powers:
-        plan.setdefault(flips_for_power(g, p), []).append(p)
-    return plan
+def _check_budget(budget: int, split: EdgeSplit):
+    if budget > len(split.train):
+        raise ConfigError(f"budget {budget} exceeds {len(split.train)} training links")
 
 
 def _pick_flip(scores, us, vs, pooled):
@@ -215,82 +239,91 @@ def _pick_flip(scores, us, vs, pooled):
     return int(order[0])
 
 
+def _greedy_flips(g0: SignedGraph, split: EdgeSplit, budget: int, checkpoints,
+                  choose) -> AttackTrace:
+    """Flip ``budget`` (checked by the caller) training links one at a time.
+
+    ``choose(A, signs, pooled, trace)`` gets the masked adjacency and signs,
+    the mask of flipped training links and the trace so far, and returns the
+    position in ``split.train`` of the next flip and its predicted gain.
+    Snapshots carry the original test signs: the graph the analyst observes.
+    """
+    masked = g0.mask(split.test)
+    A, signs, full_signs = masked.adjacency(), masked.signs(), g0.signs()
+    edge = masked.edge_array()
+    trace = AttackTrace()
+    pooled = np.zeros(len(split.train), dtype=bool)
+
+    def snapshot():
+        for p in checkpoints:
+            if flips_for_power(g0, p) == len(trace.flips):
+                trace.snapshots[p] = g0.with_signs(full_signs)
+
+    snapshot()
+    for step in range(budget):
+        j, gain = choose(A, signs, pooled, trace)
+        k = int(split.train[j])
+        u, v = edge[k]
+        A[u, v] = A[v, u] = -A[u, v]
+        signs[k], full_signs[k] = -signs[k], -full_signs[k]
+        pooled[j] = True
+        trace.pool.add(k)
+        trace.flips.append((int(u), int(v), step, gain))
+        snapshot()
+    return trace
+
+
+def gradient_chooser(g0: SignedGraph, split: EdgeSplit, target: str, cfg: AttackConfig,
+                     y_hat=None):
+    """The greedy step of ``flip_attack``: a ``_greedy_flips`` chooser that
+    flips the link with the largest first-order increase of the objective."""
+    masked = g0.mask(split.test)
+    if y_hat is None:
+        y_hat = self_train_labels(victim_model_kind(target), g0, split,
+                                  WalkParams(t=cfg.t), seed=cfg.seed)
+    loss_fn = make_attack_loss(target, masked, split, y_hat, cfg)
+    penalty = Penalty.for_graph(masked.abs_adjacency(), masked.degrees(), cfg.t,
+                                cfg.lam, cfg.eta)
+    us, vs = masked.edge_array()[split.train].T
+
+    def choose(A_cur, signs, pooled, trace):
+        tape = tp.Tape()
+        A = tape.leaf(A_cur, requires_grad=True)
+        base = loss_fn(A, signs)
+        tape.backward(penalized_loss(-base, A, penalty, trace.events))
+        G = A.grad_or_zero()
+        scores = (-2.0 * signs[split.train]) * (G[us, vs] + G[vs, us])
+        j = _pick_flip(scores, us, vs, pooled)
+        gain = float(scores[j])
+        if gain <= 0:
+            trace.events.append(f"step {len(trace.flips)}: no positive first-order gain; "
+                                f"least-bad flip taken")
+        trace.loss_curve.append(float(tp._data(base)))
+        return j, gain
+
+    return choose
+
+
 def flip_attack(g0: SignedGraph, split: EdgeSplit, target: str,
                 cfg: AttackConfig, y_hat=None) -> AttackTrace:
     """Greedy budgeted sign-flip attack on the chosen target model.
 
     ``g0`` is the clean graph; test links are masked internally and never
-    flipped. Snapshots taken at the configured attack powers carry the
-    original test signs, i.e. they are the graph the analyst would observe.
+    flipped.
     """
-    if cfg.budget > len(split.train):
-        raise ConfigError(f"budget {cfg.budget} exceeds {len(split.train)} training links")
-    masked = g0.mask(split.test)
-    if y_hat is None:
-        victim = "fextra" if target.startswith("fextra") else "pole"
-        y_hat = self_train_labels(victim, g0, split, WalkParams(t=cfg.t), seed=cfg.seed)
-    loss_fn = make_attack_loss(target, masked, split, y_hat, cfg)
-
-    A_cur = masked.adjacency()
-    abs_mask = np.abs(A_cur)
-    degrees = np.maximum(abs_mask.sum(axis=1), DEGREE_FLOOR)
-    signs_cur = masked.signs()
-    edge = masked.edge_array()
-    us_tr, vs_tr = edge[split.train, 0], edge[split.train, 1]
-    trace = AttackTrace()
-    plan = _snapshot_plan(g0, cfg.checkpoints)
-    for p in plan.get(0, []):
-        trace.snapshots[p] = _apply_flips_full(g0, [])
-
-    pooled = np.zeros(len(split.train), dtype=bool)
-    for step in range(cfg.budget):
-        tape = tp.Tape()
-        A = tape.leaf(A_cur, requires_grad=True)
-        base = loss_fn(A, signs_cur)
-        objective = penalized_loss(-base, A, abs_mask, degrees, cfg.t,
-                                   cfg.lam, cfg.eta, trace.events)
-        tape.backward(objective)
-        G = A.grad_or_zero()
-
-        scores = (-2.0 * signs_cur[split.train]) * (G[us_tr, vs_tr] + G[vs_tr, us_tr])
-        j = _pick_flip(scores, us_tr, vs_tr, pooled)
-        gain = float(scores[j])
-        if gain <= 0:
-            trace.events.append(f"step {step}: no positive first-order gain; "
-                                f"least-bad flip taken")
-        k_best = int(split.train[j])
-        u, v = edge[k_best]
-        A_cur[u, v] = A_cur[v, u] = -A_cur[u, v]
-        signs_cur[k_best] = -signs_cur[k_best]
-        pooled[j] = True
-        trace.pool.add(k_best)
-        trace.flips.append((int(u), int(v), step, gain))
-        trace.loss_curve.append(float(tp._data(base)))
-
-        for p in plan.get(step + 1, []):
-            trace.snapshots[p] = _apply_flips_full(g0, trace.pool)
-    return trace
+    _check_budget(cfg.budget, split)
+    choose = gradient_chooser(g0, split, target, cfg, y_hat)
+    return _greedy_flips(g0, split, cfg.budget, cfg.checkpoints, choose)
 
 
 def baseline_rand(g0: SignedGraph, split: EdgeSplit, budget: int, seed: int,
                   checkpoints=()) -> AttackTrace:
-    """Flip a uniform random set of training links."""
-    if budget > len(split.train):
-        raise ConfigError(f"budget {budget} exceeds {len(split.train)} training links")
-    rng = np.random.default_rng(seed)
-    chosen = rng.choice(split.train, size=budget, replace=False)
-    edge = g0.edge_array()
-    trace = AttackTrace()
-    plan = _snapshot_plan(g0, checkpoints)
-    for p in plan.get(0, []):
-        trace.snapshots[p] = _apply_flips_full(g0, [])
-    for step, k in enumerate(chosen):
-        u, v = edge[k]
-        trace.pool.add(int(k))
-        trace.flips.append((int(u), int(v), step, 0.0))
-        for p in plan.get(step + 1, []):
-            trace.snapshots[p] = _apply_flips_full(g0, trace.pool)
-    return trace
+    """Flip a uniform random set of training links, in draw order."""
+    _check_budget(budget, split)
+    # the same draw as rng.choice(split.train, ...), as positions in split.train
+    order = np.random.default_rng(seed).choice(len(split.train), size=budget, replace=False)
+    return _greedy_flips(g0, split, budget, checkpoints,
+                         lambda A, signs, pooled, trace: (int(order[len(trace.flips)]), 0.0))
 
 
 def baseline_greedy_triads(g0: SignedGraph, split: EdgeSplit, budget: int,
@@ -301,29 +334,12 @@ def baseline_greedy_triads(g0: SignedGraph, split: EdgeSplit, budget: int,
     triads through it is s * (A^2)[u, v]; flipping negates it, so the greedy
     score is exactly that quantity.
     """
-    if budget > len(split.train):
-        raise ConfigError(f"budget {budget} exceeds {len(split.train)} training links")
-    masked = g0.mask(split.test)
-    A = masked.adjacency()
-    signs = masked.signs()
-    edge = masked.edge_array()
-    us_tr, vs_tr = edge[split.train, 0], edge[split.train, 1]
-    trace = AttackTrace()
-    plan = _snapshot_plan(g0, checkpoints)
-    for p in plan.get(0, []):
-        trace.snapshots[p] = _apply_flips_full(g0, [])
-    pooled = np.zeros(len(split.train), dtype=bool)
-    for step in range(budget):
-        A2 = A @ A
-        scores = signs[split.train] * A2[us_tr, vs_tr]
-        j = _pick_flip(scores, us_tr, vs_tr, pooled)
-        k_best = int(split.train[j])
-        u, v = edge[k_best]
-        A[u, v] = A[v, u] = -A[u, v]
-        signs[k_best] = -signs[k_best]
-        pooled[j] = True
-        trace.pool.add(k_best)
-        trace.flips.append((int(u), int(v), step, float(scores[j])))
-        for p in plan.get(step + 1, []):
-            trace.snapshots[p] = _apply_flips_full(g0, trace.pool)
-    return trace
+    _check_budget(budget, split)
+    us, vs = g0.edge_array()[split.train].T
+
+    def choose(A, signs, pooled, trace):
+        scores = signs[split.train] * (A @ A)[us, vs]
+        j = _pick_flip(scores, us, vs, pooled)
+        return j, float(scores[j])
+
+    return _greedy_flips(g0, split, budget, checkpoints, choose)

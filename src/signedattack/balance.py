@@ -4,8 +4,8 @@ The triad balance ratio follows the trace form over the signed adjacency and
 its (entrywise) absolute value; `triad_census` is the enumeration oracle for
 it. Polarization correlates a node's signed and unsigned random-walk
 transition rows. Reporting uses the plain (row-normalized) transition; the
-differentiable penalty used inside attacks runs on the symmetric transition,
-whose exponential backward pass is cheap.
+differentiable penalty used inside attacks runs on the symmetric one. Both
+come from the same symmetric eigendecomposition (see ``pole.transition_matrix``).
 """
 
 from __future__ import annotations
@@ -40,14 +40,18 @@ class BalanceReport:
         }
 
 
-def balance_ratio_terms(A, A_abs):
-    """(tr(A^3) + tr(|A|^3)) / (2 tr(|A|^3)) with |A| supplied as a constant.
+def abs_triad_trace(A_abs) -> float:
+    """tr(|A|^3): six times the number of triangles of signed links."""
+    return float(np.trace(A_abs @ A_abs @ A_abs))
+
+
+def balance_ratio_terms(A, tr_abs):
+    """(tr(A^3) + tr(|A|^3)) / (2 tr(|A|^3)) with tr(|A|^3) supplied as a constant.
 
     Polymorphic over tape Values for A; |A| never changes under sign flips,
-    so it stays a plain array.
+    so ``abs_triad_trace`` is computed once by the caller.
     """
     tr_signed = tp.trace(A @ (A @ A)) if tp._is_value(A) else np.trace(A @ A @ A)
-    tr_abs = float(np.trace(A_abs @ A_abs @ A_abs))
     if tr_abs <= 0:
         raise MetricUndefinedError("graph has no triads; balance ratio undefined")
     return (tr_signed + tr_abs) * (1.0 / (2.0 * tr_abs))
@@ -55,7 +59,7 @@ def balance_ratio_terms(A, A_abs):
 
 def balance_ratio(g: SignedGraph) -> float:
     A = g.adjacency()
-    return float(balance_ratio_terms(A, np.abs(A)))
+    return float(balance_ratio_terms(A, abs_triad_trace(np.abs(A))))
 
 
 def triad_census(g: SignedGraph):

@@ -11,16 +11,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import tape as tp
-from .attacks import (AttackConfig, baseline_greedy_triads, baseline_rand,
-                      flip_attack, flips_for_power, make_attack_loss,
-                      penalized_loss, self_train_labels)
+from .attacks import (AttackConfig, AttackTrace, baseline_greedy_triads, baseline_rand,
+                      flip_attack, flips_for_power, gradient_chooser, victim_model_kind,
+                      victim_probs)
 from .detectors import DetectorView, detector_eval, fit_view
 from .errors import ConfigError
-from .fextra import auc, extract_features, lr_predict, lr_train
+from .fextra import auc
 from .graph import (EdgeSplit, GraphCorpus, SignedGraph, largest_connected_component,
                     load_edge_list, sample_subgraph_corpus, split_edges)
-from .pole import WalkParams, pole_predict
+from .pole import WalkParams
 
 FEXTRA_POWERS = (0.01, 0.05, 0.10, 0.15, 0.20)
 POLE_POWERS = (0.01, 0.03, 0.05, 0.07, 0.10)
@@ -83,26 +82,11 @@ def subsample_graph(g: SignedGraph, size: int, seed: int) -> SignedGraph:
     return largest_connected_component(g.induced_subgraph(nodes))
 
 
-def victim_model_kind(target: str) -> str:
-    return "fextra" if target.startswith("fextra") else "pole"
-
-
 def victim_test_auc(g: SignedGraph, split: EdgeSplit, model: str,
                     t=1.0, seed=0) -> float:
     """Retrain the victim on the (possibly poisoned) graph and score test links."""
-    masked = g.mask(split.test)
-    truth = (split.hidden_signs > 0).astype(int)
-    if model == "fextra":
-        pairs = [(u, v) for u, v, _ in masked.edges]
-        feats = extract_features(masked, pairs).data
-        y_tr = (masked.signs()[split.train] > 0).astype(float)
-        fitted = lr_train(feats[split.train], y_tr, seed=seed)
-        probs = lr_predict(fitted, feats[split.test])
-    elif model == "pole":
-        probs = pole_predict(masked, split, WalkParams(t=t), seed=seed)
-    else:
-        raise ConfigError(f"unknown victim model {model!r}")
-    return auc(probs, truth)
+    probs = victim_probs(model, g, split, WalkParams(t=t), seed)
+    return auc(probs, (split.hidden_signs > 0).astype(int))
 
 
 def run_attack_trial(dataset: SignedGraph, cfg: ExperimentConfig, seed: int):
@@ -182,24 +166,15 @@ def run_detect_experiment(cfg: ExperimentConfig, dataset: SignedGraph | None = N
 
 def time_one_flip(g: SignedGraph, split: EdgeSplit, target: str,
                   cfg: AttackConfig, repeats=3) -> float:
-    """Median wall time of one greedy perturbation step (loss + gradient)."""
-    y_hat = self_train_labels(victim_model_kind(target), g, split,
-                              WalkParams(t=cfg.t), seed=cfg.seed)
+    """Median wall time of one greedy perturbation step (loss, gradient, scoring)."""
+    choose = gradient_chooser(g, split, target, cfg)
     masked = g.mask(split.test)
-    loss_fn = make_attack_loss(target, masked, split, y_hat, cfg)
-    A0 = masked.adjacency()
-    abs_mask = np.abs(A0)
-    degrees = np.maximum(abs_mask.sum(axis=1), 1e-9)
-    signs = masked.signs()
+    A, signs = masked.adjacency(), masked.signs()
+    pooled = np.zeros(len(split.train), dtype=bool)
     times = []
     for _ in range(repeats):
         start = time.perf_counter()
-        tape = tp.Tape()
-        A = tape.leaf(A0.copy(), requires_grad=True)
-        objective = penalized_loss(-loss_fn(A, signs), A, abs_mask, degrees,
-                                   cfg.t, cfg.lam, cfg.eta)
-        tape.backward(objective)
-        A.grad_or_zero()
+        choose(A, signs, pooled, AttackTrace())
         times.append(time.perf_counter() - start)
     return float(np.median(times))
 

@@ -1,10 +1,11 @@
 """Dense decompositions and matrix exponentials used by the graph models.
 
-``matrix_exp`` is a composite of tape primitives (scaling and squaring with
-a truncated Taylor series), so it differentiates by construction.
-``sym_matrix_exp`` is a single recorded primitive whose backward pass applies
-the divided-difference rule on the eigenbasis, which is both exact and much
-cheaper than unrolling the Taylor recurrence.
+``sym_matrix_exp`` is the exponential every walk uses: a single recorded
+primitive whose backward pass applies the divided-difference rule on the
+eigenbasis. ``matrix_exp`` (scaling and squaring with a truncated Taylor
+series, a composite of tape primitives that differentiates by construction)
+works on any square matrix and is kept as the reference the tests compare
+the eigenbasis path against.
 """
 
 from __future__ import annotations

@@ -2,9 +2,9 @@
 
 The walk transition is the exponential of the negative normalized Laplacian
 at Markov time t, either row-normalized (``unsym``) or symmetrically
-normalized (``sym``). The symmetric variant goes through the eigenbasis
-exponential, which makes both the forward pass and the backward pass far
-cheaper than the Taylor-series exponential of the unsymmetric generator.
+normalized (``sym``). The two generators are similar matrices, so both modes
+come from one eigenbasis exponential of the symmetric generator, forward and
+backward.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from . import tape as tp
 from .errors import NumericError
-from .linalg import matrix_exp, sym_matrix_exp
+from .linalg import sym_matrix_exp
 from .graph import DEGREE_FLOOR, EdgeSplit, SignedGraph
 from . import fextra
 
@@ -53,17 +53,20 @@ class EmbeddingFactor:
 
 
 def transition_matrix(A, degrees, t, mode):
-    """exp(-(I - normalized A) t); polymorphic over tape Values for A."""
+    """exp(-(I - normalized A) t); polymorphic over tape Values for A.
+
+    Both modes exponentiate the symmetric generator t (D^{-1/2} A D^{-1/2} - I)
+    through one eigendecomposition. The row-normalized (``unsym``) walk is its
+    similarity transform D^{-1/2} exp(.) D^{1/2}, since D^{-1} A is similar to
+    D^{-1/2} A D^{-1/2}; A must be symmetric.
+    """
     d = np.maximum(np.asarray(degrees, dtype=float), DEGREE_FLOOR)
-    n = d.shape[0]
-    eye = np.eye(n)
+    r = 1.0 / np.sqrt(d)
+    gen = tp.mul(tp.add(tp.mul(A, np.outer(r, r)), -np.eye(d.shape[0])), t)
+    M = sym_matrix_exp(gen)
     if mode == "unsym":
-        norm = np.outer(1.0 / d, np.ones(n))
-        gen = tp.mul(tp.add(tp.mul(A, norm), -eye), t)
-        return matrix_exp(gen)
-    half = np.outer(1.0 / np.sqrt(d), 1.0 / np.sqrt(d))
-    gen = tp.mul(tp.add(tp.mul(A, half), -eye), t)
-    return sym_matrix_exp(gen)
+        return tp.mul(M, np.outer(r, np.sqrt(d)))
+    return M
 
 
 def degree_weight_matrix(degrees):

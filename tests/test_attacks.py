@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from signedattack import tape as tp
-from signedattack.attacks import (AttackConfig, baseline_greedy_triads, baseline_rand,
+from signedattack.attacks import (AttackConfig, Penalty, baseline_greedy_triads, baseline_rand,
                                   flip_attack, flips_for_power, make_attack_loss,
                                   penalized_loss, self_train_labels)
 from signedattack.balance import balance_ratio, triad_census
@@ -105,9 +105,9 @@ def test_penalized_loss_recovers_base_and_adds_T():
     t = Tape()
     A = t.leaf(A0, requires_grad=True)
     base = tp.sum_(A * 0.0) + 2.5
-    out0 = penalized_loss(base, A, np.abs(A0), g.degrees(), 1.0, 0.0, 0.0)
+    out0 = penalized_loss(base, A, Penalty.for_graph(np.abs(A0), g.degrees(), 1.0, 0.0, 0.0))
     assert float(tp._data(out0)) == 2.5
-    out1 = penalized_loss(base, A, np.abs(A0), g.degrees(), 1.0, 1.0, 0.0)
+    out1 = penalized_loss(base, A, Penalty.for_graph(np.abs(A0), g.degrees(), 1.0, 1.0, 0.0))
     assert float(tp._data(out1)) == pytest.approx(3.5)  # T = 1
 
 
@@ -117,8 +117,8 @@ def test_penalized_loss_no_triads_contributes_zero():
     t = Tape()
     A = t.leaf(A0, requires_grad=True)
     events = []
-    out = penalized_loss(t.constant(1.0), A, np.abs(A0), g.degrees(), 1.0,
-                         5.0, 0.0, events)
+    out = penalized_loss(t.constant(1.0), A,
+                         Penalty.for_graph(np.abs(A0), g.degrees(), 1.0, 5.0, 0.0), events)
     assert float(tp._data(out)) == 1.0
     assert events
 
@@ -133,12 +133,15 @@ def test_flip_attack_budget_zero_returns_clean():
 
 def test_flip_attack_full_budget_saturates_pool():
     g, split = small_instance(n=12, deg=4, seed=1)
-    cfg = AttackConfig(budget=len(split.train), seed=0)
+    power = len(split.train) / g.num_edges
+    cfg = AttackConfig(budget=len(split.train), seed=0, checkpoints=(power,))
     trace = flip_attack(g, split, "fextra-ols", cfg)
     assert len(trace.flips) == len(split.train)
     assert trace.pool == set(int(k) for k in split.train)
-    # every training sign flipped exactly once
-    poisoned = trace.snapshots.get(1.0)
+    # every training sign flipped exactly once, every test sign kept
+    poisoned = trace.snapshots[power].signs()
+    assert np.array_equal(poisoned[split.train], -g.signs()[split.train])
+    assert np.array_equal(poisoned[split.test], g.signs()[split.test])
 
 
 def test_flip_attack_budget_identity_and_degrees():
@@ -331,7 +334,7 @@ def test_attack_trace_independent_of_hidden_signs():
     t1 = flip_attack(g, split, "fextra-ols", cfg, y_hat=y_hat)
     scrambled = EdgeSplit(train=split.train, test=split.test,
                           hidden_signs=-split.hidden_signs)
-    t2 = flip_attack(g, split, "fextra-ols", cfg, y_hat=y_hat)
+    t2 = flip_attack(g, scrambled, "fextra-ols", cfg, y_hat=y_hat)
     assert t1.flips == t2.flips
 
 

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from signedattack import tape as tp
-from signedattack.balance import (balance_ratio, balance_ratio_terms, balance_report,
-                                  graph_polarization, node_polarization,
+from signedattack.balance import (abs_triad_trace, balance_ratio, balance_ratio_terms,
+                                  balance_report, graph_polarization, node_polarization,
                                   polarization_term, triad_census)
 from signedattack.errors import MetricUndefinedError
 from signedattack.graph import SignedGraph
@@ -144,7 +144,7 @@ def test_balance_terms_differentiable():
     A_abs = np.abs(A0)
 
     def f(v):
-        return balance_ratio_terms(v, A_abs)
+        return balance_ratio_terms(v, abs_triad_trace(A_abs))
 
     from signedattack.tape import grad_check
 

@@ -3,7 +3,8 @@ import pytest
 
 from signedattack import tape as tp
 from signedattack.errors import NumericError
-from signedattack.graph import SignedGraph, split_edges
+from signedattack.graph import DEGREE_FLOOR, SignedGraph, split_edges
+from signedattack.linalg import matrix_exp
 from signedattack.pole import (EmbeddingFactor, WalkParams, autocovariance,
                                autocovariance_pair, cosine_normalize, degree_weight_matrix,
                                factorization_steps, factorize, pole_predict,
@@ -50,6 +51,32 @@ def test_sym_equals_unsym_on_regular_graphs():
         a = signed_transition(g, WalkParams(t=1.0, mode="unsym"), True)
         b = signed_transition(g, WalkParams(t=1.0, mode="sym"), True)
         assert np.abs(a - b).max() < 1e-10
+
+
+@pytest.mark.parametrize("t", [0.5, 1.0, 3.0])
+def test_unsym_transition_matches_taylor_of_row_normalized_generator(t):
+    # node 0 is all-hidden, so its degree is floored and its generator row
+    # scale is 1/DEGREE_FLOOR
+    g = two_community(14, 5, 0.2, seed=7)
+    masked = g.mask([k for k, (u, v, _) in enumerate(g.edges) if 0 in (u, v)])
+    A0, d, n = masked.adjacency(), masked.degrees(), g.n
+    assert d[0] == DEGREE_FLOOR
+    C = np.random.default_rng(0).standard_normal((n, n))
+
+    def taylor(v):
+        return matrix_exp(tp.mul(tp.add(tp.mul(v, np.outer(1.0 / d, np.ones(n))), -np.eye(n)), t))
+
+    def sym_grad(walk):
+        tape = Tape()
+        v = tape.leaf(A0, requires_grad=True)
+        tape.backward(tp.sum_(walk(v) * C))
+        G = v.grad_or_zero()
+        return G + G.T
+
+    assert np.abs(transition_matrix(A0, d, t, "unsym") - taylor(A0)).max() < 1e-12
+    got, want = sym_grad(lambda v: transition_matrix(v, d, t, "unsym")), sym_grad(taylor)
+    for block in (np.s_[:, :], np.s_[1:, 1:]):
+        assert np.abs(got[block] - want[block]).max() < 1e-12 * np.abs(want[block]).max()
 
 
 def test_weight_matrix_annihilates_ones():
