@@ -1,8 +1,10 @@
 """Local and global balance metrics for signed graphs.
 
-The triad balance ratio follows the trace form over the signed adjacency and
-its (entrywise) absolute value; `triad_census` is the enumeration oracle for
-it. Polarization correlates a node's signed and unsigned random-walk
+The triad balance ratio and the triad counts of ``balance_report`` come from
+traces: tr(|A|^3) is six times the number of fully signed triangles and
+tr(A^3) + tr(|A|^3) twelve times the balanced ones (hidden-sign edges are 0
+in A). Only the tests call `triad_census`, the enumeration oracle for both.
+Polarization correlates a node's signed and unsigned random-walk
 transition rows. Reporting uses the plain (row-normalized) transition; the
 differentiable penalty used inside attacks runs on the symmetric one. Both
 come from the same symmetric eigendecomposition (see ``pole.transition_matrix``).
@@ -51,7 +53,7 @@ def balance_ratio_terms(A, tr_abs):
     Polymorphic over tape Values for A; |A| never changes under sign flips,
     so ``abs_triad_trace`` is computed once by the caller.
     """
-    tr_signed = tp.trace(A @ (A @ A)) if tp._is_value(A) else np.trace(A @ A @ A)
+    tr_signed = tp.trace(A @ (A @ A))
     if tr_abs <= 0:
         raise MetricUndefinedError("graph has no triads; balance ratio undefined")
     return (tr_signed + tr_abs) * (1.0 / (2.0 * tr_abs))
@@ -141,11 +143,11 @@ def polarization_term(M_sign, M_abs, var_floor=1e-18):
 
 
 def balance_report(g: SignedGraph, t: float = 1.0) -> BalanceReport:
-    balanced, unbalanced, _ = triad_census(g)
-    total = balanced + unbalanced
-    T = None
-    if total > 0:
-        T = balance_ratio(g)
+    A = g.adjacency()
+    tr_abs = abs_triad_trace(np.abs(A))
+    total = round(tr_abs / 6)
+    balanced = round((np.trace(A @ A @ A) + tr_abs) / 12)
+    T = balance_ratio(g) if total else None
     pol_nodes = polarization_nodes(g, t)
     defined = [p for p in pol_nodes if p is not None]
     if not defined:

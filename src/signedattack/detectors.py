@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .balance import balance_ratio, graph_polarization, triad_census
+from .balance import balance_ratio, graph_polarization
 from .errors import ConfigError, MetricUndefinedError, NumericError
 from .fextra import auc
 from .graph import GraphCorpus, SignedGraph
@@ -118,10 +118,7 @@ def ocsvm_decision(model: OCSVMModel, X):
 
 
 def metric_features(g: SignedGraph, t=1.0):
-    """(balance ratio, graph polarization); raises if the graph has no triads."""
-    balanced, unbalanced, _ = triad_census(g)
-    if balanced + unbalanced == 0:
-        raise MetricUndefinedError("graph has no triads; rejected from metric view")
+    """(balance ratio, graph polarization); ``balance_ratio`` raises if there is no triad."""
     return np.array([balance_ratio(g), graph_polarization(g, t)])
 
 
@@ -155,6 +152,13 @@ class DetectorView:
         return ocsvm_decision(self.model, feats)
 
 
+def _try_featurize(view: DetectorView, g: SignedGraph):
+    try:
+        return view.featurize(g)
+    except MetricUndefinedError:
+        return None
+
+
 def fit_view(kind: str, corpus: GraphCorpus, t=1.0, d=DEFAULT_EMBED_DIM,
              nu=DEFAULT_NU, gamma=DEFAULT_GAMMA) -> DetectorView:
     """Fit one view's featurizer + one-class scorer on the clean corpus.
@@ -163,16 +167,12 @@ def fit_view(kind: str, corpus: GraphCorpus, t=1.0, d=DEFAULT_EMBED_DIM,
     counted on the returned view.
     """
     view = DetectorView(kind=kind, t=t, d=d, model=None)
-    rows, rejected = [], 0
-    for g in corpus.graphs:
-        try:
-            rows.append(view.featurize(g))
-        except MetricUndefinedError:
-            rejected += 1
+    feats = [_try_featurize(view, g) for g in corpus.graphs]
+    rows = [f for f in feats if f is not None]
     if len(rows) < 2:
         raise ConfigError(f"{kind} view: fewer than 2 corpus graphs with defined features")
     view.model = ocsvm_fit(np.vstack(rows), nu=nu, gamma=gamma)
-    view.rejected = rejected
+    view.rejected = len(feats) - len(rows)
     return view
 
 
@@ -186,28 +186,26 @@ def _minmax(x):
 def detector_eval(clean: GraphCorpus, poisoned, views, strategy="max"):
     """Score clean + poisoned graphs and compute the detection AUC.
 
-    Per view, decision scores over the whole evaluation set are min-max
-    normalized, then combined across views by the chosen strategy. The AUC
-    treats the anomaly class as positive by negating the combined score.
-    Returns (auc_value, per_graph_rows).
+    Each view featurizes each graph once; a graph that some view cannot
+    featurize gets no row and stays out of the AUC. Rows keep the graph's
+    index in clean + poisoned order. Per view, decision scores over the rows
+    are min-max normalized, then combined across views by the chosen
+    strategy. The AUC treats the anomaly class as positive by negating the
+    combined score. Returns (auc_value, per_graph_rows).
     """
     if strategy not in ("mean", "min", "max"):
         raise ConfigError(f"unknown ensemble strategy {strategy!r}")
-    if not poisoned:
-        raise MetricUndefinedError("evaluation set has no poisoned graphs")
     graphs = list(clean.graphs) + list(poisoned)
-    labels = np.array([1] * len(clean.graphs) + [-1] * len(poisoned))
-    per_view = np.vstack([_minmax(v.scores(graphs)) for v in views])
-    combined = {"mean": per_view.mean(axis=0),
-                "min": per_view.min(axis=0),
-                "max": per_view.max(axis=0)}[strategy]
+    feats = [[_try_featurize(v, g) for g in graphs] for v in views]
+    keep = [i for i in range(len(graphs)) if all(f[i] is not None for f in feats)]
+    labels = np.array([1 if i < len(clean.graphs) else -1 for i in keep])
+    if not (labels == -1).any():
+        raise MetricUndefinedError("evaluation set has no poisoned graphs")
+    per_view = np.vstack([_minmax(ocsvm_decision(v.model, np.vstack([f[i] for i in keep])))
+                          for v, f in zip(views, feats)])
+    combined = getattr(per_view, strategy)(axis=0)
     value = auc(-combined, (labels == -1).astype(int))
-    rows = []
-    for i, g in enumerate(graphs):
-        rows.append({
-            "graph": i,
-            "label": int(labels[i]),
-            "combined": float(combined[i]),
-            **{f"view_{v.kind}": float(per_view[j, i]) for j, v in enumerate(views)},
-        })
+    rows = [{"graph": i, "label": int(labels[k]), "combined": float(combined[k]),
+             **{f"view_{v.kind}": float(per_view[j, k]) for j, v in enumerate(views)}}
+            for k, i in enumerate(keep)]
     return value, rows

@@ -107,7 +107,7 @@ def lr_train_theta(X1, y, lr, iters, theta0):
     theta = theta0
     for step in range(iters):
         p = tp.sigmoid(X1 @ theta)
-        grad = tp.transpose(X1) @ (p - y) if tp._is_value(X1) else X1.T @ (p - y)
+        grad = tp.transpose(X1) @ (p - y)
         theta = theta - (lr / m) * grad
         if not np.all(np.isfinite(tp._data(theta))):
             raise NumericError(f"non-finite parameters at training step {step}")
@@ -139,9 +139,9 @@ def ols_theta(X, y, label_eps=OLS_LABEL_EPS, ridge=OLS_RIDGE):
     y = np.asarray(y, dtype=float)
     yc = np.clip(y, label_eps, 1.0 - label_eps)
     z = np.log(yc / (1.0 - yc))
-    lnX = tp.log(X + 1.0) if tp._is_value(X) else np.log(tp._data(X) + 1.0)
+    lnX = tp.log(X + 1.0)
     Z = with_intercept(lnX)
-    Zt = tp.transpose(Z) if tp._is_value(Z) else Z.T
+    Zt = tp.transpose(Z)
     gram = Zt @ Z + np.eye(tp._data(Z).shape[1]) * ridge
     return tp.inverse(gram) @ (Zt @ z)
 

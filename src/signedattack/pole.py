@@ -128,9 +128,8 @@ def factorization_steps(R, U0, iters, lr):
     attempts = 0
     while len(curve) <= iters and attempts < iters + 64:
         attempts += 1
-        Ut = tp.transpose(U) if tp._is_value(U) else U.T
-        E = U @ Ut - R
-        Et = tp.transpose(E) if tp._is_value(E) else E.T
+        E = U @ tp.transpose(U) - R
+        Et = tp.transpose(E)
         U_next = U - (2.0 * step) * ((E + Et) @ U)
         res_next = residual(tp._data(U_next))
         if not np.isfinite(res_next) or res_next > res:
@@ -159,14 +158,8 @@ def cosine_normalize(R, U, floor=1e-9):
     Returns (R_cos, P): R_cos = clamp(R / (|U_i| |U_j|), -1, 1) and
     P = (R_cos + 1)/2. Polymorphic over tape Values in R and U.
     """
-    Ud = U
-    if tp._is_value(U):
-        norms = tp.sqrt(tp.sum_(U * U, axis=1) + floor ** 2)
-        denom = tp.matmul(tp.colstack([norms]), tp.transpose(tp.colstack([norms])))
-    else:
-        Ud = np.asarray(U, dtype=float)
-        n = np.sqrt((Ud * Ud).sum(axis=1) + floor ** 2)
-        denom = np.outer(n, n)
+    norms = tp.colstack([tp.sqrt(tp.sum_(U * U, axis=1) + floor ** 2)])
+    denom = tp.matmul(norms, tp.transpose(norms))
     R_cos = tp.clamp(R / denom, -1.0, 1.0)
     P = (R_cos + 1.0) * 0.5
     return R_cos, P

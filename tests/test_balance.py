@@ -57,17 +57,23 @@ def test_no_triads_error():
 
 @pytest.mark.parametrize("seed", range(100))
 def test_trace_formula_matches_census_oracle(seed):
-    g = random_signed_graph(4 + seed % 27, density=0.2, seed=seed)
-    balanced, unbalanced, _ = triad_census(g)
-    total = balanced + unbalanced
-    if total == 0:
-        with pytest.raises(MetricUndefinedError):
-            balance_ratio(g)
-        return
-    # denominator identity: 2 tr(|A|^3) = 12 * total
-    A_abs = np.abs(g.adjacency())
-    assert np.trace(A_abs @ A_abs @ A_abs) == 6 * total
-    assert balance_ratio(g) == pytest.approx(balanced / total, abs=1e-12)
+    full = random_signed_graph(4 + seed % 27, density=0.2, seed=seed)
+    hidden = np.random.default_rng(seed).permutation(full.num_edges)[:full.num_edges // 4]
+    # hidden-sign edges are 0 in A, so both forms skip triangles through them
+    for g in (full, full.mask(hidden)):
+        balanced, unbalanced, _ = triad_census(g)
+        total = balanced + unbalanced
+        report = balance_report(g)
+        assert (report.total_triads, report.balanced_triads) == (total, balanced)
+        if total == 0:
+            assert report.T is None
+            with pytest.raises(MetricUndefinedError):
+                balance_ratio(g)
+            continue
+        # denominator identity: 2 tr(|A|^3) = 12 * total
+        A_abs = np.abs(g.adjacency())
+        assert np.trace(A_abs @ A_abs @ A_abs) == 6 * total
+        assert balance_ratio(g) == pytest.approx(balanced / total, abs=1e-12)
 
 
 def test_balance_invariant_under_relabeling():

@@ -125,6 +125,24 @@ def test_fit_view_drops_undefined_graphs():
     assert view.rejected == 1
 
 
+def test_detector_eval_leaves_out_graphs_a_view_rejects():
+    corpus = make_corpus(6)
+    path = SignedGraph(3, [(0, 1, 1), (1, 2, 1)])  # no triads
+    corpus.graphs.append(path)
+    rng = np.random.default_rng(9)
+    poisoned = [g.with_signs([1 if rng.random() < 0.5 else -1 for _ in g.edges])
+                for g in corpus.graphs[:2]]
+    views = [fit_view("metric", corpus, t=1.0), fit_view("tsvd", corpus, d=8)]
+    assert [v.rejected for v in views] == [1, 0]
+    value, rows = detector_eval(corpus, poisoned, views, "max")
+    assert [r["graph"] for r in rows] == [0, 1, 2, 3, 4, 5, 7, 8]
+    labels = np.array([r["label"] == -1 for r in rows], dtype=int)
+    assert value == auc(-np.array([r["combined"] for r in rows]), labels)
+    # a rejected poisoned graph leaves the evaluation set without one
+    with pytest.raises(MetricUndefinedError):
+        detector_eval(corpus, [path], views, "max")
+
+
 def test_detector_eval_requires_poisoned():
     corpus = make_corpus(4)
     view = fit_view("metric", corpus, t=1.0)
