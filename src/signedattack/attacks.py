@@ -120,20 +120,21 @@ class _FextraLoss:
 
     def __init__(self, masked: SignedGraph, split: EdgeSplit, y_hat, cfg: AttackConfig,
                  fit: str):
-        self.support = masked.support()
+        edge = masked.edge_array()
+        self.us, self.vs = edge[:, 0], edge[:, 1]
+        support = masked.support()
+        self.common = tp.bilinear_gather(support, support, self.us, self.vs)
         self.split = split
         self.y_hat = np.asarray(y_hat, dtype=float)
         self.cfg = cfg
         self.fit = fit
-        edge = masked.edge_array()
-        self.us, self.vs = edge[:, 0], edge[:, 1]
         rng = np.random.default_rng(cfg.seed)
         self.theta0 = rng.uniform(size=10)
 
     def __call__(self, A, signs):
         A_plus = tp.relu(A)
         A_minus = A_plus - A
-        X = link_features(A_plus, A_minus, self.support, self.us, self.vs)
+        X = link_features(A_plus, A_minus, self.common, self.us, self.vs)
         X_tr = tp.gather_rows(X, self.split.train)
         X_te = tp.gather_rows(X, self.split.test)
         y_tr = (signs[self.split.train] > 0).astype(float)
@@ -292,6 +293,7 @@ def gradient_chooser(g0: SignedGraph, split: EdgeSplit, target: str, cfg: Attack
         base = loss_fn(A, signs)
         tape.backward(penalized_loss(-base, A, penalty, trace.events))
         G = A.grad_or_zero()
+        tape.release()
         scores = (-2.0 * signs[split.train]) * (G[us, vs] + G[vs, us])
         j = _pick_flip(scores, us, vs, pooled)
         gain = float(scores[j])

@@ -3,7 +3,9 @@
 The triad balance ratio and the triad counts of ``balance_report`` come from
 traces: tr(|A|^3) is six times the number of fully signed triangles and
 tr(A^3) + tr(|A|^3) twelve times the balanced ones (hidden-sign edges are 0
-in A). Only the tests call `triad_census`, the enumeration oracle for both.
+in A). Each trace takes one dense product, as tr(M^3) = sum((M @ M) * M^T),
+exact on {-1, 0, 1} entries. Only the tests call `triad_census`, the
+enumeration oracle for both.
 Polarization correlates a node's signed and unsigned random-walk
 transition rows. Reporting uses the plain (row-normalized) transition; the
 differentiable penalty used inside attacks runs on the symmetric one. Both
@@ -44,7 +46,7 @@ class BalanceReport:
 
 def abs_triad_trace(A_abs) -> float:
     """tr(|A|^3): six times the number of triangles of signed links."""
-    return float(np.trace(A_abs @ A_abs @ A_abs))
+    return float(((A_abs @ A_abs) * A_abs.T).sum())
 
 
 def balance_ratio_terms(A, tr_abs):
@@ -53,7 +55,7 @@ def balance_ratio_terms(A, tr_abs):
     Polymorphic over tape Values for A; |A| never changes under sign flips,
     so ``abs_triad_trace`` is computed once by the caller.
     """
-    tr_signed = tp.trace(A @ (A @ A))
+    tr_signed = tp.sum_((A @ A) * tp.transpose(A))
     if tr_abs <= 0:
         raise MetricUndefinedError("graph has no triads; balance ratio undefined")
     return (tr_signed + tr_abs) * (1.0 / (2.0 * tr_abs))
@@ -146,7 +148,7 @@ def balance_report(g: SignedGraph, t: float = 1.0) -> BalanceReport:
     A = g.adjacency()
     tr_abs = abs_triad_trace(np.abs(A))
     total = round(tr_abs / 6)
-    balanced = round((np.trace(A @ A @ A) + tr_abs) / 12)
+    balanced = round((((A @ A) * A.T).sum() + tr_abs) / 12)
     T = balance_ratio(g) if total else None
     pol_nodes = polarization_nodes(g, t)
     defined = [p for p in pol_nodes if p is not None]

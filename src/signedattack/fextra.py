@@ -50,8 +50,13 @@ class LRModel:
                 "log_features": self.log_features}
 
 
-def link_features(A_plus, A_minus, support, us, vs):
-    """The nine-column feature block; polymorphic over tape Values."""
+def link_features(A_plus, A_minus, common, us, vs):
+    """The nine-column feature block; polymorphic over tape Values.
+
+    ``common`` is the common-neighbor column, (S @ S)[us, vs] for the 0/1
+    support S of every known link. Sign flips never change S, so callers
+    compute it once per link set.
+    """
     dpos = tp.sum_(A_plus, axis=1)
     dneg = tp.sum_(A_minus, axis=1)
     cols = [
@@ -59,7 +64,7 @@ def link_features(A_plus, A_minus, support, us, vs):
         tp.gather_rows(dneg, us),
         tp.gather_rows(dpos, vs),
         tp.gather_rows(dneg, vs),
-        tp.bilinear_gather(support, support, us, vs),
+        common,
         tp.bilinear_gather(A_plus, A_plus, us, vs),
         tp.bilinear_gather(A_plus, A_minus, us, vs),
         tp.bilinear_gather(A_minus, A_plus, us, vs),
@@ -79,7 +84,8 @@ def extract_features(g: SignedGraph, links) -> FeatureMatrix:
     A_minus = A_plus - A
     us = np.array([u for u, _ in links], dtype=int)
     vs = np.array([v for _, v in links], dtype=int)
-    X = link_features(A_plus, A_minus, support, us, vs)
+    common = tp.bilinear_gather(support, support, us, vs)
+    X = link_features(A_plus, A_minus, common, us, vs)
     return FeatureMatrix(X=X, links=list(links))
 
 

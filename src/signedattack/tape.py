@@ -7,6 +7,11 @@ into the leaves.  Values that do not require gradients pass through as thin
 wrappers with no recording cost, so the same model code serves both the
 plain forward evaluation and the attack gradient path.
 
+``backward`` leaves the records in place. A caller that is done with the
+gradients calls ``Tape.release``, as the greedy attack step does after each
+flip: a tape and its nodes refer to each other, so without the release the
+arrays of every step stay alive until a cyclic garbage-collection pass.
+
 Most helpers in this module (``log``, ``relu``, ``gather`` ...) are
 polymorphic: they accept either a :class:`Value` or a plain ndarray and
 return the matching kind.
@@ -36,6 +41,16 @@ class Tape:
 
     def __len__(self):
         return len(self._nodes)
+
+    def release(self):
+        """Drop the recorded nodes once their gradients have been read.
+
+        Every recorded Value refers back to its tape, so a tape holding its
+        nodes is a reference cycle that only the cyclic garbage collector
+        frees; releasing it lets reference counting free the arrays at once.
+        ``backward`` keeps the nodes, so they can still be inspected after it.
+        """
+        self._nodes = []
 
     def backward(self, loss: "Value"):
         """Accumulate d(loss)/d(leaf) into each leaf's ``.grad``.
@@ -392,27 +407,28 @@ def gather_rows(a, rows):
 
 
 def bilinear_gather(p, q, us, vs):
-    """Entries (p @ q)[us[k], vs[k]] without forming the full product.
+    """Entries (p @ q)[us[k], vs[k]], one per link.
 
-    Backward scatters into the touched rows of ``p`` and columns of ``q``
-    only, which keeps per-flip feature extraction O(links x n).
+    The forward indexes the full product p @ q; the backward scatters the
+    link adjoints into one dense matrix C (repeated (u, v) pairs add up)
+    and accumulates C @ q^T into ``p`` and p^T @ C into ``q``. Every
+    product goes to BLAS, O(n^3) per call, and no links x n temporary is
+    built.
     """
     us = np.asarray(us, dtype=int)
     vs = np.asarray(vs, dtype=int)
     pd, qd = _data(p), _data(q)
-    out_data = np.einsum("kn,nk->k", pd[us, :], qd[:, vs])
+    out_data = (pd @ qd)[us, vs]
     if not (_is_value(p) or _is_value(q)):
         return out_data
 
     def vjp(g):
+        C = np.zeros((pd.shape[0], qd.shape[1]))
+        np.add.at(C, (us, vs), g)
         if _is_value(p) and p.requires_grad:
-            acc = np.zeros_like(pd)
-            np.add.at(acc, us, g[:, None] * qd[:, vs].T)
-            p._accumulate(acc)
+            p._accumulate(C @ qd.T)
         if _is_value(q) and q.requires_grad:
-            acc = np.zeros_like(qd)
-            np.add.at(acc.T, vs, g[:, None] * pd[us, :])
-            q._accumulate(acc)
+            q._accumulate(pd.T @ C)
 
     return _record(_tape_of(p, q), out_data, vjp, _needs(p, q))
 

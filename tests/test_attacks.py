@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -342,3 +345,30 @@ def test_flips_for_power():
     g, _ = small_instance()
     assert flips_for_power(g, 0.0) == 0
     assert flips_for_power(g, 1.0) == g.num_edges
+
+
+@pytest.mark.parametrize("target,lam,eta", [("fextra-ols", 0.0, 0.0), ("fextra-meta", 0.0, 0.0),
+                                            ("pole-sym", 2.0, 5.0), ("pole-unsym", 0.0, 0.0)])
+def test_flip_attack_frees_each_step_tape_without_gc(monkeypatch, target, lam, eta):
+    made = []
+
+    class RecordingTape(tp.Tape):
+        def __init__(self):
+            super().__init__()
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(tp, "Tape", RecordingTape)
+    g = geometric_polarized(20, k=6, noise=0.1, seed=0)
+    split = split_edges(g, 0.2, seed=0)
+    cfg = AttackConfig(budget=3, lam=lam, eta=eta, inner_iters=5, factor_dim=4,
+                       factor_iters=3)
+    gc.collect()
+    gc.disable()
+    try:
+        trace = flip_attack(g, split, target, cfg)
+        alive = sum(ref() is not None for ref in made)
+    finally:
+        gc.enable()
+    assert len(trace.flips) == 3
+    assert len(made) == 3
+    assert alive == 0

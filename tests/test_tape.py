@@ -100,6 +100,64 @@ def test_gather_and_bilinear_gather():
     assert grad_check(g, P) < 1e-8
 
 
+def _row_scatter_vjp(P, Q, us, vs, g):
+    """The former bilinear_gather backward: row-wise scatters of K x n blocks."""
+    gp = np.zeros_like(P)
+    np.add.at(gp, us, g[:, None] * Q[:, vs].T)
+    gq = np.zeros_like(Q)
+    np.add.at(gq.T, vs, g[:, None] * P[us, :])
+    return gp, gq
+
+
+def test_bilinear_gather_rectangular_with_repeated_pair():
+    rng = np.random.default_rng(8)
+    P = rng.standard_normal((4, 6))
+    Q = rng.standard_normal((6, 3))
+    us = np.array([0, 3, 1, 3, 2])
+    vs = np.array([2, 0, 1, 0, 2])  # (3, 0) appears twice
+    w = np.array([1.0, -2.0, 0.5, 3.0, -0.7])
+    assert np.allclose(tp.bilinear_gather(P, Q, us, vs), (P @ Q)[us, vs])
+
+    t = Tape()
+    p, q = t.leaf(P, requires_grad=True), t.leaf(Q, requires_grad=True)
+    t.backward(tp.sum_(tp.bilinear_gather(p, q, us, vs) * w))
+    gp, gq = _row_scatter_vjp(P, Q, us, vs, w)
+    assert np.allclose(p.grad, gp, rtol=1e-13, atol=1e-13)
+    assert np.allclose(q.grad, gq, rtol=1e-13, atol=1e-13)
+
+    assert grad_check(lambda v: tp.sum_(tp.bilinear_gather(v, Q, us, vs) * w), P) < 1e-6
+    assert grad_check(lambda v: tp.sum_(tp.bilinear_gather(P, v, us, vs) * w), Q) < 1e-6
+
+
+def test_bilinear_gather_same_value_on_both_sides():
+    # link_features passes A_plus as both operands
+    rng = np.random.default_rng(9)
+    X = rng.standard_normal((5, 5))
+    us = np.array([0, 1, 4, 1, 2])
+    vs = np.array([3, 3, 0, 3, 2])  # (1, 3) appears twice
+    w = np.array([1.0, -2.0, 0.5, 3.0, 1.5])
+
+    def f(v):
+        return tp.sum_(tp.bilinear_gather(v, v, us, vs) * w)
+
+    t = Tape()
+    x = t.leaf(X, requires_grad=True)
+    t.backward(f(x))
+    gp, gq = _row_scatter_vjp(X, X, us, vs, w)
+    assert np.allclose(x.grad, gp + gq, rtol=1e-13, atol=1e-13)
+    assert grad_check(f, X) < 1e-6
+
+
+def test_backward_keeps_nodes_until_release():
+    t = Tape()
+    x = t.leaf(np.arange(4.0).reshape(2, 2), requires_grad=True)
+    t.backward(tp.sum_(x @ x))
+    assert len(t) == 2
+    t.release()
+    assert len(t) == 0
+    assert np.array_equal(x.grad, np.array([[3.0, 7.0], [5.0, 9.0]]))
+
+
 def test_clamp_gradient_masks_outside():
     t = Tape()
     x = t.leaf(np.array([-2.0, 0.0, 2.0]), requires_grad=True)
