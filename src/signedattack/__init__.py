@@ -14,8 +14,8 @@ from .balance import (BalanceReport, balance_ratio, balance_report, graph_polari
                       node_polarization, triad_census)
 from .attacks import (AttackConfig, AttackTrace, baseline_greedy_triads, baseline_rand,
                       flip_attack, flips_for_power, penalized_loss, self_train_labels)
-from .detectors import (DetectorView, OCSVMModel, detector_eval, fit_view,
-                        metric_features, ocsvm_decision, ocsvm_fit, tsvd_features)
+from .detectors import (DetectorView, OCSVMModel, detector_eval, metric_features,
+                        ocsvm_decision, ocsvm_fit, tsvd_features)
 from .experiments import (ExperimentConfig, run_attack_experiment, run_bench,
                           run_detect_experiment, victim_test_auc)
 

@@ -149,7 +149,7 @@ def balance_report(g: SignedGraph, t: float = 1.0) -> BalanceReport:
     tr_abs = abs_triad_trace(np.abs(A))
     total = round(tr_abs / 6)
     balanced = round((((A @ A) * A.T).sum() + tr_abs) / 12)
-    T = balance_ratio(g) if total else None
+    T = float(balance_ratio_terms(A, tr_abs)) if total else None
     pol_nodes = polarization_nodes(g, t)
     defined = [p for p in pol_nodes if p is not None]
     if not defined:

@@ -4,7 +4,9 @@ Two feature views are implemented: the balance-metric pair (triad balance
 ratio and graph polarization) and the mean truncated-SVD node embedding.
 Each view feeds a one-class SVM with RBF kernel trained on clean graphs
 only; an ensemble combines per-view decision scores (min-max normalized
-over the evaluation set) by mean, min or max.
+over the evaluation set) by mean, min or max. ``detector_eval`` featurizes
+each graph once per view and fits each view's model in place from the
+clean rows before scoring the same rows.
 """
 
 from __future__ import annotations
@@ -135,10 +137,12 @@ def tsvd_features(g: SignedGraph, d=DEFAULT_EMBED_DIM):
 @dataclass
 class DetectorView:
     kind: str  # "metric" or "tsvd"
-    t: float
-    d: int
-    model: OCSVMModel
-    rejected: int = 0
+    t: float = 1.0
+    d: int = DEFAULT_EMBED_DIM
+    nu: float = DEFAULT_NU
+    gamma: float = DEFAULT_GAMMA
+    model: OCSVMModel | None = None  # set by detector_eval
+    rejected: int = 0  # clean graphs this view could not featurize
 
     def featurize(self, g: SignedGraph):
         if self.kind == "metric":
@@ -147,33 +151,12 @@ class DetectorView:
             return tsvd_features(g, self.d)
         raise ConfigError(f"unknown view kind {self.kind!r}")
 
-    def scores(self, graphs):
-        feats = np.vstack([self.featurize(g) for g in graphs])
-        return ocsvm_decision(self.model, feats)
-
 
 def _try_featurize(view: DetectorView, g: SignedGraph):
     try:
         return view.featurize(g)
     except MetricUndefinedError:
         return None
-
-
-def fit_view(kind: str, corpus: GraphCorpus, t=1.0, d=DEFAULT_EMBED_DIM,
-             nu=DEFAULT_NU, gamma=DEFAULT_GAMMA) -> DetectorView:
-    """Fit one view's featurizer + one-class scorer on the clean corpus.
-
-    Corpus graphs on which the features are undefined are dropped and
-    counted on the returned view.
-    """
-    view = DetectorView(kind=kind, t=t, d=d, model=None)
-    feats = [_try_featurize(view, g) for g in corpus.graphs]
-    rows = [f for f in feats if f is not None]
-    if len(rows) < 2:
-        raise ConfigError(f"{kind} view: fewer than 2 corpus graphs with defined features")
-    view.model = ocsvm_fit(np.vstack(rows), nu=nu, gamma=gamma)
-    view.rejected = len(feats) - len(rows)
-    return view
 
 
 def _minmax(x):
@@ -184,21 +167,30 @@ def _minmax(x):
 
 
 def detector_eval(clean: GraphCorpus, poisoned, views, strategy="max"):
-    """Score clean + poisoned graphs and compute the detection AUC.
+    """Fit each view on the clean graphs, score clean + poisoned, compute the AUC.
 
-    Each view featurizes each graph once; a graph that some view cannot
-    featurize gets no row and stays out of the AUC. Rows keep the graph's
-    index in clean + poisoned order. Per view, decision scores over the rows
-    are min-max normalized, then combined across views by the chosen
-    strategy. The AUC treats the anomaly class as positive by negating the
-    combined score. Returns (auc_value, per_graph_rows).
+    Each view featurizes each graph once. Its one-class SVM is fitted on the
+    clean rows it could featurize and stored in ``view.model``, with the
+    clean graphs it could not featurize counted in ``view.rejected``. A graph
+    that some view cannot featurize gets no row and stays out of the AUC.
+    Rows keep the graph's index in clean + poisoned order. Per view, decision
+    scores over the rows are min-max normalized, then combined across views
+    by the chosen strategy. The AUC treats the anomaly class as positive by
+    negating the combined score. Returns (auc_value, per_graph_rows).
     """
     if strategy not in ("mean", "min", "max"):
         raise ConfigError(f"unknown ensemble strategy {strategy!r}")
     graphs = list(clean.graphs) + list(poisoned)
+    n_clean = len(clean.graphs)
     feats = [[_try_featurize(v, g) for g in graphs] for v in views]
+    for v, f in zip(views, feats):
+        train = [x for x in f[:n_clean] if x is not None]
+        if len(train) < 2:
+            raise ConfigError(f"{v.kind} view: fewer than 2 corpus graphs with defined features")
+        v.model = ocsvm_fit(np.vstack(train), nu=v.nu, gamma=v.gamma)
+        v.rejected = n_clean - len(train)
     keep = [i for i in range(len(graphs)) if all(f[i] is not None for f in feats)]
-    labels = np.array([1 if i < len(clean.graphs) else -1 for i in keep])
+    labels = np.array([1 if i < n_clean else -1 for i in keep])
     if not (labels == -1).any():
         raise MetricUndefinedError("evaluation set has no poisoned graphs")
     per_view = np.vstack([_minmax(ocsvm_decision(v.model, np.vstack([f[i] for i in keep])))

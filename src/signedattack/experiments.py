@@ -14,7 +14,7 @@ import numpy as np
 from .attacks import (AttackConfig, AttackTrace, baseline_greedy_triads, baseline_rand,
                       flip_attack, flips_for_power, gradient_chooser, victim_model_kind,
                       victim_probs)
-from .detectors import detector_eval, fit_view
+from .detectors import DetectorView, detector_eval
 from .errors import ConfigError
 from .fextra import auc
 from .graph import (EdgeSplit, GraphCorpus, SignedGraph, largest_connected_component,
@@ -154,8 +154,8 @@ def run_detect_experiment(cfg: ExperimentConfig, dataset: SignedGraph | None = N
                                         cfg.corpus_per_size, cfg.corpus_seed)
     if poisoned is None:
         poisoned = build_poisoned_set(dataset, cfg)
-    views = [fit_view("metric", corpus, t=cfg.t, nu=cfg.nu, gamma=cfg.gamma),
-             fit_view("tsvd", corpus, d=cfg.embed_dim, nu=cfg.nu, gamma=cfg.gamma)]
+    views = [DetectorView("metric", t=cfg.t, nu=cfg.nu, gamma=cfg.gamma),
+             DetectorView("tsvd", d=cfg.embed_dim, nu=cfg.nu, gamma=cfg.gamma)]
     ensemble_auc, rows = detector_eval(corpus, poisoned, views, cfg.strategy)
     anomalous = np.array([r["label"] == -1 for r in rows], dtype=int)
     summary = {f"{v.kind}_auc": auc(-np.array([r[f"view_{v.kind}"] for r in rows]), anomalous)

@@ -2,8 +2,8 @@
 
 The expected values were recorded when each single-view AUC came from its
 own ``detector_eval`` call, which featurized every graph again. They must be
-reproduced exactly. The featurize count pins one featurization per graph to
-fit a view and one to score it.
+reproduced exactly. The featurize count pins one featurization per graph
+per view, shared by fitting and scoring.
 """
 
 from dataclasses import replace
@@ -66,8 +66,7 @@ def test_detect_run_matches_pinned(detect_inputs, strategy):
     assert [v.kind for v in views] == ["metric", "tsvd"]
 
 
-def test_detect_run_featurizes_each_graph_once_to_fit_and_once_to_score(
-        detect_inputs, monkeypatch):
+def test_detect_run_featurizes_each_graph_once_per_view(detect_inputs, monkeypatch):
     cfg, dataset, corpus, poisoned = detect_inputs
     calls = {}
     featurize = DetectorView.featurize
@@ -78,5 +77,5 @@ def test_detect_run_featurizes_each_graph_once_to_fit_and_once_to_score(
 
     monkeypatch.setattr(DetectorView, "featurize", counting)
     run_detect_experiment(cfg, dataset, corpus, poisoned)
-    expected = 2 * len(corpus.graphs) + len(poisoned)
+    expected = len(corpus.graphs) + len(poisoned)
     assert calls == {"metric": expected, "tsvd": expected}

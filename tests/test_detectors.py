@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from signedattack.detectors import (DetectorView, OCSVMModel, detector_eval, fit_view,
+from signedattack.detectors import (DetectorView, OCSVMModel, detector_eval,
                                     metric_features, ocsvm_decision, ocsvm_fit,
                                     tsvd_features)
 from signedattack.errors import ConfigError, MetricUndefinedError
@@ -118,13 +118,6 @@ def make_corpus(n_graphs=12, seed=0):
     return GraphCorpus(graphs=graphs, provenance={"source": "synthetic"})
 
 
-def test_fit_view_drops_undefined_graphs():
-    corpus = make_corpus(6)
-    corpus.graphs.append(SignedGraph(3, [(0, 1, 1), (1, 2, 1)]))  # no triads
-    view = fit_view("metric", corpus, t=1.0)
-    assert view.rejected == 1
-
-
 def test_detector_eval_leaves_out_graphs_a_view_rejects():
     corpus = make_corpus(6)
     path = SignedGraph(3, [(0, 1, 1), (1, 2, 1)])  # no triads
@@ -132,9 +125,9 @@ def test_detector_eval_leaves_out_graphs_a_view_rejects():
     rng = np.random.default_rng(9)
     poisoned = [g.with_signs([1 if rng.random() < 0.5 else -1 for _ in g.edges])
                 for g in corpus.graphs[:2]]
-    views = [fit_view("metric", corpus, t=1.0), fit_view("tsvd", corpus, d=8)]
-    assert [v.rejected for v in views] == [1, 0]
+    views = [DetectorView("metric", t=1.0), DetectorView("tsvd", d=8)]
     value, rows = detector_eval(corpus, poisoned, views, "max")
+    assert [v.rejected for v in views] == [1, 0]
     assert [r["graph"] for r in rows] == [0, 1, 2, 3, 4, 5, 7, 8]
     labels = np.array([r["label"] == -1 for r in rows], dtype=int)
     assert value == auc(-np.array([r["combined"] for r in rows]), labels)
@@ -143,9 +136,38 @@ def test_detector_eval_leaves_out_graphs_a_view_rejects():
         detector_eval(corpus, [path], views, "max")
 
 
+def test_detector_eval_fits_each_view_on_its_defined_clean_rows():
+    corpus = make_corpus(6)
+    path = SignedGraph(3, [(0, 1, 1), (1, 2, 1)])  # no triads: metric view rejects it
+    corpus.graphs.insert(2, path)
+    rng = np.random.default_rng(4)
+    poisoned = [g.with_signs([1 if rng.random() < 0.5 else -1 for _ in g.edges])
+                for g in corpus.graphs[:2]]
+    views = [DetectorView("metric", t=1.0, nu=0.3, gamma=0.5), DetectorView("tsvd", d=8)]
+    detector_eval(corpus, poisoned, views, "max")
+    defined = {"metric": [g for g in corpus.graphs if g is not path], "tsvd": corpus.graphs}
+    for view in views:
+        want = ocsvm_fit(np.vstack([view.featurize(g) for g in defined[view.kind]]),
+                         nu=view.nu, gamma=view.gamma)
+        assert np.array_equal(view.model.support_vectors, want.support_vectors)
+        assert np.array_equal(view.model.alphas, want.alphas)
+        assert view.model.rho == want.rho
+        assert (view.model.nu, view.model.gamma) == (view.nu, view.gamma)
+
+
+def test_detector_eval_needs_two_defined_clean_graphs_per_view():
+    path = SignedGraph(3, [(0, 1, 1), (1, 2, 1)])  # no triads
+    corpus = make_corpus(1)
+    corpus.graphs += [path, path]
+    poisoned = [corpus.graphs[0].with_signs([-1] * len(corpus.graphs[0].edges))]
+    with pytest.raises(ConfigError, match="metric view"):
+        detector_eval(corpus, poisoned, [DetectorView("tsvd", d=8),
+                                         DetectorView("metric", t=1.0)], "max")
+
+
 def test_detector_eval_requires_poisoned():
     corpus = make_corpus(4)
-    view = fit_view("metric", corpus, t=1.0)
+    view = DetectorView("metric", t=1.0)
     with pytest.raises(MetricUndefinedError):
         detector_eval(corpus, [], [view], "max")
 
@@ -158,7 +180,7 @@ def test_detector_eval_separates_scrambled_graphs():
         g = corpus.graphs[i]
         signs = [1 if rng.random() < 0.5 else -1 for _ in g.edges]
         poisoned.append(g.with_signs(signs))
-    view = fit_view("metric", corpus, t=1.0)
+    view = DetectorView("metric", t=1.0)
     value, rows = detector_eval(corpus, poisoned, [view], "max")
     assert value == 1.0
     assert len(rows) == len(corpus.graphs) + 4
@@ -170,10 +192,10 @@ def test_single_view_auc_invariant_to_minmax():
     poisoned = [corpus.graphs[0].with_signs(
         [1 if rng.random() < 0.5 else -1 for _ in corpus.graphs[0].edges])
         for _ in range(3)]
-    view = fit_view("metric", corpus, t=1.0)
+    view = DetectorView("metric", t=1.0)
     value, _ = detector_eval(corpus, poisoned, [view], "max")
     graphs = corpus.graphs + poisoned
-    raw = view.scores(graphs)
+    raw = ocsvm_decision(view.model, np.vstack([view.featurize(g) for g in graphs]))
     labels = np.array([0] * len(corpus.graphs) + [1] * len(poisoned))
     assert auc(-raw, labels) == pytest.approx(value, abs=1e-12)
 
@@ -184,7 +206,7 @@ def test_detector_eval_strategies_and_rows():
     poisoned = [corpus.graphs[i].with_signs(
         [1 if rng.random() < 0.6 else -1 for _ in corpus.graphs[i].edges])
         for i in range(3)]
-    views = [fit_view("metric", corpus, t=1.0), fit_view("tsvd", corpus, d=8)]
+    views = [DetectorView("metric", t=1.0), DetectorView("tsvd", d=8)]
     for strategy in ("mean", "min", "max"):
         value, rows = detector_eval(corpus, poisoned, views, strategy)
         assert 0.0 <= value <= 1.0
