@@ -15,6 +15,11 @@ close to the clean graph:
 
 The recorded per-step ``loss_curve`` holds the raw log-likelihood sum (the
 first term without the leading minus), so more negative means more damage.
+
+The FeXtra surrogates differentiate a closed-form ridge fit or an unrolled
+logistic fit. The POLE surrogate scores a test link by the cosine of an exact
+factor of the autocovariance R, which is R normalized by its own diagonal, so
+no embedding is fitted.
 """
 
 from __future__ import annotations
@@ -29,8 +34,8 @@ from .errors import ConfigError, MetricUndefinedError
 from .fextra import (extract_features, link_features, lr_predict, lr_train, lr_train_theta,
                      ols_theta, with_intercept)
 from .graph import EdgeSplit, SignedGraph
-from .pole import (WalkParams, cosine_normalize, degree_weight_matrix,
-                   factorization_steps, pole_predict, transition_matrix)
+from .pole import (WalkParams, cosine_normalize, degree_weight_matrix, pole_predict,
+                   transition_matrix)
 
 LOG_CLIP = 1e-12
 
@@ -44,9 +49,6 @@ class AttackConfig:
     eta: float = 0.0
     inner_iters: int = 100
     inner_lr: float = 0.01
-    factor_dim: int = 32
-    factor_iters: int = 50
-    factor_lr: float = 0.01
     t: float = 1.0
     seed: int = 0
     checkpoints: tuple = ()  # attack powers (fractions of |E|) to snapshot
@@ -149,7 +151,7 @@ class _FextraLoss:
 
 
 class _PoleLoss:
-    """Attack loss through the autocovariance similarity pipeline."""
+    """Attack loss through transition -> R -> cosine -> test-link gather."""
 
     def __init__(self, masked: SignedGraph, split: EdgeSplit, y_hat, cfg: AttackConfig,
                  mode: str):
@@ -162,14 +164,11 @@ class _PoleLoss:
         edge = masked.edge_array()
         self.us_te = edge[split.test, 0]
         self.vs_te = edge[split.test, 1]
-        rng = np.random.default_rng(cfg.seed)
-        self.U0 = rng.standard_normal((masked.n, min(cfg.factor_dim, masked.n)))
 
     def __call__(self, A, signs):
         M = transition_matrix(A, self.degrees, self.cfg.t, self.mode)
         R = tp.transpose(M) @ self.W @ M
-        U, _ = factorization_steps(R, self.U0, self.cfg.factor_iters, self.cfg.factor_lr)
-        _, P = cosine_normalize(R, U)
+        _, P = cosine_normalize(R)
         p_e = tp.gather(P, self.us_te, self.vs_te)
         return _log_likelihood(p_e, self.y_hat)
 

@@ -148,8 +148,9 @@ def balance_report(g: SignedGraph, t: float = 1.0) -> BalanceReport:
     A = g.adjacency()
     tr_abs = abs_triad_trace(np.abs(A))
     total = round(tr_abs / 6)
-    balanced = round((((A @ A) * A.T).sum() + tr_abs) / 12)
     T = float(balance_ratio_terms(A, tr_abs)) if total else None
+    # T is exactly balanced / total, so rounding T * total recovers the count
+    balanced = round(T * total) if total else 0
     pol_nodes = polarization_nodes(g, t)
     defined = [p for p in pol_nodes if p is not None]
     if not defined:

@@ -1,6 +1,6 @@
 """Batch experiment command line.
 
-Subcommands: ingest, attack, detect, bench, metrics. Options come from an
+Subcommands: ingest, attack, detect, metrics. Options come from an
 optional JSON config document plus flags of the same name that override it.
 Exit codes: 0 success, 2 configuration error, 3 numeric failure.
 """
@@ -18,8 +18,7 @@ import tempfile
 from .balance import balance_report
 from .errors import (ConfigError, InvalidSplitError, MetricUndefinedError,
                      NumericError, ParseError, SignedAttackError)
-from .experiments import (ExperimentConfig, load_dataset, run_attack_experiment,
-                          run_bench, run_detect_experiment)
+from .experiments import ExperimentConfig, run_attack_experiment, run_detect_experiment
 from .graph import load_edge_list, load_graph_json, largest_connected_component, positive_ratio
 
 
@@ -83,7 +82,6 @@ def build_config(args) -> ExperimentConfig:
         "subsample": getattr(args, "subsample", None),
         "t": getattr(args, "t", None),
         "strategy": getattr(args, "strategy", None),
-        "bench_size": getattr(args, "bench_size", None),
     }
     for key, val in overrides.items():
         if val is not None:
@@ -147,18 +145,6 @@ def cmd_detect(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    cfg = build_config(args)
-    dataset = largest_connected_component(_load_graph_any(cfg.dataset, cfg.format))
-    rows = run_bench(cfg, dataset)
-    os.makedirs(cfg.out, exist_ok=True)
-    _write_csv(os.path.join(cfg.out, "bench.csv"), rows,
-               ["attack", "n", "seconds_per_flip"])
-    for r in rows:
-        print(f"{r['attack']}: n={r['n']} seconds_per_flip={r['seconds_per_flip']:.4f}")
-    return 0
-
-
 def cmd_metrics(args) -> int:
     cfg = build_config(args)
     g = largest_connected_component(_load_graph_any(cfg.dataset, cfg.format))
@@ -211,11 +197,6 @@ def make_parser():
     p.add_argument("--subsample", type=int, default=None)
     p.add_argument("--strategy", choices=["mean", "min", "max"], default=None)
     p.set_defaults(func=cmd_detect)
-
-    p = sub.add_parser("bench", help="time one perturbation step per attack")
-    _add_common(p)
-    p.add_argument("--bench-size", dest="bench_size", type=int, default=None)
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("metrics", help="balance report for a graph file")
     _add_common(p)

@@ -1,4 +1,4 @@
-"""Seeded experiment pipelines: attack trials, detection runs, benchmarks.
+"""Seeded experiment pipelines: attack trials and detection runs.
 
 This module is the engine behind the command-line interface; everything
 here is importable so tests and notebooks can drive the same protocol.
@@ -6,14 +6,12 @@ here is importable so tests and notebooks can drive the same protocol.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .attacks import (AttackConfig, AttackTrace, baseline_greedy_triads, baseline_rand,
-                      flip_attack, flips_for_power, gradient_chooser, victim_model_kind,
-                      victim_probs)
+from .attacks import (AttackConfig, baseline_greedy_triads, baseline_rand, flip_attack,
+                      flips_for_power, victim_model_kind, victim_probs)
 from .detectors import DetectorView, detector_eval
 from .errors import ConfigError
 from .fextra import auc
@@ -38,9 +36,6 @@ class ExperimentConfig:
     eta: float = 0.0
     inner_iters: int = 100
     inner_lr: float = 0.01
-    factor_dim: int = 32
-    factor_iters: int = 50
-    factor_lr: float = 0.01
     t: float = 1.0
     seeds: tuple = (0, 1, 2, 3, 4)
     out: str = "out"
@@ -52,8 +47,6 @@ class ExperimentConfig:
     gamma: float = 0.1
     embed_dim: int = 32
     strategy: str = "max"
-    bench_size: int = 500
-    bench_repeats: int = 3
 
     def resolved_powers(self):
         if self.powers:
@@ -63,8 +56,7 @@ class ExperimentConfig:
     def attack_config(self, budget, seed):
         return AttackConfig(budget=budget, lam=self.lam, eta=self.eta,
                             inner_iters=self.inner_iters, inner_lr=self.inner_lr,
-                            factor_dim=self.factor_dim, factor_iters=self.factor_iters,
-                            factor_lr=self.factor_lr, t=self.t, seed=seed,
+                            t=self.t, seed=seed,
                             checkpoints=self.resolved_powers())
 
 
@@ -163,29 +155,3 @@ def run_detect_experiment(cfg: ExperimentConfig, dataset: SignedGraph | None = N
     summary[f"ensemble_{cfg.strategy}_auc"] = ensemble_auc
     return summary, rows, views
 
-
-def time_one_flip(g: SignedGraph, split: EdgeSplit, target: str,
-                  cfg: AttackConfig, repeats=3) -> float:
-    """Median wall time of one greedy perturbation step (loss, gradient, scoring)."""
-    choose = gradient_chooser(g, split, target, cfg)
-    masked = g.mask(split.test)
-    A, signs = masked.adjacency(), masked.signs()
-    pooled = np.zeros(len(split.train), dtype=bool)
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        choose(A, signs, pooled, AttackTrace())
-        times.append(time.perf_counter() - start)
-    return float(np.median(times))
-
-
-def run_bench(cfg: ExperimentConfig, dataset: SignedGraph | None = None):
-    dataset = dataset if dataset is not None else load_dataset(cfg)
-    g = subsample_graph(dataset, cfg.bench_size, cfg.seeds[0])
-    split = split_edges(g, cfg.split_fraction, cfg.seeds[0])
-    rows = []
-    for target in ("pole-unsym", "pole-sym", "fextra-meta", "fextra-ols"):
-        acfg = cfg.attack_config(budget=1, seed=cfg.seeds[0])
-        secs = time_one_flip(g, split, target, acfg, repeats=cfg.bench_repeats)
-        rows.append({"attack": target, "n": g.n, "seconds_per_flip": secs})
-    return rows

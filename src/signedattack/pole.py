@@ -5,12 +5,16 @@ at Markov time t, either row-normalized (``unsym``) or symmetrically
 normalized (``sym``). The two generators are similar matrices, so both modes
 come from one eigenbasis exponential of the symmetric generator, forward and
 backward.
+
+The autocovariance R = M^T W M is positive semidefinite, so the cosine of any
+exact embedding U U^T = R is R normalized by sqrt(diag R) (``cosine_normalize``);
+the attacks use that closed form instead of fitting a factor.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,25 +35,6 @@ class WalkParams:
             raise NumericError(f"Markov time must be positive, got {self.t}")
         if self.mode not in ("unsym", "sym"):
             raise NumericError(f"unknown walk mode {self.mode!r}")
-
-
-@dataclass
-class SimilarityMatrices:
-    R_sign: np.ndarray
-    R_abs: np.ndarray
-    W: np.ndarray
-    M_sign: np.ndarray
-    M_abs: np.ndarray
-
-
-@dataclass
-class EmbeddingFactor:
-    U: np.ndarray
-    d: int
-    iterations: int
-    lr: float
-    residual: float
-    residual_curve: list = field(default_factory=list)
 
 
 def transition_matrix(A, degrees, t, mode):
@@ -91,28 +76,15 @@ def autocovariance(g: SignedGraph, params: WalkParams, signed=True):
     return M.T @ W @ M
 
 
-def autocovariance_pair(g: SignedGraph, params: WalkParams) -> SimilarityMatrices:
-    M_sign = signed_transition(g, params, signed=True)
-    M_abs = signed_transition(g, params, signed=False)
-    W = degree_weight_matrix(g.degrees())
-    return SimilarityMatrices(
-        R_sign=M_sign.T @ W @ M_sign,
-        R_abs=M_abs.T @ W @ M_abs,
-        W=W,
-        M_sign=M_sign,
-        M_abs=M_abs,
-    )
-
-
 def factorization_steps(R, U0, iters, lr):
     """Gradient descent on ||U U^T - R||_F^2 with residual-guarded steps.
 
+    No attack runs this loop (``cosine_normalize`` needs no factor); it stays
+    because ``perfbench/layers.py`` wraps ``pole.factorization_steps`` by name.
     Polymorphic over tape Values in R: accepted updates are recorded on the
-    tape, so the attack differentiates through the whole trajectory. Step
-    acceptance itself is decided on the numeric values: a step that raises
-    the residual is retried at half the step size, which keeps the residual
-    non-increasing regardless of the scale of R (a fixed step blows up when
-    the random init dwarfs the similarity entries).
+    tape. Step acceptance itself is decided on the numeric values: a step that
+    raises the residual is retried at half the step size, which keeps the
+    residual non-increasing regardless of the scale of R.
 
     Returns (U, residual_curve).
     """
@@ -142,34 +114,21 @@ def factorization_steps(R, U0, iters, lr):
     return U, curve
 
 
-def factorize(R: np.ndarray, d: int, iters=50, lr=0.01, seed=0) -> EmbeddingFactor:
-    """Fit U U^T ~= R from a seeded normal init."""
-    R = np.asarray(R, dtype=float)
-    rng = np.random.default_rng(seed)
-    U0 = rng.standard_normal((R.shape[0], d))
-    U, curve = factorization_steps(R, U0, iters, lr)
-    return EmbeddingFactor(U=U, d=d, iterations=iters, lr=lr,
-                           residual=curve[-1], residual_curve=curve)
+def cosine_normalize(R, floor=1e-9):
+    """Cosine normalization of a PSD R by its own diagonal, then to [0, 1].
 
-
-def cosine_normalize(R, U, floor=1e-9):
-    """Cosine-style normalization of R by row norms of U, then to [0, 1].
-
-    Returns (R_cos, P): R_cos = clamp(R / (|U_i| |U_j|), -1, 1) and
-    P = (R_cos + 1)/2. Polymorphic over tape Values in R and U.
+    Any U with U U^T = R has row norms |U_i| = sqrt(R_ii), so this is the
+    cosine similarity of an exact factor of R without computing one.
+    Returns (R_cos, P): R_cos = clamp(R_ij / (s_i s_j), -1, 1) with
+    s_i = sqrt(R_ii + floor^2), and P = (R_cos + 1)/2. Polymorphic over tape
+    Values in R.
     """
-    norms = tp.colstack([tp.sqrt(tp.sum_(U * U, axis=1) + floor ** 2)])
+    idx = np.arange(tp._data(R).shape[0])
+    norms = tp.colstack([tp.sqrt(tp.gather(R, idx, idx) + floor ** 2)])
     denom = tp.matmul(norms, tp.transpose(norms))
     R_cos = tp.clamp(R / denom, -1.0, 1.0)
     P = (R_cos + 1.0) * 0.5
     return R_cos, P
-
-
-def pole_link_features(g: SignedGraph, params: WalkParams, links):
-    pair = autocovariance_pair(g, params)
-    us = np.array([u for u, _ in links], dtype=int)
-    vs = np.array([v for _, v in links], dtype=int)
-    return np.column_stack([pair.R_sign[us, vs], pair.R_abs[us, vs]])
 
 
 def pole_predict(g: SignedGraph, split: EdgeSplit, params: WalkParams,
@@ -179,8 +138,9 @@ def pole_predict(g: SignedGraph, split: EdgeSplit, params: WalkParams,
     Returns predicted positive-sign probabilities for the test links of the
     split, using only training-link signs.
     """
-    pairs = [(u, v) for u, v, _ in g.edges]
-    feats = pole_link_features(g, params, pairs)
+    us, vs = g.edge_array().T
+    feats = np.column_stack([autocovariance(g, params, signed)[us, vs]
+                             for signed in (True, False)])
     signs = g.signs()
     y_train = (signs[split.train] > 0).astype(float)
     model = fextra.lr_train(feats[split.train], y_train, lr=lr, iters=iters, seed=seed)

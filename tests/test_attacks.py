@@ -71,10 +71,10 @@ def test_attack_loss_clipping_at_certainty():
     assert abs(val) < 1e-9
 
 
-@pytest.mark.parametrize("target", ["fextra-ols", "pole-sym"])
+@pytest.mark.parametrize("target", ["fextra-ols", "pole-sym", "pole-unsym"])
 def test_attack_loss_gradient_matches_finite_differences(target):
     g, split = small_instance(n=12, deg=4, noise=0.15, seed=3)
-    cfg = AttackConfig(budget=1, seed=0, factor_dim=6, factor_iters=20)
+    cfg = AttackConfig(budget=1, seed=0)
     y_hat = self_train_labels("fextra" if "fextra" in target else "pole",
                               g, split, WalkParams(), seed=0)
     masked = g.mask(split.test)
@@ -95,11 +95,21 @@ def test_pole_sym_vs_unsym_loss_on_regular_cycle():
     g = SignedGraph(8, edges)
     split = EdgeSplit(train=np.arange(6), test=np.array([6, 7]),
                       hidden_signs=np.array([e[2] for e in g.edges])[[6, 7]])
-    cfg = AttackConfig(budget=1, seed=0, factor_dim=4, factor_iters=20)
+    cfg = AttackConfig(budget=1, seed=0)
     y_hat = np.array([1.0, 0.0])
     a = eval_loss("pole-sym", g, split, y_hat, cfg)
     b = eval_loss("pole-unsym", g, split, y_hat, cfg)
     assert a == pytest.approx(b, abs=1e-6)
+
+
+@pytest.mark.parametrize("target", ["pole-sym", "pole-unsym"])
+def test_pole_attack_runs_at_300_nodes(target):
+    g = two_community(300, avg_deg=24, seed=0)
+    split = split_edges(g, 0.1, seed=0)
+    trace = flip_attack(g, split, target, AttackConfig(budget=5, seed=0))
+    assert len(trace.flips) == 5
+    assert all(gain > 0 for *_, gain in trace.flips)
+    assert all(np.isfinite(trace.loss_curve))
 
 
 def test_penalized_loss_recovers_base_and_adds_T():
@@ -360,8 +370,7 @@ def test_flip_attack_frees_each_step_tape_without_gc(monkeypatch, target, lam, e
     monkeypatch.setattr(tp, "Tape", RecordingTape)
     g = geometric_polarized(20, k=6, noise=0.1, seed=0)
     split = split_edges(g, 0.2, seed=0)
-    cfg = AttackConfig(budget=3, lam=lam, eta=eta, inner_iters=5, factor_dim=4,
-                       factor_iters=3)
+    cfg = AttackConfig(budget=3, lam=lam, eta=eta, inner_iters=5)
     gc.collect()
     gc.disable()
     try:

@@ -141,14 +141,3 @@ def test_detect_command(dataset_file, tmp_path):
     assert {"metric_auc", "tsvd_auc", "ensemble_max_auc"} <= set(summary)
     rows = read_csv(out / "detector_scores.csv")
     assert len(rows) == 8 + 2  # corpus graphs + seeds x powers
-
-
-def test_bench_command(dataset_file, tmp_path):
-    out = tmp_path / "bench"
-    rc = main(["bench", "--dataset", dataset_file, "--format", "plain",
-               "--out", str(out), "--bench-size", "40"])
-    assert rc == 0
-    rows = read_csv(out / "bench.csv")
-    assert {r["attack"] for r in rows} == {"pole-unsym", "pole-sym",
-                                           "fextra-meta", "fextra-ols"}
-    assert all(float(r["seconds_per_flip"]) > 0 for r in rows)

@@ -5,9 +5,8 @@ from signedattack import tape as tp
 from signedattack.errors import NumericError
 from signedattack.graph import DEGREE_FLOOR, SignedGraph, split_edges
 from signedattack.linalg import matrix_exp
-from signedattack.pole import (EmbeddingFactor, WalkParams, autocovariance,
-                               autocovariance_pair, cosine_normalize, degree_weight_matrix,
-                               factorization_steps, factorize, pole_predict,
+from signedattack.pole import (WalkParams, autocovariance, cosine_normalize,
+                               degree_weight_matrix, factorization_steps, pole_predict,
                                signed_transition, transition_matrix)
 from signedattack.tape import Tape, grad_check
 from synthgraphs import complete_graph, two_community, two_triangles_bridge
@@ -125,23 +124,27 @@ def test_autocovariance_gradient_sym_mode():
     assert grad_check(f, A0, h=1e-5, entries=entries) < 1e-3
 
 
+def normal_init(n, d, seed):
+    return np.random.default_rng(seed).standard_normal((n, d))
+
+
 def test_factorize_identity_converges():
-    f = factorize(np.eye(8), d=8, iters=500, lr=0.01, seed=0)
-    assert f.residual < 1e-3
-    assert all(b <= a + 1e-12 for a, b in zip(f.residual_curve, f.residual_curve[1:]))
+    _, curve = factorization_steps(np.eye(8), normal_init(8, 8, 0), 500, 0.01)
+    assert curve[-1] < 1e-3
+    assert all(b <= a + 1e-12 for a, b in zip(curve, curve[1:]))
 
 
 def test_factorize_zero_matrix_descends():
-    f = factorize(np.zeros((6, 6)), d=3, iters=50, lr=0.01, seed=1)
-    assert f.residual <= f.residual_curve[0]
+    _, curve = factorization_steps(np.zeros((6, 6)), normal_init(6, 3, 1), 50, 0.01)
+    assert curve[-1] <= curve[0]
 
 
 def test_factorize_rank2_psd():
     rng = np.random.default_rng(2)
     V = rng.standard_normal((10, 2))
     R = V @ V.T
-    f = factorize(R, d=2, iters=4000, lr=0.005, seed=3)
-    assert f.residual < 1e-4
+    _, curve = factorization_steps(R, normal_init(10, 2, 3), 4000, 0.005)
+    assert curve[-1] < 1e-4
 
 
 def test_factorization_steps_tape_matches_plain():
@@ -158,29 +161,38 @@ def test_factorization_steps_tape_matches_plain():
 
 
 def test_cosine_normalize_exact_factorization():
+    # the diagonal normalizer is the row-norm cosine of any exact factor
     rng = np.random.default_rng(5)
     U = rng.standard_normal((7, 3))
     R = U @ U.T
-    R_cos, P = cosine_normalize(R, U)
+    R_cos, P = cosine_normalize(R)
     norms = np.linalg.norm(U, axis=1)
     expect = R / np.outer(norms, norms)
-    assert np.abs(np.diag(R_cos) - 1.0).max() < 1e-6
-    assert np.abs(R_cos - np.clip(expect, -1, 1)).max() < 1e-6
+    assert np.abs(np.diag(R_cos) - 1.0).max() < 1e-12
+    assert np.abs(R_cos - expect).max() < 1e-12
     assert P.min() >= 0.0 and P.max() <= 1.0
 
 
+def test_cosine_normalize_autocovariance_matches_eigen_factor():
+    g = two_community(30, 6, 0.1, seed=8)
+    R = autocovariance(g, WalkParams(t=1.0, mode="unsym"), True)
+    w, V = np.linalg.eigh(0.5 * (R + R.T))
+    U = V * np.sqrt(np.clip(w, 0.0, None))
+    norms = np.linalg.norm(U, axis=1)
+    R_cos, _ = cosine_normalize(R)
+    assert np.abs(R_cos - U @ U.T / np.outer(norms, norms)).max() < 1e-6
+
+
 def test_cosine_normalize_clamps_large_entries():
-    U = np.array([[1.0, 0.0], [0.0, 1.0]])
-    R = np.array([[5.0, -9.0], [-9.0, 5.0]])
-    R_cos, P = cosine_normalize(R, U)
+    R = np.array([[4.0, -9.0], [-9.0, 4.0]])
+    R_cos, P = cosine_normalize(R)
     assert np.array_equal(R_cos, [[1.0, -1.0], [-1.0, 1.0]])
     assert np.array_equal(P, [[1.0, 0.0], [0.0, 1.0]])
 
 
 def test_cosine_normalize_zero_row_is_finite():
-    U = np.array([[0.0, 0.0], [1.0, 1.0]])
-    R = np.array([[0.5, 0.2], [0.2, 2.0]])
-    R_cos, P = cosine_normalize(R, U)
+    R = np.array([[0.0, 0.2], [0.2, 2.0]])
+    R_cos, P = cosine_normalize(R)
     assert np.all(np.isfinite(R_cos))
     assert np.all(R_cos <= 1.0) and np.all(R_cos >= -1.0)
 
@@ -216,10 +228,10 @@ def test_pole_similarity_probability_two_triangle_bridge():
 
     masked = g.mask([k_bridge])
     R = autocovariance(masked, WalkParams(t=1.0, mode="sym"), True)
-    _, P = cosine_normalize(R, factorize(R, d=4, iters=200, lr=0.01, seed=0).U)
+    _, P = cosine_normalize(R)
     assert P[2, 3] < 0.5
 
     masked = g.mask([k_within])
     R = autocovariance(masked, WalkParams(t=1.0, mode="sym"), True)
-    _, P = cosine_normalize(R, factorize(R, d=4, iters=200, lr=0.01, seed=0).U)
+    _, P = cosine_normalize(R)
     assert P[0, 1] > 0.5
