@@ -16,8 +16,10 @@ close to the clean graph:
 The recorded per-step ``loss_curve`` holds the raw log-likelihood sum (the
 first term without the leading minus), so more negative means more damage.
 
-The FeXtra surrogates differentiate a closed-form ridge fit or an unrolled
-logistic fit. The POLE surrogate scores a test link by the cosine of an exact
+The FeXtra losses put the victim's feature map in front of either the
+closed-form ridge surrogate (``fextra-ols``) or the victim's own converged
+logistic fit (``fextra-meta``), which the tape differentiates implicitly at
+its optimum. The POLE surrogate scores a test link by the cosine of an exact
 factor of the autocovariance R, which is R normalized by its own diagonal, so
 no embedding is fitted.
 """
@@ -31,8 +33,7 @@ import numpy as np
 from . import tape as tp
 from .balance import abs_triad_trace, balance_ratio_terms, polarization_term
 from .errors import ConfigError, MetricUndefinedError
-from .fextra import (extract_features, link_features, lr_predict, lr_train, lr_train_theta,
-                     ols_theta, with_intercept)
+from .fextra import extract_features, link_features, lr_predict, lr_train, ols_fit
 from .graph import EdgeSplit, SignedGraph
 from .pole import (WalkParams, cosine_normalize, degree_weight_matrix, pole_predict,
                    transition_matrix)
@@ -47,10 +48,7 @@ class AttackConfig:
     budget: int
     lam: float = 0.0
     eta: float = 0.0
-    inner_iters: int = 100
-    inner_lr: float = 0.01
     t: float = 1.0
-    seed: int = 0
     checkpoints: tuple = ()  # attack powers (fractions of |E|) to snapshot
 
 
@@ -80,8 +78,7 @@ def victim_model_kind(target: str) -> str:
     return "fextra" if target.startswith("fextra") else "pole"
 
 
-def victim_probs(model: str, g: SignedGraph, split: EdgeSplit, params: WalkParams,
-                 seed: int):
+def victim_probs(model: str, g: SignedGraph, split: EdgeSplit, params: WalkParams):
     """Victim positive-sign probabilities for the test links of ``split``.
 
     The victim is fit on ``g`` with the test signs hidden, from the training
@@ -90,23 +87,22 @@ def victim_probs(model: str, g: SignedGraph, split: EdgeSplit, params: WalkParam
     masked = g.mask(split.test)
     if model == "fextra":
         pairs = [(u, v) for u, v, _ in masked.edges]
-        feats = extract_features(masked, pairs).data
+        feats = extract_features(masked, pairs)
         y_tr = (masked.signs()[split.train] > 0).astype(float)
-        fitted = lr_train(feats[split.train], y_tr, seed=seed)
-        return lr_predict(fitted, feats[split.test])
+        return lr_predict(lr_train(feats[split.train], y_tr), feats[split.test])
     if model == "pole":
-        return pole_predict(masked, split, params, seed=seed)
+        return pole_predict(masked, split, params)
     raise ConfigError(f"unknown victim model {model!r}")
 
 
 def self_train_labels(model, g_clean: SignedGraph, split: EdgeSplit,
-                      params: WalkParams | None = None, seed: int = 0):
+                      params: WalkParams | None = None):
     """Victim predictions on the test links, thresholded at 0.5 (ties -> 1).
 
     The labels are produced from the clean masked graph once and stay fixed
     for the whole attack.
     """
-    probs = victim_probs(model, g_clean, split, params or WalkParams(), seed)
+    probs = victim_probs(model, g_clean, split, params or WalkParams())
     return (probs >= 0.5).astype(float)
 
 
@@ -118,20 +114,16 @@ def _log_likelihood(p, y_hat):
 
 
 class _FextraLoss:
-    """Attack loss for the feature-based predictor (closed-form or unrolled)."""
+    """Attack loss for the feature-based predictor, through ``fit`` on the tape."""
 
-    def __init__(self, masked: SignedGraph, split: EdgeSplit, y_hat, cfg: AttackConfig,
-                 fit: str):
+    def __init__(self, masked: SignedGraph, split: EdgeSplit, y_hat, fit):
         edge = masked.edge_array()
         self.us, self.vs = edge[:, 0], edge[:, 1]
         support = masked.support()
         self.common = tp.bilinear_gather(support, support, self.us, self.vs)
         self.split = split
         self.y_hat = np.asarray(y_hat, dtype=float)
-        self.cfg = cfg
         self.fit = fit
-        rng = np.random.default_rng(cfg.seed)
-        self.theta0 = rng.uniform(size=10)
 
     def __call__(self, A, signs):
         A_plus = tp.relu(A)
@@ -140,13 +132,7 @@ class _FextraLoss:
         X_tr = tp.gather_rows(X, self.split.train)
         X_te = tp.gather_rows(X, self.split.test)
         y_tr = (signs[self.split.train] > 0).astype(float)
-        if self.fit == "ols":
-            theta = ols_theta(X_tr, y_tr)
-            p = tp.sigmoid(with_intercept(tp.log(X_te + 1.0)) @ theta)
-        else:
-            theta = lr_train_theta(with_intercept(X_tr), y_tr,
-                                   self.cfg.inner_lr, self.cfg.inner_iters, self.theta0)
-            p = tp.sigmoid(with_intercept(X_te) @ theta)
+        p = lr_predict(self.fit(X_tr, y_tr), X_te)
         return _log_likelihood(p, self.y_hat)
 
 
@@ -176,9 +162,9 @@ class _PoleLoss:
 def make_attack_loss(target: str, masked: SignedGraph, split: EdgeSplit,
                      y_hat, cfg: AttackConfig):
     if target == "fextra-ols":
-        return _FextraLoss(masked, split, y_hat, cfg, fit="ols")
+        return _FextraLoss(masked, split, y_hat, ols_fit)
     if target == "fextra-meta":
-        return _FextraLoss(masked, split, y_hat, cfg, fit="meta")
+        return _FextraLoss(masked, split, y_hat, lr_train)
     if target == "pole-sym":
         return _PoleLoss(masked, split, y_hat, cfg, mode="sym")
     if target == "pole-unsym":
@@ -204,7 +190,7 @@ class Penalty:
     @classmethod
     def for_graph(cls, abs_mask, degrees, t, lam, eta):
         tr_abs = abs_triad_trace(abs_mask) if lam != 0.0 else 0.0
-        M_abs = transition_matrix(abs_mask, degrees, t, "sym") if eta != 0.0 else None
+        M_abs = transition_matrix(abs_mask, degrees, t, "unsym") if eta != 0.0 else None
         return cls(lam, eta, t, degrees, tr_abs, M_abs)
 
 
@@ -212,7 +198,8 @@ def penalized_loss(base, A, penalty: Penalty, events=None):
     """base + lambda T(A) + eta Pol(A, t), each term on the tape.
 
     An undefined balance term contributes zero and logs an event. The
-    polarization term runs on symmetric-mode transitions.
+    polarization term runs on the row-normalized (``unsym``) walk, as
+    ``balance.graph_polarization`` does.
     """
     out = base
     if penalty.lam != 0.0:
@@ -222,7 +209,7 @@ def penalized_loss(base, A, penalty: Penalty, events=None):
             if events is not None:
                 events.append("balance term undefined (no triads); contributed 0")
     if penalty.eta != 0.0:
-        M_sign = transition_matrix(A, penalty.degrees, penalty.t, "sym")
+        M_sign = transition_matrix(A, penalty.degrees, penalty.t, "unsym")
         out = out + penalty.eta * polarization_term(M_sign, penalty.M_abs)
     return out
 
@@ -279,8 +266,7 @@ def gradient_chooser(g0: SignedGraph, split: EdgeSplit, target: str, cfg: Attack
     flips the link with the largest first-order increase of the objective."""
     masked = g0.mask(split.test)
     if y_hat is None:
-        y_hat = self_train_labels(victim_model_kind(target), g0, split,
-                                  WalkParams(t=cfg.t), seed=cfg.seed)
+        y_hat = self_train_labels(victim_model_kind(target), g0, split, WalkParams(t=cfg.t))
     loss_fn = make_attack_loss(target, masked, split, y_hat, cfg)
     penalty = Penalty.for_graph(masked.abs_adjacency(), masked.degrees(), cfg.t,
                                 cfg.lam, cfg.eta)

@@ -7,9 +7,9 @@ in A). Each trace takes one dense product, as tr(M^3) = sum((M @ M) * M^T),
 exact on {-1, 0, 1} entries. Only the tests call `triad_census`, the
 enumeration oracle for both.
 Polarization correlates a node's signed and unsigned random-walk
-transition rows. Reporting uses the plain (row-normalized) transition; the
-differentiable penalty used inside attacks runs on the symmetric one. Both
-come from the same symmetric eigendecomposition (see ``pole.transition_matrix``).
+transition rows. Reporting and the differentiable penalty used inside
+attacks both use the plain (row-normalized) transition, which comes from
+the symmetric eigendecomposition (see ``pole.transition_matrix``).
 """
 
 from __future__ import annotations
@@ -104,14 +104,6 @@ def _pearson(x, y):
     if denom == 0:
         return None
     return float((xc * yc).sum() / denom)
-
-
-def node_polarization(g: SignedGraph, t: float, u: int, mode="unsym"):
-    M_sign, M_abs = transition_pair(g, t, mode)
-    r = _pearson(M_abs[u], M_sign[u])
-    if r is None:
-        raise MetricUndefinedError(f"node {u} has zero-variance transition rows")
-    return r
 
 
 def polarization_nodes(g: SignedGraph, t: float, mode="unsym"):

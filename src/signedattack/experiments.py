@@ -34,8 +34,6 @@ class ExperimentConfig:
     powers: tuple = ()
     lam: float = 0.0
     eta: float = 0.0
-    inner_iters: int = 100
-    inner_lr: float = 0.01
     t: float = 1.0
     seeds: tuple = (0, 1, 2, 3, 4)
     out: str = "out"
@@ -53,10 +51,8 @@ class ExperimentConfig:
             return tuple(sorted(self.powers))
         return POLE_POWERS if self.target.startswith("pole") else FEXTRA_POWERS
 
-    def attack_config(self, budget, seed):
-        return AttackConfig(budget=budget, lam=self.lam, eta=self.eta,
-                            inner_iters=self.inner_iters, inner_lr=self.inner_lr,
-                            t=self.t, seed=seed,
+    def attack_config(self, budget):
+        return AttackConfig(budget=budget, lam=self.lam, eta=self.eta, t=self.t,
                             checkpoints=self.resolved_powers())
 
 
@@ -75,9 +71,9 @@ def subsample_graph(g: SignedGraph, size: int, seed: int) -> SignedGraph:
 
 
 def victim_test_auc(g: SignedGraph, split: EdgeSplit, model: str,
-                    t=1.0, seed=0) -> float:
+                    t=1.0) -> float:
     """Retrain the victim on the (possibly poisoned) graph and score test links."""
-    probs = victim_probs(model, g, split, WalkParams(t=t), seed)
+    probs = victim_probs(model, g, split, WalkParams(t=t))
     return auc(probs, (split.hidden_signs > 0).astype(int))
 
 
@@ -86,7 +82,7 @@ def run_attack_trial(dataset: SignedGraph, cfg: ExperimentConfig, seed: int):
     g = subsample_graph(dataset, cfg.subsample, seed)
     split = split_edges(g, cfg.split_fraction, seed)
     model = victim_model_kind(cfg.target)
-    clean_auc = victim_test_auc(g, split, model, cfg.t, seed)
+    clean_auc = victim_test_auc(g, split, model, cfg.t)
 
     powers = cfg.resolved_powers()
     budget = max(flips_for_power(g, p) for p in powers)
@@ -99,7 +95,7 @@ def run_attack_trial(dataset: SignedGraph, cfg: ExperimentConfig, seed: int):
     elif cfg.baseline:
         raise ConfigError(f"unknown baseline {cfg.baseline!r}")
     else:
-        trace = flip_attack(g, split, cfg.target, cfg.attack_config(budget, seed))
+        trace = flip_attack(g, split, cfg.target, cfg.attack_config(budget))
         attack_name = cfg.target
         if cfg.lam or cfg.eta:
             attack_name += f"(lam={cfg.lam:g},eta={cfg.eta:g})"
@@ -108,7 +104,7 @@ def run_attack_trial(dataset: SignedGraph, cfg: ExperimentConfig, seed: int):
     for p in powers:
         g_p = trace.snapshots[p]
         poisoned_auc = (clean_auc if flips_for_power(g, p) == 0
-                        else victim_test_auc(g_p, split, model, cfg.t, seed))
+                        else victim_test_auc(g_p, split, model, cfg.t))
         rows.append({"seed": seed, "power": p, "attack": attack_name, "model": model,
                      "auc_clean": clean_auc, "auc_poisoned": poisoned_auc})
     return rows, trace, g
@@ -133,7 +129,7 @@ def build_poisoned_set(dataset: SignedGraph, cfg: ExperimentConfig):
         g = subsample_graph(dataset, cfg.subsample, seed)
         split = split_edges(g, cfg.split_fraction, seed)
         budget = max(flips_for_power(g, p) for p in powers)
-        trace = flip_attack(g, split, cfg.target, cfg.attack_config(budget, seed))
+        trace = flip_attack(g, split, cfg.target, cfg.attack_config(budget))
         poisoned.extend(trace.snapshots[p] for p in powers)
     return poisoned
 

@@ -3,10 +3,16 @@
 Features for a link (u, v) are the four signed degrees, the common-neighbor
 count and the four triad-type counts, in that order. The feature map is
 written over A+/A- so it also runs on tape Values, which is how the attacks
-differentiate through it. ``ols_theta`` is the closed-form least-squares
-surrogate for the logistic fit: features pass through ln(x+1), labels
-through a clipped logit, and the Gram matrix gets a small ridge so the
-solve stays defined on integer count data.
+differentiate through it.
+
+The victim (``lr_train``) z-scores its training rows and fits a ridge
+logistic regression by Newton's method to a gradient-norm tolerance. On the
+tape the fit is one primitive whose gradient comes from one solve with its
+Hessian at the optimum (implicit differentiation), not from the steps that
+reached it. ``ols_theta`` is the closed-form least-squares surrogate for the
+fit: features pass through ln(x+1), labels through a clipped logit, and the
+Gram matrix gets a small ridge so the solve stays defined on integer count
+data.
 """
 
 from __future__ import annotations
@@ -21,6 +27,11 @@ from .graph import SignedGraph
 
 OLS_LABEL_EPS = 0.01
 OLS_RIDGE = 1e-6
+# the victim's ridge keeps its optimum finite on single-class and
+# near-separable training sets
+LR_RIDGE = 1e-2
+LR_GRAD_TOL = 1e-9
+LR_MAX_STEPS = 50
 
 FEATURE_NAMES = (
     "deg_pos_u", "deg_neg_u", "deg_pos_v", "deg_neg_v",
@@ -29,25 +40,16 @@ FEATURE_NAMES = (
 
 
 @dataclass
-class FeatureMatrix:
-    X: object  # (links x 9) ndarray or tape Value
-    links: list
-
-    @property
-    def data(self):
-        return tp._data(self.X)
-
-
-@dataclass
 class LRModel:
-    theta: np.ndarray  # intercept followed by 9 feature weights
+    theta: object  # intercept followed by the feature weights; a tape Value on the tape
     # the closed-form surrogate is fit on ln(x+1) features; predictions must
     # apply the same map
     log_features: bool = False
-
-    def to_json_dict(self):
-        return {"theta": [float(x) for x in self.theta],
-                "log_features": self.log_features}
+    # z-scoring of the training rows that ``lr_train`` fit on, applied to any
+    # rows it predicts
+    center: object = None
+    scale: object = None
+    grad_norm: float | None = None  # objective gradient norm where lr_train stopped
 
 
 def link_features(A_plus, A_minus, common, us, vs):
@@ -73,8 +75,8 @@ def link_features(A_plus, A_minus, common, us, vs):
     return tp.colstack(cols)
 
 
-def extract_features(g: SignedGraph, links) -> FeatureMatrix:
-    """Features for the given node pairs; pairs must be known links."""
+def extract_features(g: SignedGraph, links) -> np.ndarray:
+    """Features (links x 9) for the given node pairs; pairs must be known links."""
     support = g.support()
     for u, v in links:
         if support[u, v] == 0:
@@ -85,56 +87,82 @@ def extract_features(g: SignedGraph, links) -> FeatureMatrix:
     us = np.array([u for u, _ in links], dtype=int)
     vs = np.array([v for _, v in links], dtype=int)
     common = tp.bilinear_gather(support, support, us, vs)
-    X = link_features(A_plus, A_minus, common, us, vs)
-    return FeatureMatrix(X=X, links=list(links))
+    return link_features(A_plus, A_minus, common, us, vs)
 
 
 def with_intercept(X):
     return tp.prepend_ones(X)
 
 
-def lr_loss(theta, X, y):
-    """Mean cross-entropy of the intercept-augmented logistic model."""
-    X1 = with_intercept(tp._data(X))
-    p = tp.sigmoid(X1 @ np.asarray(theta, dtype=float))
-    p = np.clip(p, 1e-12, 1 - 1e-12)
-    y = np.asarray(y, dtype=float)
-    return float(-(y * np.log(p) + (1 - y) * np.log(1 - p)).mean())
+def logistic_theta(Z, y):
+    """Minimizer of mean cross-entropy + LR_RIDGE/2 |theta|^2 by step-halved Newton.
 
-
-def lr_train_theta(X1, y, lr, iters, theta0):
-    """Full-batch gradient descent on mean cross-entropy; polymorphic.
-
-    When X1 is a tape Value the whole optimization trajectory is recorded,
-    which is what the meta-gradient attack differentiates through.
+    ``Z`` already holds the intercept column. Returns (theta, norm of the
+    objective gradient at theta) and raises ``NumericError`` when that norm
+    does not reach ``LR_GRAD_TOL``. When Z is a tape Value the fit is one
+    recorded primitive, differentiated implicitly at the optimum: the vjp
+    solves v = H^{-1} theta_bar with the Hessian H of the last Newton step and
+    sends -((p - y) v^T + (w * Z v) theta^T) / m back to Z, w = p (1 - p).
     """
+    Zd = tp._data(Z)
     y = np.asarray(y, dtype=float)
-    m = tp._data(X1).shape[0]
-    theta = theta0
-    for step in range(iters):
-        p = tp.sigmoid(X1 @ theta)
-        grad = tp.transpose(X1) @ (p - y)
-        theta = theta - (lr / m) * grad
-        if not np.all(np.isfinite(tp._data(theta))):
-            raise NumericError(f"non-finite parameters at training step {step}")
-    return theta
+    m, k = Zd.shape
+
+    def objective(th):
+        s = Zd @ th
+        return np.logaddexp(0.0, s).mean() - y @ s / m + 0.5 * LR_RIDGE * th @ th
+
+    theta = np.zeros(k)
+    f = objective(theta)
+    for _ in range(LR_MAX_STEPS):
+        p = tp.sigmoid(Zd @ theta)
+        w = p * (1.0 - p)
+        grad = Zd.T @ (p - y) / m + LR_RIDGE * theta
+        grad_norm = float(np.linalg.norm(grad))
+        H = (Zd.T * w) @ Zd / m + LR_RIDGE * np.eye(k)
+        if grad_norm <= LR_GRAD_TOL:
+            break
+        step = np.linalg.solve(H, grad)
+        t = 1.0
+        # a step that raises the objective beyond rounding is retried at half length
+        while (f_next := objective(theta - t * step)) > f + 1e-12 and t > 1e-6:
+            t *= 0.5
+        theta, f = theta - t * step, f_next
+    else:
+        raise NumericError(f"logistic fit did not converge (gradient norm {grad_norm:g})")
+    if not tp._is_value(Z):
+        return theta, grad_norm
+
+    def vjp(g):
+        v = np.linalg.solve(H, g)
+        Z._accumulate(-(np.outer(p - y, v) + np.outer(w * (Zd @ v), theta)) / m)
+
+    return tp._record(Z.tape, theta, vjp, Z.requires_grad), grad_norm
 
 
-def lr_train(X, y, lr=0.01, iters=100, theta0=None, seed=0) -> LRModel:
-    """Train the logistic model; theta0 defaults to seeded U[0,1]."""
-    Xd = tp._data(X.X if isinstance(X, FeatureMatrix) else X)
-    if theta0 is None:
-        theta0 = np.random.default_rng(seed).uniform(size=Xd.shape[1] + 1)
-    theta = lr_train_theta(with_intercept(Xd), np.asarray(y, float), lr, iters,
-                           np.asarray(theta0, float))
-    return LRModel(theta=np.asarray(theta, dtype=float))
+def lr_train(X, y) -> LRModel:
+    """The victim's logistic fit, converged; polymorphic over tape Values for X.
+
+    The columns of X are z-scored by their training mean and std (std 1 for a
+    constant column), on the tape, and ``logistic_theta`` fits intercept and
+    weights with the fixed ridge ``LR_RIDGE``.
+    """
+    m = tp._data(X).shape[0]
+    center = tp.sum_(X, axis=0) / m
+    Xc = X - center
+    var = tp.sum_(Xc * Xc, axis=0) / m
+    scale = tp.sqrt(var + (tp._data(var) == 0.0))
+    theta, grad_norm = logistic_theta(with_intercept(Xc / scale), y)
+    return LRModel(theta, center=center, scale=scale, grad_norm=grad_norm)
 
 
 def lr_predict(model: LRModel, X):
-    Xd = tp._data(X.X if isinstance(X, FeatureMatrix) else X)
+    """Positive-sign probabilities for the rows of X; polymorphic over tape Values."""
     if model.log_features:
-        Xd = np.log(Xd + 1.0)
-    return tp.sigmoid(with_intercept(Xd) @ model.theta)
+        X = tp.log(X + 1.0)
+    if model.center is not None:
+        X = (X - model.center) / model.scale
+    return tp.sigmoid(with_intercept(X) @ model.theta)
 
 
 def ols_theta(X, y, label_eps=OLS_LABEL_EPS, ridge=OLS_RIDGE):
@@ -152,10 +180,9 @@ def ols_theta(X, y, label_eps=OLS_LABEL_EPS, ridge=OLS_RIDGE):
     return tp.inverse(gram) @ (Zt @ z)
 
 
-def ols_fit(X, y, label_eps=OLS_LABEL_EPS, ridge=OLS_RIDGE) -> LRModel:
-    Xd = tp._data(X.X if isinstance(X, FeatureMatrix) else X)
-    theta = ols_theta(Xd, y, label_eps, ridge)
-    return LRModel(theta=np.asarray(theta, dtype=float), log_features=True)
+def ols_fit(X, y) -> LRModel:
+    """The surrogate as a model for ``lr_predict``; polymorphic over tape Values for X."""
+    return LRModel(ols_theta(X, y), log_features=True)
 
 
 def auc(scores, labels) -> float:

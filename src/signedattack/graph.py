@@ -88,16 +88,6 @@ class SignedGraph:
         return key in self._index
 
     # -- editing -------------------------------------------------------------
-    def flip_sign(self, u, v) -> "SignedGraph":
-        """New graph with the sign of edge (u, v) negated."""
-        k = self.edge_index(u, v)
-        if self.edges[k][2] == 0:
-            raise MissingEdgeError(f"({u},{v}) has no visible sign to flip")
-        edges = list(self.edges)
-        eu, ev, es = edges[k]
-        edges[k] = (eu, ev, -es)
-        return SignedGraph(self.n, edges, self.node_labels, self.meta)
-
     def mask(self, edge_indices) -> "SignedGraph":
         """Hide the signs of the given edges (analyst's view of test links)."""
         hidden = set(int(i) for i in edge_indices)

@@ -131,17 +131,17 @@ def cosine_normalize(R, floor=1e-9):
     return R_cos, P
 
 
-def pole_predict(g: SignedGraph, split: EdgeSplit, params: WalkParams,
-                 lr=0.01, iters=100, seed=0):
-    """Train logistic regression on per-link (R_sign, R_abs) pairs.
+def pole_predict(g: SignedGraph, split: EdgeSplit, params: WalkParams):
+    """Fit the victim's logistic regression on per-link (R_sign, R_abs) pairs.
 
     Returns predicted positive-sign probabilities for the test links of the
-    split, using only training-link signs.
+    split, using only training-link signs. The fit is ``fextra.lr_train``,
+    the same converged fit as the FeXtra victim's, on two features.
     """
     us, vs = g.edge_array().T
     feats = np.column_stack([autocovariance(g, params, signed)[us, vs]
                              for signed in (True, False)])
     signs = g.signs()
     y_train = (signs[split.train] > 0).astype(float)
-    model = fextra.lr_train(feats[split.train], y_train, lr=lr, iters=iters, seed=seed)
+    model = fextra.lr_train(feats[split.train], y_train)
     return fextra.lr_predict(model, feats[split.test])

@@ -361,19 +361,6 @@ def mean_(a, axis=None, keepdims=False):
     return mul(sum_(a, axis=axis, keepdims=keepdims), 1.0 / denom)
 
 
-def trace(a):
-    if not _is_value(a):
-        return np.trace(_data(a))
-    out_data = np.trace(a.data)
-
-    def vjp(g):
-        if a.requires_grad:
-            n = a.data.shape[0]
-            a._accumulate(float(g) * np.eye(n))
-
-    return _record(a.tape, np.asarray(out_data), vjp, a.requires_grad)
-
-
 def gather(a, rows, cols):
     """Pick entries a[rows[k], cols[k]] into a vector."""
     rows = np.asarray(rows, dtype=int)

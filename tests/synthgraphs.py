@@ -93,6 +93,13 @@ def two_triangles_bridge():
     return SignedGraph(6, edges)
 
 
+def flipped(g, u, v):
+    """``g`` with the sign of link (u, v) negated."""
+    signs = g.signs()
+    signs[g.edge_index(u, v)] *= -1
+    return g.with_signs(signs)
+
+
 def all_positive_triangle():
     return SignedGraph(3, [(0, 1, 1), (0, 2, 1), (1, 2, 1)])
 

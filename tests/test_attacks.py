@@ -8,13 +8,14 @@ from signedattack import tape as tp
 from signedattack.attacks import (AttackConfig, Penalty, baseline_greedy_triads, baseline_rand,
                                   flip_attack, flips_for_power, make_attack_loss,
                                   penalized_loss, self_train_labels)
-from signedattack.balance import balance_ratio, triad_census
+from signedattack.balance import balance_ratio, graph_polarization, triad_census
 from signedattack.errors import ConfigError
 from signedattack.fextra import auc
 from signedattack.graph import EdgeSplit, SignedGraph, split_edges
 from signedattack.pole import WalkParams
 from signedattack.tape import Tape
-from synthgraphs import all_positive_triangle, complete_graph, geometric_polarized, two_community
+from synthgraphs import (all_positive_triangle, complete_graph, flipped, geometric_polarized,
+                         two_community)
 
 
 def small_instance(n=14, deg=5, noise=0.1, seed=0, frac=0.15):
@@ -35,7 +36,7 @@ def eval_loss(target, g, split, y_hat, cfg, A=None, signs=None):
 def test_self_train_perfect_model_recovers_labels():
     g = geometric_polarized(40, k=8, noise=0.0, seed=2)
     split = split_edges(g, 0.1, seed=0)
-    y_hat = self_train_labels("fextra", g, split, seed=0)
+    y_hat = self_train_labels("fextra", g, split)
     truth = (split.hidden_signs > 0).astype(float)
     assert np.mean(y_hat == truth) > 0.9
 
@@ -51,7 +52,7 @@ def test_self_train_degenerate_model_ties_positive():
 def test_attack_loss_plugin_values():
     # y_hat matching predictions at p=0.9 gives |test| * log 0.9
     g, split = small_instance()
-    cfg = AttackConfig(budget=1, seed=0)
+    cfg = AttackConfig(budget=1)
     y = np.ones(len(split.test))
     p = tp.Tape().leaf(np.full(len(split.test), 0.9))
     from signedattack.attacks import _log_likelihood
@@ -71,12 +72,12 @@ def test_attack_loss_clipping_at_certainty():
     assert abs(val) < 1e-9
 
 
-@pytest.mark.parametrize("target", ["fextra-ols", "pole-sym", "pole-unsym"])
+@pytest.mark.parametrize("target", ["fextra-ols", "fextra-meta", "pole-sym", "pole-unsym"])
 def test_attack_loss_gradient_matches_finite_differences(target):
     g, split = small_instance(n=12, deg=4, noise=0.15, seed=3)
-    cfg = AttackConfig(budget=1, seed=0)
+    cfg = AttackConfig(budget=1)
     y_hat = self_train_labels("fextra" if "fextra" in target else "pole",
-                              g, split, WalkParams(), seed=0)
+                              g, split, WalkParams())
     masked = g.mask(split.test)
     loss_fn = make_attack_loss(target, masked, split, y_hat, cfg)
     signs = masked.signs()
@@ -95,7 +96,7 @@ def test_pole_sym_vs_unsym_loss_on_regular_cycle():
     g = SignedGraph(8, edges)
     split = EdgeSplit(train=np.arange(6), test=np.array([6, 7]),
                       hidden_signs=np.array([e[2] for e in g.edges])[[6, 7]])
-    cfg = AttackConfig(budget=1, seed=0)
+    cfg = AttackConfig(budget=1)
     y_hat = np.array([1.0, 0.0])
     a = eval_loss("pole-sym", g, split, y_hat, cfg)
     b = eval_loss("pole-unsym", g, split, y_hat, cfg)
@@ -106,7 +107,7 @@ def test_pole_sym_vs_unsym_loss_on_regular_cycle():
 def test_pole_attack_runs_at_300_nodes(target):
     g = two_community(300, avg_deg=24, seed=0)
     split = split_edges(g, 0.1, seed=0)
-    trace = flip_attack(g, split, target, AttackConfig(budget=5, seed=0))
+    trace = flip_attack(g, split, target, AttackConfig(budget=5))
     assert len(trace.flips) == 5
     assert all(gain > 0 for *_, gain in trace.flips)
     assert all(np.isfinite(trace.loss_curve))
@@ -124,6 +125,18 @@ def test_penalized_loss_recovers_base_and_adds_T():
     assert float(tp._data(out1)) == pytest.approx(3.5)  # T = 1
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_polarization_penalty_is_the_detector_polarization(seed):
+    # at the clean graph the eta term equals the polarization the metric
+    # detector view reports
+    g = two_community(60, 8, 0.1, seed=seed)
+    t = Tape()
+    A = t.leaf(g.adjacency(), requires_grad=True)
+    penalty = Penalty.for_graph(g.abs_adjacency(), g.degrees(), 1.0, 0.0, 1.0)
+    eta_term = float(tp._data(penalized_loss(0.0, A, penalty)))
+    assert eta_term == pytest.approx(graph_polarization(g, 1.0), abs=1e-12)
+
+
 def test_penalized_loss_no_triads_contributes_zero():
     g = SignedGraph(3, [(0, 1, 1), (1, 2, 1)])
     A0 = g.adjacency()
@@ -138,7 +151,7 @@ def test_penalized_loss_no_triads_contributes_zero():
 
 def test_flip_attack_budget_zero_returns_clean():
     g, split = small_instance()
-    cfg = AttackConfig(budget=0, seed=0, checkpoints=(0.0,))
+    cfg = AttackConfig(budget=0, checkpoints=(0.0,))
     trace = flip_attack(g, split, "fextra-ols", cfg)
     assert trace.flips == []
     assert trace.snapshots[0.0].edges == g.edges
@@ -147,7 +160,7 @@ def test_flip_attack_budget_zero_returns_clean():
 def test_flip_attack_full_budget_saturates_pool():
     g, split = small_instance(n=12, deg=4, seed=1)
     power = len(split.train) / g.num_edges
-    cfg = AttackConfig(budget=len(split.train), seed=0, checkpoints=(power,))
+    cfg = AttackConfig(budget=len(split.train), checkpoints=(power,))
     trace = flip_attack(g, split, "fextra-ols", cfg)
     assert len(trace.flips) == len(split.train)
     assert trace.pool == set(int(k) for k in split.train)
@@ -160,7 +173,7 @@ def test_flip_attack_full_budget_saturates_pool():
 def test_flip_attack_budget_identity_and_degrees():
     g, split = small_instance(n=16, deg=5, seed=2)
     B = 6
-    cfg = AttackConfig(budget=B, seed=0, checkpoints=(B / g.num_edges,))
+    cfg = AttackConfig(budget=B, checkpoints=(B / g.num_edges,))
     trace = flip_attack(g, split, "fextra-ols", cfg)
     g_p = trace.snapshots[B / g.num_edges]
     delta = np.abs(g_p.adjacency() - g.adjacency()).sum() / 4.0
@@ -170,7 +183,7 @@ def test_flip_attack_budget_identity_and_degrees():
 
 def test_flip_attack_pool_never_touches_test_links():
     g, split = small_instance(n=16, deg=5, seed=4)
-    cfg = AttackConfig(budget=10, seed=0)
+    cfg = AttackConfig(budget=10)
     trace = flip_attack(g, split, "fextra-ols", cfg)
     assert len(trace.pool) == 10
     assert trace.pool.isdisjoint(set(int(k) for k in split.test))
@@ -186,8 +199,8 @@ def test_flip_attack_budget_exceeds_train_errors():
 
 def test_lambda_eta_zero_recovers_basic_flip_sequence():
     g, split = small_instance(n=14, deg=5, seed=6)
-    cfg0 = AttackConfig(budget=5, lam=0.0, eta=0.0, seed=3)
-    cfg1 = AttackConfig(budget=5, lam=0.0, eta=0.0, seed=3)
+    cfg0 = AttackConfig(budget=5, lam=0.0, eta=0.0)
+    cfg1 = AttackConfig(budget=5, lam=0.0, eta=0.0)
     t0 = flip_attack(g, split, "fextra-ols", cfg0)
     t1 = flip_attack(g, split, "fextra-ols", cfg1)
     assert t0.flips == t1.flips
@@ -196,15 +209,15 @@ def test_lambda_eta_zero_recovers_basic_flip_sequence():
 
 def test_penalty_changes_flip_choice_but_same_interface():
     g, split = small_instance(n=16, deg=6, seed=7)
-    basic = flip_attack(g, split, "fextra-ols", AttackConfig(budget=6, seed=0))
-    pen = flip_attack(g, split, "fextra-ols", AttackConfig(budget=6, lam=20.0, seed=0))
+    basic = flip_attack(g, split, "fextra-ols", AttackConfig(budget=6))
+    pen = flip_attack(g, split, "fextra-ols", AttackConfig(budget=6, lam=20.0))
     assert len(pen.flips) == 6
     # strong balance penalty keeps T higher than the basic attack
     def t_of(trace):
         signs = g.mask(split.test).signs()
         gi = g.mask(split.test)
         for u, v, _, _ in trace.flips:
-            gi = gi.flip_sign(u, v)
+            gi = flipped(gi, u, v)
         return balance_ratio(gi)
 
     assert t_of(pen) >= t_of(basic) - 1e-12
@@ -241,10 +254,10 @@ def test_greedy_flip_is_near_optimal_single_flip():
     # tolerated; the +-2 entry jump makes this instance-dependent, so the
     # instance is pinned)
     g, split = small_instance(n=12, deg=4, noise=0.05, seed=8)
-    y_hat = self_train_labels("fextra", g, split, seed=0)
+    y_hat = self_train_labels("fextra", g, split)
     masked = g.mask(split.test)
     loss_fn = make_attack_loss("fextra-ols", masked, split, y_hat,
-                               AttackConfig(budget=3, seed=0))
+                               AttackConfig(budget=3))
     edge = masked.edge_array()
     A = masked.adjacency()
     signs = masked.signs()
@@ -252,7 +265,7 @@ def test_greedy_flip_is_near_optimal_single_flip():
     for step in range(3):
         gains = exact_flip_gains(loss_fn, A, signs, edge, split.train, pool)
         trace = flip_attack(g, split, "fextra-ols",
-                            AttackConfig(budget=step + 1, seed=0), y_hat=y_hat)
+                            AttackConfig(budget=step + 1), y_hat=y_hat)
         u, v, _, _ = trace.flips[step]
         k_chosen = masked.edge_index(u, v)
         ranked = sorted(gains, key=gains.get, reverse=True)
@@ -271,10 +284,10 @@ def test_greedy_scores_correlate_with_exact_gains():
     seeds = range(8)
     for seed in seeds:
         g, split = small_instance(n=12, deg=5, noise=0.1, seed=seed)
-        y_hat = self_train_labels("fextra", g, split, seed=0)
+        y_hat = self_train_labels("fextra", g, split)
         masked = g.mask(split.test)
         loss_fn = make_attack_loss("fextra-ols", masked, split, y_hat,
-                                   AttackConfig(budget=1, seed=0))
+                                   AttackConfig(budget=1))
         edge = masked.edge_array()
         A = masked.adjacency()
         signs = masked.signs()
@@ -313,7 +326,7 @@ def test_baseline_greedy_triads_k4():
     u, v, _, _ = trace.flips[0]
     assert (u, v) == (0, 1)  # tie-break toward the smallest pair
     balanced_before = triad_census(g)[0]
-    g_p = g.flip_sign(u, v)
+    g_p = flipped(g, u, v)
     assert triad_census(g_p)[0] == balanced_before - 2
 
 
@@ -333,7 +346,7 @@ def test_baseline_greedy_triads_monotone_T():
     prev_T = balance_ratio(g.mask(split.test))
     masked = g.mask(split.test)
     for u, v, _, _ in trace.flips:
-        masked = masked.flip_sign(u, v)
+        masked = flipped(masked, u, v)
         T = balance_ratio(masked)
         assert T <= prev_T + 1e-12
         prev_T = T
@@ -342,8 +355,8 @@ def test_baseline_greedy_triads_monotone_T():
 def test_attack_trace_independent_of_hidden_signs():
     # the attacker must never read the ground-truth test signs
     g, split = small_instance(n=14, deg=5, seed=11)
-    cfg = AttackConfig(budget=4, seed=0)
-    y_hat = self_train_labels("fextra", g, split, seed=0)
+    cfg = AttackConfig(budget=4)
+    y_hat = self_train_labels("fextra", g, split)
     t1 = flip_attack(g, split, "fextra-ols", cfg, y_hat=y_hat)
     scrambled = EdgeSplit(train=split.train, test=split.test,
                           hidden_signs=-split.hidden_signs)
@@ -370,7 +383,7 @@ def test_flip_attack_frees_each_step_tape_without_gc(monkeypatch, target, lam, e
     monkeypatch.setattr(tp, "Tape", RecordingTape)
     g = geometric_polarized(20, k=6, noise=0.1, seed=0)
     split = split_edges(g, 0.2, seed=0)
-    cfg = AttackConfig(budget=3, lam=lam, eta=eta, inner_iters=5)
+    cfg = AttackConfig(budget=3, lam=lam, eta=eta)
     gc.collect()
     gc.disable()
     try:
@@ -381,3 +394,20 @@ def test_flip_attack_frees_each_step_tape_without_gc(monkeypatch, target, lam, e
     assert len(trace.flips) == 3
     assert len(made) == 3
     assert alive == 0
+
+
+def test_fextra_meta_step_records_a_small_tape(monkeypatch):
+    # the converged fit is one tape primitive; the unrolled 100 descent
+    # steps it replaced recorded 831 nodes per greedy step
+    sizes = []
+
+    class RecordingTape(tp.Tape):
+        def backward(self, loss):
+            sizes.append(len(self))
+            super().backward(loss)
+
+    monkeypatch.setattr(tp, "Tape", RecordingTape)
+    g = geometric_polarized(20, k=6, noise=0.1, seed=0)
+    split = split_edges(g, 0.2, seed=0)
+    flip_attack(g, split, "fextra-meta", AttackConfig(budget=2))
+    assert len(sizes) == 2 and max(sizes) <= 60

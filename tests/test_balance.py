@@ -3,13 +3,13 @@ import pytest
 
 from signedattack import tape as tp
 from signedattack.balance import (abs_triad_trace, balance_ratio, balance_ratio_terms,
-                                  balance_report, graph_polarization, node_polarization,
+                                  balance_report, graph_polarization, polarization_nodes,
                                   polarization_term, triad_census)
 from signedattack.errors import MetricUndefinedError
 from signedattack.graph import SignedGraph
 from signedattack.pole import transition_matrix
 from signedattack.tape import Tape
-from synthgraphs import (all_positive_triangle, complete_graph, planted_polarized,
+from synthgraphs import (all_positive_triangle, complete_graph, flipped, planted_polarized,
                          random_signed_graph, two_community, two_triangles_bridge)
 
 
@@ -91,15 +91,14 @@ def test_single_flip_changes_T_by_triad_multiple():
     total = balanced + unbalanced
     t0 = balance_ratio(g)
     u, v, _ = g.edges[0]
-    t1 = balance_ratio(g.flip_sign(u, v))
+    t1 = balance_ratio(flipped(g, u, v))
     # T moves by an integer number of triads over the total
     assert (t1 - t0) * total == pytest.approx(round((t1 - t0) * total), abs=1e-9)
 
 
 def test_polarization_all_positive_is_one():
     g = complete_graph(5)
-    for u in range(g.n):
-        assert node_polarization(g, 1.0, u) == pytest.approx(1.0, abs=1e-9)
+    assert polarization_nodes(g, 1.0) == pytest.approx([1.0] * g.n, abs=1e-9)
     assert graph_polarization(g, 1.0) == pytest.approx(1.0, abs=1e-9)
 
 

@@ -1,9 +1,9 @@
 """Detect-run outputs, pinned on a small seeded dataset.
 
-The expected values were recorded when each single-view AUC came from its
-own ``detector_eval`` call, which featurized every graph again. They must be
-reproduced exactly. The featurize count pins one featurization per graph
-per view, shared by fitting and scoring.
+The expected values were recorded once the FeXtra victim, whose
+self-labels drive the ``fextra-ols`` poisoning, was the converged logistic
+fit. They must be reproduced exactly. The featurize count pins one
+featurization per graph per view, shared by fitting and scoring.
 """
 
 from dataclasses import replace
@@ -17,28 +17,28 @@ from synthgraphs import geometric_polarized
 
 # strategy -> (summary, rows as (graph, label, combined, view_metric, view_tsvd))
 PINNED = {
-    "max": ({"metric_auc": 1.0, "tsvd_auc": 0.0, "ensemble_max_auc": 0.53125},
-            [(0, 1, 0.8347224834622258, 0.8347224834622258, 2.2054815096338834e-07),
-             (1, 1, 0.8639701626172824, 0.8639701626172824, 6.351898336999951e-06),
-             (2, 1, 0.9177167948377876, 0.9177167948377876, 3.6740387358626615e-06),
-             (3, 1, 0.834722483462226, 0.834722483462226, 3.7903806461516126e-06),
-             (4, 1, 0.9672154299031224, 0.9672154299031224, 8.652411128402912e-06),
-             (5, 1, 1.0, 1.0, 8.652411127586984e-06),
-             (6, 1, 0.8347210843154315, 0.8347210843154315, 0.0),
-             (7, 1, 0.846813058601819, 0.846813058601819, 0.17080650999633248),
-             (8, -1, 0.6119537032710142, 0.5701569009329123, 0.6119537032710142),
-             (9, -1, 1.0, 0.0, 1.0)]),
-    "mean": ({"metric_auc": 1.0, "tsvd_auc": 0.0, "ensemble_mean_auc": 0.125},
-             [(0, 1, 0.41736135200518837, 0.8347224834622258, 2.2054815096338834e-07),
-              (1, 1, 0.4319882572578097, 0.8639701626172824, 6.351898336999951e-06),
-              (2, 1, 0.45886023443826174, 0.9177167948377876, 3.6740387358626615e-06),
-              (3, 1, 0.41736313692143606, 0.834722483462226, 3.7903806461516126e-06),
-              (4, 1, 0.48361204115712536, 0.9672154299031224, 8.652411128402912e-06),
-              (5, 1, 0.5000043262055638, 1.0, 8.652411127586984e-06),
-              (6, 1, 0.41736054215771573, 0.8347210843154315, 0.0),
-              (7, 1, 0.5088097842990758, 0.846813058601819, 0.17080650999633248),
-              (8, -1, 0.5910553021019632, 0.5701569009329123, 0.6119537032710142),
-              (9, -1, 0.5, 0.0, 1.0)]),
+    "max": ({"metric_auc": 1.0, "tsvd_auc": 0.5, "ensemble_max_auc": 0.53125},
+            [(0, 1, 0.8742913898264308, 0.8742913898264308, 0.594248943773602),
+             (1, 1, 0.8965369146528178, 0.8965369146528178, 0.594251191615973),
+             (2, 1, 0.9374161254461715, 0.9374161254461715, 0.594250209873601),
+             (3, 1, 0.8742913898264311, 0.8742913898264311, 0.5942502525262415),
+             (4, 1, 0.9750643473574064, 0.9750643473574064, 0.5942520350175029),
+             (5, 1, 1.0, 1.0, 0.5942520350175026),
+             (6, 1, 0.8742903256478141, 0.8742903256478141, 0.5942488629174344),
+             (7, 1, 0.883487373822536, 0.883487373822536, 0.6568690197740533),
+             (8, -1, 1.0, 0.0846998982007509, 1.0),
+             (9, -1, 0.0, 0.0, 0.0)]),
+    "mean": ({"metric_auc": 1.0, "tsvd_auc": 0.5, "ensemble_mean_auc": 1.0},
+             [(0, 1, 0.7342701668000164, 0.8742913898264308, 0.594248943773602),
+              (1, 1, 0.7453940531343954, 0.8965369146528178, 0.594251191615973),
+              (2, 1, 0.7658331676598862, 0.9374161254461715, 0.594250209873601),
+              (3, 1, 0.7342708211763362, 0.8742913898264311, 0.5942502525262415),
+              (4, 1, 0.7846581911874546, 0.9750643473574064, 0.5942520350175029),
+              (5, 1, 0.7971260175087513, 1.0, 0.5942520350175026),
+              (6, 1, 0.7342695942826243, 0.8742903256478141, 0.5942488629174344),
+              (7, 1, 0.7701781967982946, 0.883487373822536, 0.6568690197740533),
+              (8, -1, 0.5423499491003755, 0.0846998982007509, 1.0),
+              (9, -1, 0.0, 0.0, 0.0)]),
 }
 
 

@@ -1,11 +1,25 @@
 import numpy as np
 import pytest
 
-from signedattack.errors import MetricUndefinedError, MissingEdgeError
-from signedattack.fextra import (auc, extract_features, lr_loss, lr_predict, lr_train,
+from signedattack.errors import MetricUndefinedError, MissingEdgeError, NumericError
+from signedattack.experiments import victim_test_auc
+from signedattack.fextra import (LR_RIDGE, auc, extract_features, lr_predict, lr_train,
                                  ols_fit, ols_theta, with_intercept)
 from signedattack.graph import SignedGraph, split_edges
-from synthgraphs import all_positive_triangle, random_signed_graph, two_community
+from synthgraphs import all_positive_triangle, flipped, random_signed_graph, two_community
+
+
+def lr_train_theta(X1, y, lr, iters, theta0, ridge=0.0):
+    """Full-batch gradient descent on mean cross-entropy + ridge/2 |theta|^2.
+
+    The gradient-descent oracle for the Newton fit of ``lr_train``.
+    """
+    m = X1.shape[0]
+    theta = np.asarray(theta0, dtype=float)
+    for _ in range(iters):
+        p = 1.0 / (1.0 + np.exp(-(X1 @ theta)))
+        theta = theta - lr * (X1.T @ (p - y) / m + ridge * theta)
+    return theta
 
 
 def brute_force_features(g, u, v):
@@ -32,18 +46,18 @@ def brute_force_features(g, u, v):
 
 def test_feature_example_path_graph():
     g = SignedGraph(4, [(0, 1, 1), (1, 2, 1), (0, 2, -1), (2, 3, 1)])
-    X = extract_features(g, [(0, 1)]).data
+    X = extract_features(g, [(0, 1)])
     assert np.array_equal(X[0], [1, 1, 2, 0, 1, 0, 0, 1, 0])
 
 
 def test_feature_single_edge():
     g = SignedGraph(2, [(0, 1, 1)])
-    X = extract_features(g, [(0, 1)]).data
+    X = extract_features(g, [(0, 1)])
     assert np.array_equal(X[0], [1, 0, 1, 0, 0, 0, 0, 0, 0])
 
 
 def test_feature_all_positive_triangle():
-    X = extract_features(all_positive_triangle(), [(0, 1)]).data
+    X = extract_features(all_positive_triangle(), [(0, 1)])
     assert np.array_equal(X[0], [2, 0, 2, 0, 1, 1, 0, 0, 0])
 
 
@@ -59,7 +73,7 @@ def test_features_match_enumeration_oracle(seed):
     if g.num_edges == 0:
         return
     links = [(u, v) for u, v, _ in g.edges]
-    X = extract_features(g, links).data
+    X = extract_features(g, links)
     for i, (u, v) in enumerate(links):
         assert np.array_equal(X[i], brute_force_features(g, u, v)), (seed, u, v)
 
@@ -68,7 +82,7 @@ def test_features_on_masked_graph_gamma_exceeds_triads():
     # hidden-sign edges count toward common neighbors but not triad types
     g = SignedGraph(3, [(0, 1, 1), (0, 2, 1), (1, 2, 1)])
     m = g.mask([1])  # hide (0, 2)
-    X = extract_features(m, [(0, 1)]).data
+    X = extract_features(m, [(0, 1)])
     assert X[0][4] == 1  # common neighbor still known
     assert X[0][5:].sum() == 0  # but no fully signed triad
 
@@ -76,9 +90,9 @@ def test_features_on_masked_graph_gamma_exceeds_triads():
 def test_flip_changes_only_incident_feature_rows():
     g = two_community(20, 6, 0.1, seed=0)
     links = [(u, v) for u, v, _ in g.edges]
-    X0 = extract_features(g, links).data
+    X0 = extract_features(g, links)
     u0, v0, _ = g.edges[0]
-    X1 = extract_features(g.flip_sign(u0, v0), links).data
+    X1 = extract_features(flipped(g, u0, v0), links)
     changed = np.where(np.any(X0 != X1, axis=1))[0]
     neigh = {x for x in range(g.n) if g.support()[x, u0] or g.support()[x, v0]}
     neigh |= {u0, v0}
@@ -105,38 +119,49 @@ def test_lr_predict_logit_values():
     assert p[1] == pytest.approx(0.25)
 
 
-def test_lr_train_loss_decreases_separable():
-    X = np.array([[0.0], [1.0]])
-    y = np.array([0.0, 1.0])
-    theta0 = np.array([0.2, -0.3])
-    losses = [lr_loss(theta0, X, y)]
-    for iters in range(1, 6):
-        m = lr_train(X, y, lr=0.5, iters=iters, theta0=theta0)
-        losses.append(lr_loss(m.theta, X, y))
-    assert all(b < a for a, b in zip(losses, losses[1:]))
-
-
 def test_lr_train_all_ones_drives_probs_up():
+    # a single-class training set: the ridge keeps the optimum finite, and
+    # with no label variation the feature weights stay at zero
     X = np.random.default_rng(1).random((10, 3))
-    y = np.ones(10)
-    m1 = lr_train(X, y, lr=0.5, iters=10, seed=0)
-    m2 = lr_train(X, y, lr=0.5, iters=500, seed=0)
-    p1 = lr_predict(m1, X)
-    p2 = lr_predict(m2, X)
-    assert lr_loss(m2.theta, X, y) < lr_loss(m1.theta, X, y)
-    assert np.all(p2 > 0.9)
+    m = lr_train(X, np.ones(10))
+    assert np.all(np.isfinite(m.theta)) and m.grad_norm <= 1e-9
+    assert np.abs(m.theta[1:]).max() < 1e-12
+    assert np.all(lr_predict(m, X) > 0.9)
 
 
 def test_lr_train_matches_long_run_oracle():
+    # the Newton optimum equals 10^5 gradient-descent steps on the same
+    # z-scored ridge objective; the third column is constant, so its std is 1
     rng = np.random.default_rng(2)
-    X = rng.standard_normal((50, 2))
-    true_theta = np.array([0.3, 1.5, -2.0])
+    X = np.column_stack([rng.standard_normal((50, 2)) * [1.0, 5.0] + [0.0, 3.0],
+                         np.full(50, 4.0)])
+    true_theta = np.array([0.3, 1.5, -0.4, 0.0])
     p = 1.0 / (1.0 + np.exp(-(with_intercept(X) @ true_theta)))
     y = (rng.random(50) < p).astype(float)
-    theta0 = np.zeros(3)
-    oracle = lr_train(X, y, lr=0.5, iters=10 ** 5, theta0=theta0).theta
-    fast = lr_train(X, y, lr=0.5, iters=2 * 10 ** 4, theta0=theta0).theta
-    assert np.abs(oracle - fast).max() < 0.1
+    model = lr_train(X, y)
+    std = X.std(axis=0)
+    Z1 = with_intercept((X - X.mean(axis=0)) / np.where(std == 0, 1.0, std))
+    oracle = lr_train_theta(Z1, y, 0.5, 10 ** 5, np.zeros(4), ridge=LR_RIDGE)
+    assert model.grad_norm <= 1e-9
+    assert np.abs(model.theta - oracle).max() < 1e-8
+    assert model.theta[3] == 0.0
+
+
+def test_lr_train_raises_when_it_cannot_converge():
+    with pytest.raises(NumericError, match="gradient norm"), np.errstate(invalid="ignore"):
+        lr_train(np.array([[0.0], [np.nan], [1.0]]), np.array([0.0, 1.0, 1.0]))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lr_victim_auc_at_least_ols_on_degree_24_graphs(seed):
+    g = two_community(600, 24, 0.05, seed=seed)
+    split = split_edges(g, 0.1, seed)
+    masked = g.mask(split.test)
+    X = extract_features(masked, [(u, v) for u, v, _ in masked.edges])
+    y = (masked.signs()[split.train] > 0).astype(float)
+    truth = (split.hidden_signs > 0).astype(int)
+    ols_auc = auc(lr_predict(ols_fit(X[split.train], y), X[split.test]), truth)
+    assert victim_test_auc(g, split, "fextra") >= ols_auc
 
 
 def test_ols_two_points_interpolates():
@@ -176,9 +201,9 @@ def test_ols_self_training_agrees_with_lr_on_separable_data():
 
     g = geometric_polarized(60, k=10, noise=0.0, seed=1)
     links = [(u, v) for u, v, _ in g.edges]
-    X = extract_features(g, links).data
+    X = extract_features(g, links)
     y = (g.signs() > 0).astype(float)
-    lr_m = lr_train(X, y, iters=3000, lr=0.5, seed=0)
+    lr_m = lr_train(X, y)
     ols_m = ols_fit(X, y)
     agree = np.mean((lr_predict(lr_m, X) >= 0.5) == (lr_predict(ols_m, X) >= 0.5))
     assert agree >= 0.95

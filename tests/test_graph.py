@@ -8,7 +8,7 @@ from signedattack.errors import InvalidSplitError, MissingEdgeError, ParseError
 from signedattack.graph import (SignedGraph, largest_connected_component, load_edge_list,
                                 load_graph_json, positive_ratio, sample_subgraph_corpus,
                                 split_edges)
-from synthgraphs import random_signed_graph, two_community
+from synthgraphs import flipped, random_signed_graph, two_community
 
 
 def write_rows(path, rows):
@@ -148,10 +148,10 @@ def test_split_invalid_fraction():
 
 def test_flip_sign_involution_and_l1():
     g = SignedGraph(3, [(0, 1, 1), (1, 2, -1)])
-    h = g.flip_sign(0, 1)
+    h = flipped(g, 0, 1)
     assert h.edges[0] == (0, 1, -1)
     assert np.abs(h.adjacency() - g.adjacency()).sum() == 4.0
-    assert h.flip_sign(0, 1).edges == g.edges
+    assert flipped(h, 0, 1).edges == g.edges
     # |A| and degrees unchanged
     assert np.array_equal(h.abs_adjacency(), g.abs_adjacency())
 
@@ -159,7 +159,7 @@ def test_flip_sign_involution_and_l1():
 def test_flip_missing_edge():
     g = SignedGraph(3, [(0, 1, 1)])
     with pytest.raises(MissingEdgeError):
-        g.flip_sign(0, 2)
+        flipped(g, 0, 2)
 
 
 def test_mask_hides_signs_keeps_support():
@@ -225,6 +225,6 @@ def test_flip_preserves_degrees_property(seed):
         return
     k = seed % g.num_edges
     u, v, _ = g.edges[k]
-    h = g.flip_sign(u, v)
+    h = flipped(g, u, v)
     assert np.array_equal(np.abs(h.adjacency()), np.abs(g.adjacency()))
-    assert h.flip_sign(u, v).edges == g.edges
+    assert flipped(h, u, v).edges == g.edges

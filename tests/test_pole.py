@@ -201,7 +201,7 @@ def test_pole_predict_all_positive_training():
     g = two_community(20, 6, 0.0, seed=6)
     g = g.with_signs([1] * g.num_edges)
     split = split_edges(g, 0.2, seed=0)
-    probs = pole_predict(g.mask(split.test), split, WalkParams(t=1.0), iters=300, seed=0)
+    probs = pole_predict(g.mask(split.test), split, WalkParams(t=1.0))
     assert np.all(probs > 0.5)
 
 
@@ -214,7 +214,7 @@ def test_pole_predict_two_triangle_hidden_within_edge():
     rest = np.array([k for k in range(g.num_edges) if k != k_within])
     split = EdgeSplit(train=rest, test=np.array([k_within]),
                       hidden_signs=np.array([1]))
-    p = pole_predict(g.mask(split.test), split, WalkParams(t=1.0), iters=500, seed=0)
+    p = pole_predict(g.mask(split.test), split, WalkParams(t=1.0))
     assert p[0] > 0.5
 
 
