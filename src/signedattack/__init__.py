@@ -6,7 +6,7 @@ from .graph import (EdgeSplit, GraphCorpus, SignedGraph, largest_connected_compo
                     load_edge_list, load_graph_json, positive_ratio,
                     sample_subgraph_corpus, split_edges)
 from .tape import Tape, Value, grad_check
-from .linalg import SpectralDecomposition, matrix_exp, sym_eig, sym_matrix_exp, truncated_svd
+from .linalg import matrix_exp, sym_eig, sym_matrix_exp, truncated_svd
 from .fextra import LRModel, auc, extract_features, lr_predict, lr_train, ols_fit
 from .pole import WalkParams, autocovariance, cosine_normalize, pole_predict, signed_transition
 from .balance import BalanceReport, balance_ratio, balance_report, graph_polarization, triad_census

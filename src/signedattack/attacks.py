@@ -57,7 +57,6 @@ class AttackTrace:
     flips: list = field(default_factory=list)  # (u, v, step, predicted_gain)
     loss_curve: list = field(default_factory=list)
     snapshots: dict = field(default_factory=dict)  # power -> poisoned SignedGraph
-    pool: set = field(default_factory=set)
     events: list = field(default_factory=list)
 
     def to_json_dict(self):
@@ -254,7 +253,6 @@ def _greedy_flips(g0: SignedGraph, split: EdgeSplit, budget: int, checkpoints,
         A[u, v] = A[v, u] = -A[u, v]
         signs[k], full_signs[k] = -signs[k], -full_signs[k]
         pooled[j] = True
-        trace.pool.add(k)
         trace.flips.append((int(u), int(v), step, gain))
         snapshot()
     return trace

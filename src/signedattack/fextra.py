@@ -90,10 +90,6 @@ def extract_features(g: SignedGraph, links) -> np.ndarray:
     return link_features(A_plus, A_minus, common, us, vs)
 
 
-def with_intercept(X):
-    return tp.prepend_ones(X)
-
-
 def logistic_theta(Z, y):
     """Minimizer of mean cross-entropy + LR_RIDGE/2 |theta|^2 by step-halved Newton.
 
@@ -152,7 +148,7 @@ def lr_train(X, y) -> LRModel:
     Xc = X - center
     var = tp.sum_(Xc * Xc, axis=0) / m
     scale = tp.sqrt(var + (tp._data(var) == 0.0))
-    theta, grad_norm = logistic_theta(with_intercept(Xc / scale), y)
+    theta, grad_norm = logistic_theta(tp.prepend_ones(Xc / scale), y)
     return LRModel(theta, center=center, scale=scale, grad_norm=grad_norm)
 
 
@@ -162,7 +158,7 @@ def lr_predict(model: LRModel, X):
         X = tp.log(X + 1.0)
     if model.center is not None:
         X = (X - model.center) / model.scale
-    return tp.sigmoid(with_intercept(X) @ model.theta)
+    return tp.sigmoid(tp.prepend_ones(X) @ model.theta)
 
 
 def ols_theta(X, y, label_eps=OLS_LABEL_EPS, ridge=OLS_RIDGE):
@@ -174,7 +170,7 @@ def ols_theta(X, y, label_eps=OLS_LABEL_EPS, ridge=OLS_RIDGE):
     yc = np.clip(y, label_eps, 1.0 - label_eps)
     z = np.log(yc / (1.0 - yc))
     lnX = tp.log(X + 1.0)
-    Z = with_intercept(lnX)
+    Z = tp.prepend_ones(lnX)
     Zt = tp.transpose(Z)
     gram = Zt @ Z + np.eye(tp._data(Z).shape[1]) * ridge
     return tp.inverse(gram) @ (Zt @ z)

@@ -11,7 +11,6 @@ the eigenbasis path against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,14 +24,6 @@ EXP_TAYLOR_ORDER = 12
 DEGENERATE_EIG_TOL = 1e-9
 
 
-@dataclass
-class SpectralDecomposition:
-    """Eigenpairs of a symmetric matrix, eigenvalues ascending."""
-
-    Q: np.ndarray
-    lam: np.ndarray
-
-
 def _fix_column_signs(M):
     """Flip column signs so each column's largest-magnitude entry is positive."""
     idx = np.argmax(np.abs(M), axis=0)
@@ -41,8 +32,9 @@ def _fix_column_signs(M):
     return signs
 
 
-def sym_eig(S: np.ndarray) -> SpectralDecomposition:
-    """Eigendecomposition of (S + S^T)/2 with deterministic eigenvector signs."""
+def sym_eig(S: np.ndarray):
+    """(lam, Q) of (S + S^T)/2 like ``np.linalg.eigh``, with deterministic
+    eigenvector signs; eigenvalues ascending."""
     S = np.asarray(S, dtype=float)
     Ssym = 0.5 * (S + S.T)
     try:
@@ -52,8 +44,7 @@ def sym_eig(S: np.ndarray) -> SpectralDecomposition:
         raise NumericError(
             f"eigendecomposition failed (asymmetry residual {residual:g}): {e}"
         ) from e
-    Q = Q * _fix_column_signs(Q)
-    return SpectralDecomposition(Q=Q, lam=lam)
+    return lam, Q * _fix_column_signs(Q)
 
 
 def matrix_exp(A, order: int = EXP_TAYLOR_ORDER):
@@ -88,12 +79,11 @@ def sym_matrix_exp(S):
     the exp(lambda) limit on (near-)degenerate pairs.
     """
     if not tp._is_value(S):
-        dec = sym_eig(S)
-        return (dec.Q * np.exp(dec.lam)) @ dec.Q.T
+        lam, Q = sym_eig(S)
+        return (Q * np.exp(lam)) @ Q.T
 
     Ssym = tp.mul(tp.add(S, tp.transpose(S)), 0.5)
-    dec = sym_eig(Ssym.data)
-    Q, lam = dec.Q, dec.lam
+    lam, Q = sym_eig(Ssym.data)
     elam = np.exp(lam)
     out_data = (Q * elam) @ Q.T
 

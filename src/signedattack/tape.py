@@ -7,14 +7,19 @@ into the leaves.  Values that do not require gradients pass through as thin
 wrappers with no recording cost, so the same model code serves both the
 plain forward evaluation and the attack gradient path.
 
+Each primitive is one call to ``_apply``, the one recording rule: a
+forward over the inputs' arrays plus one adjoint per input, reduced to that
+input's shape. Given only plain ndarrays it returns the plain result, so the
+primitives are polymorphic; ``mean_`` is a composite of two of them. Three
+primitives record themselves through ``_record`` because their adjoints
+share work: ``bilinear_gather`` (one scatter feeds both operands),
+``fextra.logistic_theta`` (the Hessian at the optimum) and
+``linalg.sym_matrix_exp`` (the eigenbasis).
+
 ``backward`` leaves the records in place. A caller that is done with the
 gradients calls ``Tape.release``, as the greedy attack step does after each
 flip: a tape and its nodes refer to each other, so without the release the
 arrays of every step stay alive until a cyclic garbage-collection pass.
-
-Most helpers in this module (``log``, ``relu``, ``gather`` ...) are
-polymorphic: they accept either a :class:`Value` or a plain ndarray and
-return the matching kind.
 """
 
 from __future__ import annotations
@@ -138,9 +143,6 @@ class Value:
     def mean(self, axis=None, keepdims=False):
         return mean_(self, axis=axis, keepdims=keepdims)
 
-    def item(self):
-        return float(self.data)
-
 
 def _is_value(x):
     return isinstance(x, Value)
@@ -179,218 +181,118 @@ def _unbroadcast(g, shape):
     return g.reshape(shape)
 
 
+def _apply(forward, vjps, *args):
+    """Run ``forward`` on the inputs' arrays; record it if any input is a Value.
+
+    ``vjps[i](g, out, *datas)`` maps the output adjoint, output array and
+    input arrays to input i's adjoint. The closure holds the output array,
+    not its Value, so a released tape leaves no reference cycle.
+    """
+    datas = [_data(x) for x in args]
+    out = forward(*datas)
+    if not any(_is_value(x) for x in args):
+        return out
+
+    def vjp(g):
+        for x, d, rule in zip(args, datas, vjps):
+            if _is_value(x) and x.requires_grad:
+                x._accumulate(_unbroadcast(rule(g, out, *datas), d.shape))
+
+    return _record(_tape_of(*args), out, vjp, _needs(*args))
+
+
 # -- primitives --------------------------------------------------------------
 
 def add(a, b):
-    if not (_is_value(a) or _is_value(b)):
-        return _data(a) + _data(b)
-    ad, bd = _data(a), _data(b)
-    out_data = ad + bd
-
-    def vjp(g):
-        if _is_value(a) and a.requires_grad:
-            a._accumulate(_unbroadcast(g, ad.shape))
-        if _is_value(b) and b.requires_grad:
-            b._accumulate(_unbroadcast(g, bd.shape))
-
-    return _record(_tape_of(a, b), out_data, vjp, _needs(a, b))
+    return _apply(np.add, (lambda g, o, a, b: g, lambda g, o, a, b: g), a, b)
 
 
 def mul(a, b):
-    if not (_is_value(a) or _is_value(b)):
-        return _data(a) * _data(b)
-    ad, bd = _data(a), _data(b)
-    out_data = ad * bd
-
-    def vjp(g):
-        if _is_value(a) and a.requires_grad:
-            a._accumulate(_unbroadcast(g * bd, ad.shape))
-        if _is_value(b) and b.requires_grad:
-            b._accumulate(_unbroadcast(g * ad, bd.shape))
-
-    return _record(_tape_of(a, b), out_data, vjp, _needs(a, b))
+    return _apply(np.multiply, (lambda g, o, a, b: g * b, lambda g, o, a, b: g * a), a, b)
 
 
 def div(a, b):
-    if not (_is_value(a) or _is_value(b)):
-        return _data(a) / _data(b)
-    ad, bd = _data(a), _data(b)
-    out_data = ad / bd
+    return _apply(np.divide, (lambda g, o, a, b: g / b,
+                              lambda g, o, a, b: -g * a / (b * b)), a, b)
 
-    def vjp(g):
-        if _is_value(a) and a.requires_grad:
-            a._accumulate(_unbroadcast(g / bd, ad.shape))
-        if _is_value(b) and b.requires_grad:
-            b._accumulate(_unbroadcast(-g * ad / (bd * bd), bd.shape))
 
-    return _record(_tape_of(a, b), out_data, vjp, _needs(a, b))
+def _matmul_da(g, out, a, b):
+    if b.ndim == 1:
+        return np.outer(g, b) if a.ndim == 2 else g * b
+    return g @ b.T if a.ndim == 2 else b @ g
+
+
+def _matmul_db(g, out, a, b):
+    if a.ndim == 1:
+        return np.outer(a, g) if b.ndim == 2 else a * g
+    return a.T @ g
 
 
 def matmul(a, b):
-    if not (_is_value(a) or _is_value(b)):
-        return _data(a) @ _data(b)
-    ad, bd = _data(a), _data(b)
-    out_data = ad @ bd
-
-    def vjp(g):
-        if _is_value(a) and a.requires_grad:
-            if bd.ndim == 1:
-                a._accumulate(np.outer(g, bd) if ad.ndim == 2 else g * bd)
-            else:
-                a._accumulate(g @ bd.T if ad.ndim == 2 else bd @ g)
-        if _is_value(b) and b.requires_grad:
-            if ad.ndim == 1:
-                b._accumulate(np.outer(ad, g) if bd.ndim == 2 else ad * g)
-            else:
-                b._accumulate(ad.T @ g if bd.ndim == 2 else ad.T @ g)
-
-    return _record(_tape_of(a, b), out_data, vjp, _needs(a, b))
+    return _apply(np.matmul, (_matmul_da, _matmul_db), a, b)
 
 
 def transpose(a):
-    if not _is_value(a):
-        return _data(a).T
-    out_data = a.data.T
-
-    def vjp(g):
-        if a.requires_grad:
-            a._accumulate(g.T)
-
-    return _record(a.tape, out_data, vjp, a.requires_grad)
+    return _apply(np.transpose, (lambda g, o, a: g.T,), a)
 
 
 def log(a):
-    if not _is_value(a):
-        return np.log(_data(a))
-    out_data = np.log(a.data)
-
-    def vjp(g):
-        if a.requires_grad:
-            a._accumulate(g / a.data)
-
-    return _record(a.tape, out_data, vjp, a.requires_grad)
-
-
-def exp(a):
-    if not _is_value(a):
-        return np.exp(_data(a))
-    out_data = np.exp(a.data)
-
-    def vjp(g):
-        if a.requires_grad:
-            a._accumulate(g * out_data)
-
-    return _record(a.tape, out_data, vjp, a.requires_grad)
+    return _apply(np.log, (lambda g, o, a: g / a,), a)
 
 
 def sqrt(a):
-    if not _is_value(a):
-        return np.sqrt(_data(a))
-    out_data = np.sqrt(a.data)
-
-    def vjp(g):
-        if a.requires_grad:
-            a._accumulate(g * 0.5 / out_data)
-
-    return _record(a.tape, out_data, vjp, a.requires_grad)
+    return _apply(np.sqrt, (lambda g, o, a: g * 0.5 / o,), a)
 
 
 def relu(a):
-    if not _is_value(a):
-        return np.maximum(_data(a), 0.0)
-    out_data = np.maximum(a.data, 0.0)
-    pos = a.data > 0.0
-
-    def vjp(g):
-        if a.requires_grad:
-            a._accumulate(g * pos)
-
-    return _record(a.tape, out_data, vjp, a.requires_grad)
+    return _apply(lambda a: np.maximum(a, 0.0), (lambda g, o, a: g * (a > 0.0),), a)
 
 
 def sigmoid(a):
-    if not _is_value(a):
-        ad = _data(a)
-        return 1.0 / (1.0 + np.exp(-ad))
-    out_data = 1.0 / (1.0 + np.exp(-a.data))
-
-    def vjp(g):
-        if a.requires_grad:
-            a._accumulate(g * out_data * (1.0 - out_data))
-
-    return _record(a.tape, out_data, vjp, a.requires_grad)
+    return _apply(lambda a: 1.0 / (1.0 + np.exp(-a)),
+                  (lambda g, o, a: g * o * (1.0 - o),), a)
 
 
 def clamp(a, lo, hi):
     """Clip to [lo, hi]; gradient passes through strictly inside the range."""
-    if not _is_value(a):
-        return np.clip(_data(a), lo, hi)
-    out_data = np.clip(a.data, lo, hi)
-    inside = (a.data > lo) & (a.data < hi)
-
-    def vjp(g):
-        if a.requires_grad:
-            a._accumulate(g * inside)
-
-    return _record(a.tape, out_data, vjp, a.requires_grad)
+    return _apply(lambda a: np.clip(a, lo, hi),
+                  (lambda g, o, a: g * ((a > lo) & (a < hi)),), a)
 
 
 def sum_(a, axis=None, keepdims=False):
-    if not _is_value(a):
-        return _data(a).sum(axis=axis, keepdims=keepdims)
-    out_data = a.data.sum(axis=axis, keepdims=keepdims)
+    def vjp(g, out, a):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        return np.broadcast_to(g, a.shape)
 
-    def vjp(g):
-        if not a.requires_grad:
-            return
-        if axis is None:
-            a._accumulate(np.broadcast_to(g, a.data.shape).copy())
-        else:
-            gg = g if keepdims else np.expand_dims(g, axis)
-            a._accumulate(np.broadcast_to(gg, a.data.shape).copy())
-
-    return _record(a.tape, out_data, vjp, a.requires_grad)
+    return _apply(lambda a: a.sum(axis=axis, keepdims=keepdims), (vjp,), a)
 
 
 def mean_(a, axis=None, keepdims=False):
     ad = _data(a)
-    if axis is None:
-        denom = ad.size
-    else:
-        denom = ad.shape[axis]
+    denom = ad.size if axis is None else ad.shape[axis]
     return mul(sum_(a, axis=axis, keepdims=keepdims), 1.0 / denom)
+
+
+def _scatter(index):
+    """The adjoint of indexing with ``index``: repeated indices add up."""
+    def vjp(g, out, a):
+        acc = np.zeros_like(a)
+        np.add.at(acc, index, g)
+        return acc
+
+    return vjp
 
 
 def gather(a, rows, cols):
     """Pick entries a[rows[k], cols[k]] into a vector."""
-    rows = np.asarray(rows, dtype=int)
-    cols = np.asarray(cols, dtype=int)
-    if not _is_value(a):
-        return _data(a)[rows, cols]
-    out_data = a.data[rows, cols]
-
-    def vjp(g):
-        if a.requires_grad:
-            acc = np.zeros_like(a.data)
-            np.add.at(acc, (rows, cols), g)
-            a._accumulate(acc)
-
-    return _record(a.tape, out_data, vjp, a.requires_grad)
+    index = (np.asarray(rows, dtype=int), np.asarray(cols, dtype=int))
+    return _apply(lambda a: a[index], (_scatter(index),), a)
 
 
 def gather_rows(a, rows):
     rows = np.asarray(rows, dtype=int)
-    if not _is_value(a):
-        return _data(a)[rows]
-    out_data = a.data[rows]
-
-    def vjp(g):
-        if a.requires_grad:
-            acc = np.zeros_like(a.data)
-            np.add.at(acc, rows, g)
-            a._accumulate(acc)
-
-    return _record(a.tape, out_data, vjp, a.requires_grad)
+    return _apply(lambda a: a[rows], (_scatter(rows),), a)
 
 
 def bilinear_gather(p, q, us, vs):
@@ -400,7 +302,8 @@ def bilinear_gather(p, q, us, vs):
     link adjoints into one dense matrix C (repeated (u, v) pairs add up)
     and accumulates C @ q^T into ``p`` and p^T @ C into ``q``. Every
     product goes to BLAS, O(n^3) per call, and no links x n temporary is
-    built.
+    built. C feeds both adjoints, so this primitive records itself rather
+    than going through ``_apply``, which would scatter once per operand.
     """
     us = np.asarray(us, dtype=int)
     vs = np.asarray(vs, dtype=int)
@@ -422,48 +325,22 @@ def bilinear_gather(p, q, us, vs):
 
 def prepend_ones(a):
     """Add an all-ones first column (the intercept)."""
-    ad = _data(a)
-    out_data = np.column_stack([np.ones(ad.shape[0]), ad])
-    if not _is_value(a):
-        return out_data
-
-    def vjp(g):
-        if a.requires_grad:
-            a._accumulate(g[:, 1:])
-
-    return _record(a.tape, out_data, vjp, a.requires_grad)
+    return _apply(lambda a: np.column_stack([np.ones(a.shape[0]), a]),
+                  (lambda g, o, a: g[:, 1:],), a)
 
 
 def colstack(cols):
     """Stack 1-d pieces as the columns of a matrix."""
-    datas = [_data(c) for c in cols]
-    out_data = np.stack(datas, axis=1)
-    if not any(_is_value(c) for c in cols):
-        return out_data
-
-    def vjp(g):
-        for j, c in enumerate(cols):
-            if _is_value(c) and c.requires_grad:
-                c._accumulate(g[:, j])
-
-    return _record(_tape_of(*cols), out_data, vjp, _needs(*cols))
+    vjps = [lambda g, o, *cs, j=j: g[:, j] for j in range(len(cols))]
+    return _apply(lambda *cs: np.stack(cs, axis=1), vjps, *cols)
 
 
 def inverse(a):
     """Matrix inverse as a recorded primitive (desk-scale solves)."""
-    ad = _data(a)
     try:
-        inv = np.linalg.inv(ad)
+        return _apply(np.linalg.inv, (lambda g, inv, a: -inv.T @ g @ inv.T,), a)
     except np.linalg.LinAlgError as e:
         raise NumericError(f"singular matrix in inverse: {e}") from e
-    if not _is_value(a):
-        return inv
-
-    def vjp(g):
-        if a.requires_grad:
-            a._accumulate(-inv.T @ g @ inv.T)
-
-    return _record(a.tape, inv, vjp, a.requires_grad)
 
 
 def grad_check(f, x0, h=1e-5, entries=None):

@@ -157,13 +157,18 @@ def test_flip_attack_budget_zero_returns_clean():
     assert trace.snapshots[0.0].edges == g.edges
 
 
+def flipped_links(g, trace):
+    """Edge indices of the links a trace flipped."""
+    return {g.edge_index(u, v) for u, v, *_ in trace.flips}
+
+
 def test_flip_attack_full_budget_saturates_pool():
     g, split = small_instance(n=12, deg=4, seed=1)
     power = len(split.train) / g.num_edges
     cfg = AttackConfig(budget=len(split.train), checkpoints=(power,))
     trace = flip_attack(g, split, "fextra-ols", cfg)
     assert len(trace.flips) == len(split.train)
-    assert trace.pool == set(int(k) for k in split.train)
+    assert flipped_links(g, trace) == set(int(k) for k in split.train)
     # every training sign flipped exactly once, every test sign kept
     poisoned = trace.snapshots[power].signs()
     assert np.array_equal(poisoned[split.train], -g.signs()[split.train])
@@ -185,8 +190,8 @@ def test_flip_attack_pool_never_touches_test_links():
     g, split = small_instance(n=16, deg=5, seed=4)
     cfg = AttackConfig(budget=10)
     trace = flip_attack(g, split, "fextra-ols", cfg)
-    assert len(trace.pool) == 10
-    assert trace.pool.isdisjoint(set(int(k) for k in split.test))
+    assert len(flipped_links(g, trace)) == 10
+    assert flipped_links(g, trace).isdisjoint(set(int(k) for k in split.test))
     flips = [(u, v) for u, v, _, _ in trace.flips]
     assert len(set(flips)) == len(flips)
 
@@ -313,7 +318,7 @@ def test_baseline_rand_deterministic_and_full():
     t1 = baseline_rand(g, split, len(split.train), seed=4)
     t2 = baseline_rand(g, split, len(split.train), seed=4)
     assert t1.flips == t2.flips
-    assert t1.pool == set(int(k) for k in split.train)
+    assert flipped_links(g, t1) == set(int(k) for k in split.train)
     with pytest.raises(ConfigError):
         baseline_rand(g, split, len(split.train) + 1, seed=0)
 

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from signedattack import tape as tp
 from signedattack.errors import MetricUndefinedError, MissingEdgeError, NumericError
 from signedattack.experiments import victim_test_auc
 from signedattack.fextra import (LR_RIDGE, auc, extract_features, lr_predict, lr_train,
-                                 ols_fit, ols_theta, with_intercept)
+                                 ols_fit, ols_theta)
 from signedattack.graph import SignedGraph, split_edges
 from synthgraphs import all_positive_triangle, flipped, random_signed_graph, two_community
 
@@ -136,11 +137,11 @@ def test_lr_train_matches_long_run_oracle():
     X = np.column_stack([rng.standard_normal((50, 2)) * [1.0, 5.0] + [0.0, 3.0],
                          np.full(50, 4.0)])
     true_theta = np.array([0.3, 1.5, -0.4, 0.0])
-    p = 1.0 / (1.0 + np.exp(-(with_intercept(X) @ true_theta)))
+    p = 1.0 / (1.0 + np.exp(-(tp.prepend_ones(X) @ true_theta)))
     y = (rng.random(50) < p).astype(float)
     model = lr_train(X, y)
     std = X.std(axis=0)
-    Z1 = with_intercept((X - X.mean(axis=0)) / np.where(std == 0, 1.0, std))
+    Z1 = tp.prepend_ones((X - X.mean(axis=0)) / np.where(std == 0, 1.0, std))
     oracle = lr_train_theta(Z1, y, 0.5, 10 ** 5, np.zeros(4), ridge=LR_RIDGE)
     assert model.grad_norm <= 1e-9
     assert np.abs(model.theta - oracle).max() < 1e-8
@@ -170,7 +171,7 @@ def test_ols_two_points_interpolates():
     m = ols_fit(X, y)
     # transformed labels reproduced exactly by the linear fit
     z = np.log(np.array([0.01, 0.99]) / (1 - np.array([0.01, 0.99])))
-    Z = with_intercept(np.log(X + 1.0))
+    Z = tp.prepend_ones(np.log(X + 1.0))
     assert np.abs(Z @ m.theta - z).max() < 1e-3
 
 
@@ -189,7 +190,7 @@ def test_ols_matches_normal_equations_oracle(seed):
     y = (rng.random(30) < 0.7).astype(float)
     theta = ols_theta(X, y)
     # independent normal-equations solve
-    Z = with_intercept(np.log(X + 1.0))
+    Z = tp.prepend_ones(np.log(X + 1.0))
     yc = np.clip(y, 0.01, 0.99)
     z = np.log(yc / (1 - yc))
     oracle = np.linalg.solve(Z.T @ Z + 1e-6 * np.eye(10), Z.T @ z)

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -205,3 +207,95 @@ def test_reverse_pass_visits_each_node_once():
     z = tp.sum_(y * y)
     t.backward(z)
     assert np.allclose(x.grad, 8.0 * x.data)
+
+
+# -- per-primitive adjoint table ----------------------------------------------
+
+_rng = np.random.default_rng(11)
+_A = _rng.standard_normal((3, 4))
+_B = _rng.standard_normal((4, 2))
+_x4 = _rng.standard_normal(4)
+_x3 = _rng.standard_normal(3)
+_pos = _rng.uniform(0.5, 2.0, (3, 4))
+_row = _rng.uniform(0.5, 2.0, (1, 4))
+_col = _rng.uniform(0.5, 2.0, (3, 1))
+_M = _rng.standard_normal((4, 4)) + 4.0 * np.eye(4)
+_kinked = np.array([[-2.0, -0.5, 0.3, 0.8], [2.5, -1.5, 0.6, -0.2]])
+_rows = np.array([0, 2, 0, 1])  # row 0 twice
+_cols = np.array([1, 3, 1, 0])
+_c5 = _rng.standard_normal(5)
+_v5 = _rng.standard_normal(5)
+
+
+def _inv(x):
+    return np.linalg.inv(x)
+
+
+def _sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+# (primitive, case id, op over one operand, numpy reference, operand value)
+ADJOINT_CASES = [
+    ("add", "full", lambda x: tp.add(x, _A), lambda x: x + _A, _pos),
+    ("add", "row-broadcast", lambda x: tp.add(_A, x), lambda x: _A + x, _row),
+    ("mul", "full", lambda x: tp.mul(x, _A), lambda x: x * _A, _pos),
+    ("mul", "col-broadcast", lambda x: tp.mul(_A, x), lambda x: _A * x, _col),
+    ("div", "numerator", lambda x: tp.div(x, _pos), lambda x: x / _pos, _A),
+    ("div", "denominator", lambda x: tp.div(_A, x), lambda x: _A / x, _pos),
+    ("div", "row-denominator", lambda x: tp.div(_A, x), lambda x: _A / x, _row),
+    ("div", "col-denominator", lambda x: tp.div(_A, x), lambda x: _A / x, _col),
+    ("div", "scalar-denominator", lambda x: tp.div(_A, x), lambda x: _A / x, np.array(1.7)),
+    ("matmul", "left", lambda x: tp.matmul(x, _B), lambda x: x @ _B, _A),
+    ("matmul", "right", lambda x: tp.matmul(_A, x), lambda x: _A @ x, _B),
+    ("matmul", "matrix-vector-left", lambda x: tp.matmul(x, _x4), lambda x: x @ _x4, _A),
+    ("matmul", "matrix-vector-right", lambda x: tp.matmul(_A, x), lambda x: _A @ x, _x4),
+    ("matmul", "vector-matrix-left", lambda x: tp.matmul(x, _A), lambda x: x @ _A, _x3),
+    ("matmul", "vector-matrix-right", lambda x: tp.matmul(_x3, x), lambda x: _x3 @ x, _A),
+    ("transpose", "matrix", tp.transpose, lambda x: x.T, _A),
+    ("log", "positive", tp.log, np.log, _pos),
+    ("sqrt", "positive", tp.sqrt, np.sqrt, _pos),
+    ("relu", "both-signs", tp.relu, lambda x: np.maximum(x, 0.0), _kinked),
+    ("sigmoid", "matrix", tp.sigmoid, _sigmoid, _A),
+    ("clamp", "both-sides", lambda x: tp.clamp(x, -1.0, 1.0),
+     lambda x: np.clip(x, -1.0, 1.0), _kinked),
+    ("sum_", "axis0", lambda x: tp.sum_(x, axis=0), lambda x: x.sum(axis=0), _A),
+    ("sum_", "axis1", lambda x: tp.sum_(x, axis=1), lambda x: x.sum(axis=1), _A),
+    ("sum_", "axis0-keepdims", lambda x: tp.sum_(x, axis=0, keepdims=True),
+     lambda x: x.sum(axis=0, keepdims=True), _A),
+    ("sum_", "axis1-keepdims", lambda x: tp.sum_(x, axis=1, keepdims=True),
+     lambda x: x.sum(axis=1, keepdims=True), _A),
+    ("mean_", "axis1-keepdims", lambda x: tp.mean_(x, axis=1, keepdims=True),
+     lambda x: x.sum(axis=1, keepdims=True) * (1.0 / x.shape[1]), _A),
+    ("gather", "repeated-entry", lambda x: tp.gather(x, _rows, _cols),
+     lambda x: x[_rows, _cols], _A),
+    ("gather_rows", "repeated-row", lambda x: tp.gather_rows(x, _rows),
+     lambda x: x[_rows], _A),
+    ("prepend_ones", "matrix", tp.prepend_ones,
+     lambda x: np.column_stack([np.ones(x.shape[0]), x]), _B),
+    ("colstack", "one-plain-column", lambda x: tp.colstack([x, _c5, x]),
+     lambda x: np.stack([x, _c5, x], axis=1), _v5),
+    ("inverse", "well-conditioned", tp.inverse, _inv, _M),
+]
+
+
+@pytest.mark.parametrize("name, case, op, ref, x0", ADJOINT_CASES,
+                         ids=[f"{name}-{case}" for name, case, *_ in ADJOINT_CASES])
+def test_primitive_adjoint(name, case, op, ref, x0):
+    plain = op(x0)
+    assert isinstance(plain, np.ndarray)
+    assert np.array_equal(plain, ref(x0))
+    # a random cotangent probes every output entry with its own weight
+    w = np.random.default_rng(12).standard_normal(plain.shape)
+    assert grad_check(lambda v: tp.sum_(op(v) * w), x0) < 1e-6
+
+
+# primitives that record themselves and carry their own gradient tests above
+SELF_RECORDING = {"bilinear_gather"}
+
+
+def test_every_public_primitive_has_an_adjoint_check():
+    public = {name for name, fn in inspect.getmembers(tp, inspect.isfunction)
+              if fn.__module__ == tp.__name__ and not name.startswith("_")}
+    checked = {name for name, *_ in ADJOINT_CASES} | SELF_RECORDING | {"grad_check"}
+    assert public - checked == set()
