@@ -33,7 +33,8 @@ import numpy as np
 from . import tape as tp
 from .balance import abs_triad_trace, balance_ratio_terms, polarization_term
 from .errors import ConfigError, MetricUndefinedError
-from .fextra import extract_features, link_features, lr_predict, lr_train, ols_fit
+from .fextra import (extract_features, link_features, lr_predict, lr_train, ols_fit,
+                     wedge_index)
 from .graph import EdgeSplit, SignedGraph
 from .pole import (WalkParams, cosine_normalize, degree_weight_matrix, pole_predict,
                    transition_matrix)
@@ -116,18 +117,13 @@ class _FextraLoss:
     """Attack loss for the feature-based predictor, through ``fit`` on the tape."""
 
     def __init__(self, masked: SignedGraph, split: EdgeSplit, y_hat, fit):
-        edge = masked.edge_array()
-        self.us, self.vs = edge[:, 0], edge[:, 1]
-        support = masked.support()
-        self.common = tp.bilinear_gather(support, support, self.us, self.vs)
+        self.index = wedge_index(masked, masked.edge_array())
         self.split = split
         self.y_hat = np.asarray(y_hat, dtype=float)
         self.fit = fit
 
     def __call__(self, A, signs):
-        A_plus = tp.relu(A)
-        A_minus = A_plus - A
-        X = link_features(A_plus, A_minus, self.common, self.us, self.vs)
+        X = link_features(tp.gather(A, self.index.rows, self.index.cols), self.index)
         X_tr = tp.gather_rows(X, self.split.train)
         X_te = tp.gather_rows(X, self.split.test)
         y_tr = (signs[self.split.train] > 0).astype(float)

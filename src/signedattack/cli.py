@@ -119,7 +119,8 @@ def cmd_attack(args) -> int:
     rows, traces = run_attack_experiment(cfg, dataset)
     os.makedirs(cfg.out, exist_ok=True)
     _write_csv(os.path.join(cfg.out, "attack_auc.csv"), rows,
-               ["seed", "power", "attack", "model", "auc_clean", "auc_poisoned"])
+               ["seed", "power", "attack", "model", "auc_clean", "auc_poisoned",
+                "self_label_acc"])
     for seed, (trace, _) in traces.items():
         _write_json(os.path.join(cfg.out, f"trace_seed{seed}.json"),
                     trace.to_json_dict())
@@ -128,7 +129,8 @@ def cmd_attack(args) -> int:
                         g_p.to_json_dict())
     for r in rows:
         print(f"seed={r['seed']} power={r['power']:g} attack={r['attack']} "
-              f"auc_clean={r['auc_clean']:.4f} auc_poisoned={r['auc_poisoned']:.4f}")
+              f"auc_clean={r['auc_clean']:.4f} auc_poisoned={r['auc_poisoned']:.4f} "
+              f"self_label_acc={r['self_label_acc']:.4f}")
     return 0
 
 

@@ -78,11 +78,22 @@ def victim_test_auc(g: SignedGraph, split: EdgeSplit, model: str,
 
 
 def run_attack_trial(dataset: SignedGraph, cfg: ExperimentConfig, seed: int):
-    """One seeded trial: subsample, split, attack, per-power victim AUC rows."""
+    """One seeded trial: subsample, split, attack, per-power victim AUC rows.
+
+    Each row also carries ``self_label_acc``, the share of test links whose
+    self-label (the clean victim's thresholded prediction, which the
+    gradient attacks target) equals the hidden sign.
+    """
     g = subsample_graph(dataset, cfg.subsample, seed)
     split = split_edges(g, cfg.split_fraction, seed)
     model = victim_model_kind(cfg.target)
-    clean_auc = victim_test_auc(g, split, model, cfg.t)
+    # one clean victim fit gives the clean AUC and the attack's self-labels,
+    # thresholded as self_train_labels does
+    truth = split.hidden_signs > 0
+    probs = victim_probs(model, g, split, WalkParams(t=cfg.t))
+    clean_auc = auc(probs, truth.astype(int))
+    y_hat = (probs >= 0.5).astype(float)
+    self_label_acc = float(np.mean(y_hat == truth))
 
     powers = cfg.resolved_powers()
     budget = max(flips_for_power(g, p) for p in powers)
@@ -95,7 +106,7 @@ def run_attack_trial(dataset: SignedGraph, cfg: ExperimentConfig, seed: int):
     elif cfg.baseline:
         raise ConfigError(f"unknown baseline {cfg.baseline!r}")
     else:
-        trace = flip_attack(g, split, cfg.target, cfg.attack_config(budget))
+        trace = flip_attack(g, split, cfg.target, cfg.attack_config(budget), y_hat=y_hat)
         attack_name = cfg.target
         if cfg.lam or cfg.eta:
             attack_name += f"(lam={cfg.lam:g},eta={cfg.eta:g})"
@@ -106,7 +117,8 @@ def run_attack_trial(dataset: SignedGraph, cfg: ExperimentConfig, seed: int):
         poisoned_auc = (clean_auc if flips_for_power(g, p) == 0
                         else victim_test_auc(g_p, split, model, cfg.t))
         rows.append({"seed": seed, "power": p, "attack": attack_name, "model": model,
-                     "auc_clean": clean_auc, "auc_poisoned": poisoned_auc})
+                     "auc_clean": clean_auc, "auc_poisoned": poisoned_auc,
+                     "self_label_acc": self_label_acc})
     return rows, trace, g
 
 

@@ -1,9 +1,13 @@
 """Degree/triad feature extraction and logistic-regression trust prediction.
 
 Features for a link (u, v) are the four signed degrees, the common-neighbor
-count and the four triad-type counts, in that order. The feature map is
-written over A+/A- so it also runs on tape Values, which is how the attacks
-differentiate through it.
+count and the four triad-type counts, in that order. The feature map reads
+the graph through a wedge index: the directed entries of every known link,
+and for each listed link its common neighbours w as the entries of (u, w)
+and (w, v). Sign flips never change the support, so the index is built once
+per link set, and the map over the signed entries costs O(links + wedges).
+It also runs on tape Values, which is how the attacks differentiate through
+it.
 
 The victim (``lr_train``) z-scores its training rows and fits a ridge
 logistic regression by Newton's method to a gradient-norm tolerance. On the
@@ -52,42 +56,99 @@ class LRModel:
     grad_norm: float | None = None  # objective gradient norm where lr_train stopped
 
 
-def link_features(A_plus, A_minus, common, us, vs):
-    """The nine-column feature block; polymorphic over tape Values.
+@dataclass(frozen=True)
+class WedgeIndex:
+    """Where the feature map of a list of links reads the graph.
 
-    ``common`` is the common-neighbor column, (S @ S)[us, vs] for the 0/1
-    support S of every known link. Sign flips never change S, so callers
-    compute it once per link set.
+    Entry e is the directed pair (rows[e], cols[e]) of a known link, hidden
+    signs included; each link gives two, (u, v) and (v, u), sorted by row
+    and then column, and ``edge[e]`` is its position in the graph's edge
+    list. Listed link j is (us[j], vs[j]). Wedge i closes listed link
+    ``link[i]`` = (u, v) through a common neighbour w: ``first[i]`` is the
+    entry of (u, w) and ``second[i]`` that of (w, v).
     """
-    dpos = tp.sum_(A_plus, axis=1)
-    dneg = tp.sum_(A_minus, axis=1)
+
+    n: int
+    rows: np.ndarray
+    cols: np.ndarray
+    edge: np.ndarray
+    us: np.ndarray
+    vs: np.ndarray
+    first: np.ndarray
+    second: np.ndarray
+    link: np.ndarray
+    common: np.ndarray  # wedges per listed link: its common-neighbour count
+
+
+def wedge_index(g: SignedGraph, links) -> WedgeIndex:
+    """The wedge index of ``links`` (node pairs, each a known link of ``g``).
+
+    It costs O(links x degree) and builds no n x n or links x n array.
+    """
+    n, edges = g.n, g.edge_array()
+    rows = np.concatenate([edges[:, 0], edges[:, 1]])
+    cols = np.concatenate([edges[:, 1], edges[:, 0]])
+    keys = rows * n + cols
+    order = np.argsort(keys)
+    rows, cols, keys = rows[order], cols[order], keys[order]
+
+    def entry(a, b):
+        """Entry positions of the pairs (a, b) and whether each is a known link."""
+        key = a * n + b
+        pos = np.searchsorted(keys, key)
+        found = pos < len(keys)
+        found[found] = keys[pos[found]] == key[found]
+        return pos, found
+
+    links = np.asarray(links, dtype=int).reshape(-1, 2)
+    us, vs = links[:, 0], links[:, 1]
+    known = entry(us, vs)[1] & ((links >= 0) & (links < n)).all(axis=1)
+    if not known.all():
+        u, v = links[np.argmin(known)]
+        raise MissingEdgeError(f"({u},{v}) is not a known link")
+    # every neighbour w of u, as the entry of (u, w), for each listed (u, v)
+    start = np.searchsorted(rows, us)
+    deg = np.searchsorted(rows, us, side="right") - start
+    link = np.repeat(np.arange(len(links)), deg)
+    first = np.arange(len(link)) + np.repeat(start - (np.cumsum(deg) - deg), deg)
+    second, closed = entry(cols[first], vs[link])
+    link = link[closed]
+    return WedgeIndex(n, rows, cols, order % len(edges), us, vs, first[closed],
+                      second[closed], link,
+                      np.bincount(link, minlength=len(links)).astype(float))
+
+
+def link_features(a, index: WedgeIndex):
+    """The nine-column feature block of the listed links; polymorphic over tape Values.
+
+    ``a`` holds the signed entries (hidden signs 0) at ``index.rows``,
+    ``index.cols``. Signed degrees sum entries by row, and each triad count
+    sums, over the link's wedges, the product of its two legs. Sign flips
+    never change the support, so callers build the index once per link set
+    and each evaluation costs O(links + wedges).
+    """
+    a_plus = tp.relu(a)
+    a_minus = a_plus - a
+    dpos = tp.segment_sum(a_plus, index.rows, index.n)
+    dneg = tp.segment_sum(a_minus, index.rows, index.n)
+    us, vs = index.us, index.vs
+    first = [tp.gather_rows(x, index.first) for x in (a_plus, a_minus)]
+    second = [tp.gather_rows(x, index.second) for x in (a_plus, a_minus)]
     cols = [
         tp.gather_rows(dpos, us),
         tp.gather_rows(dneg, us),
         tp.gather_rows(dpos, vs),
         tp.gather_rows(dneg, vs),
-        common,
-        tp.bilinear_gather(A_plus, A_plus, us, vs),
-        tp.bilinear_gather(A_plus, A_minus, us, vs),
-        tp.bilinear_gather(A_minus, A_plus, us, vs),
-        tp.bilinear_gather(A_minus, A_minus, us, vs),
+        index.common,
+        *(tp.segment_sum(p * q, index.link, len(us)) for p in first for q in second),
     ]
     return tp.colstack(cols)
 
 
 def extract_features(g: SignedGraph, links) -> np.ndarray:
     """Features (links x 9) for the given node pairs; pairs must be known links."""
-    support = g.support()
-    for u, v in links:
-        if support[u, v] == 0:
-            raise MissingEdgeError(f"({u},{v}) is not a known link")
-    A = g.adjacency()
-    A_plus = np.maximum(A, 0.0)
-    A_minus = A_plus - A
-    us = np.array([u for u, _ in links], dtype=int)
-    vs = np.array([v for _, v in links], dtype=int)
-    common = tp.bilinear_gather(support, support, us, vs)
-    return link_features(A_plus, A_minus, common, us, vs)
+    index = wedge_index(g, links)
+    return link_features(g.signs()[index.edge], index)
 
 
 def logistic_theta(Z, y):

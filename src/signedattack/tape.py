@@ -10,10 +10,9 @@ plain forward evaluation and the attack gradient path.
 Each primitive is one call to ``_apply``, the one recording rule: a
 forward over the inputs' arrays plus one adjoint per input, reduced to that
 input's shape. Given only plain ndarrays it returns the plain result, so the
-primitives are polymorphic; ``mean_`` is a composite of two of them. Three
+primitives are polymorphic; ``mean_`` is a composite of two of them. Two
 primitives record themselves through ``_record`` because their adjoints
-share work: ``bilinear_gather`` (one scatter feeds both operands),
-``fextra.logistic_theta`` (the Hessian at the optimum) and
+share work: ``fextra.logistic_theta`` (the Hessian at the optimum) and
 ``linalg.sym_matrix_exp`` (the eigenbasis).
 
 ``backward`` leaves the records in place. A caller that is done with the
@@ -295,32 +294,14 @@ def gather_rows(a, rows):
     return _apply(lambda a: a[rows], (_scatter(rows),), a)
 
 
-def bilinear_gather(p, q, us, vs):
-    """Entries (p @ q)[us[k], vs[k]], one per link.
+def segment_sum(a, index, size):
+    """Sums of the entries of a by group: out[j] = sum of a[k] over index[k] == j.
 
-    The forward indexes the full product p @ q; the backward scatters the
-    link adjoints into one dense matrix C (repeated (u, v) pairs add up)
-    and accumulates C @ q^T into ``p`` and p^T @ C into ``q``. Every
-    product goes to BLAS, O(n^3) per call, and no links x n temporary is
-    built. C feeds both adjoints, so this primitive records itself rather
-    than going through ``_apply``, which would scatter once per operand.
+    ``size`` fixes the output length, so empty and trailing groups read 0.
     """
-    us = np.asarray(us, dtype=int)
-    vs = np.asarray(vs, dtype=int)
-    pd, qd = _data(p), _data(q)
-    out_data = (pd @ qd)[us, vs]
-    if not (_is_value(p) or _is_value(q)):
-        return out_data
-
-    def vjp(g):
-        C = np.zeros((pd.shape[0], qd.shape[1]))
-        np.add.at(C, (us, vs), g)
-        if _is_value(p) and p.requires_grad:
-            p._accumulate(C @ qd.T)
-        if _is_value(q) and q.requires_grad:
-            q._accumulate(pd.T @ C)
-
-    return _record(_tape_of(p, q), out_data, vjp, _needs(p, q))
+    index = np.asarray(index, dtype=int)
+    return _apply(lambda a: np.bincount(index, weights=a, minlength=size),
+                  (lambda g, o, a: g[index],), a)
 
 
 def prepend_ones(a):

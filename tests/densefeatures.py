@@ -1,0 +1,82 @@
+"""The dense FeXtra feature map: the oracle for the wedge-index map.
+
+Every feature is read off n x n matrices: signed degrees are row sums of
+A+ and A-, and the common-neighbour and triad counts are entries of the
+products S @ S and A± @ A±. ``DenseFextraLoss`` is the attack loss written
+over them, so its tape gradient is the reference for the sparse one.
+"""
+
+import numpy as np
+
+from signedattack import tape as tp
+from signedattack.attacks import _log_likelihood
+from signedattack.fextra import lr_predict
+
+
+def bilinear_gather(p, q, us, vs):
+    """Entries (p @ q)[us[k], vs[k]], one per link; polymorphic over tape Values.
+
+    The backward scatters the link adjoints into one dense matrix C
+    (repeated (u, v) pairs add up) and accumulates C @ q^T into ``p`` and
+    p^T @ C into ``q``. C feeds both adjoints, so the primitive records
+    itself.
+    """
+    us = np.asarray(us, dtype=int)
+    vs = np.asarray(vs, dtype=int)
+    pd, qd = tp._data(p), tp._data(q)
+    out_data = (pd @ qd)[us, vs]
+    if not (tp._is_value(p) or tp._is_value(q)):
+        return out_data
+
+    def vjp(g):
+        C = np.zeros((pd.shape[0], qd.shape[1]))
+        np.add.at(C, (us, vs), g)
+        if tp._is_value(p) and p.requires_grad:
+            p._accumulate(C @ qd.T)
+        if tp._is_value(q) and q.requires_grad:
+            q._accumulate(pd.T @ C)
+
+    return tp._record(tp._tape_of(p, q), out_data, vjp, tp._needs(p, q))
+
+
+def dense_link_features(A, S, us, vs):
+    """The nine feature columns from the signed adjacency A and 0/1 support S."""
+    A_plus = tp.relu(A)
+    A_minus = A_plus - A
+    dpos = tp.sum_(A_plus, axis=1)
+    dneg = tp.sum_(A_minus, axis=1)
+    return tp.colstack([
+        tp.gather_rows(dpos, us),
+        tp.gather_rows(dneg, us),
+        tp.gather_rows(dpos, vs),
+        tp.gather_rows(dneg, vs),
+        bilinear_gather(S, S, us, vs),
+        bilinear_gather(A_plus, A_plus, us, vs),
+        bilinear_gather(A_plus, A_minus, us, vs),
+        bilinear_gather(A_minus, A_plus, us, vs),
+        bilinear_gather(A_minus, A_minus, us, vs),
+    ])
+
+
+def dense_extract_features(g, links):
+    links = np.asarray(links, dtype=int).reshape(-1, 2)
+    return dense_link_features(g.adjacency(), g.support(), links[:, 0], links[:, 1])
+
+
+class DenseFextraLoss:
+    """``attacks._FextraLoss`` over the dense feature map."""
+
+    def __init__(self, masked, split, y_hat, fit):
+        edge = masked.edge_array()
+        self.us, self.vs = edge[:, 0], edge[:, 1]
+        self.support = masked.support()
+        self.split = split
+        self.y_hat = np.asarray(y_hat, dtype=float)
+        self.fit = fit
+
+    def __call__(self, A, signs):
+        X = dense_link_features(A, self.support, self.us, self.vs)
+        X_tr = tp.gather_rows(X, self.split.train)
+        X_te = tp.gather_rows(X, self.split.test)
+        y_tr = (signs[self.split.train] > 0).astype(float)
+        return _log_likelihood(lr_predict(self.fit(X_tr, y_tr), X_te), self.y_hat)

@@ -10,10 +10,12 @@ from signedattack.attacks import (AttackConfig, Penalty, baseline_greedy_triads,
                                   penalized_loss, self_train_labels)
 from signedattack.balance import balance_ratio, graph_polarization, triad_census
 from signedattack.errors import ConfigError
-from signedattack.fextra import auc
+from signedattack.experiments import ExperimentConfig, run_attack_trial
+from signedattack.fextra import auc, lr_train, ols_fit
 from signedattack.graph import EdgeSplit, SignedGraph, split_edges
 from signedattack.pole import WalkParams
 from signedattack.tape import Tape
+from densefeatures import DenseFextraLoss
 from synthgraphs import (all_positive_triangle, complete_graph, flipped, geometric_polarized,
                          two_community)
 
@@ -416,3 +418,75 @@ def test_fextra_meta_step_records_a_small_tape(monkeypatch):
     split = split_edges(g, 0.2, seed=0)
     flip_attack(g, split, "fextra-meta", AttackConfig(budget=2))
     assert len(sizes) == 2 and max(sizes) <= 60
+
+
+@pytest.mark.parametrize("lam,eta", [(0.0, 0.0), (2.0, 5.0)])
+@pytest.mark.parametrize("target,fit", [("fextra-ols", ols_fit), ("fextra-meta", lr_train)])
+def test_fextra_flip_scores_match_the_dense_feature_map(target, fit, lam, eta):
+    g = two_community(60, 8, 0.1, seed=4)
+    split = split_edges(g, 0.1, seed=4)
+    y_hat = self_train_labels("fextra", g, split)
+    masked = g.mask(split.test)
+    penalty = Penalty.for_graph(masked.abs_adjacency(), masked.degrees(), 1.0, lam, eta)
+    us, vs = masked.edge_array()[split.train].T
+    # score a poisoned state too: five training links flipped
+    A1, signs1 = masked.adjacency(), masked.signs()
+    for j in range(5):
+        A1[us[j], vs[j]] = A1[vs[j], us[j]] = -A1[us[j], vs[j]]
+        signs1[split.train[j]] *= -1
+
+    def link_grads(loss_fn, A0, signs):
+        t = Tape()
+        A = t.leaf(A0, requires_grad=True)
+        t.backward(penalized_loss(-loss_fn(A, signs), A, penalty))
+        G = A.grad_or_zero()
+        return G[us, vs] + G[vs, us]
+
+    sparse = make_attack_loss(target, masked, split, y_hat, AttackConfig(budget=1))
+    dense = DenseFextraLoss(masked, split, y_hat, fit)
+    for A0, signs in ((masked.adjacency(), masked.signs()), (A1, signs1)):
+        got, want = link_grads(sparse, A0, signs), link_grads(dense, A0, signs)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
+def test_fextra_ols_step_records_no_n_by_n_array(monkeypatch):
+    # the feature map reads the links through a wedge index; the dense map
+    # recorded relu(A) and A_plus - A, n x n each, at every greedy step
+    largest = []
+
+    class RecordingTape(tp.Tape):
+        def backward(self, loss):
+            largest.append(max(node.data.size for node in self._nodes))
+            super().backward(loss)
+
+    monkeypatch.setattr(tp, "Tape", RecordingTape)
+    g = two_community(300, avg_deg=24, seed=0)
+    split = split_edges(g, 0.1, seed=0)
+    flip_attack(g, split, "fextra-ols", AttackConfig(budget=1))
+    assert len(largest) == 1 and largest[0] < g.n ** 2
+
+
+def test_attack_trial_fits_the_clean_victim_once(monkeypatch):
+    # the clean AUC and the self-labels come from one victim fit; the flips
+    # equal an attack that fits its own self-labels
+    from signedattack import attacks, experiments
+
+    fitted = []
+    victim_probs = attacks.victim_probs
+
+    def recording(model, g, *args):
+        fitted.append(g)
+        return victim_probs(model, g, *args)
+
+    monkeypatch.setattr(experiments, "victim_probs", recording)
+    monkeypatch.setattr(attacks, "victim_probs", recording)
+    cfg = ExperimentConfig(subsample=0, powers=(0.05,), seeds=(0,))
+    rows, trace, g = run_attack_trial(geometric_polarized(40, k=8, noise=0.2, seed=3), cfg, 0)
+    assert sum(f is g for f in fitted) == 1
+
+    split = split_edges(g, cfg.split_fraction, 0)
+    want = flip_attack(g, split, "fextra-ols", cfg.attack_config(len(trace.flips)))
+    assert trace.flips == want.flips
+    acc = np.mean(self_train_labels("fextra", g, split) == (split.hidden_signs > 0))
+    assert 0.0 < acc < 1.0
+    assert [r["self_label_acc"] for r in rows] == [acc]

@@ -7,7 +7,9 @@ from signedattack.experiments import victim_test_auc
 from signedattack.fextra import (LR_RIDGE, auc, extract_features, lr_predict, lr_train,
                                  ols_fit, ols_theta)
 from signedattack.graph import SignedGraph, split_edges
-from synthgraphs import all_positive_triangle, flipped, random_signed_graph, two_community
+from densefeatures import dense_extract_features
+from synthgraphs import (all_positive_triangle, flipped, geometric_polarized,
+                         random_signed_graph, two_community)
 
 
 def lr_train_theta(X1, y, lr, iters, theta0, ridge=0.0):
@@ -63,9 +65,12 @@ def test_feature_all_positive_triangle():
 
 
 def test_feature_missing_link_errors():
-    g = SignedGraph(3, [(0, 1, 1)])
+    g = SignedGraph(3, [(0, 1, 1), (1, 2, 1)])
     with pytest.raises(MissingEdgeError):
         extract_features(g, [(0, 2)])
+    # (0, 5) shares its flat position 0 * 3 + 5 with the link (1, 2)
+    with pytest.raises(MissingEdgeError):
+        extract_features(g, [(0, 5)])
 
 
 @pytest.mark.parametrize("seed", range(100))
@@ -86,6 +91,21 @@ def test_features_on_masked_graph_gamma_exceeds_triads():
     X = extract_features(m, [(0, 1)])
     assert X[0][4] == 1  # common neighbor still known
     assert X[0][5:].sum() == 0  # but no fully signed triad
+
+
+@pytest.mark.parametrize("graph", [geometric_polarized(40, k=8, noise=0.1, seed=1),
+                                   two_community(60, 8, 0.1, seed=2)],
+                         ids=["geometric_polarized", "two_community"])
+def test_features_equal_the_dense_map(graph):
+    # masked links count as common neighbours but carry sign 0; a link list
+    # may run (v, u), repeat a link or cover only some of them
+    split = split_edges(graph, 0.2, seed=0)
+    links = graph.edge_array()
+    subset = links[np.random.default_rng(0).choice(len(links), len(links) // 3,
+                                                   replace=False)]
+    for g in (graph, graph.mask(split.test)):
+        for pairs in (links, links[:, ::-1], subset, np.vstack([subset[:, ::-1], subset])):
+            assert np.array_equal(extract_features(g, pairs), dense_extract_features(g, pairs))
 
 
 def test_flip_changes_only_incident_feature_rows():

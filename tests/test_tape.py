@@ -6,6 +6,7 @@ import pytest
 from signedattack import tape as tp
 from signedattack.errors import NumericError
 from signedattack.tape import Tape, grad_check
+from densefeatures import bilinear_gather
 
 
 def test_sum_of_entries_gradient_is_ones():
@@ -88,11 +89,11 @@ def test_gather_and_bilinear_gather():
     Q = rng.standard_normal((5, 5))
     us = np.array([0, 1, 2, 4])
     vs = np.array([3, 3, 0, 1])
-    got = tp.bilinear_gather(P, Q, us, vs)
+    got = bilinear_gather(P, Q, us, vs)
     assert np.allclose(got, (P @ Q)[us, vs])
 
     def f(v):
-        return tp.sum_(tp.bilinear_gather(v, Q, us, vs) * np.array([1.0, -2.0, 0.5, 3.0]))
+        return tp.sum_(bilinear_gather(v, Q, us, vs) * np.array([1.0, -2.0, 0.5, 3.0]))
 
     assert grad_check(f, P) < 1e-5
 
@@ -118,21 +119,21 @@ def test_bilinear_gather_rectangular_with_repeated_pair():
     us = np.array([0, 3, 1, 3, 2])
     vs = np.array([2, 0, 1, 0, 2])  # (3, 0) appears twice
     w = np.array([1.0, -2.0, 0.5, 3.0, -0.7])
-    assert np.allclose(tp.bilinear_gather(P, Q, us, vs), (P @ Q)[us, vs])
+    assert np.allclose(bilinear_gather(P, Q, us, vs), (P @ Q)[us, vs])
 
     t = Tape()
     p, q = t.leaf(P, requires_grad=True), t.leaf(Q, requires_grad=True)
-    t.backward(tp.sum_(tp.bilinear_gather(p, q, us, vs) * w))
+    t.backward(tp.sum_(bilinear_gather(p, q, us, vs) * w))
     gp, gq = _row_scatter_vjp(P, Q, us, vs, w)
     assert np.allclose(p.grad, gp, rtol=1e-13, atol=1e-13)
     assert np.allclose(q.grad, gq, rtol=1e-13, atol=1e-13)
 
-    assert grad_check(lambda v: tp.sum_(tp.bilinear_gather(v, Q, us, vs) * w), P) < 1e-6
-    assert grad_check(lambda v: tp.sum_(tp.bilinear_gather(P, v, us, vs) * w), Q) < 1e-6
+    assert grad_check(lambda v: tp.sum_(bilinear_gather(v, Q, us, vs) * w), P) < 1e-6
+    assert grad_check(lambda v: tp.sum_(bilinear_gather(P, v, us, vs) * w), Q) < 1e-6
 
 
 def test_bilinear_gather_same_value_on_both_sides():
-    # link_features passes A_plus as both operands
+    # the dense feature map passes A_plus as both operands
     rng = np.random.default_rng(9)
     X = rng.standard_normal((5, 5))
     us = np.array([0, 1, 4, 1, 2])
@@ -140,7 +141,7 @@ def test_bilinear_gather_same_value_on_both_sides():
     w = np.array([1.0, -2.0, 0.5, 3.0, 1.5])
 
     def f(v):
-        return tp.sum_(tp.bilinear_gather(v, v, us, vs) * w)
+        return tp.sum_(bilinear_gather(v, v, us, vs) * w)
 
     t = Tape()
     x = t.leaf(X, requires_grad=True)
@@ -224,6 +225,7 @@ _kinked = np.array([[-2.0, -0.5, 0.3, 0.8], [2.5, -1.5, 0.6, -0.2]])
 _rows = np.array([0, 2, 0, 1])  # row 0 twice
 _cols = np.array([1, 3, 1, 0])
 _c5 = _rng.standard_normal(5)
+_groups = np.array([0, 2, 0, 3])  # group 0 twice, group 1 empty, groups 4-5 trailing
 _v5 = _rng.standard_normal(5)
 
 
@@ -271,6 +273,8 @@ ADJOINT_CASES = [
      lambda x: x[_rows, _cols], _A),
     ("gather_rows", "repeated-row", lambda x: tp.gather_rows(x, _rows),
      lambda x: x[_rows], _A),
+    ("segment_sum", "repeated-empty-trailing", lambda x: tp.segment_sum(x, _groups, 6),
+     lambda x: np.array([x[0] + x[2], 0.0, x[1], x[3], 0.0, 0.0]), _x4),
     ("prepend_ones", "matrix", tp.prepend_ones,
      lambda x: np.column_stack([np.ones(x.shape[0]), x]), _B),
     ("colstack", "one-plain-column", lambda x: tp.colstack([x, _c5, x]),
@@ -290,12 +294,8 @@ def test_primitive_adjoint(name, case, op, ref, x0):
     assert grad_check(lambda v: tp.sum_(op(v) * w), x0) < 1e-6
 
 
-# primitives that record themselves and carry their own gradient tests above
-SELF_RECORDING = {"bilinear_gather"}
-
-
 def test_every_public_primitive_has_an_adjoint_check():
     public = {name for name, fn in inspect.getmembers(tp, inspect.isfunction)
               if fn.__module__ == tp.__name__ and not name.startswith("_")}
-    checked = {name for name, *_ in ADJOINT_CASES} | SELF_RECORDING | {"grad_check"}
+    checked = {name for name, *_ in ADJOINT_CASES} | {"grad_check"}
     assert public - checked == set()
