@@ -3,8 +3,10 @@
 Every attack and baseline runs the same loop, flipping one training link
 per step; they differ only in how the step chooses it. The gradient attacks
 evaluate the attack objective on the current poisoned graph, back-propagate
-to the adjacency, score each not-yet-flipped training link by the
-first-order objective increase a flip would cause, and flip the best one.
+to the sign vector s (one entry per link, hidden signs 0), score each
+not-yet-flipped training link k by the first-order objective increase of
+its flip, -2 s_k dJ/ds_k, and flip the best one. A loss that needs the dense
+adjacency builds it from s with ``tape.sym_scatter``.
 The triad baseline scores links by their balanced-triad count and the random
 baseline replays a seeded draw. The objective being *maximized* is the
 prediction error on the self-labelled test links, optionally penalized to
@@ -122,11 +124,11 @@ class _FextraLoss:
         self.y_hat = np.asarray(y_hat, dtype=float)
         self.fit = fit
 
-    def __call__(self, A, signs):
-        X = link_features(tp.gather(A, self.index.rows, self.index.cols), self.index)
+    def __call__(self, s):
+        X = link_features(s, self.index)
         X_tr = tp.gather_rows(X, self.split.train)
         X_te = tp.gather_rows(X, self.split.test)
-        y_tr = (signs[self.split.train] > 0).astype(float)
+        y_tr = (tp._data(s)[self.split.train] > 0).astype(float)
         p = lr_predict(self.fit(X_tr, y_tr), X_te)
         return _log_likelihood(p, self.y_hat)
 
@@ -142,11 +144,13 @@ class _PoleLoss:
         self.mode = mode
         self.degrees = masked.degrees()
         self.W = degree_weight_matrix(self.degrees)
-        edge = masked.edge_array()
-        self.us_te = edge[split.test, 0]
-        self.vs_te = edge[split.test, 1]
+        self.n = masked.n
+        self.edge = masked.edge_array()
+        self.us_te = self.edge[split.test, 0]
+        self.vs_te = self.edge[split.test, 1]
 
-    def __call__(self, A, signs):
+    def __call__(self, s):
+        A = tp.sym_scatter(s, *self.edge.T, self.n)
         M = transition_matrix(A, self.degrees, self.cfg.t, self.mode)
         R = tp.transpose(M) @ self.W @ M
         _, P = cosine_normalize(R)
@@ -169,7 +173,7 @@ def make_attack_loss(target: str, masked: SignedGraph, split: EdgeSplit,
 
 @dataclass(frozen=True)
 class Penalty:
-    """Weights of lambda T + eta Pol and the constants of |A| they need.
+    """Weights of lambda T + eta Pol, the links, and the constants of |A| they need.
 
     Flips never change |A|, so tr(|A|^3) and the unsigned walk are computed
     once per attack, each only when its weight is nonzero.
@@ -178,24 +182,32 @@ class Penalty:
     lam: float
     eta: float
     t: float
+    n: int
+    edge: np.ndarray  # the masked graph's links, one row (u, v) per entry of s
     degrees: np.ndarray
     tr_abs: float
     M_abs: np.ndarray | None
 
     @classmethod
-    def for_graph(cls, abs_mask, degrees, t, lam, eta):
+    def for_graph(cls, masked: SignedGraph, t, lam, eta):
+        degrees = masked.degrees()
+        abs_mask = masked.abs_adjacency()
         tr_abs = abs_triad_trace(abs_mask) if lam != 0.0 else 0.0
         M_abs = transition_matrix(abs_mask, degrees, t, "unsym") if eta != 0.0 else None
-        return cls(lam, eta, t, degrees, tr_abs, M_abs)
+        return cls(lam, eta, t, masked.n, masked.edge_array(), degrees, tr_abs, M_abs)
 
 
-def penalized_loss(base, A, penalty: Penalty, events=None):
+def penalized_loss(base, s, penalty: Penalty, events=None):
     """base + lambda T(A) + eta Pol(A, t), each term on the tape.
 
-    An undefined balance term contributes zero and logs an event. The
-    polarization term runs on the row-normalized (``unsym``) walk, as
-    ``balance.graph_polarization`` does.
+    A is the dense adjacency of the sign vector ``s`` over ``penalty.edge``,
+    built only when a weight is nonzero. An undefined balance term
+    contributes zero and logs an event. The polarization term runs on the
+    row-normalized (``unsym``) walk, as ``balance.graph_polarization`` does.
     """
+    if penalty.lam == 0.0 and penalty.eta == 0.0:
+        return base
+    A = tp.sym_scatter(s, *penalty.edge.T, penalty.n)
     out = base
     if penalty.lam != 0.0:
         try:
@@ -225,14 +237,13 @@ def _greedy_flips(g0: SignedGraph, split: EdgeSplit, budget: int, checkpoints,
                   choose) -> AttackTrace:
     """Flip ``budget`` (checked by the caller) training links one at a time.
 
-    ``choose(A, signs, pooled, trace)`` gets the masked adjacency and signs,
+    ``choose(signs, pooled, trace)`` gets the masked signs (hidden signs 0),
     the mask of flipped training links and the trace so far, and returns the
     position in ``split.train`` of the next flip and its predicted gain.
     Snapshots carry the original test signs: the graph the analyst observes.
     """
-    masked = g0.mask(split.test)
-    A, signs, full_signs = masked.adjacency(), masked.signs(), g0.signs()
-    edge = masked.edge_array()
+    signs, full_signs = g0.mask(split.test).signs(), g0.signs()
+    edge = g0.edge_array()
     trace = AttackTrace()
     pooled = np.zeros(len(split.train), dtype=bool)
 
@@ -243,10 +254,9 @@ def _greedy_flips(g0: SignedGraph, split: EdgeSplit, budget: int, checkpoints,
 
     snapshot()
     for step in range(budget):
-        j, gain = choose(A, signs, pooled, trace)
+        j, gain = choose(signs, pooled, trace)
         k = int(split.train[j])
         u, v = edge[k]
-        A[u, v] = A[v, u] = -A[u, v]
         signs[k], full_signs[k] = -signs[k], -full_signs[k]
         pooled[j] = True
         trace.flips.append((int(u), int(v), step, gain))
@@ -262,18 +272,17 @@ def gradient_chooser(g0: SignedGraph, split: EdgeSplit, target: str, cfg: Attack
     if y_hat is None:
         y_hat = self_train_labels(victim_model_kind(target), g0, split, WalkParams(t=cfg.t))
     loss_fn = make_attack_loss(target, masked, split, y_hat, cfg)
-    penalty = Penalty.for_graph(masked.abs_adjacency(), masked.degrees(), cfg.t,
-                                cfg.lam, cfg.eta)
+    penalty = Penalty.for_graph(masked, cfg.t, cfg.lam, cfg.eta)
     us, vs = masked.edge_array()[split.train].T
 
-    def choose(A_cur, signs, pooled, trace):
+    def choose(signs, pooled, trace):
         tape = tp.Tape()
-        A = tape.leaf(A_cur, requires_grad=True)
-        base = loss_fn(A, signs)
-        tape.backward(penalized_loss(-base, A, penalty, trace.events))
-        G = A.grad_or_zero()
+        s = tape.leaf(signs, requires_grad=True)
+        base = loss_fn(s)
+        tape.backward(penalized_loss(-base, s, penalty, trace.events))
+        G = s.grad_or_zero()
         tape.release()
-        scores = (-2.0 * signs[split.train]) * (G[us, vs] + G[vs, us])
+        scores = (-2.0 * signs[split.train]) * G[split.train]
         j = _pick_flip(scores, us, vs, pooled)
         gain = float(scores[j])
         if gain <= 0:
@@ -304,7 +313,7 @@ def baseline_rand(g0: SignedGraph, split: EdgeSplit, budget: int, seed: int,
     # the same draw as rng.choice(split.train, ...), as positions in split.train
     order = np.random.default_rng(seed).choice(len(split.train), size=budget, replace=False)
     return _greedy_flips(g0, split, budget, checkpoints,
-                         lambda A, signs, pooled, trace: (int(order[len(trace.flips)]), 0.0))
+                         lambda signs, pooled, trace: (int(order[len(trace.flips)]), 0.0))
 
 
 def baseline_greedy_triads(g0: SignedGraph, split: EdgeSplit, budget: int,
@@ -316,9 +325,11 @@ def baseline_greedy_triads(g0: SignedGraph, split: EdgeSplit, budget: int,
     score is exactly that quantity.
     """
     _check_budget(budget, split)
-    us, vs = g0.edge_array()[split.train].T
+    edge = g0.edge_array()
+    us, vs = edge[split.train].T
 
-    def choose(A, signs, pooled, trace):
+    def choose(signs, pooled, trace):
+        A = tp.sym_scatter(signs, *edge.T, g0.n)
         scores = signs[split.train] * (A @ A)[us, vs]
         j = _pick_flip(scores, us, vs, pooled)
         return j, float(scores[j])

@@ -23,6 +23,9 @@ from .errors import MetricUndefinedError
 from .graph import SignedGraph
 from .pole import transition_matrix
 
+# floor of the row variances in ``polarization_term``
+VAR_FLOOR = 1e-18
+
 
 @dataclass
 class BalanceReport:
@@ -119,7 +122,7 @@ def graph_polarization(g: SignedGraph, t: float, mode="unsym") -> float:
     return float(np.mean(vals))
 
 
-def polarization_term(M_sign, M_abs, var_floor=1e-18):
+def polarization_term(M_sign, M_abs):
     """Differentiable mean row-correlation between signed and unsigned walks.
 
     ``M_sign`` may be a tape Value; ``M_abs`` is constant during an attack
@@ -130,8 +133,8 @@ def polarization_term(M_sign, M_abs, var_floor=1e-18):
     xc = M_sign - tp.mean_(M_sign, axis=1, keepdims=True)
     yc = M_abs - M_abs.mean(axis=1, keepdims=True)
     cov = tp.sum_(xc * yc, axis=1)
-    vx = tp.sum_(xc * xc, axis=1) + var_floor
-    vy = (yc * yc).sum(axis=1) + var_floor
+    vx = tp.sum_(xc * xc, axis=1) + VAR_FLOOR
+    vy = (yc * yc).sum(axis=1) + VAR_FLOOR
     corr = cov / tp.sqrt(vx * vy)
     return tp.mean_(corr)
 

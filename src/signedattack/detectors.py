@@ -24,6 +24,8 @@ from .linalg import truncated_svd
 DEFAULT_NU = 0.1
 DEFAULT_GAMMA = 0.1
 DEFAULT_EMBED_DIM = 32
+OCSVM_TOL = 1e-6  # KKT gap at which the dual solver stops
+OCSVM_PASSES_PER_ROW = 200  # pairwise updates allowed per training row
 
 
 @dataclass
@@ -52,7 +54,7 @@ def _rbf(gamma, X, Y):
     return np.exp(-gamma * sq)
 
 
-def ocsvm_fit(X, nu=DEFAULT_NU, gamma=DEFAULT_GAMMA, tol=1e-6, max_passes=None) -> OCSVMModel:
+def ocsvm_fit(X, nu=DEFAULT_NU, gamma=DEFAULT_GAMMA) -> OCSVMModel:
     """Solve the nu-parameterized one-class dual by pairwise updates.
 
     min_a  1/2 a^T K a   s.t.  0 <= a_i <= 1/(nu m),  sum a_i = 1.
@@ -77,15 +79,14 @@ def ocsvm_fit(X, nu=DEFAULT_NU, gamma=DEFAULT_GAMMA, tol=1e-6, max_passes=None) 
         alpha[n_full] = 1.0 - n_full * C
     grad = K @ alpha
 
-    max_passes = max_passes or 200 * m
     gap = np.inf
-    for _ in range(max_passes):
+    for _ in range(OCSVM_PASSES_PER_ROW * m):
         up_mask = alpha < C - 1e-15
         low_mask = alpha > 1e-15
         i_up = np.argmin(np.where(up_mask, grad, np.inf))
         i_low = np.argmax(np.where(low_mask, grad, -np.inf))
         gap = grad[i_low] - grad[i_up]
-        if gap < tol:
+        if gap < OCSVM_TOL:
             break
         quad = K[i_up, i_up] + K[i_low, i_low] - 2.0 * K[i_up, i_low]
         quad = max(quad, 1e-12)

@@ -6,8 +6,9 @@ the graph through a wedge index: the directed entries of every known link,
 and for each listed link its common neighbours w as the entries of (u, w)
 and (w, v). Sign flips never change the support, so the index is built once
 per link set, and the map over the signed entries costs O(links + wedges).
-It also runs on tape Values, which is how the attacks differentiate through
-it.
+It reads the signs as one vector over the graph's links, the same way for the
+victim (``extract_features``) and the attacks, which differentiate through it
+with respect to that vector on the tape.
 
 The victim (``lr_train``) z-scores its training rows and fits a ridge
 logistic regression by Newton's method to a gradient-norm tolerance. On the
@@ -58,19 +59,19 @@ class LRModel:
 
 @dataclass(frozen=True)
 class WedgeIndex:
-    """Where the feature map of a list of links reads the graph.
+    """Where the feature map of a list of links reads the graph's sign vector.
 
-    Entry e is the directed pair (rows[e], cols[e]) of a known link, hidden
-    signs included; each link gives two, (u, v) and (v, u), sorted by row
-    and then column, and ``edge[e]`` is its position in the graph's edge
-    list. Listed link j is (us[j], vs[j]). Wedge i closes listed link
-    ``link[i]`` = (u, v) through a common neighbour w: ``first[i]`` is the
-    entry of (u, w) and ``second[i]`` that of (w, v).
+    Entry e is a directed pair (u, v) of a known link, hidden signs
+    included; each link gives two, (u, v) and (v, u), sorted by row and
+    then column. ``rows[e]`` is the entry's first node and ``edge[e]`` the
+    link's position in the graph's edge list, so the entry's sign is
+    ``signs[edge[e]]``. Listed link j is (us[j], vs[j]). Wedge i closes
+    listed link ``link[i]`` = (u, v) through a common neighbour w:
+    ``first[i]`` is the entry of (u, w) and ``second[i]`` that of (w, v).
     """
 
     n: int
     rows: np.ndarray
-    cols: np.ndarray
     edge: np.ndarray
     us: np.ndarray
     vs: np.ndarray
@@ -113,20 +114,21 @@ def wedge_index(g: SignedGraph, links) -> WedgeIndex:
     first = np.arange(len(link)) + np.repeat(start - (np.cumsum(deg) - deg), deg)
     second, closed = entry(cols[first], vs[link])
     link = link[closed]
-    return WedgeIndex(n, rows, cols, order % len(edges), us, vs, first[closed],
-                      second[closed], link,
+    return WedgeIndex(n, rows, order % len(edges), us, vs, first[closed], second[closed], link,
                       np.bincount(link, minlength=len(links)).astype(float))
 
 
-def link_features(a, index: WedgeIndex):
+def link_features(signs, index: WedgeIndex):
     """The nine-column feature block of the listed links; polymorphic over tape Values.
 
-    ``a`` holds the signed entries (hidden signs 0) at ``index.rows``,
-    ``index.cols``. Signed degrees sum entries by row, and each triad count
-    sums, over the link's wedges, the product of its two legs. Sign flips
-    never change the support, so callers build the index once per link set
-    and each evaluation costs O(links + wedges).
+    ``signs`` holds one sign per link of the graph the index was built from
+    (hidden signs 0), in edge-list order; the map gathers each entry's sign
+    as ``signs[index.edge]``. Signed degrees sum entries by row, and each
+    triad count sums, over the link's wedges, the product of its two legs.
+    Sign flips never change the support, so callers build the index once per
+    link set and each evaluation costs O(links + wedges).
     """
+    a = tp.gather_rows(signs, index.edge)
     a_plus = tp.relu(a)
     a_minus = a_plus - a
     dpos = tp.segment_sum(a_plus, index.rows, index.n)
@@ -147,8 +149,7 @@ def link_features(a, index: WedgeIndex):
 
 def extract_features(g: SignedGraph, links) -> np.ndarray:
     """Features (links x 9) for the given node pairs; pairs must be known links."""
-    index = wedge_index(g, links)
-    return link_features(g.signs()[index.edge], index)
+    return link_features(g.signs(), wedge_index(g, links))
 
 
 def logistic_theta(Z, y):
@@ -222,18 +223,19 @@ def lr_predict(model: LRModel, X):
     return tp.sigmoid(tp.prepend_ones(X) @ model.theta)
 
 
-def ols_theta(X, y, label_eps=OLS_LABEL_EPS, ridge=OLS_RIDGE):
+def ols_theta(X, y):
     """Closed-form surrogate fit; polymorphic over tape Values for X.
 
-    theta = (Z^T Z + ridge I)^{-1} Z^T logit(clip(y)) with Z = [1, ln(X+1)].
+    theta = (Z^T Z + OLS_RIDGE I)^{-1} Z^T logit(clip(y)) with Z = [1, ln(X+1)]
+    and y clipped to [OLS_LABEL_EPS, 1 - OLS_LABEL_EPS].
     """
     y = np.asarray(y, dtype=float)
-    yc = np.clip(y, label_eps, 1.0 - label_eps)
+    yc = np.clip(y, OLS_LABEL_EPS, 1.0 - OLS_LABEL_EPS)
     z = np.log(yc / (1.0 - yc))
     lnX = tp.log(X + 1.0)
     Z = tp.prepend_ones(lnX)
     Zt = tp.transpose(Z)
-    gram = Zt @ Z + np.eye(tp._data(Z).shape[1]) * ridge
+    gram = Zt @ Z + np.eye(tp._data(Z).shape[1]) * OLS_RIDGE
     return tp.inverse(gram) @ (Zt @ z)
 
 

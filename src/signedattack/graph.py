@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import tape as tp
 from .errors import InvalidSplitError, MissingEdgeError, ParseError
 
 DEGREE_FLOOR = 1e-9
@@ -57,10 +58,7 @@ class SignedGraph:
 
     def adjacency(self):
         """Dense symmetric A with entries in {+1,-1,0}."""
-        A = np.zeros((self.n, self.n))
-        for u, v, s in self.edges:
-            A[u, v] = A[v, u] = s
-        return A
+        return tp.sym_scatter(self.signs(), *self.edge_array().T, self.n)
 
     def abs_adjacency(self):
         """|A| of the signed entries only (A+ + A-); hidden-sign edges are 0."""
@@ -68,10 +66,7 @@ class SignedGraph:
 
     def support(self):
         """0/1 matrix of every known link, including hidden-sign edges."""
-        S = np.zeros((self.n, self.n))
-        for u, v, _ in self.edges:
-            S[u, v] = S[v, u] = 1.0
-        return S
+        return tp.sym_scatter(np.ones(self.num_edges), *self.edge_array().T, self.n)
 
     def degrees(self):
         """Unsigned degrees from the signed entries, floored away from zero."""

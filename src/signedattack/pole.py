@@ -24,6 +24,9 @@ from .linalg import sym_matrix_exp
 from .graph import DEGREE_FLOOR, EdgeSplit, SignedGraph
 from . import fextra
 
+# added to diag R under the square root, so a zero row normalizes to finite values
+COSINE_FLOOR = 1e-9
+
 
 @dataclass
 class WalkParams:
@@ -114,17 +117,17 @@ def factorization_steps(R, U0, iters, lr):
     return U, curve
 
 
-def cosine_normalize(R, floor=1e-9):
+def cosine_normalize(R):
     """Cosine normalization of a PSD R by its own diagonal, then to [0, 1].
 
     Any U with U U^T = R has row norms |U_i| = sqrt(R_ii), so this is the
     cosine similarity of an exact factor of R without computing one.
     Returns (R_cos, P): R_cos = clamp(R_ij / (s_i s_j), -1, 1) with
-    s_i = sqrt(R_ii + floor^2), and P = (R_cos + 1)/2. Polymorphic over tape
+    s_i = sqrt(R_ii + COSINE_FLOOR^2), and P = (R_cos + 1)/2. Polymorphic over tape
     Values in R.
     """
     idx = np.arange(tp._data(R).shape[0])
-    norms = tp.colstack([tp.sqrt(tp.gather(R, idx, idx) + floor ** 2)])
+    norms = tp.colstack([tp.sqrt(tp.gather(R, idx, idx) + COSINE_FLOOR ** 2)])
     denom = tp.matmul(norms, tp.transpose(norms))
     R_cos = tp.clamp(R / denom, -1.0, 1.0)
     P = (R_cos + 1.0) * 0.5

@@ -10,7 +10,9 @@ plain forward evaluation and the attack gradient path.
 Each primitive is one call to ``_apply``, the one recording rule: a
 forward over the inputs' arrays plus one adjoint per input, reduced to that
 input's shape. Given only plain ndarrays it returns the plain result, so the
-primitives are polymorphic; ``mean_`` is a composite of two of them. Two
+primitives are polymorphic; ``mean_`` is a composite of two of them.
+``sym_scatter`` builds a dense symmetric matrix from one value per link, which
+is how the attacks and ``SignedGraph.adjacency`` turn a sign vector into A. Two
 primitives record themselves through ``_record`` because their adjoints
 share work: ``fextra.logistic_theta`` (the Hessian at the optimum) and
 ``linalg.sym_matrix_exp`` (the eigenbasis).
@@ -101,8 +103,11 @@ class Value:
 
     def _accumulate(self, g):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # a fresh array equal to 0 + g, signed zeros included; it also
+            # copies read-only broadcast views
+            self.grad = g + 0.0
+        else:
+            self.grad += g
 
     # -- operator sugar -----------------------------------------------------
     def __add__(self, other):
@@ -294,6 +299,25 @@ def gather_rows(a, rows):
     return _apply(lambda a: a[rows], (_scatter(rows),), a)
 
 
+def sym_scatter(a, us, vs, n):
+    """The symmetric n x n matrix with out[us[k], vs[k]] = out[vs[k], us[k]] = a[k].
+
+    Every other entry is 0. The pairs must be distinct and off the diagonal,
+    as the links of a graph are; the adjoint of a[k] is g[us[k], vs[k]] +
+    g[vs[k], us[k]].
+    """
+    us = np.asarray(us, dtype=int)
+    vs = np.asarray(vs, dtype=int)
+
+    def forward(a):
+        out = np.zeros((n, n))
+        out[us, vs] = a
+        out[vs, us] = a
+        return out
+
+    return _apply(forward, (lambda g, o, a: g[us, vs] + g[vs, us],), a)
+
+
 def segment_sum(a, index, size):
     """Sums of the entries of a by group: out[j] = sum of a[k] over index[k] == j.
 
@@ -328,7 +352,7 @@ def grad_check(f, x0, h=1e-5, entries=None):
     """Max relative error between tape and central-difference gradients.
 
     ``f`` maps a leaf Value to a scalar Value. ``entries`` optionally
-    restricts the probed coordinates to a list of (i, j) index pairs;
+    restricts the probed coordinates to a list of index tuples of ``x0``;
     by default every entry of ``x0`` is probed. The relative error uses
     denominator max(|g|, 1e-8) per entry.
     """

@@ -3,7 +3,8 @@
 Every feature is read off n x n matrices: signed degrees are row sums of
 A+ and A-, and the common-neighbour and triad counts are entries of the
 products S @ S and A± @ A±. ``DenseFextraLoss`` is the attack loss written
-over them, so its tape gradient is the reference for the sparse one.
+over them; it builds A from the sign vector with ``tape.sym_scatter``, so its
+tape gradient with respect to that vector is the reference for the sparse one.
 """
 
 import numpy as np
@@ -68,15 +69,17 @@ class DenseFextraLoss:
 
     def __init__(self, masked, split, y_hat, fit):
         edge = masked.edge_array()
+        self.n = masked.n
         self.us, self.vs = edge[:, 0], edge[:, 1]
         self.support = masked.support()
         self.split = split
         self.y_hat = np.asarray(y_hat, dtype=float)
         self.fit = fit
 
-    def __call__(self, A, signs):
+    def __call__(self, s):
+        A = tp.sym_scatter(s, self.us, self.vs, self.n)
         X = dense_link_features(A, self.support, self.us, self.vs)
         X_tr = tp.gather_rows(X, self.split.train)
         X_te = tp.gather_rows(X, self.split.test)
-        y_tr = (signs[self.split.train] > 0).astype(float)
+        y_tr = (tp._data(s)[self.split.train] > 0).astype(float)
         return _log_likelihood(lr_predict(self.fit(X_tr, y_tr), X_te), self.y_hat)

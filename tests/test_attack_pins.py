@@ -7,8 +7,12 @@ fit that ``fextra-meta`` differentiates) and the polarization penalty ran on
 the row-normalized walk. The ``fextra-ols-penalized`` gains were
 re-recorded when the feature map moved from dense products to group sums
 over the links: the penalty and the base gradient now add up in another
-order, which moved its first gain by one ulp. Every value must be
-reproduced exactly.
+order, which moved its first gain by one ulp. They were re-recorded again
+when the attacks moved from a dense adjacency leaf to the sign vector: the
+penalty's and the feature map's gradients are now summed per link, not per
+adjacency entry. Gain 0 went 1.7114055113610909 -> 1.7114055113610906 (its
+value before the move to group sums) and gain 4 went 5.209860611830469 ->
+5.209860611830468, one ulp each. Every value must be reproduced exactly.
 """
 
 import pytest
@@ -71,8 +75,8 @@ PINNED = {'fextra-meta': {'flips': [(14, 17, 0), (0, 17, 1), (10, 11, 2), (0, 19
                               '+++---+++--+++-++++++++-+------++--++-++++++++++-+++++++++++']},
  'fextra-ols-penalized': {'flips': [(16, 18, 0), (12, 14, 1), (14, 17, 2), (13, 15, 3),
                                     (16, 19, 4), (16, 17, 5)],
-                          'gains': [1.7114055113610909, 3.4944275809088303, 2.7148646405924564,
-                                    5.846913843611497, 5.209860611830469, 4.307575797606102],
+                          'gains': [1.7114055113610906, 3.4944275809088303, 2.7148646405924564,
+                                    5.846913843611497, 5.209860611830468, 4.307575797606102],
                           'loss': [-2.557308559338811, -3.1121971244327264, -3.227734354112278,
                                    -9.111521488630089, -10.46000692633818, -12.768724440053349],
                           'snapshots': ['+++-+-+++--+++-+++++++-++-+++++++++-+----++-+++-++-++++-++++',

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from signedattack import tape as tp
-from signedattack.attacks import (AttackConfig, Penalty, baseline_greedy_triads, baseline_rand,
-                                  flip_attack, flips_for_power, make_attack_loss,
+from signedattack.attacks import (AttackConfig, Penalty, _log_likelihood, baseline_greedy_triads,
+                                  baseline_rand, flip_attack, flips_for_power, make_attack_loss,
                                   penalized_loss, self_train_labels)
 from signedattack.balance import balance_ratio, graph_polarization, triad_census
 from signedattack.errors import ConfigError
 from signedattack.experiments import ExperimentConfig, run_attack_trial
-from signedattack.fextra import auc, lr_train, ols_fit
+from signedattack.fextra import auc, link_features, lr_predict, lr_train, ols_fit
 from signedattack.graph import EdgeSplit, SignedGraph, split_edges
 from signedattack.pole import WalkParams
 from signedattack.tape import Tape
@@ -26,13 +26,10 @@ def small_instance(n=14, deg=5, noise=0.1, seed=0, frac=0.15):
     return g, split
 
 
-def eval_loss(target, g, split, y_hat, cfg, A=None, signs=None):
+def eval_loss(target, g, split, y_hat, cfg):
     masked = g.mask(split.test)
     loss_fn = make_attack_loss(target, masked, split, y_hat, cfg)
-    t = Tape()
-    Av = t.leaf(masked.adjacency() if A is None else A, requires_grad=True)
-    out = loss_fn(Av, masked.signs() if signs is None else signs)
-    return float(tp._data(out))
+    return float(tp._data(loss_fn(Tape().leaf(masked.signs(), requires_grad=True))))
 
 
 def test_self_train_perfect_model_recovers_labels():
@@ -57,8 +54,6 @@ def test_attack_loss_plugin_values():
     cfg = AttackConfig(budget=1)
     y = np.ones(len(split.test))
     p = tp.Tape().leaf(np.full(len(split.test), 0.9))
-    from signedattack.attacks import _log_likelihood
-
     val = float(tp._data(_log_likelihood(p, y)))
     assert val == pytest.approx(len(split.test) * np.log(0.9), rel=1e-9)
     p5 = tp.Tape().leaf(np.full(len(split.test), 0.5))
@@ -67,8 +62,6 @@ def test_attack_loss_plugin_values():
 
 
 def test_attack_loss_clipping_at_certainty():
-    from signedattack.attacks import _log_likelihood
-
     p = tp.Tape().leaf(np.array([1.0, 1.0]))
     val = float(tp._data(_log_likelihood(p, np.ones(2))))
     assert abs(val) < 1e-9
@@ -82,13 +75,11 @@ def test_attack_loss_gradient_matches_finite_differences(target):
                               g, split, WalkParams())
     masked = g.mask(split.test)
     loss_fn = make_attack_loss(target, masked, split, y_hat, cfg)
-    signs = masked.signs()
-    A0 = masked.adjacency()
-    entries = [(int(u), int(v)) for u, v in masked.edge_array()[split.train]]
+    entries = [(int(k),) for k in split.train]
 
     from signedattack.tape import grad_check
 
-    err = grad_check(lambda v: loss_fn(v, signs), A0, h=1e-5, entries=entries)
+    err = grad_check(loss_fn, masked.signs(), h=1e-5, entries=entries)
     assert err < 1e-3
 
 
@@ -117,13 +108,12 @@ def test_pole_attack_runs_at_300_nodes(target):
 
 def test_penalized_loss_recovers_base_and_adds_T():
     g = all_positive_triangle()
-    A0 = g.adjacency()
     t = Tape()
-    A = t.leaf(A0, requires_grad=True)
-    base = tp.sum_(A * 0.0) + 2.5
-    out0 = penalized_loss(base, A, Penalty.for_graph(np.abs(A0), g.degrees(), 1.0, 0.0, 0.0))
+    s = t.leaf(g.signs(), requires_grad=True)
+    base = tp.sum_(s * 0.0) + 2.5
+    out0 = penalized_loss(base, s, Penalty.for_graph(g, 1.0, 0.0, 0.0))
     assert float(tp._data(out0)) == 2.5
-    out1 = penalized_loss(base, A, Penalty.for_graph(np.abs(A0), g.degrees(), 1.0, 1.0, 0.0))
+    out1 = penalized_loss(base, s, Penalty.for_graph(g, 1.0, 1.0, 0.0))
     assert float(tp._data(out1)) == pytest.approx(3.5)  # T = 1
 
 
@@ -133,20 +123,18 @@ def test_polarization_penalty_is_the_detector_polarization(seed):
     # detector view reports
     g = two_community(60, 8, 0.1, seed=seed)
     t = Tape()
-    A = t.leaf(g.adjacency(), requires_grad=True)
-    penalty = Penalty.for_graph(g.abs_adjacency(), g.degrees(), 1.0, 0.0, 1.0)
-    eta_term = float(tp._data(penalized_loss(0.0, A, penalty)))
+    s = t.leaf(g.signs(), requires_grad=True)
+    penalty = Penalty.for_graph(g, 1.0, 0.0, 1.0)
+    eta_term = float(tp._data(penalized_loss(0.0, s, penalty)))
     assert eta_term == pytest.approx(graph_polarization(g, 1.0), abs=1e-12)
 
 
 def test_penalized_loss_no_triads_contributes_zero():
     g = SignedGraph(3, [(0, 1, 1), (1, 2, 1)])
-    A0 = g.adjacency()
     t = Tape()
-    A = t.leaf(A0, requires_grad=True)
+    s = t.leaf(g.signs(), requires_grad=True)
     events = []
-    out = penalized_loss(t.constant(1.0), A,
-                         Penalty.for_graph(np.abs(A0), g.degrees(), 1.0, 5.0, 0.0), events)
+    out = penalized_loss(t.constant(1.0), s, Penalty.for_graph(g, 1.0, 5.0, 0.0), events)
     assert float(tp._data(out)) == 1.0
     assert events
 
@@ -230,28 +218,31 @@ def test_penalty_changes_flip_choice_but_same_interface():
     assert t_of(pen) >= t_of(basic) - 1e-12
 
 
-def exact_flip_gains(loss_fn, A, signs, edge, candidates, pool):
-    """Exact objective increase for each candidate single flip.
+def exact_flip_gains(loss_fn, signs, candidates, pool):
+    """Exact objective increase for each candidate single flip of a FeXtra loss.
 
-    The objective is the error with the training labels held at the current
-    step, i.e. the same function of A that the greedy score linearizes (the
+    The objective is the error with the training labels held at ``signs``,
+    i.e. the same function of s that the greedy score linearizes (the
     discrete label swap of the flipped edge lives outside the differentiable
     pipeline, in the paper's method as well as here).
     """
+    train, test = loss_fn.split.train, loss_fn.split.test
+    y_tr = (signs[train] > 0).astype(float)
 
-    def err_at(Amat):
-        return -float(tp._data(loss_fn(Tape().leaf(Amat), signs)))
+    def err_at(s):
+        X = link_features(s, loss_fn.index)
+        return -float(_log_likelihood(lr_predict(loss_fn.fit(X[train], y_tr), X[test]),
+                                      loss_fn.y_hat))
 
-    base = err_at(A)
+    base = err_at(signs)
     gains = {}
     for k in candidates:
         k = int(k)
         if k in pool:
             continue
-        u, v = edge[k]
-        A2 = A.copy()
-        A2[u, v] = A2[v, u] = -A2[u, v]
-        gains[k] = err_at(A2) - base
+        s2 = signs.copy()
+        s2[k] = -s2[k]
+        gains[k] = err_at(s2) - base
     return gains
 
 
@@ -265,20 +256,16 @@ def test_greedy_flip_is_near_optimal_single_flip():
     masked = g.mask(split.test)
     loss_fn = make_attack_loss("fextra-ols", masked, split, y_hat,
                                AttackConfig(budget=3))
-    edge = masked.edge_array()
-    A = masked.adjacency()
     signs = masked.signs()
     pool = set()
     for step in range(3):
-        gains = exact_flip_gains(loss_fn, A, signs, edge, split.train, pool)
+        gains = exact_flip_gains(loss_fn, signs, split.train, pool)
         trace = flip_attack(g, split, "fextra-ols",
                             AttackConfig(budget=step + 1), y_hat=y_hat)
         u, v, _, _ = trace.flips[step]
         k_chosen = masked.edge_index(u, v)
         ranked = sorted(gains, key=gains.get, reverse=True)
         assert k_chosen in ranked[:3], (step, gains[k_chosen], gains[ranked[0]])
-        u, v = edge[k_chosen]
-        A[u, v] = A[v, u] = -A[u, v]
         signs[k_chosen] = -signs[k_chosen]
         pool.add(k_chosen)
 
@@ -295,17 +282,14 @@ def test_greedy_scores_correlate_with_exact_gains():
         masked = g.mask(split.test)
         loss_fn = make_attack_loss("fextra-ols", masked, split, y_hat,
                                    AttackConfig(budget=1))
-        edge = masked.edge_array()
-        A = masked.adjacency()
         signs = masked.signs()
         t = Tape()
-        Av = t.leaf(A, requires_grad=True)
-        t.backward(tp.mul(loss_fn(Av, signs), -1.0))
-        G = Av.grad_or_zero()
-        gains = exact_flip_gains(loss_fn, A, signs, edge, split.train, set())
+        s = t.leaf(signs, requires_grad=True)
+        t.backward(tp.mul(loss_fn(s), -1.0))
+        G = s.grad_or_zero()
+        gains = exact_flip_gains(loss_fn, signs, split.train, set())
         ks = sorted(gains)
-        pred = np.array([(-2 * signs[k]) * (G[edge[k][0], edge[k][1]] +
-                                            G[edge[k][1], edge[k][0]]) for k in ks])
+        pred = np.array([(-2 * signs[k]) * G[k] for k in ks])
         real = np.array([gains[k] for k in ks])
         corrs.append(np.corrcoef(pred, real)[0, 1])
         chosen = ks[int(np.argmax(pred))]
@@ -427,25 +411,21 @@ def test_fextra_flip_scores_match_the_dense_feature_map(target, fit, lam, eta):
     split = split_edges(g, 0.1, seed=4)
     y_hat = self_train_labels("fextra", g, split)
     masked = g.mask(split.test)
-    penalty = Penalty.for_graph(masked.abs_adjacency(), masked.degrees(), 1.0, lam, eta)
-    us, vs = masked.edge_array()[split.train].T
+    penalty = Penalty.for_graph(masked, 1.0, lam, eta)
     # score a poisoned state too: five training links flipped
-    A1, signs1 = masked.adjacency(), masked.signs()
-    for j in range(5):
-        A1[us[j], vs[j]] = A1[vs[j], us[j]] = -A1[us[j], vs[j]]
-        signs1[split.train[j]] *= -1
+    signs1 = masked.signs()
+    signs1[split.train[:5]] *= -1
 
-    def link_grads(loss_fn, A0, signs):
+    def link_grads(loss_fn, signs):
         t = Tape()
-        A = t.leaf(A0, requires_grad=True)
-        t.backward(penalized_loss(-loss_fn(A, signs), A, penalty))
-        G = A.grad_or_zero()
-        return G[us, vs] + G[vs, us]
+        s = t.leaf(signs, requires_grad=True)
+        t.backward(penalized_loss(-loss_fn(s), s, penalty))
+        return s.grad_or_zero()[split.train]
 
     sparse = make_attack_loss(target, masked, split, y_hat, AttackConfig(budget=1))
     dense = DenseFextraLoss(masked, split, y_hat, fit)
-    for A0, signs in ((masked.adjacency(), masked.signs()), (A1, signs1)):
-        got, want = link_grads(sparse, A0, signs), link_grads(dense, A0, signs)
+    for signs in (masked.signs(), signs1):
+        got, want = link_grads(sparse, signs), link_grads(dense, signs)
         assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
 
@@ -463,6 +443,31 @@ def test_fextra_ols_step_records_no_n_by_n_array(monkeypatch):
     g = two_community(300, avg_deg=24, seed=0)
     split = split_edges(g, 0.1, seed=0)
     flip_attack(g, split, "fextra-ols", AttackConfig(budget=1))
+    assert len(largest) == 1 and largest[0] < g.n ** 2
+
+
+def test_fextra_ols_step_differentiates_the_sign_vector(monkeypatch):
+    # the leaf is one sign per link, and no node or adjoint of the step is
+    # n x n; a dense adjacency leaf made both the leaf and its gradient n x n
+    leaves, largest = [], []
+
+    class RecordingTape(tp.Tape):
+        def leaf(self, data, requires_grad=False):
+            value = super().leaf(data, requires_grad)
+            leaves.append(value)
+            return value
+
+        def backward(self, loss):
+            super().backward(loss)
+            held = [*leaves, *self._nodes]
+            largest.append(max(max(v.data.size, np.size(v.grad)) for v in held))
+
+    monkeypatch.setattr(tp, "Tape", RecordingTape)
+    g = two_community(300, avg_deg=24, seed=0)
+    split = split_edges(g, 0.1, seed=0)
+    flip_attack(g, split, "fextra-ols", AttackConfig(budget=1))
+    assert [v.data.shape for v in leaves] == [(g.num_edges,)]
+    assert leaves[0].grad.shape == (g.num_edges,)
     assert len(largest) == 1 and largest[0] < g.n ** 2
 
 

@@ -227,6 +227,15 @@ _cols = np.array([1, 3, 1, 0])
 _c5 = _rng.standard_normal(5)
 _groups = np.array([0, 2, 0, 3])  # group 0 twice, group 1 empty, groups 4-5 trailing
 _v5 = _rng.standard_normal(5)
+_us = np.array([0, 2, 1])  # distinct off-diagonal pairs of a 4-node graph
+_vs = np.array([1, 3, 3])
+
+
+def _sym(x):
+    out = np.zeros((4, 4))
+    for a, u, v in zip(x, _us, _vs):
+        out[u, v] = out[v, u] = a
+    return out
 
 
 def _inv(x):
@@ -273,6 +282,7 @@ ADJOINT_CASES = [
      lambda x: x[_rows, _cols], _A),
     ("gather_rows", "repeated-row", lambda x: tp.gather_rows(x, _rows),
      lambda x: x[_rows], _A),
+    ("sym_scatter", "three-links", lambda x: tp.sym_scatter(x, _us, _vs, 4), _sym, _x3),
     ("segment_sum", "repeated-empty-trailing", lambda x: tp.segment_sum(x, _groups, 6),
      lambda x: np.array([x[0] + x[2], 0.0, x[1], x[3], 0.0, 0.0]), _x4),
     ("prepend_ones", "matrix", tp.prepend_ones,
