@@ -7,11 +7,11 @@ to the sign vector s (one entry per link, hidden signs 0), score each
 not-yet-flipped training link k by the first-order objective increase of
 its flip, -2 s_k dJ/ds_k, and flip the best one. A loss that needs the dense
 adjacency builds it from s with ``tape.sym_scatter``.
-The triad baseline scores links by their balanced-triad count and the random
-baseline replays a seeded draw. The objective being *maximized* is the
-prediction error on the self-labelled test links, optionally penalized to
-keep the balance metrics (and thereby the attack's visibility to detectors)
-close to the clean graph:
+The triad baseline scores links by their balanced-triad count, read off the
+FeXtra wedge sums, and the random baseline replays a seeded draw. The
+objective being *maximized* is the prediction error on the self-labelled
+test links, optionally penalized to keep the balance metrics (and thereby
+the attack's visibility to detectors) close to the clean graph:
 
     J = -(sum_e y_e log p_e + (1 - y_e) log(1 - p_e)) + lambda T + eta Pol
 
@@ -202,8 +202,9 @@ def penalized_loss(base, s, penalty: Penalty, events=None):
 
     A is the dense adjacency of the sign vector ``s`` over ``penalty.edge``,
     built only when a weight is nonzero. An undefined balance term
-    contributes zero and logs an event. The polarization term runs on the
-    row-normalized (``unsym``) walk, as ``balance.graph_polarization`` does.
+    contributes zero and logs an event. The polarization term is
+    ``balance.polarization_term`` on the row-normalized (``unsym``) walk, the
+    one ``balance.graph_polarization`` reports.
     """
     if penalty.lam == 0.0 and penalty.eta == 0.0:
         return base
@@ -321,17 +322,17 @@ def baseline_greedy_triads(g0: SignedGraph, split: EdgeSplit, budget: int,
     """Flip the training link whose flip most reduces the balanced-triad count.
 
     For a link (u, v) with sign s, the balanced-minus-unbalanced count of
-    triads through it is s * (A^2)[u, v]; flipping negates it, so the greedy
-    score is exactly that quantity.
+    triads through it is s (tri_pp - tri_pm - tri_mp + tri_mm), exact wedge
+    sums of the FeXtra feature map over an index built once per attack.
+    Flipping negates it, so the greedy score is exactly that quantity.
     """
     _check_budget(budget, split)
-    edge = g0.edge_array()
-    us, vs = edge[split.train].T
+    index = wedge_index(g0.mask(split.test), g0.edge_array()[split.train])
 
     def choose(signs, pooled, trace):
-        A = tp.sym_scatter(signs, *edge.T, g0.n)
-        scores = signs[split.train] * (A @ A)[us, vs]
-        j = _pick_flip(scores, us, vs, pooled)
+        tri = link_features(signs, index)[:, 5:]
+        scores = signs[split.train] * (tri[:, 0] - tri[:, 1] - tri[:, 2] + tri[:, 3])
+        j = _pick_flip(scores, index.us, index.vs, pooled)
         return j, float(scores[j])
 
     return _greedy_flips(g0, split, budget, checkpoints, choose)

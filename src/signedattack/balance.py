@@ -6,10 +6,11 @@ tr(A^3) + tr(|A|^3) twelve times the balanced ones (hidden-sign edges are 0
 in A). Each trace takes one dense product, as tr(M^3) = sum((M @ M) * M^T),
 exact on {-1, 0, 1} entries. Only the tests call `triad_census`, the
 enumeration oracle for both.
-Polarization correlates a node's signed and unsigned random-walk
-transition rows. Reporting and the differentiable penalty used inside
-attacks both use the plain (row-normalized) transition, which comes from
-the symmetric eigendecomposition (see ``pole.transition_matrix``).
+Polarization correlates a node's signed and unsigned random-walk transition
+rows. Its one implementation, ``polarization_term``, averages the correlation
+over the nodes where both rows vary; the detector, the report and the attack
+penalty all read it on the row-normalized (``unsym``) walk of
+``pole.transition_matrix``, and none of them takes a walk mode.
 """
 
 from __future__ import annotations
@@ -22,9 +23,6 @@ from . import tape as tp
 from .errors import MetricUndefinedError
 from .graph import SignedGraph
 from .pole import transition_matrix
-
-# floor of the row variances in ``polarization_term``
-VAR_FLOOR = 1e-18
 
 
 @dataclass
@@ -92,51 +90,53 @@ def triad_census(g: SignedGraph):
     return balanced, unbalanced, tuple(by_type)
 
 
-def transition_pair(g: SignedGraph, t: float, mode="unsym"):
-    """Signed and unsigned walk transition matrices at Markov time t."""
-    A = g.adjacency()
-    d = g.degrees()
-    return (transition_matrix(A, d, t, mode),
-            transition_matrix(np.abs(A), d, t, mode))
+def row_correlations(M_sign, M_abs):
+    """Pearson correlation of each signed walk row with its unsigned row, and where it is defined.
 
-
-def _pearson(x, y):
-    xc = x - x.mean()
-    yc = y - y.mean()
-    denom = np.sqrt((xc * xc).sum() * (yc * yc).sum())
-    if denom == 0:
-        return None
-    return float((xc * yc).sum() / denom)
-
-
-def polarization_nodes(g: SignedGraph, t: float, mode="unsym"):
-    """Per-node polarization; None where the correlation is undefined."""
-    M_sign, M_abs = transition_pair(g, t, mode)
-    return [_pearson(M_abs[u], M_sign[u]) for u in range(g.n)]
-
-
-def graph_polarization(g: SignedGraph, t: float, mode="unsym") -> float:
-    vals = [p for p in polarization_nodes(g, t, mode) if p is not None]
-    if not vals:
-        raise MetricUndefinedError("polarization undefined for every node")
-    return float(np.mean(vals))
+    A row's correlation is defined where both rows vary. Polymorphic over
+    tape Values for ``M_sign``; means divide by the count, as ``np.mean`` does.
+    """
+    n = M_abs.shape[1]
+    xc = M_sign - tp.sum_(M_sign, axis=1, keepdims=True) / n
+    yc = M_abs - M_abs.sum(axis=1, keepdims=True) / n
+    var = tp.sum_(xc * xc, axis=1) * (yc * yc).sum(axis=1)
+    defined = tp._data(var) != 0
+    # an undefined row divides by 1, so its gradient stays finite
+    return tp.sum_(xc * yc, axis=1) / tp.sqrt(var + ~defined), defined
 
 
 def polarization_term(M_sign, M_abs):
-    """Differentiable mean row-correlation between signed and unsigned walks.
+    """Mean of ``row_correlations`` over the defined rows; polymorphic over tape Values.
 
-    ``M_sign`` may be a tape Value; ``M_abs`` is constant during an attack
-    since sign flips never change |A|. Row variances are floored so the term
-    stays finite on degenerate rows.
+    ``M_abs`` is constant during an attack since sign flips never change |A|.
     """
-    n = tp._data(M_sign).shape[0]
-    xc = M_sign - tp.mean_(M_sign, axis=1, keepdims=True)
-    yc = M_abs - M_abs.mean(axis=1, keepdims=True)
-    cov = tp.sum_(xc * yc, axis=1)
-    vx = tp.sum_(xc * xc, axis=1) + VAR_FLOOR
-    vy = (yc * yc).sum(axis=1) + VAR_FLOOR
-    corr = cov / tp.sqrt(vx * vy)
-    return tp.mean_(corr)
+    return _defined_mean(*row_correlations(M_sign, M_abs))
+
+
+def _defined_mean(corr, defined):
+    if not defined.any():
+        raise MetricUndefinedError("polarization undefined for every node")
+    return tp.sum_(tp.gather_rows(corr, np.flatnonzero(defined))) / np.count_nonzero(defined)
+
+
+def _walk_correlations(g: SignedGraph, t: float):
+    """``row_correlations`` of g's signed and unsigned row-normalized walks at Markov time t."""
+    A, d = g.adjacency(), g.degrees()
+    return row_correlations(transition_matrix(A, d, t, "unsym"),
+                            transition_matrix(np.abs(A), d, t, "unsym"))
+
+
+def _node_values(corr, defined):
+    return [float(c) if ok else None for c, ok in zip(corr, defined)]
+
+
+def polarization_nodes(g: SignedGraph, t: float):
+    """Per-node polarization; None where the correlation is undefined."""
+    return _node_values(*_walk_correlations(g, t))
+
+
+def graph_polarization(g: SignedGraph, t: float) -> float:
+    return float(_defined_mean(*_walk_correlations(g, t)))
 
 
 def balance_report(g: SignedGraph, t: float = 1.0) -> BalanceReport:
@@ -146,15 +146,12 @@ def balance_report(g: SignedGraph, t: float = 1.0) -> BalanceReport:
     T = float(balance_ratio_terms(A, tr_abs)) if total else None
     # T is exactly balanced / total, so rounding T * total recovers the count
     balanced = round(T * total) if total else 0
-    pol_nodes = polarization_nodes(g, t)
-    defined = [p for p in pol_nodes if p is not None]
-    if not defined:
-        raise MetricUndefinedError("polarization undefined for every node")
+    corr, defined = _walk_correlations(g, t)
     return BalanceReport(
         T=T,
         total_triads=total,
         balanced_triads=balanced,
-        pol_nodes=pol_nodes,
-        pol_graph=float(np.mean(defined)),
+        pol_nodes=_node_values(corr, defined),
+        pol_graph=float(_defined_mean(corr, defined)),
         t=t,
     )

@@ -15,6 +15,7 @@ from signedattack.fextra import auc, link_features, lr_predict, lr_train, ols_fi
 from signedattack.graph import EdgeSplit, SignedGraph, split_edges
 from signedattack.pole import WalkParams
 from signedattack.tape import Tape
+from balanceoracles import dense_greedy_triads
 from densefeatures import DenseFextraLoss
 from synthgraphs import (all_positive_triangle, complete_graph, flipped, geometric_polarized,
                          two_community)
@@ -126,7 +127,17 @@ def test_polarization_penalty_is_the_detector_polarization(seed):
     s = t.leaf(g.signs(), requires_grad=True)
     penalty = Penalty.for_graph(g, 1.0, 0.0, 1.0)
     eta_term = float(tp._data(penalized_loss(0.0, s, penalty)))
-    assert eta_term == pytest.approx(graph_polarization(g, 1.0), abs=1e-12)
+    assert eta_term == graph_polarization(g, 1.0)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_balance_penalty_is_the_detector_balance_ratio(seed):
+    # the lambda twin: at the clean graph the lambda term is the detector's T
+    g = two_community(60, 8, 0.1, seed=seed)
+    t = Tape()
+    s = t.leaf(g.signs(), requires_grad=True)
+    penalty = Penalty.for_graph(g, 1.0, 1.0, 0.0)
+    assert float(tp._data(penalized_loss(0.0, s, penalty))) == balance_ratio(g)
 
 
 def test_penalized_loss_no_triads_contributes_zero():
@@ -495,3 +506,17 @@ def test_attack_trial_fits_the_clean_victim_once(monkeypatch):
     acc = np.mean(self_train_labels("fextra", g, split) == (split.hidden_signs > 0))
     assert 0.0 < acc < 1.0
     assert [r["self_label_acc"] for r in rows] == [acc]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_baseline_greedy_triads_matches_the_dense_oracle(seed):
+    # the wedge sums give the dense s_uv (A @ A)[u, v] score exactly, hidden
+    # test links included (they are 0 in A)
+    g = two_community(30 + 5 * seed, 6 + seed, 0.1, seed=seed)
+    split = split_edges(g, 0.2, seed=seed)
+    budget = len(split.train) // 2
+    checkpoints = (budget / g.num_edges,)
+    got = baseline_greedy_triads(g, split, budget, checkpoints)
+    want = dense_greedy_triads(g, split, budget, checkpoints)
+    assert got.flips == want.flips
+    assert got.snapshots[checkpoints[0]].edges == want.snapshots[checkpoints[0]].edges

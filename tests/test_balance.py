@@ -4,11 +4,12 @@ import pytest
 from signedattack import tape as tp
 from signedattack.balance import (abs_triad_trace, balance_ratio, balance_ratio_terms,
                                   balance_report, graph_polarization, polarization_nodes,
-                                  polarization_term, triad_census)
+                                  polarization_term, row_correlations, triad_census)
 from signedattack.errors import MetricUndefinedError
 from signedattack.graph import SignedGraph
 from signedattack.pole import transition_matrix
 from signedattack.tape import Tape
+from balanceoracles import oracle_graph_polarization, oracle_polarization_nodes, walk_pair
 from synthgraphs import (all_positive_triangle, complete_graph, flipped, planted_polarized,
                          random_signed_graph, two_community, two_triangles_bridge)
 
@@ -108,12 +109,39 @@ def test_polarization_single_edge_graph():
 
 
 def test_pearson_of_negated_vector():
+    # rows: negated, identical, constant unsigned row, constant signed row
     x = np.array([0.2, 0.5, 0.1, 0.9])
-    from signedattack.balance import _pearson
+    M_abs = np.array([x, x, np.ones(4), x])
+    M_sign = np.array([-x, x, x, np.ones(4)])
+    corr, defined = row_correlations(M_sign, M_abs)
+    assert defined.tolist() == [True, True, False, False]
+    assert corr[:2] == pytest.approx([-1.0, 1.0])
+    assert polarization_term(M_sign, M_abs) == pytest.approx(0.0)
+    with pytest.raises(MetricUndefinedError):
+        polarization_term(M_sign[2:], M_abs[2:])
 
-    assert _pearson(x, -x) == pytest.approx(-1.0)
-    assert _pearson(x, x) == pytest.approx(1.0)
-    assert _pearson(np.ones(4), x) is None
+
+def test_undefined_rows_leave_the_polarization_gradient_finite():
+    x = np.array([0.2, 0.5, 0.1, 0.9])
+    M_abs = np.array([x, np.ones(4)])
+    t = Tape()
+    M = t.leaf(np.array([-x, x]), requires_grad=True)
+    t.backward(polarization_term(M, M_abs))
+    G = M.grad_or_zero()
+    assert np.isfinite(G).all()
+    assert not G[1].any()
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_polarization_equals_the_per_node_oracle(seed):
+    full = random_signed_graph(5 + seed * 3, density=0.3, seed=seed)
+    hidden = np.random.default_rng(seed).permutation(full.num_edges)[:full.num_edges // 4]
+    for g in (full, full.mask(hidden), two_community(20 + seed, 5, 0.1, seed=seed)):
+        nodes = oracle_polarization_nodes(g, 1.0)
+        assert polarization_nodes(g, 1.0) == nodes
+        assert graph_polarization(g, 1.0) == oracle_graph_polarization(g, 1.0)
+        report = balance_report(g, t=1.0)
+        assert (report.pol_nodes, report.pol_graph) == (nodes, oracle_graph_polarization(g, 1.0))
 
 
 def test_two_triangle_bridge_polarization_high():
@@ -158,13 +186,10 @@ def test_balance_terms_differentiable():
 
 
 def test_polarization_term_matches_reporting_value():
+    # any walk, not only the row-normalized one the package reports on
     g = two_community(10, 5, 0.1, seed=3)
-    A = g.adjacency()
-    d = g.degrees()
-    M_sign = transition_matrix(A, d, 1.0, "sym")
-    M_abs = transition_matrix(np.abs(A), d, 1.0, "sym")
-    term = polarization_term(M_sign, M_abs)
-    assert term == pytest.approx(graph_polarization(g, 1.0, mode="sym"), abs=1e-9)
+    term = polarization_term(*walk_pair(g, 1.0, "sym"))
+    assert term == oracle_graph_polarization(g, 1.0, "sym")
 
 
 def test_polarization_term_gradient():
