@@ -33,10 +33,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tape as tp
-from .balance import abs_triad_trace, balance_ratio_terms, polarization_term
+from .balance import balance_ratio_terms, polarization_term, triad_terms
 from .errors import ConfigError, MetricUndefinedError
-from .fextra import (extract_features, link_features, lr_predict, lr_train, ols_fit,
-                     wedge_index)
+from .fextra import (WedgeIndex, extract_features, link_features, lr_predict, lr_train,
+                     ols_fit, wedge_index)
 from .graph import EdgeSplit, SignedGraph
 from .pole import (WalkParams, cosine_normalize, degree_weight_matrix, pole_predict,
                    transition_matrix)
@@ -88,8 +88,7 @@ def victim_probs(model: str, g: SignedGraph, split: EdgeSplit, params: WalkParam
     """
     masked = g.mask(split.test)
     if model == "fextra":
-        pairs = [(u, v) for u, v, _ in masked.edges]
-        feats = extract_features(masked, pairs)
+        feats = extract_features(masked, masked.edge_array())
         y_tr = (masked.signs()[split.train] > 0).astype(float)
         return lr_predict(lr_train(feats[split.train], y_tr), feats[split.test])
     if model == "pole":
@@ -124,7 +123,8 @@ class _FextraLoss:
         self.y_hat = np.asarray(y_hat, dtype=float)
         self.fit = fit
 
-    def __call__(self, s):
+    def __call__(self, s, A=None):
+        # the feature map reads the sign vector; A is not needed
         X = link_features(s, self.index)
         X_tr = tp.gather_rows(X, self.split.train)
         X_te = tp.gather_rows(X, self.split.test)
@@ -149,8 +149,9 @@ class _PoleLoss:
         self.us_te = self.edge[split.test, 0]
         self.vs_te = self.edge[split.test, 1]
 
-    def __call__(self, s):
-        A = tp.sym_scatter(s, *self.edge.T, self.n)
+    def __call__(self, s, A=None):
+        if A is None:
+            A = tp.sym_scatter(s, *self.edge.T, self.n)
         M = transition_matrix(A, self.degrees, self.cfg.t, self.mode)
         R = tp.transpose(M) @ self.W @ M
         _, P = cosine_normalize(R)
@@ -160,6 +161,8 @@ class _PoleLoss:
 
 def make_attack_loss(target: str, masked: SignedGraph, split: EdgeSplit,
                      y_hat, cfg: AttackConfig):
+    """The loss ``(s, A=None) -> log-likelihood`` of ``target``; A is the dense adjacency of s,
+    which a POLE loss scatters itself when it is not passed."""
     if target == "fextra-ols":
         return _FextraLoss(masked, split, y_hat, ols_fit)
     if target == "fextra-meta":
@@ -175,8 +178,9 @@ def make_attack_loss(target: str, masked: SignedGraph, split: EdgeSplit,
 class Penalty:
     """Weights of lambda T + eta Pol, the links, and the constants of |A| they need.
 
-    Flips never change |A|, so tr(|A|^3) and the unsigned walk are computed
-    once per attack, each only when its weight is nonzero.
+    Flips never change |A|, so the wedge index and tr(|A|^3) of the lambda
+    term and the unsigned walk of the eta term are computed once per attack,
+    each only when its weight is nonzero.
     """
 
     lam: float
@@ -185,38 +189,40 @@ class Penalty:
     n: int
     edge: np.ndarray  # the masked graph's links, one row (u, v) per entry of s
     degrees: np.ndarray
+    index: WedgeIndex | None
     tr_abs: float
     M_abs: np.ndarray | None
 
     @classmethod
     def for_graph(cls, masked: SignedGraph, t, lam, eta):
         degrees = masked.degrees()
-        abs_mask = masked.abs_adjacency()
-        tr_abs = abs_triad_trace(abs_mask) if lam != 0.0 else 0.0
-        M_abs = transition_matrix(abs_mask, degrees, t, "unsym") if eta != 0.0 else None
-        return cls(lam, eta, t, masked.n, masked.edge_array(), degrees, tr_abs, M_abs)
+        index, tr_abs = triad_terms(masked) if lam != 0.0 else (None, 0.0)
+        M_abs = (transition_matrix(masked.abs_adjacency(), degrees, t, "unsym")
+                 if eta != 0.0 else None)
+        return cls(lam, eta, t, masked.n, masked.edge_array(), degrees, index, tr_abs, M_abs)
 
 
-def penalized_loss(base, s, penalty: Penalty, events=None):
-    """base + lambda T(A) + eta Pol(A, t), each term on the tape.
+def penalized_loss(base, s, penalty: Penalty, events=None, A=None):
+    """base + lambda T(s) + eta Pol(A, t), each term on the tape.
 
-    A is the dense adjacency of the sign vector ``s`` over ``penalty.edge``,
-    built only when a weight is nonzero. An undefined balance term
-    contributes zero and logs an event. The polarization term is
-    ``balance.polarization_term`` on the row-normalized (``unsym``) walk, the
-    one ``balance.graph_polarization`` reports.
+    T reads the wedge sums of the sign vector ``s``. A is the dense
+    adjacency of ``s`` over ``penalty.edge``; the caller may pass the one it
+    built, and it is scattered here only when eta is nonzero and none was
+    passed. An undefined balance term contributes zero and logs an event.
+    The polarization term is ``balance.polarization_term`` on the
+    row-normalized (``unsym``) walk, the one ``balance.graph_polarization``
+    reports.
     """
-    if penalty.lam == 0.0 and penalty.eta == 0.0:
-        return base
-    A = tp.sym_scatter(s, *penalty.edge.T, penalty.n)
     out = base
     if penalty.lam != 0.0:
         try:
-            out = out + penalty.lam * balance_ratio_terms(A, penalty.tr_abs)
+            out = out + penalty.lam * balance_ratio_terms(s, penalty.index, penalty.tr_abs)
         except MetricUndefinedError:
             if events is not None:
                 events.append("balance term undefined (no triads); contributed 0")
     if penalty.eta != 0.0:
+        if A is None:
+            A = tp.sym_scatter(s, *penalty.edge.T, penalty.n)
         M_sign = transition_matrix(A, penalty.degrees, penalty.t, "unsym")
         out = out + penalty.eta * polarization_term(M_sign, penalty.M_abs)
     return out
@@ -274,13 +280,17 @@ def gradient_chooser(g0: SignedGraph, split: EdgeSplit, target: str, cfg: Attack
         y_hat = self_train_labels(victim_model_kind(target), g0, split, WalkParams(t=cfg.t))
     loss_fn = make_attack_loss(target, masked, split, y_hat, cfg)
     penalty = Penalty.for_graph(masked, cfg.t, cfg.lam, cfg.eta)
-    us, vs = masked.edge_array()[split.train].T
+    edge = masked.edge_array()
+    us, vs = edge[split.train].T
+    dense = victim_model_kind(target) == "pole" or cfg.eta != 0.0
 
     def choose(signs, pooled, trace):
         tape = tp.Tape()
         s = tape.leaf(signs, requires_grad=True)
-        base = loss_fn(s)
-        tape.backward(penalized_loss(-base, s, penalty, trace.events))
+        # one dense adjacency per step, shared by the POLE loss and the eta term
+        A = tp.sym_scatter(s, *edge.T, masked.n) if dense else None
+        base = loss_fn(s, A)
+        tape.backward(penalized_loss(-base, s, penalty, trace.events, A))
         G = s.grad_or_zero()
         tape.release()
         scores = (-2.0 * signs[split.train]) * G[split.train]

@@ -3,9 +3,10 @@
 The triad balance ratio and the triad counts of ``balance_report`` come from
 traces: tr(|A|^3) is six times the number of fully signed triangles and
 tr(A^3) + tr(|A|^3) twelve times the balanced ones (hidden-sign edges are 0
-in A). Each trace takes one dense product, as tr(M^3) = sum((M @ M) * M^T),
-exact on {-1, 0, 1} entries. Only the tests call `triad_census`, the
-enumeration oracle for both.
+in A). Each trace is a wedge sum over the FeXtra wedge index of all links,
+tr(A^3) = 2 sum_k s_k sum_{wedges (u, w, v) of link k} s_uw s_wv, so it
+builds no n x n matrix; its terms are integers, so the sums are exact. Only
+the tests call `triad_census`, the enumeration oracle for both.
 Polarization correlates a node's signed and unsigned random-walk transition
 rows. Its one implementation, ``polarization_term``, averages the correlation
 over the nodes where both rows vary; the detector, the report and the attack
@@ -21,6 +22,7 @@ import numpy as np
 
 from . import tape as tp
 from .errors import MetricUndefinedError
+from .fextra import WedgeIndex, wedge_index
 from .graph import SignedGraph
 from .pole import transition_matrix
 
@@ -45,26 +47,38 @@ class BalanceReport:
         }
 
 
-def abs_triad_trace(A_abs) -> float:
-    """tr(|A|^3): six times the number of triangles of signed links."""
-    return float(((A_abs @ A_abs) * A_abs.T).sum())
+def triad_trace(signs, index: WedgeIndex):
+    """tr(A^3) of the adjacency whose link entries are ``signs``; polymorphic over tape Values.
+
+    ``index`` is the wedge index of all the graph's links in edge-list order,
+    so listed link k is link k: tr(A^3) = 2 sum_k s_k W_k, where W_k sums
+    s_uw s_wv over the wedges (u, w, v) closing link k.
+    """
+    a = tp.gather_rows(signs, index.edge)
+    wedges = tp.gather_rows(a, index.first) * tp.gather_rows(a, index.second)
+    return 2.0 * tp.sum_(signs * tp.segment_sum(wedges, index.link, len(index.us)))
 
 
-def balance_ratio_terms(A, tr_abs):
+def balance_ratio_terms(signs, index: WedgeIndex, tr_abs):
     """(tr(A^3) + tr(|A|^3)) / (2 tr(|A|^3)) with tr(|A|^3) supplied as a constant.
 
-    Polymorphic over tape Values for A; |A| never changes under sign flips,
-    so ``abs_triad_trace`` is computed once by the caller.
+    Polymorphic over tape Values for the sign vector; |A| never changes
+    under sign flips, so the caller computes tr(|A|^3) once, as
+    ``triad_trace`` of |signs|.
     """
-    tr_signed = tp.sum_((A @ A) * tp.transpose(A))
     if tr_abs <= 0:
         raise MetricUndefinedError("graph has no triads; balance ratio undefined")
-    return (tr_signed + tr_abs) * (1.0 / (2.0 * tr_abs))
+    return (triad_trace(signs, index) + tr_abs) * (1.0 / (2.0 * tr_abs))
+
+
+def triad_terms(g: SignedGraph):
+    """The wedge index of all g's links and tr(|A|^3), the constants of ``balance_ratio_terms``."""
+    index = wedge_index(g, g.edge_array())
+    return index, float(triad_trace(np.abs(g.signs()), index))
 
 
 def balance_ratio(g: SignedGraph) -> float:
-    A = g.adjacency()
-    return float(balance_ratio_terms(A, abs_triad_trace(np.abs(A))))
+    return float(balance_ratio_terms(g.signs(), *triad_terms(g)))
 
 
 def triad_census(g: SignedGraph):
@@ -120,8 +134,12 @@ def _defined_mean(corr, defined):
 
 
 def _walk_correlations(g: SignedGraph, t: float):
-    """``row_correlations`` of g's signed and unsigned row-normalized walks at Markov time t."""
-    A, d = g.adjacency(), g.degrees()
+    """``row_correlations`` of g's signed and unsigned row-normalized walks at Markov time t.
+
+    The walks are the one place a balance metric needs the dense A; it is
+    scattered from the sign vector, as the attack penalty scatters it.
+    """
+    A, d = tp.sym_scatter(g.signs(), *g.edge_array().T, g.n), g.degrees()
     return row_correlations(transition_matrix(A, d, t, "unsym"),
                             transition_matrix(np.abs(A), d, t, "unsym"))
 
@@ -140,10 +158,9 @@ def graph_polarization(g: SignedGraph, t: float) -> float:
 
 
 def balance_report(g: SignedGraph, t: float = 1.0) -> BalanceReport:
-    A = g.adjacency()
-    tr_abs = abs_triad_trace(np.abs(A))
+    index, tr_abs = triad_terms(g)
     total = round(tr_abs / 6)
-    T = float(balance_ratio_terms(A, tr_abs)) if total else None
+    T = float(balance_ratio_terms(g.signs(), index, tr_abs)) if total else None
     # T is exactly balanced / total, so rounding T * total recovers the count
     balanced = round(T * total) if total else 0
     corr, defined = _walk_correlations(g, t)

@@ -2,6 +2,9 @@
 
 Two feature views are implemented: the balance-metric pair (triad balance
 ratio and graph polarization) and the mean truncated-SVD node embedding.
+The adjacency is symmetric, so its top-d left singular vectors are its
+eigenvectors of largest |eigenvalue|: the TSVD view reads them off one
+symmetric eigendecomposition and runs no SVD.
 Each view feeds a one-class SVM with RBF kernel trained on clean graphs
 only; an ensemble combines per-view decision scores (min-max normalized
 over the evaluation set) by mean, min or max. ``detector_eval`` featurizes
@@ -19,7 +22,7 @@ from .balance import balance_ratio, graph_polarization
 from .errors import ConfigError, MetricUndefinedError, NumericError
 from .fextra import auc
 from .graph import GraphCorpus, SignedGraph
-from .linalg import truncated_svd
+from .linalg import sym_eig
 
 DEFAULT_NU = 0.1
 DEFAULT_GAMMA = 0.1
@@ -126,13 +129,15 @@ def metric_features(g: SignedGraph, t=1.0):
 
 
 def tsvd_features(g: SignedGraph, d=DEFAULT_EMBED_DIM):
-    """Mean of the top-d left singular vectors, zero-padded to d columns."""
-    d_eff = min(d, g.n)
-    U, _, _ = truncated_svd(g.adjacency(), d_eff)
-    feat = U.mean(axis=0)
-    if d_eff < d:
-        feat = np.concatenate([feat, np.zeros(d - d_eff)])
-    return feat
+    """Mean of the top-d left singular vectors, zero-padded to d columns.
+
+    The adjacency is symmetric, so these are its eigenvectors of largest
+    |eigenvalue|, ties in |eigenvalue| taken in ascending eigenvalue order,
+    with ``sym_eig``'s column signs (the rule ``truncated_svd`` applies).
+    """
+    lam, Q = sym_eig(g.adjacency())
+    top = np.argsort(-np.abs(lam), kind="stable")[:d]
+    return np.concatenate([Q[:, top].mean(axis=0), np.zeros(d - len(top))])
 
 
 @dataclass

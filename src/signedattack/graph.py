@@ -1,10 +1,15 @@
 """Signed-graph data model, file ingestion and structural editing.
 
-A :class:`SignedGraph` stores an undirected edge list over nodes 0..n-1.
-Edge signs are +1 or -1; a sign of 0 marks an edge whose existence is known
-but whose sign is hidden (produced only by :meth:`SignedGraph.mask`, which
-models the analyst's view where test-link signs are unknown). Graphs are
-treated as immutable: every editing operation returns a new instance.
+A :class:`SignedGraph` stores its links over nodes 0..n-1 as two arrays,
+built and validated once: one row of endpoints u < v and one sign per link.
+Signs are +1 or -1; a sign of 0 marks a link whose existence is known but
+whose sign is hidden (produced only by :meth:`SignedGraph.mask`, which
+models the analyst's view where test-link signs are unknown). The tuple
+list ``edges`` and the (u, v) -> position lookup are derived from the arrays
+on first use; the matrix views, degrees and every editing operation are
+array operations. Graphs are treated as immutable: every editing operation
+returns a new instance, and one derived from a validated graph's arrays is
+not validated again.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -23,42 +29,73 @@ DEGREE_FLOOR = 1e-9
 
 class SignedGraph:
     def __init__(self, n, edges, node_labels=None, meta=None):
-        self.n = int(n)
-        self.edges = [(int(u), int(v), int(s)) for u, v, s in edges]
-        self.node_labels = list(node_labels) if node_labels is not None else list(range(self.n))
-        self.meta = dict(meta or {})
+        links = np.array(list(edges), dtype=np.int64)
+        if links.size == 0:
+            links = links.reshape(0, 3)
+        if links.ndim != 2 or links.shape[1] != 3:
+            raise ParseError("links must be (u, v, sign) triples")
+        self._init(int(n), links[:, :2], links[:, 2],
+                   list(node_labels) if node_labels is not None else list(range(int(n))),
+                   dict(meta or {}))
         self._validate()
-        self._index = {(u, v): k for k, (u, v, s) in enumerate(self.edges)}
+
+    def _init(self, n, edge, signs, node_labels, meta):
+        self.n = n
+        self._edge = np.ascontiguousarray(edge)
+        self._signs = np.ascontiguousarray(signs)
+        self._edge.flags.writeable = self._signs.flags.writeable = False
+        self.node_labels = node_labels
+        self.meta = meta
+
+    def _derived(self, n, edge, signs, node_labels):
+        """A graph on arrays taken from this validated one, left unvalidated."""
+        g = object.__new__(SignedGraph)
+        g._init(n, edge, signs, node_labels, dict(self.meta))
+        return g
 
     def _validate(self):
-        seen = set()
-        for u, v, s in self.edges:
-            if u == v:
-                raise ParseError(f"self-loop on node {u}")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ParseError(f"edge ({u},{v}) outside node range 0..{self.n - 1}")
-            if u > v:
-                raise ParseError(f"edge ({u},{v}) not normalized as u<v")
-            if (u, v) in seen:
-                raise ParseError(f"duplicate edge ({u},{v})")
-            if s not in (-1, 0, 1):
-                raise ParseError(f"edge ({u},{v}) has sign {s}, expected +1/-1 (0 = hidden)")
-            seen.add((u, v))
+        """Raise ``ParseError`` for the first link at fault, checks in the order below."""
+        n, (u, v), s = self.n, self._edge.T, self._signs
+        keys = np.where((u >= 0) & (u < n) & (v >= 0) & (v < n), u * n + v, -1)
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        checks = (
+            (u == v, "self-loop on node {u}"),
+            (keys < 0, "edge ({u},{v}) outside node range 0..{top}"),
+            (u > v, "edge ({u},{v}) not normalized as u<v"),
+            (first[inverse] != np.arange(len(keys)), "duplicate edge ({u},{v})"),
+            (np.abs(s) > 1, "edge ({u},{v}) has sign {s}, expected +1/-1 (0 = hidden)"),
+        )
+        bad = np.any([mask for mask, _ in checks], axis=0)
+        if bad.any():
+            k = int(np.argmax(bad))
+            message = next(m for mask, m in checks if mask[k])
+            raise ParseError(message.format(u=int(u[k]), v=int(v[k]), s=int(s[k]), top=n - 1))
 
     # -- matrix views --------------------------------------------------------
     @property
     def num_edges(self):
-        return len(self.edges)
+        return len(self._signs)
+
+    @cached_property
+    def edges(self):
+        """The links as (u, v, sign) tuples, in edge-list order."""
+        us, vs = self._edge.T.tolist()
+        return list(zip(us, vs, self._signs.tolist()))
+
+    @cached_property
+    def _index(self):
+        return {(u, v): k for k, (u, v) in enumerate(self._edge.tolist())}
 
     def signs(self):
-        return np.array([s for _, _, s in self.edges], dtype=float)
+        return self._signs.astype(float)
 
     def edge_array(self):
-        return np.array([(u, v) for u, v, _ in self.edges], dtype=int).reshape(-1, 2)
+        """The links' endpoints, one read-only row (u, v) per link."""
+        return self._edge
 
     def adjacency(self):
         """Dense symmetric A with entries in {+1,-1,0}."""
-        return tp.sym_scatter(self.signs(), *self.edge_array().T, self.n)
+        return tp.sym_scatter(self.signs(), *self._edge.T, self.n)
 
     def abs_adjacency(self):
         """|A| of the signed entries only (A+ + A-); hidden-sign edges are 0."""
@@ -66,11 +103,14 @@ class SignedGraph:
 
     def support(self):
         """0/1 matrix of every known link, including hidden-sign edges."""
-        return tp.sym_scatter(np.ones(self.num_edges), *self.edge_array().T, self.n)
+        return tp.sym_scatter(np.ones(self.num_edges), *self._edge.T, self.n)
 
     def degrees(self):
         """Unsigned degrees from the signed entries, floored away from zero."""
-        return np.maximum(self.abs_adjacency().sum(axis=1), DEGREE_FLOOR)
+        # |sign| once for each end of each link, in the order of the raveled (u, v) rows
+        ends = np.repeat(np.abs(self._signs), 2)
+        deg = np.bincount(self._edge.ravel(), weights=ends, minlength=self.n)
+        return np.maximum(deg, DEGREE_FLOOR)
 
     def edge_index(self, u, v):
         key = (u, v) if u < v else (v, u)
@@ -84,28 +124,39 @@ class SignedGraph:
 
     # -- editing -------------------------------------------------------------
     def mask(self, edge_indices) -> "SignedGraph":
-        """Hide the signs of the given edges (analyst's view of test links)."""
-        hidden = set(int(i) for i in edge_indices)
-        edges = [(u, v, 0 if k in hidden else s) for k, (u, v, s) in enumerate(self.edges)]
-        return SignedGraph(self.n, edges, self.node_labels, self.meta)
+        """Hide the signs of the links at these positions (the analyst's view of test links)."""
+        signs = self._signs.copy()
+        signs[np.asarray(edge_indices, dtype=np.intp)] = 0
+        return self._derived(self.n, self._edge, signs, list(self.node_labels))
 
     def with_signs(self, signs) -> "SignedGraph":
-        edges = [(u, v, int(t)) for (u, v, _), t in zip(self.edges, signs)]
-        return SignedGraph(self.n, edges, self.node_labels, self.meta)
+        """The same links with new signs, one per link in edge-list order, validated."""
+        signs = np.asarray(signs).astype(np.int64)
+        if signs.shape != self._signs.shape:
+            raise ValueError(f"{signs.size} signs for {self.num_edges} links")
+        g = self._derived(self.n, self._edge, signs, list(self.node_labels))
+        g._validate()
+        return g
 
     def induced_subgraph(self, nodes) -> "SignedGraph":
-        nodes = sorted(set(int(x) for x in nodes))
-        remap = {old: new for new, old in enumerate(nodes)}
-        keep = set(nodes)
-        edges = sorted(
-            (remap[u], remap[v], s) for u, v, s in self.edges if u in keep and v in keep
-        )
-        labels = [self.node_labels[x] for x in nodes]
-        return SignedGraph(len(nodes), edges, labels, self.meta)
+        """The subgraph on ``nodes``, renumbered in node order, links sorted."""
+        nodes = np.unique(np.asarray(nodes, dtype=np.int64))
+        keep = np.zeros(self.n, dtype=bool)
+        keep[nodes] = True
+        renumber = np.cumsum(keep) - 1
+        inside = keep[self._edge].all(axis=1)
+        edge = renumber[self._edge[inside]]
+        order = np.lexsort((edge[:, 1], edge[:, 0]))
+        labels = [self.node_labels[x] for x in nodes.tolist()]
+        return self._derived(len(nodes), edge[order], self._signs[inside][order], labels)
 
     # -- serialization -------------------------------------------------------
+    def _sorted_rows(self):
+        order = np.lexsort((self._edge[:, 1], self._edge[:, 0]))
+        return np.column_stack([self._edge, self._signs])[order].tolist()
+
     def to_json_dict(self):
-        return {"n": self.n, "edges": [[u, v, s] for u, v, s in sorted(self.edges)]}
+        return {"n": self.n, "edges": self._sorted_rows()}
 
     @classmethod
     def from_json_dict(cls, d):
@@ -117,9 +168,7 @@ class SignedGraph:
 
     def write_plain(self, path):
         with open(path, "w") as f:
-            w = csv.writer(f)
-            for u, v, s in sorted(self.edges):
-                w.writerow([u, v, s])
+            csv.writer(f).writerows(self._sorted_rows())
 
     def __repr__(self):
         return f"SignedGraph(n={self.n}, edges={self.num_edges})"
@@ -212,28 +261,23 @@ def load_edge_list(path, fmt="plain") -> SignedGraph:
     return SignedGraph(len(node_ids), edges, node_ids, meta)
 
 
-def connected_components(g: SignedGraph):
-    """Node sets of connected components over the link support."""
-    neighbors = [[] for _ in range(g.n)]
-    for u, v, _ in g.edges:
-        neighbors[u].append(v)
-        neighbors[v].append(u)
-    seen = np.zeros(g.n, dtype=bool)
-    components = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        stack, comp = [start], []
-        seen[start] = True
-        while stack:
-            x = stack.pop()
-            comp.append(x)
-            for y in neighbors[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    stack.append(y)
-        components.append(sorted(comp))
-    return components
+def _component_roots(g: SignedGraph):
+    """Each node's connected component over the link support, named by its smallest node.
+
+    Every round hooks the larger root of each link's two ends onto the
+    smaller one, then points every node at its root; rounds stop when the
+    ends of every link share a root.
+    """
+    root = np.arange(g.n)
+    u, v = g.edge_array().T
+    while True:
+        ru, rv = root[u], root[v]
+        if (ru == rv).all():
+            return root
+        np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
+        up = root[root]
+        while not np.array_equal(up, root):
+            root, up = up, up[up]
 
 
 def largest_connected_component(g: SignedGraph) -> SignedGraph:
@@ -244,9 +288,8 @@ def largest_connected_component(g: SignedGraph) -> SignedGraph:
     """
     if g.n == 0:
         raise InvalidSplitError("empty graph has no components")
-    comps = connected_components(g)
-    best = max(comps, key=lambda c: (len(c), -min(c)))
-    return g.induced_subgraph(best)
+    root = _component_roots(g)
+    return g.induced_subgraph(np.flatnonzero(root == np.argmax(np.bincount(root))))
 
 
 def split_edges(g: SignedGraph, test_fraction: float, seed: int) -> EdgeSplit:

@@ -5,7 +5,10 @@ primitive whose backward pass applies the divided-difference rule on the
 eigenbasis. ``matrix_exp`` (scaling and squaring with a truncated Taylor
 series, a composite of tape primitives that differentiates by construction)
 works on any square matrix and is kept as the reference the tests compare
-the eigenbasis path against.
+the eigenbasis path against. No program path calls ``truncated_svd``:
+the detector's TSVD view reads the top-|eigenvalue| eigenvectors of
+``sym_eig``. It stays as the tests' oracle for that view and because
+``perfbench/layers.py`` wraps both ``matrix_exp`` and ``truncated_svd`` by name.
 """
 
 from __future__ import annotations

@@ -4,7 +4,9 @@
 polarization was once computed by: one Pearson correlation of a node's
 unsigned and signed walk rows at a time, None where a row is constant.
 ``dense_greedy_triads`` is the triad baseline scored off the dense product
-s_uv (A @ A)[u, v] at every flip, the oracle for the wedge sums.
+s_uv (A @ A)[u, v] at every flip, and ``dense_triad_trace`` and
+``dense_balance_ratio`` the balance ratio from the traces of dense cubes: the
+oracles for the wedge sums.
 """
 
 import numpy as np
@@ -39,6 +41,18 @@ def oracle_graph_polarization(g, t, mode="unsym"):
     """Mean over the defined nodes; None if no node is defined."""
     vals = [p for p in oracle_polarization_nodes(g, t, mode) if p is not None]
     return float(np.mean(vals)) if vals else None
+
+
+def dense_triad_trace(M):
+    """tr(M^3) = sum((M @ M) * M^T), one dense product; polymorphic over tape Values."""
+    return tp.sum_((M @ M) * tp.transpose(M))
+
+
+def dense_balance_ratio(g):
+    """(tr(A^3) + tr(|A|^3)) / (2 tr(|A|^3)), or None where g has no triad."""
+    A = g.adjacency()
+    tr_abs = float(dense_triad_trace(np.abs(A)))
+    return float((dense_triad_trace(A) + tr_abs) * (1.0 / (2.0 * tr_abs))) if tr_abs else None
 
 
 def dense_greedy_triads(g0, split, budget, checkpoints=()):

@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 
 from signedattack import tape as tp
-from signedattack.balance import (abs_triad_trace, balance_ratio, balance_ratio_terms,
-                                  balance_report, graph_polarization, polarization_nodes,
-                                  polarization_term, row_correlations, triad_census)
+from signedattack.balance import (balance_ratio, balance_ratio_terms, balance_report,
+                                  graph_polarization, polarization_nodes, polarization_term,
+                                  row_correlations, triad_census, triad_trace)
 from signedattack.errors import MetricUndefinedError
+from signedattack.fextra import wedge_index
 from signedattack.graph import SignedGraph
 from signedattack.pole import transition_matrix
-from signedattack.tape import Tape
-from balanceoracles import oracle_graph_polarization, oracle_polarization_nodes, walk_pair
+from signedattack.tape import Tape, grad_check
+from balanceoracles import (dense_balance_ratio, dense_triad_trace, oracle_graph_polarization,
+                            oracle_polarization_nodes, walk_pair)
 from synthgraphs import (all_positive_triangle, complete_graph, flipped, planted_polarized,
                          random_signed_graph, two_community, two_triangles_bridge)
 
@@ -75,6 +77,39 @@ def test_trace_formula_matches_census_oracle(seed):
         A_abs = np.abs(g.adjacency())
         assert np.trace(A_abs @ A_abs @ A_abs) == 6 * total
         assert balance_ratio(g) == pytest.approx(balanced / total, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_wedge_traces_equal_the_dense_traces(seed):
+    full = (random_signed_graph(8 + 3 * seed, density=0.3, seed=seed) if seed % 2
+            else two_community(20 + 4 * seed, 6, 0.2, seed=seed))
+    hidden = np.random.default_rng(seed).permutation(full.num_edges)[:full.num_edges // 4]
+    for g in (full, full.mask(hidden)):
+        signs, A = g.signs(), g.adjacency()
+        index = wedge_index(g, g.edge_array())
+        assert triad_trace(signs, index) == dense_triad_trace(A)
+        assert triad_trace(np.abs(signs), index) == dense_triad_trace(np.abs(A))
+        want = dense_balance_ratio(g)
+        if want is None:
+            with pytest.raises(MetricUndefinedError):
+                balance_ratio(g)
+        else:
+            assert balance_ratio(g) == want == balance_report(g).T
+
+
+def test_balance_metrics_never_build_the_dense_adjacency(monkeypatch):
+    # the triad traces are wedge sums and degrees a bincount; the walks of
+    # the report scatter their one dense matrix from the sign vector
+    g = two_community(40, 6, 0.1, seed=1).mask([0, 3, 5])
+    want = balance_ratio(g), balance_report(g).to_json_dict(), g.degrees()
+
+    def refuse(self):
+        raise AssertionError("SignedGraph.adjacency called")
+
+    monkeypatch.setattr(SignedGraph, "adjacency", refuse)
+    assert balance_ratio(g) == want[0]
+    assert balance_report(g).to_json_dict() == want[1]
+    assert np.array_equal(g.degrees(), want[2])
 
 
 def test_balance_invariant_under_relabeling():
@@ -172,17 +207,16 @@ def test_report_serializes(tmp_path):
 
 
 def test_balance_terms_differentiable():
-    g = two_community(12, 5, 0.2, seed=2)
-    A0 = g.adjacency()
-    A_abs = np.abs(A0)
+    # with respect to the sign vector, hidden signs included
+    g = two_community(12, 5, 0.2, seed=2).mask([1, 4])
+    signs = g.signs()
+    index = wedge_index(g, g.edge_array())
+    tr_abs = float(triad_trace(np.abs(signs), index))
 
-    def f(v):
-        return balance_ratio_terms(v, abs_triad_trace(A_abs))
+    def f(s):
+        return balance_ratio_terms(s, index, tr_abs)
 
-    from signedattack.tape import grad_check
-
-    edge_entries = [(u, v) for u, v, _ in g.edges] + [(v, u) for u, v, _ in g.edges]
-    assert grad_check(f, A0, h=1e-5, entries=edge_entries) < 1e-5
+    assert grad_check(f, signs, h=1e-5) < 1e-5
 
 
 def test_polarization_term_matches_reporting_value():
@@ -202,8 +236,6 @@ def test_polarization_term_gradient():
     def f(v):
         M = transition_matrix(v, d, 1.0, "sym")
         return polarization_term(M, M_abs)
-
-    from signedattack.tape import grad_check
 
     edge_entries = [(u, v) for u, v, _ in g.edges]
     assert grad_check(f, A0, h=1e-5, entries=edge_entries) < 1e-3

@@ -7,7 +7,16 @@ from signedattack.detectors import (DetectorView, OCSVMModel, detector_eval,
 from signedattack.errors import ConfigError, MetricUndefinedError
 from signedattack.fextra import auc
 from signedattack.graph import GraphCorpus, SignedGraph
-from synthgraphs import all_positive_triangle, geometric_polarized, random_signed_graph
+from signedattack.linalg import truncated_svd
+from synthgraphs import (all_positive_triangle, geometric_polarized, random_signed_graph,
+                         two_community)
+
+
+def svd_tsvd_features(g, d):
+    """The TSVD feature from a dense SVD of the adjacency: the oracle of the eigenvector form."""
+    d_eff = min(d, g.n)
+    U, _, _ = truncated_svd(g.adjacency(), d_eff)
+    return np.concatenate([U.mean(axis=0), np.zeros(d - d_eff)])
 
 
 def test_metric_features_triangle():
@@ -49,6 +58,29 @@ def test_tsvd_features_permutation_invariance():
             h = SignedGraph(g.n, edges)
             worst = max(worst, np.abs(tsvd_features(h, d=6) - f0).max())
     assert worst <= 1e-8
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_tsvd_features_match_the_svd_oracle(seed):
+    d = 8
+    g = (geometric_polarized(30, k=6, noise=0.1, seed=seed) if seed % 2
+         else two_community(40, 6, 0.1, seed=seed))
+    for h in (g, g.mask(np.arange(0, g.num_edges, 5))):
+        top = np.sort(np.abs(np.linalg.eigvalsh(h.adjacency())))[::-1][:d + 1]
+        # the top-d vectors are defined (up to sign) where the top d + 1 |eigenvalues| differ
+        assert -np.diff(top).min() > 1e-3
+        assert np.abs(tsvd_features(h, d) - svd_tsvd_features(h, d)).max() <= 1e-10
+
+
+def test_featurizing_runs_no_svd(monkeypatch):
+    g = geometric_polarized(30, k=6, noise=0.1, seed=1)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    for view in (DetectorView("metric"), DetectorView("tsvd", d=8)):
+        assert np.isfinite(view.featurize(g)).all()
 
 
 def test_tsvd_features_distinguish_structures():

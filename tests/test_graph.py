@@ -228,3 +228,84 @@ def test_flip_preserves_degrees_property(seed):
     h = flipped(g, u, v)
     assert np.array_equal(np.abs(h.adjacency()), np.abs(g.adjacency()))
     assert flipped(h, u, v).edges == g.edges
+
+
+@pytest.mark.parametrize("n, edges, message", [
+    (3, [(0, 1, 1), (2, 2, 1)], "self-loop on node 2"),
+    (3, [(0, 1, 1), (1, 3, -1)], "edge (1,3) outside node range 0..2"),
+    (3, [(0, -1, 1)], "edge (0,-1) outside node range 0..2"),
+    (3, [(0, 1, 1), (2, 1, 1)], "edge (2,1) not normalized as u<v"),
+    (3, [(0, 1, 1), (0, 2, 1), (0, 1, -1)], "duplicate edge (0,1)"),
+    (3, [(0, 1, 2)], "edge (0,1) has sign 2, expected +1/-1 (0 = hidden)"),
+    # two faults on one link: the checks run in the order above
+    (3, [(3, 3, 1)], "self-loop on node 3"),
+    (3, [(2, 1, 5)], "edge (2,1) not normalized as u<v"),
+    (4, [(0, 1, 1), (0, 1, 9)], "duplicate edge (0,1)"),
+    # faults on two links: the earlier link is reported
+    (3, [(0, 1, 5), (2, 2, 1)], "edge (0,1) has sign 5, expected +1/-1 (0 = hidden)"),
+    (3, [(1, 1, 1), (0, 1, 7)], "self-loop on node 1"),
+    (5, [(0, 1, 1), (3, 2, 1), (0, 1, 1), (0, 9, 1)], "edge (3,2) not normalized as u<v"),
+])
+def test_constructor_reports_the_first_fault(n, edges, message):
+    with pytest.raises(ParseError) as exc:
+        SignedGraph(n, edges)
+    assert str(exc.value) == message
+
+
+def _reference_subgraph(g, nodes):
+    """The induced subgraph rebuilt from g's link tuples."""
+    nodes = sorted(set(nodes))
+    remap = {old: new for new, old in enumerate(nodes)}
+    edges = sorted((remap[u], remap[v], s) for u, v, s in g.edges
+                   if u in remap and v in remap)
+    return SignedGraph(len(nodes), edges, [g.node_labels[x] for x in nodes])
+
+
+def _reference_lcc(g):
+    """Largest component by search over g's link tuples; ties to the smallest node."""
+    neighbors = {x: set() for x in range(g.n)}
+    for u, v, _ in g.edges:
+        neighbors[u].add(v)
+        neighbors[v].add(u)
+    seen, best = set(), []
+    for start in range(g.n):
+        if start in seen:
+            continue
+        comp, stack = {start}, [start]
+        while stack:
+            for y in neighbors[stack.pop()] - comp:
+                comp.add(y)
+                stack.append(y)
+        seen |= comp
+        if len(comp) > len(best):
+            best = sorted(comp)
+    return _reference_subgraph(g, best)
+
+
+def _same_graph(h, want):
+    assert h.n == want.n
+    assert h.edges == want.edges
+    assert np.array_equal(h.signs(), want.signs())
+    assert h.node_labels == want.node_labels
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_derived_graphs_match_the_tuple_built_graph(seed):
+    rng = np.random.default_rng(seed)
+    base = random_signed_graph(24, density=0.12, seed=seed)
+    # links out of sorted order and relabelled nodes
+    shuffled = [base.edges[k] for k in rng.permutation(base.num_edges)]
+    g = SignedGraph(base.n, shuffled, [100 + x for x in range(base.n)])
+    hidden = rng.choice(g.num_edges, size=g.num_edges // 3, replace=False)
+    signs = rng.choice([-1, 0, 1], size=g.num_edges)
+    nodes = rng.choice(g.n, size=15, replace=False)
+
+    _same_graph(g.mask(hidden), SignedGraph(
+        g.n, [(u, v, 0 if k in set(hidden.tolist()) else s) for k, (u, v, s) in enumerate(g.edges)],
+        g.node_labels))
+    _same_graph(g.with_signs(signs), SignedGraph(
+        g.n, [(u, v, int(t)) for (u, v, _), t in zip(g.edges, signs)], g.node_labels))
+    sub = g.induced_subgraph(nodes)
+    _same_graph(sub, _reference_subgraph(g, nodes.tolist()))
+    _same_graph(largest_connected_component(g), _reference_lcc(g))
+    _same_graph(largest_connected_component(sub), _reference_lcc(sub))
