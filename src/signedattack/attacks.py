@@ -34,7 +34,7 @@ import numpy as np
 
 from . import tape as tp
 from .balance import balance_ratio_terms, polarization_term, triad_terms
-from .errors import ConfigError, MetricUndefinedError
+from .errors import ConfigError, MetricUndefinedError, NumericError
 from .fextra import (WedgeIndex, extract_features, link_features, lr_predict, lr_train,
                      ols_fit, wedge_index)
 from .graph import EdgeSplit, SignedGraph
@@ -234,10 +234,16 @@ def _check_budget(budget: int, split: EdgeSplit):
 
 
 def _pick_flip(scores, us, vs, pooled):
-    """Index of the max score, ties toward the smallest (u, v) pair."""
-    s = np.where(pooled, -np.inf, scores)
-    order = np.lexsort((vs, us, -s))
-    return int(order[0])
+    """Index of the max score among unpooled links, ties toward the smallest (u, v) pair.
+
+    NaN ranks below every number; when no unpooled score is a number the
+    step raises ``NumericError`` rather than flip a pooled link back.
+    """
+    live = ~pooled & ~np.isnan(scores)
+    if not live.any():
+        raise NumericError("no unpooled link has a numeric flip score")
+    tied = np.flatnonzero(live & (scores == scores[live].max()))
+    return int(tied[np.lexsort((vs[tied], us[tied]))[0]])
 
 
 def _greedy_flips(g0: SignedGraph, split: EdgeSplit, budget: int, checkpoints,

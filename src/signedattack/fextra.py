@@ -127,24 +127,44 @@ def link_features(signs, index: WedgeIndex):
     triad count sums, over the link's wedges, the product of its two legs.
     Sign flips never change the support, so callers build the index once per
     link set and each evaluation costs O(links + wedges).
+
+    On the tape the map is one recorded primitive. Its adjoint takes the
+    cotangent of the nine columns back to ``signs`` with ``bincount`` over
+    the index, adding the terms in the order a composite of gathers, relu and
+    segment sums would visit them in reverse: the triad pairs mm, mp, pm, pp,
+    the degree columns at v before u, the scatters of the second legs, the
+    first legs and the degree rows, then A- into A+, and A- and A+ into the
+    signs. The gradient is therefore the same bit for bit as the composite's
+    (``tests/densefeatures.py`` keeps that composite as the oracle).
     """
-    a = tp.gather_rows(signs, index.edge)
-    a_plus = tp.relu(a)
+    s = tp._data(signs)
+    first, second, link, m = index.first, index.second, index.link, len(index.us)
+    us, vs, rows, n = index.us, index.vs, index.rows, index.n
+    a = s[index.edge]
+    a_plus = np.maximum(a, 0.0)
     a_minus = a_plus - a
-    dpos = tp.segment_sum(a_plus, index.rows, index.n)
-    dneg = tp.segment_sum(a_minus, index.rows, index.n)
-    us, vs = index.us, index.vs
-    first = [tp.gather_rows(x, index.first) for x in (a_plus, a_minus)]
-    second = [tp.gather_rows(x, index.second) for x in (a_plus, a_minus)]
-    cols = [
-        tp.gather_rows(dpos, us),
-        tp.gather_rows(dneg, us),
-        tp.gather_rows(dpos, vs),
-        tp.gather_rows(dneg, vs),
-        index.common,
-        *(tp.segment_sum(p * q, index.link, len(us)) for p in first for q in second),
-    ]
-    return tp.colstack(cols)
+    dpos = np.bincount(rows, weights=a_plus, minlength=n)
+    dneg = np.bincount(rows, weights=a_minus, minlength=n)
+    fp, fm, sp, sm = a_plus[first], a_minus[first], a_plus[second], a_minus[second]
+    tri = [np.bincount(link, weights=p * q, minlength=m)
+           for p, q in ((fp, sp), (fp, sm), (fm, sp), (fm, sm))]
+    out = np.stack([dpos[us], dneg[us], dpos[vs], dneg[vs], index.common, *tri], axis=1)
+
+    def vjp(G, out, s):
+        gpp, gpm, gmp, gmm = (G[link, j] for j in (5, 6, 7, 8))
+        fm_bar = gmm * sm + gmp * sp
+        sm_bar = gmm * fm + gpm * fp
+        sp_bar = gmp * fm + gpp * fp
+        fp_bar = gpm * sm + gpp * sp
+        dneg_bar = np.bincount(vs, G[:, 3], n) + np.bincount(us, G[:, 1], n)
+        dpos_bar = np.bincount(vs, G[:, 2], n) + np.bincount(us, G[:, 0], n)
+        e = len(a)
+        am_bar = np.bincount(second, sm_bar, e) + np.bincount(first, fm_bar, e) + dneg_bar[rows]
+        ap_bar = (np.bincount(second, sp_bar, e) + np.bincount(first, fp_bar, e)
+                  + dpos_bar[rows] + am_bar)
+        return np.bincount(index.edge, ap_bar * (a > 0.0) - am_bar, len(s))
+
+    return tp._apply(lambda s: out, (vjp,), signs)
 
 
 def extract_features(g: SignedGraph, links) -> np.ndarray:

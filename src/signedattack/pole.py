@@ -64,17 +64,26 @@ def degree_weight_matrix(degrees):
     return np.diag(d) / total - np.outer(d, d) / total ** 2
 
 
-def signed_transition(g: SignedGraph, params: WalkParams, signed=True):
-    A = g.adjacency() if signed else g.abs_adjacency()
-    if (g.abs_adjacency().sum(axis=1) == 0).any():
+def signed_transition(g: SignedGraph, params: WalkParams, signed=True, A=None):
+    """The walk transition over g's signed adjacency A, or over |A| when not ``signed``.
+
+    ``A`` is g's dense signed adjacency, scattered here when the caller has
+    not built it. A node whose links are all hidden has degree 0 before the
+    floor (degrees count signed links, so the floor marks exactly those
+    nodes); it draws a ``RuntimeWarning``.
+    """
+    if A is None:
+        A = g.adjacency()
+    degrees = g.degrees()
+    if (degrees == DEGREE_FLOOR).any():
         warnings.warn("graph has an isolated (all-hidden) node; degree floored",
                       RuntimeWarning, stacklevel=2)
-    return transition_matrix(A, g.degrees(), params.t, params.mode)
+    return transition_matrix(A if signed else np.abs(A), degrees, params.t, params.mode)
 
 
-def autocovariance(g: SignedGraph, params: WalkParams, signed=True):
-    """R = M(t)^T W M(t) over the signed or unsigned walk."""
-    M = signed_transition(g, params, signed)
+def autocovariance(g: SignedGraph, params: WalkParams, signed=True, A=None):
+    """R = M(t)^T W M(t) over the signed or unsigned walk; ``A`` as in ``signed_transition``."""
+    M = signed_transition(g, params, signed, A)
     W = degree_weight_matrix(g.degrees())
     return M.T @ W @ M
 
@@ -142,7 +151,8 @@ def pole_predict(g: SignedGraph, split: EdgeSplit, params: WalkParams):
     the same converged fit as the FeXtra victim's, on two features.
     """
     us, vs = g.edge_array().T
-    feats = np.column_stack([autocovariance(g, params, signed)[us, vs]
+    A = g.adjacency()
+    feats = np.column_stack([autocovariance(g, params, signed, A)[us, vs]
                              for signed in (True, False)])
     signs = g.signs()
     y_train = (signs[split.train] > 0).astype(float)

@@ -12,10 +12,15 @@ forward over the inputs' arrays plus one adjoint per input, reduced to that
 input's shape. Given only plain ndarrays it returns the plain result, so the
 primitives are polymorphic; ``mean_`` is a composite of two of them.
 ``sym_scatter`` builds a dense symmetric matrix from one value per link, which
-is how the attacks and ``SignedGraph.adjacency`` turn a sign vector into A. Two
-primitives record themselves through ``_record`` because their adjoints
-share work: ``fextra.logistic_theta`` (the Hessian at the optimum) and
-``linalg.sym_matrix_exp`` (the eigenbasis).
+is how the attacks and ``SignedGraph.adjacency`` turn a sign vector into A.
+The adjoints of ``gather`` and ``gather_rows`` add repeated positions up with
+``np.bincount`` over row-major flat indices, which sums in index order as
+``np.add.at`` does but without its per-element overhead. ``fextra.link_features``
+is an ``_apply`` primitive outside this module: the whole feature map is one
+node, and its adjoint scatters through several indices of the wedge index at
+once. Two primitives record themselves through ``_record`` because their
+adjoints share work: ``fextra.logistic_theta`` (the Hessian at the optimum)
+and ``linalg.sym_matrix_exp`` (the eigenbasis).
 
 ``backward`` leaves the records in place. A caller that is done with the
 gradients calls ``Tape.release``, as the greedy attack step does after each
@@ -278,25 +283,39 @@ def mean_(a, axis=None, keepdims=False):
     return mul(sum_(a, axis=axis, keepdims=keepdims), 1.0 / denom)
 
 
-def _scatter(index):
-    """The adjoint of indexing with ``index``: repeated indices add up."""
-    def vjp(g, out, a):
-        acc = np.zeros_like(a)
-        np.add.at(acc, index, g)
-        return acc
+def _nonnegative(index):
+    """``index`` as an int array; a negative entry is rejected, not wrapped."""
+    index = np.asarray(index, dtype=int)
+    if index.size and index.min() < 0:
+        raise IndexError(f"negative gather index {index.min()}")
+    return index
 
-    return vjp
+
+def _scatter(g, flat, shape):
+    """Adjoints ``g`` added up at the row-major positions ``flat`` of an array of ``shape``.
+
+    ``bincount`` adds in index order from +0.0, as ``np.add.at`` does, so a
+    repeated position gets the same sum bit for bit.
+    """
+    return np.bincount(flat, weights=g.ravel(), minlength=int(np.prod(shape))).reshape(shape)
 
 
 def gather(a, rows, cols):
-    """Pick entries a[rows[k], cols[k]] into a vector."""
-    index = (np.asarray(rows, dtype=int), np.asarray(cols, dtype=int))
-    return _apply(lambda a: a[index], (_scatter(index),), a)
+    """Pick entries a[rows[k], cols[k]] of a matrix into a vector."""
+    rows, cols = _nonnegative(rows), _nonnegative(cols)
+    return _apply(lambda a: a[rows, cols],
+                  (lambda g, o, a: _scatter(g, rows * a.shape[1] + cols, a.shape),), a)
 
 
 def gather_rows(a, rows):
-    rows = np.asarray(rows, dtype=int)
-    return _apply(lambda a: a[rows], (_scatter(rows),), a)
+    """Pick rows a[rows[k]] (entries, for a vector) in order."""
+    rows = _nonnegative(rows)
+
+    def vjp(g, out, a):
+        width = int(np.prod(a.shape[1:]))  # 1 for a vector
+        return _scatter(g, (rows[:, None] * width + np.arange(width)).ravel(), a.shape)
+
+    return _apply(lambda a: a[rows], (vjp,), a)
 
 
 def sym_scatter(a, us, vs, n):

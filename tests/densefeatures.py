@@ -1,10 +1,15 @@
-"""The dense FeXtra feature map: the oracle for the wedge-index map.
+"""Oracles for the FeXtra feature map: the dense map and the tape composite.
 
-Every feature is read off n x n matrices: signed degrees are row sums of
-A+ and A-, and the common-neighbour and triad counts are entries of the
-products S @ S and A± @ A±. ``DenseFextraLoss`` is the attack loss written
-over them; it builds A from the sign vector with ``tape.sym_scatter``, so its
-tape gradient with respect to that vector is the reference for the sparse one.
+``composite_link_features`` is the wedge-index map written as 23 recorded
+tape primitives, whose backward is the reference, bit for bit, for the
+hand-written adjoint of the one-node ``fextra.link_features``.
+
+In the dense map every feature is read off n x n matrices: signed degrees
+are row sums of A+ and A-, and the common-neighbour and triad counts are
+entries of the products S @ S and A± @ A±. ``DenseFextraLoss`` is the
+attack loss written over them; it builds A from the sign vector with
+``tape.sym_scatter``, so its tape gradient with respect to that vector is the
+reference for the sparse one.
 """
 
 import numpy as np
@@ -12,6 +17,27 @@ import numpy as np
 from signedattack import tape as tp
 from signedattack.attacks import _log_likelihood
 from signedattack.fextra import lr_predict
+
+
+def composite_link_features(signs, index):
+    """``fextra.link_features`` as a composite of tape primitives (23 nodes)."""
+    a = tp.gather_rows(signs, index.edge)
+    a_plus = tp.relu(a)
+    a_minus = a_plus - a
+    dpos = tp.segment_sum(a_plus, index.rows, index.n)
+    dneg = tp.segment_sum(a_minus, index.rows, index.n)
+    us, vs = index.us, index.vs
+    first = [tp.gather_rows(x, index.first) for x in (a_plus, a_minus)]
+    second = [tp.gather_rows(x, index.second) for x in (a_plus, a_minus)]
+    cols = [
+        tp.gather_rows(dpos, us),
+        tp.gather_rows(dneg, us),
+        tp.gather_rows(dpos, vs),
+        tp.gather_rows(dneg, vs),
+        index.common,
+        *(tp.segment_sum(p * q, index.link, len(us)) for p in first for q in second),
+    ]
+    return tp.colstack(cols)
 
 
 def bilinear_gather(p, q, us, vs):

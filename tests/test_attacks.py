@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from signedattack import tape as tp
-from signedattack.attacks import (AttackConfig, Penalty, _log_likelihood, baseline_greedy_triads,
-                                  baseline_rand, flip_attack, flips_for_power, make_attack_loss,
-                                  penalized_loss, self_train_labels)
+from signedattack.attacks import (AttackConfig, Penalty, _log_likelihood, _pick_flip,
+                                  baseline_greedy_triads, baseline_rand, flip_attack,
+                                  flips_for_power, make_attack_loss, penalized_loss,
+                                  self_train_labels)
 from signedattack.balance import balance_ratio, graph_polarization, triad_census
-from signedattack.errors import ConfigError
+from signedattack.errors import ConfigError, NumericError
 from signedattack.experiments import ExperimentConfig, run_attack_trial
 from signedattack.fextra import auc, link_features, lr_predict, lr_train, ols_fit
 from signedattack.graph import EdgeSplit, SignedGraph, split_edges
@@ -438,6 +439,76 @@ def test_fextra_flip_scores_match_the_dense_feature_map(target, fit, lam, eta):
     for signs in (masked.signs(), signs1):
         got, want = link_grads(sparse, signs), link_grads(dense, signs)
         assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
+class _NoAddAt:
+    """``np.add`` with its ``at`` method turned into a failure."""
+
+    def __init__(self, ufunc):
+        self._ufunc = ufunc
+
+    def __call__(self, *args, **kwargs):
+        return self._ufunc(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._ufunc, name)
+
+    def at(self, *args, **kwargs):
+        raise AssertionError("np.add.at called")
+
+
+def test_fextra_ols_step_records_at_most_28_nodes_and_no_add_at(monkeypatch):
+    # the feature map is one node (it was a composite of 23), and gather
+    # adjoints scatter with bincount; the step recorded 50 nodes before
+    sizes = []
+
+    class RecordingTape(tp.Tape):
+        def backward(self, loss):
+            sizes.append(len(self))
+            super().backward(loss)
+
+    monkeypatch.setattr(tp, "Tape", RecordingTape)
+    monkeypatch.setattr(np, "add", _NoAddAt(np.add))
+    g = two_community(300, avg_deg=24, seed=0)
+    split = split_edges(g, 0.1, seed=0)
+    trace = flip_attack(g, split, "fextra-ols", AttackConfig(budget=2))
+    assert len(trace.flips) == 2
+    assert len(sizes) == 2 and max(sizes) <= 28
+
+
+def lexsort_pick_flip(scores, us, vs, pooled):
+    """The former pick: one three-key lexsort, pooled links scored -inf."""
+    s = np.where(pooled, -np.inf, scores)
+    return int(np.lexsort((vs, us, -s))[0])
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_pick_flip_equals_the_lexsort_pick(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(50):
+        m = int(rng.integers(1, 40))
+        scores = rng.integers(-3, 4, m).astype(float)  # many ties
+        us, vs = rng.integers(0, 10, m), rng.integers(0, 10, m)
+        pooled = rng.random(m) < rng.random()
+        pooled[rng.integers(m)] = False
+        assert _pick_flip(scores, us, vs, pooled) == lexsort_pick_flip(scores, us, vs, pooled)
+
+
+def test_pick_flip_ranks_nan_below_every_number():
+    us, vs = np.array([0, 0, 1, 2]), np.array([1, 2, 2, 3])
+    scores = np.array([np.nan, -5.0, np.nan, -7.0])
+    assert _pick_flip(scores, us, vs, np.zeros(4, dtype=bool)) == 1
+    assert _pick_flip(scores, us, vs, np.array([False, True, False, False])) == 3
+
+
+def test_pick_flip_never_returns_a_pooled_link():
+    # the lexsort pick ranked the pooled -inf above NaN and flipped link 0 back
+    us, vs = np.array([0, 0, 1, 2]), np.array([1, 2, 2, 3])
+    scores = np.array([5.0, np.nan, np.nan, np.nan])
+    pooled = np.array([True, False, False, False])
+    assert lexsort_pick_flip(scores, us, vs, pooled) == 0
+    with pytest.raises(NumericError):
+        _pick_flip(scores, us, vs, pooled)
 
 
 def test_fextra_ols_step_records_no_n_by_n_array(monkeypatch):

@@ -4,10 +4,10 @@ import pytest
 from signedattack import tape as tp
 from signedattack.errors import MetricUndefinedError, MissingEdgeError, NumericError
 from signedattack.experiments import victim_test_auc
-from signedattack.fextra import (LR_RIDGE, auc, extract_features, lr_predict, lr_train,
-                                 ols_fit, ols_theta)
+from signedattack.fextra import (LR_RIDGE, auc, extract_features, link_features, lr_predict,
+                                 lr_train, ols_fit, ols_theta, wedge_index)
 from signedattack.graph import SignedGraph, split_edges
-from densefeatures import dense_extract_features
+from densefeatures import composite_link_features, dense_extract_features
 from synthgraphs import (all_positive_triangle, flipped, geometric_polarized,
                          random_signed_graph, two_community)
 
@@ -106,6 +106,52 @@ def test_features_equal_the_dense_map(graph):
     for g in (graph, graph.mask(split.test)):
         for pairs in (links, links[:, ::-1], subset, np.vstack([subset[:, ::-1], subset])):
             assert np.array_equal(extract_features(g, pairs), dense_extract_features(g, pairs))
+
+
+def _map_and_grad(feature_map, signs, index, w):
+    t = tp.Tape()
+    s = t.leaf(signs, requires_grad=True)
+    X = feature_map(s, index)
+    t.backward(tp.sum_(X * w))
+    return X.data, s.grad
+
+
+@pytest.mark.parametrize("graph", [geometric_polarized(40, k=8, noise=0.1, seed=1),
+                                   two_community(60, 8, 0.1, seed=2)],
+                         ids=["geometric_polarized", "two_community"])
+def test_fused_feature_map_equals_the_tape_composite(graph):
+    # the one-node map and its hand-written adjoint repeat the composite of
+    # gathers, relu and segment sums bit for bit, on a poisoned state too
+    split = split_edges(graph, 0.2, seed=0)
+    rng = np.random.default_rng(3)
+    for g in (graph, graph.mask(split.test)):
+        index = wedge_index(g, g.edge_array())
+        poisoned = g.signs()
+        poisoned[rng.choice(g.num_edges, 10, replace=False)] *= -1
+        for signs in (g.signs(), poisoned):
+            w = rng.standard_normal((g.num_edges, 9))
+            X, grad = _map_and_grad(link_features, signs, index, w)
+            X_ref, grad_ref = _map_and_grad(composite_link_features, signs, index, w)
+            assert np.array_equal(X, X_ref)
+            assert np.array_equal(grad, grad_ref)
+
+
+def test_fused_feature_map_gradient_check():
+    # off the relu kink at 0 the map is quadratic in the signs, so central
+    # differences are exact up to rounding
+    g = two_community(30, 6, 0.1, seed=5)
+    index = wedge_index(g, g.edge_array())
+    rng = np.random.default_rng(5)
+    x0 = rng.choice([-1.0, 1.0], g.num_edges) * rng.uniform(0.5, 1.5, g.num_edges)
+    w = rng.standard_normal((g.num_edges, 9))
+    assert tp.grad_check(lambda s: tp.sum_(link_features(s, index) * w), x0) < 1e-6
+
+
+def test_feature_map_records_one_node():
+    g = two_community(30, 6, 0.1, seed=5)
+    t = tp.Tape()
+    link_features(t.leaf(g.signs(), requires_grad=True), wedge_index(g, g.edge_array()))
+    assert len(t) == 1
 
 
 def test_flip_changes_only_incident_feature_rows():

@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from signedattack import tape as tp
 from signedattack.errors import NumericError
-from signedattack.graph import DEGREE_FLOOR, SignedGraph, split_edges
+from signedattack.fextra import lr_predict, lr_train
+from signedattack.graph import DEGREE_FLOOR, EdgeSplit, SignedGraph, split_edges
 from signedattack.linalg import matrix_exp
 from signedattack.pole import (WalkParams, autocovariance, cosine_normalize,
                                degree_weight_matrix, factorization_steps, pole_predict,
@@ -235,3 +238,56 @@ def test_pole_similarity_probability_two_triangle_bridge():
     R = autocovariance(masked, WalkParams(t=1.0, mode="sym"), True)
     _, P = cosine_normalize(R)
     assert P[0, 1] > 0.5
+
+
+def test_all_hidden_node_warns():
+    # node 5 has one link; hiding its sign leaves it without a signed link
+    g = SignedGraph(6, [(0, 1, 1), (0, 2, -1), (1, 2, 1), (2, 3, 1), (3, 4, -1), (4, 5, 1)])
+    masked = g.mask([g.edge_index(4, 5)])
+    with pytest.warns(RuntimeWarning, match="isolated"):
+        signed_transition(masked, WalkParams(t=1.0), True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        signed_transition(g.mask([g.edge_index(0, 1)]), WalkParams(t=1.0), False)
+        test = np.array([g.edge_index(0, 1), g.edge_index(3, 4)])
+        split = EdgeSplit(train=np.setdiff1d(np.arange(g.num_edges), test), test=test,
+                          hidden_signs=g.signs()[test])
+        pole_predict(g.mask(split.test), split, WalkParams(t=1.0))
+
+
+def test_pole_predict_scatters_the_adjacency_at_most_twice(monkeypatch):
+    calls = []
+    sym_scatter = tp.sym_scatter
+
+    def counting(*args):
+        calls.append(args)
+        return sym_scatter(*args)
+
+    monkeypatch.setattr(tp, "sym_scatter", counting)
+    g = two_community(40, 8, 0.1, seed=1)
+    split = split_edges(g, 0.2, seed=1)
+    pole_predict(g.mask(split.test), split, WalkParams(t=1.0))
+    assert 1 <= len(calls) <= 2
+
+
+def separate_walks_pole_predict(g, split, params):
+    """The victim with the signed and unsigned adjacencies scattered on their own."""
+    us, vs = g.edge_array().T
+    feats = []
+    for A in (g.adjacency(), g.abs_adjacency()):
+        M = transition_matrix(A, g.degrees(), params.t, params.mode)
+        feats.append((M.T @ degree_weight_matrix(g.degrees()) @ M)[us, vs])
+    y_train = (g.signs()[split.train] > 0).astype(float)
+    model = lr_train(np.column_stack(feats)[split.train], y_train)
+    return lr_predict(model, np.column_stack(feats)[split.test])
+
+
+@pytest.mark.parametrize("mode", ["unsym", "sym"])
+@pytest.mark.parametrize("seed", range(3))
+def test_pole_predict_equals_separately_scattered_walks(seed, mode):
+    # the same probabilities bit for bit, so the same POLE AUC rows
+    g = two_community(40 + 10 * seed, 6, 0.1, seed=seed)
+    split = split_edges(g, 0.2, seed=seed)
+    masked, params = g.mask(split.test), WalkParams(t=1.0, mode=mode)
+    assert np.array_equal(pole_predict(masked, split, params),
+                          separate_walks_pole_predict(masked, split, params))

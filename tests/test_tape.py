@@ -309,3 +309,49 @@ def test_every_public_primitive_has_an_adjoint_check():
               if fn.__module__ == tp.__name__ and not name.startswith("_")}
     checked = {name for name, *_ in ADJOINT_CASES} | {"grad_check"}
     assert public - checked == set()
+
+
+# -- gather adjoints against the np.add.at scatter ------------------------------
+
+def add_at_scatter(a, index, g):
+    """The former gather adjoint: ``np.add.at`` into zeros, then accumulated fresh."""
+    acc = np.zeros_like(a)
+    np.add.at(acc, index, g)
+    return acc + 0.0
+
+
+def _gather_grad(op, x0, w):
+    t = Tape()
+    x = t.leaf(x0, requires_grad=True)
+    t.backward(tp.sum_(op(x) * w))
+    return x.grad_or_zero()
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("count", [0, 1, 40])
+def test_gather_adjoints_equal_the_add_at_scatter(seed, count):
+    # a few distinct positions drawn many times, so each sum depends on the order
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((4, 3))
+    v = rng.standard_normal(5)
+    rows, cols = rng.integers(0, 4, count), rng.integers(0, 3, count)
+    picks = rng.integers(0, 5, count)
+
+    w = rng.standard_normal(count)
+    assert np.array_equal(_gather_grad(lambda x: tp.gather(x, rows, cols), M, w),
+                          add_at_scatter(M, (rows, cols), w))
+    assert np.array_equal(_gather_grad(lambda x: tp.gather_rows(x, picks), v, w),
+                          add_at_scatter(v, picks, w))
+    w2 = rng.standard_normal((count, 3))
+    assert np.array_equal(_gather_grad(lambda x: tp.gather_rows(x, rows), M, w2),
+                          add_at_scatter(M, rows, w2))
+
+
+def test_gather_rejects_negative_indices():
+    M = np.zeros((3, 3))
+    with pytest.raises(IndexError):
+        tp.gather(M, [0, -1], [1, 2])
+    with pytest.raises(IndexError):
+        tp.gather(M, [0, 1], [-3, 2])
+    with pytest.raises(IndexError):
+        tp.gather_rows(Tape().leaf(M, requires_grad=True), [2, -1])
