@@ -22,8 +22,10 @@ The FeXtra losses put the victim's feature map in front of either the
 closed-form ridge surrogate (``fextra-ols``) or the victim's own converged
 logistic fit (``fextra-meta``), which the tape differentiates implicitly at
 its optimum. The POLE surrogate scores a test link by the cosine of an exact
-factor of the autocovariance R, which is R normalized by its own diagonal, so
-no embedding is fitted.
+factor of the autocovariance R (``pole.autocovariance``, the victim's own
+walk), which is R normalized by its own diagonal, so no embedding is fitted.
+The Markov time ``t`` is a plain float here; only the POLE losses, the POLE
+victim and the polarization penalty read it.
 """
 
 from __future__ import annotations
@@ -38,8 +40,7 @@ from .errors import ConfigError, MetricUndefinedError, NumericError
 from .fextra import (WedgeIndex, extract_features, link_features, lr_predict, lr_train,
                      ols_fit, wedge_index)
 from .graph import EdgeSplit, SignedGraph
-from .pole import (WalkParams, cosine_normalize, degree_weight_matrix, pole_predict,
-                   transition_matrix)
+from .pole import autocovariance, cosine_normalize, pole_predict, transition_matrix
 
 LOG_CLIP = 1e-12
 
@@ -80,11 +81,11 @@ def victim_model_kind(target: str) -> str:
     return "fextra" if target.startswith("fextra") else "pole"
 
 
-def victim_probs(model: str, g: SignedGraph, split: EdgeSplit, params: WalkParams):
+def victim_probs(model: str, g: SignedGraph, split: EdgeSplit, t: float):
     """Victim positive-sign probabilities for the test links of ``split``.
 
     The victim is fit on ``g`` with the test signs hidden, from the training
-    signs only.
+    signs only. Only the POLE victim reads the Markov time ``t``.
     """
     masked = g.mask(split.test)
     if model == "fextra":
@@ -92,18 +93,17 @@ def victim_probs(model: str, g: SignedGraph, split: EdgeSplit, params: WalkParam
         y_tr = (masked.signs()[split.train] > 0).astype(float)
         return lr_predict(lr_train(feats[split.train], y_tr), feats[split.test])
     if model == "pole":
-        return pole_predict(masked, split, params)
+        return pole_predict(masked, split, t)
     raise ConfigError(f"unknown victim model {model!r}")
 
 
-def self_train_labels(model, g_clean: SignedGraph, split: EdgeSplit,
-                      params: WalkParams | None = None):
+def self_train_labels(model, g_clean: SignedGraph, split: EdgeSplit, t: float = 1.0):
     """Victim predictions on the test links, thresholded at 0.5 (ties -> 1).
 
     The labels are produced from the clean masked graph once and stay fixed
     for the whole attack.
     """
-    probs = victim_probs(model, g_clean, split, params or WalkParams())
+    probs = victim_probs(model, g_clean, split, t)
     return (probs >= 0.5).astype(float)
 
 
@@ -134,43 +134,35 @@ class _FextraLoss:
 
 
 class _PoleLoss:
-    """Attack loss through transition -> R -> cosine -> test-link gather."""
+    """Attack loss through the autocovariance -> cosine -> test-link gather."""
 
-    def __init__(self, masked: SignedGraph, split: EdgeSplit, y_hat, cfg: AttackConfig,
-                 mode: str):
-        self.split = split
+    def __init__(self, masked: SignedGraph, split: EdgeSplit, y_hat, t, mode):
         self.y_hat = np.asarray(y_hat, dtype=float)
-        self.cfg = cfg
+        self.t = t
         self.mode = mode
         self.degrees = masked.degrees()
-        self.W = degree_weight_matrix(self.degrees)
         self.n = masked.n
         self.edge = masked.edge_array()
-        self.us_te = self.edge[split.test, 0]
-        self.vs_te = self.edge[split.test, 1]
+        self.us_te, self.vs_te = self.edge[split.test].T
 
     def __call__(self, s, A=None):
         if A is None:
             A = tp.sym_scatter(s, *self.edge.T, self.n)
-        M = transition_matrix(A, self.degrees, self.cfg.t, self.mode)
-        R = tp.transpose(M) @ self.W @ M
-        _, P = cosine_normalize(R)
+        _, P = cosine_normalize(autocovariance(A, self.degrees, self.t, self.mode))
         p_e = tp.gather(P, self.us_te, self.vs_te)
         return _log_likelihood(p_e, self.y_hat)
 
 
-def make_attack_loss(target: str, masked: SignedGraph, split: EdgeSplit,
-                     y_hat, cfg: AttackConfig):
+def make_attack_loss(target: str, masked: SignedGraph, split: EdgeSplit, y_hat, t):
     """The loss ``(s, A=None) -> log-likelihood`` of ``target``; A is the dense adjacency of s,
-    which a POLE loss scatters itself when it is not passed."""
+    which a POLE loss scatters itself when it is not passed. Only a POLE loss
+    reads the Markov time ``t``."""
     if target == "fextra-ols":
         return _FextraLoss(masked, split, y_hat, ols_fit)
     if target == "fextra-meta":
         return _FextraLoss(masked, split, y_hat, lr_train)
-    if target == "pole-sym":
-        return _PoleLoss(masked, split, y_hat, cfg, mode="sym")
-    if target == "pole-unsym":
-        return _PoleLoss(masked, split, y_hat, cfg, mode="unsym")
+    if target in ("pole-sym", "pole-unsym"):
+        return _PoleLoss(masked, split, y_hat, t, mode=target.removeprefix("pole-"))
     raise ConfigError(f"unknown attack target {target!r}; expected one of {TARGETS}")
 
 
@@ -197,7 +189,7 @@ class Penalty:
     def for_graph(cls, masked: SignedGraph, t, lam, eta):
         degrees = masked.degrees()
         index, tr_abs = triad_terms(masked) if lam != 0.0 else (None, 0.0)
-        M_abs = (transition_matrix(masked.abs_adjacency(), degrees, t, "unsym")
+        M_abs = (transition_matrix(masked.abs_adjacency(), degrees, t)
                  if eta != 0.0 else None)
         return cls(lam, eta, t, masked.n, masked.edge_array(), degrees, index, tr_abs, M_abs)
 
@@ -223,7 +215,7 @@ def penalized_loss(base, s, penalty: Penalty, events=None, A=None):
     if penalty.eta != 0.0:
         if A is None:
             A = tp.sym_scatter(s, *penalty.edge.T, penalty.n)
-        M_sign = transition_matrix(A, penalty.degrees, penalty.t, "unsym")
+        M_sign = transition_matrix(A, penalty.degrees, penalty.t)
         out = out + penalty.eta * polarization_term(M_sign, penalty.M_abs)
     return out
 
@@ -283,8 +275,8 @@ def gradient_chooser(g0: SignedGraph, split: EdgeSplit, target: str, cfg: Attack
     flips the link with the largest first-order increase of the objective."""
     masked = g0.mask(split.test)
     if y_hat is None:
-        y_hat = self_train_labels(victim_model_kind(target), g0, split, WalkParams(t=cfg.t))
-    loss_fn = make_attack_loss(target, masked, split, y_hat, cfg)
+        y_hat = self_train_labels(victim_model_kind(target), g0, split, cfg.t)
+    loss_fn = make_attack_loss(target, masked, split, y_hat, cfg.t)
     penalty = Penalty.for_graph(masked, cfg.t, cfg.lam, cfg.eta)
     edge = masked.edge_array()
     us, vs = edge[split.train].T

@@ -10,7 +10,7 @@ the tests call `triad_census`, the enumeration oracle for both.
 Polarization correlates a node's signed and unsigned random-walk transition
 rows. Its one implementation, ``polarization_term``, averages the correlation
 over the nodes where both rows vary; the detector, the report and the attack
-penalty all read it on the row-normalized (``unsym``) walk of
+penalty all read it on the default, row-normalized (``unsym``) walk of
 ``pole.transition_matrix``, and none of them takes a walk mode.
 """
 
@@ -140,8 +140,7 @@ def _walk_correlations(g: SignedGraph, t: float):
     scattered from the sign vector, as the attack penalty scatters it.
     """
     A, d = tp.sym_scatter(g.signs(), *g.edge_array().T, g.n), g.degrees()
-    return row_correlations(transition_matrix(A, d, t, "unsym"),
-                            transition_matrix(np.abs(A), d, t, "unsym"))
+    return row_correlations(transition_matrix(A, d, t), transition_matrix(np.abs(A), d, t))
 
 
 def _node_values(corr, defined):

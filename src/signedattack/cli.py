@@ -1,8 +1,12 @@
 """Batch experiment command line.
 
 Subcommands: ingest, attack, detect, metrics. Options come from an
-optional JSON config document plus flags of the same name that override it.
-Exit codes: 0 success, 2 configuration error, 3 numeric failure.
+optional JSON config document plus flags of the same name that override it;
+``attack`` and ``detect`` share their attack flags, and ``--target`` offers
+``attacks.TARGETS``. Every command reads its graph through
+``experiments.load_dataset`` (an edge list or a ``.json`` dump, cut to its
+largest connected component). Exit codes: 0 success, 2 configuration error,
+3 numeric failure (a Markov time that is not positive is one).
 """
 
 from __future__ import annotations
@@ -15,11 +19,13 @@ import os
 import sys
 import tempfile
 
+from .attacks import TARGETS
 from .balance import balance_report
 from .errors import (ConfigError, InvalidSplitError, MetricUndefinedError,
                      NumericError, ParseError, SignedAttackError)
-from .experiments import ExperimentConfig, run_attack_experiment, run_detect_experiment
-from .graph import load_edge_list, load_graph_json, largest_connected_component, positive_ratio
+from .experiments import (ExperimentConfig, load_dataset, run_attack_experiment,
+                          run_detect_experiment)
+from .graph import positive_ratio
 
 
 def _write_atomic(path, writer):
@@ -52,12 +58,6 @@ def _fmt(x):
 
 def _write_json(path, obj):
     _write_atomic(path, lambda f: json.dump(obj, f, indent=2, sort_keys=True))
-
-
-def _load_graph_any(path, fmt):
-    if str(path).endswith(".json"):
-        return load_graph_json(path)
-    return load_edge_list(path, fmt)
 
 
 def build_config(args) -> ExperimentConfig:
@@ -101,7 +101,7 @@ def build_config(args) -> ExperimentConfig:
 
 def cmd_ingest(args) -> int:
     cfg = build_config(args)
-    g = largest_connected_component(_load_graph_any(cfg.dataset, cfg.format))
+    g = load_dataset(cfg)
     stats = {"n": g.n, "edges": g.num_edges,
              "positive_ratio": round(positive_ratio(g), 4),
              "rejected_rows": g.meta.get("rejected_rows", 0)}
@@ -115,8 +115,7 @@ def cmd_ingest(args) -> int:
 
 def cmd_attack(args) -> int:
     cfg = build_config(args)
-    dataset = largest_connected_component(_load_graph_any(cfg.dataset, cfg.format))
-    rows, traces = run_attack_experiment(cfg, dataset)
+    rows, traces = run_attack_experiment(cfg)
     os.makedirs(cfg.out, exist_ok=True)
     _write_csv(os.path.join(cfg.out, "attack_auc.csv"), rows,
                ["seed", "power", "attack", "model", "auc_clean", "auc_poisoned",
@@ -136,8 +135,7 @@ def cmd_attack(args) -> int:
 
 def cmd_detect(args) -> int:
     cfg = build_config(args)
-    dataset = largest_connected_component(_load_graph_any(cfg.dataset, cfg.format))
-    summary, rows, _ = run_detect_experiment(cfg, dataset)
+    summary, rows, _ = run_detect_experiment(cfg)
     os.makedirs(cfg.out, exist_ok=True)
     columns = list(rows[0].keys())
     _write_csv(os.path.join(cfg.out, "detector_scores.csv"), rows, columns)
@@ -149,7 +147,7 @@ def cmd_detect(args) -> int:
 
 def cmd_metrics(args) -> int:
     cfg = build_config(args)
-    g = largest_connected_component(_load_graph_any(cfg.dataset, cfg.format))
+    g = load_dataset(cfg)
     report = balance_report(g, t=cfg.t)
     os.makedirs(cfg.out, exist_ok=True)
     _write_json(os.path.join(cfg.out, "balance.json"), report.to_json_dict())
@@ -167,6 +165,16 @@ def _add_common(p):
     p.add_argument("--t", type=float, default=None, help="Markov time")
 
 
+def _add_attack(p):
+    p.add_argument("--target", choices=TARGETS, default=None)
+    p.add_argument("--power", default=None, help="comma-separated attack powers")
+    p.add_argument("--lambda", dest="lam", type=float, default=None,
+                   help="balance-ratio penalty weight")
+    p.add_argument("--eta", type=float, default=None,
+                   help="polarization penalty weight")
+    p.add_argument("--subsample", type=int, default=None)
+
+
 def make_parser():
     ap = argparse.ArgumentParser(prog="signedattack",
                                  description="Signed-graph poisoning attack toolkit")
@@ -178,25 +186,13 @@ def make_parser():
 
     p = sub.add_parser("attack", help="run poisoning trials and report victim AUC")
     _add_common(p)
-    p.add_argument("--target", choices=["fextra-ols", "fextra-meta",
-                                        "pole-sym", "pole-unsym"], default=None)
+    _add_attack(p)
     p.add_argument("--baseline", choices=["rand", "greedy-triads"], default=None)
-    p.add_argument("--power", default=None, help="comma-separated attack powers")
-    p.add_argument("--lambda", dest="lam", type=float, default=None,
-                   help="balance-ratio penalty weight")
-    p.add_argument("--eta", type=float, default=None,
-                   help="polarization penalty weight")
-    p.add_argument("--subsample", type=int, default=None)
     p.set_defaults(func=cmd_attack)
 
     p = sub.add_parser("detect", help="fit detectors on clean subgraphs, score attacks")
     _add_common(p)
-    p.add_argument("--target", choices=["fextra-ols", "fextra-meta",
-                                        "pole-sym", "pole-unsym"], default=None)
-    p.add_argument("--power", default=None)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--eta", type=float, default=None)
-    p.add_argument("--subsample", type=int, default=None)
+    _add_attack(p)
     p.add_argument("--strategy", choices=["mean", "min", "max"], default=None)
     p.set_defaults(func=cmd_detect)
 

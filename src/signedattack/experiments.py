@@ -2,6 +2,11 @@
 
 This module is the engine behind the command-line interface; everything
 here is importable so tests and notebooks can drive the same protocol.
+An attack trial and the poisoned set of a detection run poison a graph the
+same way: subsample, split, then the configured attack or baseline up to
+the budget of the largest power (``poison``). The Markov time ``t`` reaches
+only the walks: the POLE victim and losses, the polarization penalty and
+the detector's metric view.
 """
 
 from __future__ import annotations
@@ -16,8 +21,7 @@ from .detectors import DetectorView, detector_eval
 from .errors import ConfigError
 from .fextra import auc
 from .graph import (EdgeSplit, GraphCorpus, SignedGraph, largest_connected_component,
-                    load_edge_list, sample_subgraph_corpus, split_edges)
-from .pole import WalkParams
+                    load_edge_list, load_graph_json, sample_subgraph_corpus, split_edges)
 
 FEXTRA_POWERS = (0.01, 0.05, 0.10, 0.15, 0.20)
 POLE_POWERS = (0.01, 0.03, 0.05, 0.07, 0.10)
@@ -57,7 +61,12 @@ class ExperimentConfig:
 
 
 def load_dataset(cfg: ExperimentConfig) -> SignedGraph:
-    g = load_edge_list(cfg.dataset, cfg.format)
+    """The largest connected component of ``cfg.dataset``, a ``.json`` graph dump
+    or else an edge list in ``cfg.format``."""
+    if str(cfg.dataset).endswith(".json"):
+        g = load_graph_json(cfg.dataset)
+    else:
+        g = load_edge_list(cfg.dataset, cfg.format)
     return largest_connected_component(g)
 
 
@@ -73,8 +82,29 @@ def subsample_graph(g: SignedGraph, size: int, seed: int) -> SignedGraph:
 def victim_test_auc(g: SignedGraph, split: EdgeSplit, model: str,
                     t=1.0) -> float:
     """Retrain the victim on the (possibly poisoned) graph and score test links."""
-    probs = victim_probs(model, g, split, WalkParams(t=t))
+    probs = victim_probs(model, g, split, t)
     return auc(probs, (split.hidden_signs > 0).astype(int))
+
+
+def poison(g: SignedGraph, split: EdgeSplit, cfg: ExperimentConfig, seed: int, y_hat=None):
+    """The configured attack, or baseline, on ``g`` up to the budget of the largest power.
+
+    Returns the trace and the attack's name. ``y_hat`` are the gradient
+    attack's self-labels; without them it fits the clean victim itself.
+    """
+    powers = cfg.resolved_powers()
+    budget = max(flips_for_power(g, p) for p in powers)
+    if cfg.baseline == "rand":
+        return baseline_rand(g, split, budget, seed, checkpoints=powers), "rand"
+    if cfg.baseline == "greedy-triads":
+        return baseline_greedy_triads(g, split, budget, checkpoints=powers), "greedy-triads"
+    if cfg.baseline:
+        raise ConfigError(f"unknown baseline {cfg.baseline!r}")
+    trace = flip_attack(g, split, cfg.target, cfg.attack_config(budget), y_hat=y_hat)
+    name = cfg.target
+    if cfg.lam or cfg.eta:
+        name += f"(lam={cfg.lam:g},eta={cfg.eta:g})"
+    return trace, name
 
 
 def run_attack_trial(dataset: SignedGraph, cfg: ExperimentConfig, seed: int):
@@ -90,29 +120,14 @@ def run_attack_trial(dataset: SignedGraph, cfg: ExperimentConfig, seed: int):
     # one clean victim fit gives the clean AUC and the attack's self-labels,
     # thresholded as self_train_labels does
     truth = split.hidden_signs > 0
-    probs = victim_probs(model, g, split, WalkParams(t=cfg.t))
+    probs = victim_probs(model, g, split, cfg.t)
     clean_auc = auc(probs, truth.astype(int))
     y_hat = (probs >= 0.5).astype(float)
     self_label_acc = float(np.mean(y_hat == truth))
-
-    powers = cfg.resolved_powers()
-    budget = max(flips_for_power(g, p) for p in powers)
-    if cfg.baseline == "rand":
-        trace = baseline_rand(g, split, budget, seed, checkpoints=powers)
-        attack_name = "rand"
-    elif cfg.baseline == "greedy-triads":
-        trace = baseline_greedy_triads(g, split, budget, checkpoints=powers)
-        attack_name = "greedy-triads"
-    elif cfg.baseline:
-        raise ConfigError(f"unknown baseline {cfg.baseline!r}")
-    else:
-        trace = flip_attack(g, split, cfg.target, cfg.attack_config(budget), y_hat=y_hat)
-        attack_name = cfg.target
-        if cfg.lam or cfg.eta:
-            attack_name += f"(lam={cfg.lam:g},eta={cfg.eta:g})"
+    trace, attack_name = poison(g, split, cfg, seed, y_hat)
 
     rows = []
-    for p in powers:
+    for p in cfg.resolved_powers():
         g_p = trace.snapshots[p]
         poisoned_auc = (clean_auc if flips_for_power(g, p) == 0
                         else victim_test_auc(g_p, split, model, cfg.t))
@@ -134,15 +149,17 @@ def run_attack_experiment(cfg: ExperimentConfig, dataset: SignedGraph | None = N
 
 
 def build_poisoned_set(dataset: SignedGraph, cfg: ExperimentConfig):
-    """Poisoned snapshots for the detection protocol: seeds x powers graphs."""
+    """Poisoned snapshots for the detection protocol: seeds x powers graphs.
+
+    Each seed's graph is poisoned as in ``run_attack_trial``, by the
+    configured attack or baseline.
+    """
     poisoned = []
-    powers = cfg.resolved_powers()
     for seed in cfg.seeds:
         g = subsample_graph(dataset, cfg.subsample, seed)
         split = split_edges(g, cfg.split_fraction, seed)
-        budget = max(flips_for_power(g, p) for p in powers)
-        trace = flip_attack(g, split, cfg.target, cfg.attack_config(budget))
-        poisoned.extend(trace.snapshots[p] for p in powers)
+        trace, _ = poison(g, split, cfg, seed)
+        poisoned.extend(trace.snapshots[p] for p in cfg.resolved_powers())
     return poisoned
 
 

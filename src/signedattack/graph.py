@@ -101,10 +101,6 @@ class SignedGraph:
         """|A| of the signed entries only (A+ + A-); hidden-sign edges are 0."""
         return np.abs(self.adjacency())
 
-    def support(self):
-        """0/1 matrix of every known link, including hidden-sign edges."""
-        return tp.sym_scatter(np.ones(self.num_edges), *self._edge.T, self.n)
-
     def degrees(self):
         """Unsigned degrees from the signed entries, floored away from zero."""
         # |sign| once for each end of each link, in the order of the raveled (u, v) rows

@@ -1,10 +1,13 @@
 """Random-walk autocovariance similarity and the POLE trust predictor.
 
-The walk transition is the exponential of the negative normalized Laplacian
-at Markov time t, either row-normalized (``unsym``) or symmetrically
-normalized (``sym``). The two generators are similar matrices, so both modes
-come from one eigenbasis exponential of the symmetric generator, forward and
-backward.
+``transition_matrix`` and ``autocovariance`` over (A, degrees, t) are the
+one random-walk path: the POLE victim, the POLE attack loss, the
+polarization penalty and the balance metrics all call them. The walk
+transition is the exponential of the negative normalized Laplacian at
+Markov time t, either row-normalized (``unsym``, the default) or
+symmetrically normalized (``sym``, read only by the ``pole-sym`` attack).
+The two generators are similar matrices, so both modes come from one
+eigenbasis exponential of the symmetric generator, forward and backward.
 
 The autocovariance R = M^T W M is positive semidefinite, so the cosine of any
 exact embedding U U^T = R is R normalized by sqrt(diag R) (``cosine_normalize``);
@@ -14,7 +17,6 @@ the attacks use that closed form instead of fitting a factor.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,26 +30,18 @@ from . import fextra
 COSINE_FLOOR = 1e-9
 
 
-@dataclass
-class WalkParams:
-    t: float = 1.0
-    mode: str = "unsym"  # or "sym"
-
-    def __post_init__(self):
-        if self.t <= 0:
-            raise NumericError(f"Markov time must be positive, got {self.t}")
-        if self.mode not in ("unsym", "sym"):
-            raise NumericError(f"unknown walk mode {self.mode!r}")
-
-
-def transition_matrix(A, degrees, t, mode):
+def transition_matrix(A, degrees, t, mode="unsym"):
     """exp(-(I - normalized A) t); polymorphic over tape Values for A.
 
     Both modes exponentiate the symmetric generator t (D^{-1/2} A D^{-1/2} - I)
     through one eigendecomposition. The row-normalized (``unsym``) walk is its
     similarity transform D^{-1/2} exp(.) D^{1/2}, since D^{-1} A is similar to
-    D^{-1/2} A D^{-1/2}; A must be symmetric.
+    D^{-1/2} A D^{-1/2}; A must be symmetric. Every walk of the package passes
+    through here, so this is where a Markov time that is not positive (or is
+    NaN) raises ``NumericError``.
     """
+    if not t > 0:
+        raise NumericError(f"Markov time must be positive, got {t}")
     d = np.maximum(np.asarray(degrees, dtype=float), DEGREE_FLOOR)
     r = 1.0 / np.sqrt(d)
     gen = tp.mul(tp.add(tp.mul(A, np.outer(r, r)), -np.eye(d.shape[0])), t)
@@ -64,28 +58,14 @@ def degree_weight_matrix(degrees):
     return np.diag(d) / total - np.outer(d, d) / total ** 2
 
 
-def signed_transition(g: SignedGraph, params: WalkParams, signed=True, A=None):
-    """The walk transition over g's signed adjacency A, or over |A| when not ``signed``.
+def autocovariance(A, degrees, t, mode="unsym"):
+    """R = M(t)^T W M(t) of the walk over A; polymorphic over tape Values for A.
 
-    ``A`` is g's dense signed adjacency, scattered here when the caller has
-    not built it. A node whose links are all hidden has degree 0 before the
-    floor (degrees count signed links, so the floor marks exactly those
-    nodes); it draws a ``RuntimeWarning``.
+    The victim passes the signed A and |A|; the POLE attack passes the A it
+    scattered from the sign vector on its tape.
     """
-    if A is None:
-        A = g.adjacency()
-    degrees = g.degrees()
-    if (degrees == DEGREE_FLOOR).any():
-        warnings.warn("graph has an isolated (all-hidden) node; degree floored",
-                      RuntimeWarning, stacklevel=2)
-    return transition_matrix(A if signed else np.abs(A), degrees, params.t, params.mode)
-
-
-def autocovariance(g: SignedGraph, params: WalkParams, signed=True, A=None):
-    """R = M(t)^T W M(t) over the signed or unsigned walk; ``A`` as in ``signed_transition``."""
-    M = signed_transition(g, params, signed, A)
-    W = degree_weight_matrix(g.degrees())
-    return M.T @ W @ M
+    M = transition_matrix(A, degrees, t, mode)
+    return tp.transpose(M) @ degree_weight_matrix(degrees) @ M
 
 
 def factorization_steps(R, U0, iters, lr):
@@ -143,18 +123,23 @@ def cosine_normalize(R):
     return R_cos, P
 
 
-def pole_predict(g: SignedGraph, split: EdgeSplit, params: WalkParams):
+def pole_predict(g: SignedGraph, split: EdgeSplit, t):
     """Fit the victim's logistic regression on per-link (R_sign, R_abs) pairs.
 
-    Returns predicted positive-sign probabilities for the test links of the
-    split, using only training-link signs. The fit is ``fextra.lr_train``,
-    the same converged fit as the FeXtra victim's, on two features.
+    R_sign and R_abs are the autocovariances at Markov time t of the walks
+    over g's signed adjacency A and over |A|. Returns predicted
+    positive-sign probabilities for the test links of the split, using only
+    training-link signs. The fit is ``fextra.lr_train``, the same converged
+    fit as the FeXtra victim's, on two features. A node whose links are all
+    hidden has degree 0 before the floor (degrees count signed links, so the
+    floor marks exactly those nodes); it draws a ``RuntimeWarning``.
     """
     us, vs = g.edge_array().T
-    A = g.adjacency()
-    feats = np.column_stack([autocovariance(g, params, signed, A)[us, vs]
-                             for signed in (True, False)])
-    signs = g.signs()
-    y_train = (signs[split.train] > 0).astype(float)
+    A, degrees = g.adjacency(), g.degrees()
+    if (degrees == DEGREE_FLOOR).any():
+        warnings.warn("graph has an isolated (all-hidden) node; degree floored",
+                      RuntimeWarning, stacklevel=2)
+    feats = np.column_stack([autocovariance(X, degrees, t)[us, vs] for X in (A, np.abs(A))])
+    y_train = (g.signs()[split.train] > 0).astype(float)
     model = fextra.lr_train(feats[split.train], y_train)
     return fextra.lr_predict(model, feats[split.test])

@@ -253,10 +253,6 @@ def sqrt(a):
     return _apply(np.sqrt, (lambda g, o, a: g * 0.5 / o,), a)
 
 
-def relu(a):
-    return _apply(lambda a: np.maximum(a, 0.0), (lambda g, o, a: g * (a > 0.0),), a)
-
-
 def sigmoid(a):
     return _apply(lambda a: 1.0 / (1.0 + np.exp(-a)),
                   (lambda g, o, a: g * o * (1.0 - o),), a)

@@ -10,6 +10,9 @@ entries of the products S @ S and A± @ A±. ``DenseFextraLoss`` is the
 attack loss written over them; it builds A from the sign vector with
 ``tape.sym_scatter``, so its tape gradient with respect to that vector is the
 reference for the sparse one.
+
+``relu`` and ``support`` serve only these oracles and the tests; no program
+path records a relu or builds the 0/1 support matrix.
 """
 
 import numpy as np
@@ -19,10 +22,20 @@ from signedattack.attacks import _log_likelihood
 from signedattack.fextra import lr_predict
 
 
+def relu(a):
+    """max(a, 0) on the tape; the adjoint passes where a > 0."""
+    return tp._apply(lambda a: np.maximum(a, 0.0), (lambda g, o, a: g * (a > 0.0),), a)
+
+
+def support(g):
+    """0/1 matrix of every known link of g, including hidden-sign edges."""
+    return tp.sym_scatter(np.ones(g.num_edges), *g.edge_array().T, g.n)
+
+
 def composite_link_features(signs, index):
     """``fextra.link_features`` as a composite of tape primitives (23 nodes)."""
     a = tp.gather_rows(signs, index.edge)
-    a_plus = tp.relu(a)
+    a_plus = relu(a)
     a_minus = a_plus - a
     dpos = tp.segment_sum(a_plus, index.rows, index.n)
     dneg = tp.segment_sum(a_minus, index.rows, index.n)
@@ -68,7 +81,7 @@ def bilinear_gather(p, q, us, vs):
 
 def dense_link_features(A, S, us, vs):
     """The nine feature columns from the signed adjacency A and 0/1 support S."""
-    A_plus = tp.relu(A)
+    A_plus = relu(A)
     A_minus = A_plus - A
     dpos = tp.sum_(A_plus, axis=1)
     dneg = tp.sum_(A_minus, axis=1)
@@ -87,7 +100,7 @@ def dense_link_features(A, S, us, vs):
 
 def dense_extract_features(g, links):
     links = np.asarray(links, dtype=int).reshape(-1, 2)
-    return dense_link_features(g.adjacency(), g.support(), links[:, 0], links[:, 1])
+    return dense_link_features(g.adjacency(), support(g), links[:, 0], links[:, 1])
 
 
 class DenseFextraLoss:
@@ -97,7 +110,7 @@ class DenseFextraLoss:
         edge = masked.edge_array()
         self.n = masked.n
         self.us, self.vs = edge[:, 0], edge[:, 1]
-        self.support = masked.support()
+        self.support = support(masked)
         self.split = split
         self.y_hat = np.asarray(y_hat, dtype=float)
         self.fit = fit

@@ -14,7 +14,6 @@ from signedattack.errors import ConfigError, NumericError
 from signedattack.experiments import ExperimentConfig, run_attack_trial
 from signedattack.fextra import auc, link_features, lr_predict, lr_train, ols_fit
 from signedattack.graph import EdgeSplit, SignedGraph, split_edges
-from signedattack.pole import WalkParams
 from signedattack.tape import Tape
 from balanceoracles import dense_greedy_triads
 from densefeatures import DenseFextraLoss
@@ -28,9 +27,9 @@ def small_instance(n=14, deg=5, noise=0.1, seed=0, frac=0.15):
     return g, split
 
 
-def eval_loss(target, g, split, y_hat, cfg):
+def eval_loss(target, g, split, y_hat, t=1.0):
     masked = g.mask(split.test)
-    loss_fn = make_attack_loss(target, masked, split, y_hat, cfg)
+    loss_fn = make_attack_loss(target, masked, split, y_hat, t)
     return float(tp._data(loss_fn(Tape().leaf(masked.signs(), requires_grad=True))))
 
 
@@ -72,11 +71,9 @@ def test_attack_loss_clipping_at_certainty():
 @pytest.mark.parametrize("target", ["fextra-ols", "fextra-meta", "pole-sym", "pole-unsym"])
 def test_attack_loss_gradient_matches_finite_differences(target):
     g, split = small_instance(n=12, deg=4, noise=0.15, seed=3)
-    cfg = AttackConfig(budget=1)
-    y_hat = self_train_labels("fextra" if "fextra" in target else "pole",
-                              g, split, WalkParams())
+    y_hat = self_train_labels("fextra" if "fextra" in target else "pole", g, split)
     masked = g.mask(split.test)
-    loss_fn = make_attack_loss(target, masked, split, y_hat, cfg)
+    loss_fn = make_attack_loss(target, masked, split, y_hat, 1.0)
     entries = [(int(k),) for k in split.train]
 
     from signedattack.tape import grad_check
@@ -91,10 +88,9 @@ def test_pole_sym_vs_unsym_loss_on_regular_cycle():
     g = SignedGraph(8, edges)
     split = EdgeSplit(train=np.arange(6), test=np.array([6, 7]),
                       hidden_signs=np.array([e[2] for e in g.edges])[[6, 7]])
-    cfg = AttackConfig(budget=1)
     y_hat = np.array([1.0, 0.0])
-    a = eval_loss("pole-sym", g, split, y_hat, cfg)
-    b = eval_loss("pole-unsym", g, split, y_hat, cfg)
+    a = eval_loss("pole-sym", g, split, y_hat)
+    b = eval_loss("pole-unsym", g, split, y_hat)
     assert a == pytest.approx(b, abs=1e-6)
 
 
@@ -266,8 +262,7 @@ def test_greedy_flip_is_near_optimal_single_flip():
     g, split = small_instance(n=12, deg=4, noise=0.05, seed=8)
     y_hat = self_train_labels("fextra", g, split)
     masked = g.mask(split.test)
-    loss_fn = make_attack_loss("fextra-ols", masked, split, y_hat,
-                               AttackConfig(budget=3))
+    loss_fn = make_attack_loss("fextra-ols", masked, split, y_hat, 1.0)
     signs = masked.signs()
     pool = set()
     for step in range(3):
@@ -292,8 +287,7 @@ def test_greedy_scores_correlate_with_exact_gains():
         g, split = small_instance(n=12, deg=5, noise=0.1, seed=seed)
         y_hat = self_train_labels("fextra", g, split)
         masked = g.mask(split.test)
-        loss_fn = make_attack_loss("fextra-ols", masked, split, y_hat,
-                                   AttackConfig(budget=1))
+        loss_fn = make_attack_loss("fextra-ols", masked, split, y_hat, 1.0)
         signs = masked.signs()
         t = Tape()
         s = t.leaf(signs, requires_grad=True)
@@ -434,7 +428,7 @@ def test_fextra_flip_scores_match_the_dense_feature_map(target, fit, lam, eta):
         t.backward(penalized_loss(-loss_fn(s), s, penalty))
         return s.grad_or_zero()[split.train]
 
-    sparse = make_attack_loss(target, masked, split, y_hat, AttackConfig(budget=1))
+    sparse = make_attack_loss(target, masked, split, y_hat, 1.0)
     dense = DenseFextraLoss(masked, split, y_hat, fit)
     for signs in (masked.signs(), signs1):
         got, want = link_grads(sparse, signs), link_grads(dense, signs)

@@ -5,7 +5,9 @@ import os
 import numpy as np
 import pytest
 
-from signedattack.cli import main
+from signedattack.attacks import TARGETS
+from signedattack.cli import main, make_parser
+from signedattack.experiments import ExperimentConfig, load_dataset
 from signedattack.graph import load_graph_json
 from synthgraphs import geometric_polarized
 
@@ -55,6 +57,26 @@ def test_unknown_config_key(dataset_file, tmp_path):
     rc = main(["ingest", "--config", str(cfg), "--dataset", dataset_file,
                "--out", str(tmp_path / "o")])
     assert rc == 2
+
+
+def test_load_dataset_reads_edge_lists_and_json_dumps(dataset_file, tmp_path):
+    want = load_dataset(ExperimentConfig(dataset=dataset_file, format="plain"))
+    path = tmp_path / "dump.json"
+    want.write_json(path)
+    got = load_dataset(ExperimentConfig(dataset=str(path)))
+    assert got.to_json_dict() == want.to_json_dict()
+
+
+@pytest.mark.parametrize("command", ["attack", "detect"])
+def test_attack_flags_offer_every_target(command):
+    parser = make_parser()
+    for target in TARGETS:
+        args = parser.parse_args([command, "--target", target, "--power", "0.1",
+                                  "--lambda", "1", "--eta", "2", "--subsample", "50"])
+        assert (args.target, args.power, args.lam, args.eta, args.subsample) == \
+            (target, "0.1", 1.0, 2.0, 50)
+    with pytest.raises(SystemExit):
+        parser.parse_args([command, "--target", "bogus"])
 
 
 def test_metrics_command(dataset_file, tmp_path):
@@ -141,3 +163,29 @@ def test_detect_command(dataset_file, tmp_path):
     assert {"metric_auc", "tsvd_auc", "ensemble_max_auc"} <= set(summary)
     rows = read_csv(out / "detector_scores.csv")
     assert len(rows) == 8 + 2  # corpus graphs + seeds x powers
+
+
+@pytest.mark.parametrize("args", [
+    ["metrics", "--t", "0"],
+    ["metrics", "--t", "nan"],
+    ["attack", "--target", "pole-unsym", "--t", "0"],
+    ["detect", "--target", "fextra-ols", "--t", "-1"],
+], ids=["metrics-zero", "metrics-nan", "attack-pole-zero", "detect-negative"])
+def test_nonpositive_markov_time_is_a_numeric_failure(args, dataset_file, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "corpus_sizes": [50, 60], "corpus_per_size": 4, "corpus_seed": 1,
+        "seeds": [0], "subsample": 60, "powers": [0.05],
+    }))
+    rc = main(args + ["--config", str(cfg), "--dataset", dataset_file, "--format", "plain",
+                      "--out", str(tmp_path / "o")])
+    assert rc == 3
+
+
+def test_fextra_attack_reads_no_markov_time(dataset_file, tmp_path):
+    base = ["attack", "--dataset", dataset_file, "--format", "plain", "--target", "fextra-ols",
+            "--seed", "0", "--power", "0.05", "--subsample", "0"]
+    assert main(base + ["--out", str(tmp_path / "a")]) == 0
+    assert main(base + ["--t", "0", "--out", str(tmp_path / "b")]) == 0
+    assert ((tmp_path / "a" / "attack_auc.csv").read_bytes()
+            == (tmp_path / "b" / "attack_auc.csv").read_bytes())

@@ -5,6 +5,7 @@ from signedattack.detectors import (DetectorView, OCSVMModel, detector_eval,
                                     metric_features, ocsvm_decision, ocsvm_fit,
                                     tsvd_features)
 from signedattack.errors import ConfigError, MetricUndefinedError
+from signedattack.experiments import ExperimentConfig, build_poisoned_set, run_attack_trial
 from signedattack.fextra import auc
 from signedattack.graph import GraphCorpus, SignedGraph
 from signedattack.linalg import truncated_svd
@@ -252,3 +253,21 @@ def test_model_round_trip_fields():
     m = ocsvm_fit(X, nu=0.25, gamma=0.1)
     d = m.to_json_dict()
     assert set(d) == {"support_vectors", "alphas", "rho", "gamma", "nu", "normalizer"}
+
+
+@pytest.mark.parametrize("baseline", [None, "rand", "greedy-triads"])
+def test_poisoned_set_is_poisoned_by_the_configured_attack_or_baseline(baseline):
+    # the detect protocol poisons each seed's graph as an attack trial does
+    g = geometric_polarized(60, k=8, noise=0.1, seed=2)
+    cfg = ExperimentConfig(subsample=0, powers=(0.05, 0.10), seeds=(0, 1), baseline=baseline)
+    want = [run_attack_trial(g, cfg, seed)[1].snapshots[p]
+            for seed in cfg.seeds for p in cfg.powers]
+    got = build_poisoned_set(g, cfg)
+    assert [x.signs().tolist() for x in got] == [x.signs().tolist() for x in want]
+
+
+def test_poisoned_set_rejects_an_unknown_baseline():
+    g = geometric_polarized(60, k=8, noise=0.1, seed=2)
+    cfg = ExperimentConfig(subsample=0, powers=(0.05,), seeds=(0,), baseline="bogus")
+    with pytest.raises(ConfigError, match="unknown baseline"):
+        build_poisoned_set(g, cfg)

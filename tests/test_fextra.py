@@ -7,7 +7,7 @@ from signedattack.experiments import victim_test_auc
 from signedattack.fextra import (LR_RIDGE, auc, extract_features, link_features, lr_predict,
                                  lr_train, ols_fit, ols_theta, wedge_index)
 from signedattack.graph import SignedGraph, split_edges
-from densefeatures import composite_link_features, dense_extract_features
+from densefeatures import composite_link_features, dense_extract_features, support
 from synthgraphs import (all_positive_triangle, flipped, geometric_polarized,
                          random_signed_graph, two_community)
 
@@ -161,7 +161,8 @@ def test_flip_changes_only_incident_feature_rows():
     u0, v0, _ = g.edges[0]
     X1 = extract_features(flipped(g, u0, v0), links)
     changed = np.where(np.any(X0 != X1, axis=1))[0]
-    neigh = {x for x in range(g.n) if g.support()[x, u0] or g.support()[x, v0]}
+    S = support(g)
+    neigh = {x for x in range(g.n) if S[x, u0] or S[x, v0]}
     neigh |= {u0, v0}
     for k in changed:
         u, v = links[k]

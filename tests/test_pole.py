@@ -8,9 +8,8 @@ from signedattack.errors import NumericError
 from signedattack.fextra import lr_predict, lr_train
 from signedattack.graph import DEGREE_FLOOR, EdgeSplit, SignedGraph, split_edges
 from signedattack.linalg import matrix_exp
-from signedattack.pole import (WalkParams, autocovariance, cosine_normalize,
-                               degree_weight_matrix, factorization_steps, pole_predict,
-                               signed_transition, transition_matrix)
+from signedattack.pole import (autocovariance, cosine_normalize, degree_weight_matrix,
+                               factorization_steps, pole_predict, transition_matrix)
 from signedattack.tape import Tape, grad_check
 from synthgraphs import complete_graph, two_community, two_triangles_bridge
 
@@ -21,28 +20,32 @@ def cycle_graph(n, signs=None):
     return SignedGraph(n, edges)
 
 
-def test_walk_params_validation():
+@pytest.mark.parametrize("t", [0.0, -1.0, np.nan])
+def test_transition_matrix_rejects_nonpositive_time(t):
+    g = two_community(6, 3, 0.0, seed=1)
+    for mode in ("unsym", "sym"):
+        with pytest.raises(NumericError, match="Markov time must be positive"):
+            transition_matrix(g.adjacency(), g.degrees(), t, mode)
     with pytest.raises(NumericError):
-        WalkParams(t=-1.0)
-    with pytest.raises(NumericError):
-        WalkParams(mode="bogus")
+        autocovariance(g.adjacency(), g.degrees(), t)
 
 
 def test_all_positive_graph_sign_equals_abs():
     g = two_community(15, 5, 0.0, seed=0).with_signs([1] * two_community(15, 5, 0.0, seed=0).num_edges)
-    p = WalkParams(t=1.0)
-    assert np.allclose(signed_transition(g, p, True), signed_transition(g, p, False))
+    d = g.degrees()
+    assert np.allclose(transition_matrix(g.adjacency(), d, 1.0),
+                       transition_matrix(g.abs_adjacency(), d, 1.0))
 
 
 def test_small_time_is_near_identity():
     g = two_community(6, 3, 0.0, seed=1)
-    M = signed_transition(g, WalkParams(t=0.001), True)
+    M = transition_matrix(g.adjacency(), g.degrees(), 0.001)
     assert np.abs(M - np.eye(g.n)).max() < 0.01
 
 
 def test_two_node_transition_closed_form():
     g = SignedGraph(2, [(0, 1, 1)])
-    M = signed_transition(g, WalkParams(t=1.0, mode="unsym"), True)
+    M = transition_matrix(g.adjacency(), g.degrees(), 1.0)
     assert M[0, 0] == pytest.approx(np.exp(-1) * np.cosh(1), abs=1e-10)
     assert M[0, 1] == pytest.approx(np.exp(-1) * np.sinh(1), abs=1e-10)
 
@@ -50,8 +53,8 @@ def test_two_node_transition_closed_form():
 def test_sym_equals_unsym_on_regular_graphs():
     for n, signs in [(6, None), (8, [1, -1, 1, -1, 1, -1, 1, -1])]:
         g = cycle_graph(n, signs)
-        a = signed_transition(g, WalkParams(t=1.0, mode="unsym"), True)
-        b = signed_transition(g, WalkParams(t=1.0, mode="sym"), True)
+        a = transition_matrix(g.adjacency(), g.degrees(), 1.0)
+        b = transition_matrix(g.adjacency(), g.degrees(), 1.0, "sym")
         assert np.abs(a - b).max() < 1e-10
 
 
@@ -75,8 +78,8 @@ def test_unsym_transition_matches_taylor_of_row_normalized_generator(t):
         G = v.grad_or_zero()
         return G + G.T
 
-    assert np.abs(transition_matrix(A0, d, t, "unsym") - taylor(A0)).max() < 1e-12
-    got, want = sym_grad(lambda v: transition_matrix(v, d, t, "unsym")), sym_grad(taylor)
+    assert np.abs(transition_matrix(A0, d, t) - taylor(A0)).max() < 1e-12
+    got, want = sym_grad(lambda v: transition_matrix(v, d, t)), sym_grad(taylor)
     for block in (np.s_[:, :], np.s_[1:, 1:]):
         assert np.abs(got[block] - want[block]).max() < 1e-12 * np.abs(want[block]).max()
 
@@ -90,20 +93,21 @@ def test_weight_matrix_annihilates_ones():
 
 def test_autocovariance_symmetry_sym_mode():
     g = two_community(10, 4, 0.2, seed=3)
-    R = autocovariance(g, WalkParams(t=1.0, mode="sym"), True)
+    R = autocovariance(g.adjacency(), g.degrees(), 1.0, "sym")
     assert np.abs(R - R.T).max() < 1e-10
 
 
 def test_autocovariance_sign_equals_abs_on_positive_graph():
     g = two_community(10, 4, 0.0, seed=4)
     g = g.with_signs([1] * g.num_edges)
-    p = WalkParams(t=1.0)
-    assert np.allclose(autocovariance(g, p, True), autocovariance(g, p, False))
+    d = g.degrees()
+    assert np.allclose(autocovariance(g.adjacency(), d, 1.0),
+                       autocovariance(g.abs_adjacency(), d, 1.0))
 
 
 def test_two_triangle_autocovariance_sign_pattern():
     g = two_triangles_bridge()
-    R = autocovariance(g, WalkParams(t=1.0, mode="sym"), True)
+    R = autocovariance(g.adjacency(), g.degrees(), 1.0, "sym")
     within = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]
     cross = [(u, v) for u in range(3) for v in range(3, 6)]
     assert all(R[u, v] > 0 for u, v in within)
@@ -115,13 +119,10 @@ def test_autocovariance_gradient_sym_mode():
     g = two_community(8, 4, 0.2, seed=5)
     A0 = g.adjacency()
     d = g.degrees()
-    W = degree_weight_matrix(d)
     C = np.random.default_rng(0).standard_normal((g.n, g.n))
 
     def f(v):
-        M = transition_matrix(v, d, 1.0, "sym")
-        R = tp.transpose(M) @ W @ M
-        return tp.sum_(R * C)
+        return tp.sum_(autocovariance(v, d, 1.0, "sym") * C)
 
     entries = [(u, v) for u, v, _ in g.edges]
     assert grad_check(f, A0, h=1e-5, entries=entries) < 1e-3
@@ -178,7 +179,7 @@ def test_cosine_normalize_exact_factorization():
 
 def test_cosine_normalize_autocovariance_matches_eigen_factor():
     g = two_community(30, 6, 0.1, seed=8)
-    R = autocovariance(g, WalkParams(t=1.0, mode="unsym"), True)
+    R = autocovariance(g.adjacency(), g.degrees(), 1.0)
     w, V = np.linalg.eigh(0.5 * (R + R.T))
     U = V * np.sqrt(np.clip(w, 0.0, None))
     norms = np.linalg.norm(U, axis=1)
@@ -204,7 +205,7 @@ def test_pole_predict_all_positive_training():
     g = two_community(20, 6, 0.0, seed=6)
     g = g.with_signs([1] * g.num_edges)
     split = split_edges(g, 0.2, seed=0)
-    probs = pole_predict(g.mask(split.test), split, WalkParams(t=1.0))
+    probs = pole_predict(g.mask(split.test), split, 1.0)
     assert np.all(probs > 0.5)
 
 
@@ -217,7 +218,7 @@ def test_pole_predict_two_triangle_hidden_within_edge():
     rest = np.array([k for k in range(g.num_edges) if k != k_within])
     split = EdgeSplit(train=rest, test=np.array([k_within]),
                       hidden_signs=np.array([1]))
-    p = pole_predict(g.mask(split.test), split, WalkParams(t=1.0))
+    p = pole_predict(g.mask(split.test), split, 1.0)
     assert p[0] > 0.5
 
 
@@ -230,12 +231,12 @@ def test_pole_similarity_probability_two_triangle_bridge():
     k_within = g.edge_index(0, 1)
 
     masked = g.mask([k_bridge])
-    R = autocovariance(masked, WalkParams(t=1.0, mode="sym"), True)
+    R = autocovariance(masked.adjacency(), masked.degrees(), 1.0, "sym")
     _, P = cosine_normalize(R)
     assert P[2, 3] < 0.5
 
     masked = g.mask([k_within])
-    R = autocovariance(masked, WalkParams(t=1.0, mode="sym"), True)
+    R = autocovariance(masked.adjacency(), masked.degrees(), 1.0, "sym")
     _, P = cosine_normalize(R)
     assert P[0, 1] > 0.5
 
@@ -243,16 +244,19 @@ def test_pole_similarity_probability_two_triangle_bridge():
 def test_all_hidden_node_warns():
     # node 5 has one link; hiding its sign leaves it without a signed link
     g = SignedGraph(6, [(0, 1, 1), (0, 2, -1), (1, 2, 1), (2, 3, 1), (3, 4, -1), (4, 5, 1)])
-    masked = g.mask([g.edge_index(4, 5)])
+
+    def split_hiding(*links):
+        test = np.array([g.edge_index(u, v) for u, v in links])
+        return EdgeSplit(train=np.setdiff1d(np.arange(g.num_edges), test), test=test,
+                         hidden_signs=g.signs()[test])
+
+    split = split_hiding((4, 5))
     with pytest.warns(RuntimeWarning, match="isolated"):
-        signed_transition(masked, WalkParams(t=1.0), True)
+        pole_predict(g.mask(split.test), split, 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        signed_transition(g.mask([g.edge_index(0, 1)]), WalkParams(t=1.0), False)
-        test = np.array([g.edge_index(0, 1), g.edge_index(3, 4)])
-        split = EdgeSplit(train=np.setdiff1d(np.arange(g.num_edges), test), test=test,
-                          hidden_signs=g.signs()[test])
-        pole_predict(g.mask(split.test), split, WalkParams(t=1.0))
+        split = split_hiding((0, 1), (3, 4))
+        pole_predict(g.mask(split.test), split, 1.0)
 
 
 def test_pole_predict_scatters_the_adjacency_at_most_twice(monkeypatch):
@@ -266,28 +270,29 @@ def test_pole_predict_scatters_the_adjacency_at_most_twice(monkeypatch):
     monkeypatch.setattr(tp, "sym_scatter", counting)
     g = two_community(40, 8, 0.1, seed=1)
     split = split_edges(g, 0.2, seed=1)
-    pole_predict(g.mask(split.test), split, WalkParams(t=1.0))
+    pole_predict(g.mask(split.test), split, 1.0)
     assert 1 <= len(calls) <= 2
 
 
-def separate_walks_pole_predict(g, split, params):
+def separate_walks_pole_predict(g, split, t, mode):
     """The victim with the signed and unsigned adjacencies scattered on their own."""
     us, vs = g.edge_array().T
     feats = []
     for A in (g.adjacency(), g.abs_adjacency()):
-        M = transition_matrix(A, g.degrees(), params.t, params.mode)
+        M = transition_matrix(A, g.degrees(), t, mode)
         feats.append((M.T @ degree_weight_matrix(g.degrees()) @ M)[us, vs])
     y_train = (g.signs()[split.train] > 0).astype(float)
     model = lr_train(np.column_stack(feats)[split.train], y_train)
     return lr_predict(model, np.column_stack(feats)[split.test])
 
 
-@pytest.mark.parametrize("mode", ["unsym", "sym"])
+# the victim reads the row-normalized walk only
+@pytest.mark.parametrize("mode", ["unsym"])
 @pytest.mark.parametrize("seed", range(3))
 def test_pole_predict_equals_separately_scattered_walks(seed, mode):
     # the same probabilities bit for bit, so the same POLE AUC rows
     g = two_community(40 + 10 * seed, 6, 0.1, seed=seed)
     split = split_edges(g, 0.2, seed=seed)
-    masked, params = g.mask(split.test), WalkParams(t=1.0, mode=mode)
-    assert np.array_equal(pole_predict(masked, split, params),
-                          separate_walks_pole_predict(masked, split, params))
+    masked = g.mask(split.test)
+    assert np.array_equal(pole_predict(masked, split, 1.0),
+                          separate_walks_pole_predict(masked, split, 1.0, mode))
