@@ -5,8 +5,7 @@ per step; they differ only in how the step chooses it. The gradient attacks
 evaluate the attack objective on the current poisoned graph, back-propagate
 to the sign vector s (one entry per link, hidden signs 0), score each
 not-yet-flipped training link k by the first-order objective increase of
-its flip, -2 s_k dJ/ds_k, and flip the best one. A loss that needs the dense
-adjacency builds it from s with ``tape.sym_scatter``.
+its flip, -2 s_k dJ/ds_k, and flip the best one.
 The triad baseline scores links by their balanced-triad count, read off the
 FeXtra wedge sums, and the random baseline replays a seeded draw. The
 objective being *maximized* is the prediction error on the self-labelled
@@ -15,13 +14,19 @@ the attack's visibility to detectors) close to the clean graph:
 
     J = -(sum_e y_e log p_e + (1 - y_e) log(1 - p_e)) + lambda T + eta Pol
 
-The recorded per-step ``loss_curve`` holds the raw log-likelihood sum (the
-first term without the leading minus), so more negative means more damage.
+``make_attack_loss`` is that one objective. It builds every per-attack
+constant once and, called on s, returns the log-likelihood ``base`` and J;
+``penalized_loss`` adds the two penalty terms. The objective alone decides
+whether a step scatters the dense adjacency from s (``tape.sym_scatter``):
+it does for a POLE target or a nonzero eta, once, and the POLE loss and the
+eta term share it. The recorded per-step ``loss_curve`` holds ``base``, so
+more negative means more damage.
 
 The FeXtra losses put the victim's feature map in front of either the
 closed-form ridge surrogate (``fextra-ols``) or the victim's own converged
 logistic fit (``fextra-meta``), which the tape differentiates implicitly at
-its optimum. The POLE surrogate scores a test link by the cosine of an exact
+its optimum; the FeXtra victim runs the ``fextra-meta`` prediction off the
+tape. The POLE surrogate scores a test link by the cosine of an exact
 factor of the autocovariance R (``pole.autocovariance``, the victim's own
 walk), which is R normalized by its own diagonal, so no embedding is fitted.
 The Markov time ``t`` is a plain float here; only the POLE losses, the POLE
@@ -35,10 +40,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tape as tp
-from .balance import balance_ratio_terms, polarization_term, triad_terms
+from .balance import balance_ratio_terms, polarization_term, triad_trace
 from .errors import ConfigError, MetricUndefinedError, NumericError
-from .fextra import (WedgeIndex, extract_features, link_features, lr_predict, lr_train,
-                     ols_fit, wedge_index)
+from .fextra import WedgeIndex, link_features, lr_predict, lr_train, ols_fit, wedge_index
 from .graph import EdgeSplit, SignedGraph
 from .pole import autocovariance, cosine_normalize, pole_predict, transition_matrix
 
@@ -85,13 +89,13 @@ def victim_probs(model: str, g: SignedGraph, split: EdgeSplit, t: float):
     """Victim positive-sign probabilities for the test links of ``split``.
 
     The victim is fit on ``g`` with the test signs hidden, from the training
-    signs only. Only the POLE victim reads the Markov time ``t``.
+    signs only. The FeXtra victim is ``_fextra_probs`` with the victim's own
+    fit, off the tape. Only the POLE victim reads the Markov time ``t``.
     """
     masked = g.mask(split.test)
     if model == "fextra":
-        feats = extract_features(masked, masked.edge_array())
-        y_tr = (masked.signs()[split.train] > 0).astype(float)
-        return lr_predict(lr_train(feats[split.train], y_tr), feats[split.test])
+        return _fextra_probs(masked.signs(), wedge_index(masked, masked.edge_array()), split,
+                             lr_train)
     if model == "pole":
         return pole_predict(masked, split, t)
     raise ConfigError(f"unknown victim model {model!r}")
@@ -114,109 +118,86 @@ def _log_likelihood(p, y_hat):
     return tp.sum_(y_hat * tp.log(p_lo) + (1.0 - y_hat) * tp.log(p_hi))
 
 
-class _FextraLoss:
-    """Attack loss for the feature-based predictor, through ``fit`` on the tape."""
-
-    def __init__(self, masked: SignedGraph, split: EdgeSplit, y_hat, fit):
-        self.index = wedge_index(masked, masked.edge_array())
-        self.split = split
-        self.y_hat = np.asarray(y_hat, dtype=float)
-        self.fit = fit
-
-    def __call__(self, s, A=None):
-        # the feature map reads the sign vector; A is not needed
-        X = link_features(s, self.index)
-        X_tr = tp.gather_rows(X, self.split.train)
-        X_te = tp.gather_rows(X, self.split.test)
-        y_tr = (tp._data(s)[self.split.train] > 0).astype(float)
-        p = lr_predict(self.fit(X_tr, y_tr), X_te)
-        return _log_likelihood(p, self.y_hat)
+def _fextra_probs(s, index: WedgeIndex, split: EdgeSplit, fit):
+    """FeXtra test-link probabilities: the features of the sign vector ``s``, ``fit`` on
+    the training rows, predicted on the test rows; polymorphic over tape Values for s."""
+    X = link_features(s, index)
+    X_tr, X_te = tp.gather_rows(X, split.train), tp.gather_rows(X, split.test)
+    y_tr = (tp._data(s)[split.train] > 0).astype(float)
+    return lr_predict(fit(X_tr, y_tr), X_te)
 
 
-class _PoleLoss:
-    """Attack loss through the autocovariance -> cosine -> test-link gather."""
+class _Objective:
+    """J = -base + lambda T + eta Pol on the sign vector, and every per-attack constant.
 
-    def __init__(self, masked: SignedGraph, split: EdgeSplit, y_hat, t, mode):
-        self.y_hat = np.asarray(y_hat, dtype=float)
-        self.t = t
-        self.mode = mode
-        self.degrees = masked.degrees()
-        self.n = masked.n
-        self.edge = masked.edge_array()
-        self.us_te, self.vs_te = self.edge[split.test].T
-
-    def __call__(self, s, A=None):
-        if A is None:
-            A = tp.sym_scatter(s, *self.edge.T, self.n)
-        _, P = cosine_normalize(autocovariance(A, self.degrees, self.t, self.mode))
-        p_e = tp.gather(P, self.us_te, self.vs_te)
-        return _log_likelihood(p_e, self.y_hat)
-
-
-def make_attack_loss(target: str, masked: SignedGraph, split: EdgeSplit, y_hat, t):
-    """The loss ``(s, A=None) -> log-likelihood`` of ``target``; A is the dense adjacency of s,
-    which a POLE loss scatters itself when it is not passed. Only a POLE loss
-    reads the Markov time ``t``."""
-    if target == "fextra-ols":
-        return _FextraLoss(masked, split, y_hat, ols_fit)
-    if target == "fextra-meta":
-        return _FextraLoss(masked, split, y_hat, lr_train)
-    if target in ("pole-sym", "pole-unsym"):
-        return _PoleLoss(masked, split, y_hat, t, mode=target.removeprefix("pole-"))
-    raise ConfigError(f"unknown attack target {target!r}; expected one of {TARGETS}")
-
-
-@dataclass(frozen=True)
-class Penalty:
-    """Weights of lambda T + eta Pol, the links, and the constants of |A| they need.
-
-    Flips never change |A|, so the wedge index and tr(|A|^3) of the lambda
-    term and the unsigned walk of the eta term are computed once per attack,
-    each only when its weight is nonzero.
+    ``base`` is the self-labels' log-likelihood under the target's
+    surrogate. Flips never change the support, so each constant is built
+    once, and only when a term reads it: one wedge index for the FeXtra
+    features and the lambda term, tr(|A|^3) for lambda, the unsigned walk
+    for eta. A step scatters the dense A from s only for a POLE target or a
+    nonzero eta, and once: the POLE loss and the eta term share it.
     """
 
-    lam: float
-    eta: float
-    t: float
-    n: int
-    edge: np.ndarray  # the masked graph's links, one row (u, v) per entry of s
-    degrees: np.ndarray
-    index: WedgeIndex | None
-    tr_abs: float
-    M_abs: np.ndarray | None
+    def __init__(self, target, masked: SignedGraph, split: EdgeSplit, y_hat, t, lam, eta):
+        self.split, self.t, self.lam, self.eta = split, t, lam, eta
+        self.y_hat = np.asarray(y_hat, dtype=float)
+        self.fit = {"fextra-ols": ols_fit, "fextra-meta": lr_train}.get(target)
+        self.mode = target.removeprefix("pole-")
+        self.n, self.edge, self.degrees = masked.n, masked.edge_array(), masked.degrees()
+        self.us_te, self.vs_te = self.edge[split.test].T
+        self.dense = self.fit is None or eta != 0.0
+        self.index = wedge_index(masked, self.edge) if self.fit or lam != 0.0 else None
+        self.tr_abs = float(triad_trace(np.abs(masked.signs()), self.index)) if lam != 0.0 else 0.0
+        self.M_abs = (transition_matrix(np.abs(masked.adjacency()), self.degrees, t)
+                      if eta != 0.0 else None)
 
-    @classmethod
-    def for_graph(cls, masked: SignedGraph, t, lam, eta):
-        degrees = masked.degrees()
-        index, tr_abs = triad_terms(masked) if lam != 0.0 else (None, 0.0)
-        M_abs = (transition_matrix(masked.abs_adjacency(), degrees, t)
-                 if eta != 0.0 else None)
-        return cls(lam, eta, t, masked.n, masked.edge_array(), degrees, index, tr_abs, M_abs)
+    def __call__(self, s, events=None):
+        """(base, J) at the sign vector ``s``, both on its tape."""
+        A = tp.sym_scatter(s, *self.edge.T, self.n) if self.dense else None
+        if self.fit is not None:
+            p = _fextra_probs(s, self.index, self.split, self.fit)
+        else:
+            _, P = cosine_normalize(autocovariance(A, self.degrees, self.t, self.mode))
+            p = tp.gather(P, self.us_te, self.vs_te)
+        base = _log_likelihood(p, self.y_hat)
+        return base, penalized_loss(-base, s, A, self, events)
 
 
-def penalized_loss(base, s, penalty: Penalty, events=None, A=None):
-    """base + lambda T(s) + eta Pol(A, t), each term on the tape.
+def make_attack_loss(target: str, masked: SignedGraph, split: EdgeSplit, y_hat, t,
+                     lam=0.0, eta=0.0):
+    """The greedy objective of ``target``: ``loss(s, events=None) -> (base, J)``.
+
+    ``masked`` is the graph with the test signs hidden and ``s`` its sign
+    vector on a tape; J = -base + lambda T + eta Pol is what a step
+    differentiates (``_Objective``). Only a POLE loss and the eta term read
+    the Markov time ``t``.
+    """
+    if target not in TARGETS:
+        raise ConfigError(f"unknown attack target {target!r}; expected one of {TARGETS}")
+    return _Objective(target, masked, split, y_hat, t, lam, eta)
+
+
+def penalized_loss(err, s, A, objective: _Objective, events=None):
+    """err + lambda T(s) + eta Pol(A), each term on the tape, read off ``objective``.
 
     T reads the wedge sums of the sign vector ``s``. A is the dense
-    adjacency of ``s`` over ``penalty.edge``; the caller may pass the one it
-    built, and it is scattered here only when eta is nonzero and none was
-    passed. An undefined balance term contributes zero and logs an event.
+    adjacency of s that the objective scattered for this step (None when it
+    scattered none); only the eta term reads it. An undefined balance term
+    contributes zero and logs an event in ``events``.
     The polarization term is ``balance.polarization_term`` on the
     row-normalized (``unsym``) walk, the one ``balance.graph_polarization``
     reports.
     """
-    out = base
-    if penalty.lam != 0.0:
+    out = err
+    if objective.lam != 0.0:
         try:
-            out = out + penalty.lam * balance_ratio_terms(s, penalty.index, penalty.tr_abs)
+            out = out + objective.lam * balance_ratio_terms(s, objective.index, objective.tr_abs)
         except MetricUndefinedError:
             if events is not None:
                 events.append("balance term undefined (no triads); contributed 0")
-    if penalty.eta != 0.0:
-        if A is None:
-            A = tp.sym_scatter(s, *penalty.edge.T, penalty.n)
-        M_sign = transition_matrix(A, penalty.degrees, penalty.t)
-        out = out + penalty.eta * polarization_term(M_sign, penalty.M_abs)
+    if objective.eta != 0.0:
+        M_sign = transition_matrix(A, objective.degrees, objective.t)
+        out = out + objective.eta * polarization_term(M_sign, objective.M_abs)
     return out
 
 
@@ -273,22 +254,16 @@ def gradient_chooser(g0: SignedGraph, split: EdgeSplit, target: str, cfg: Attack
                      y_hat=None):
     """The greedy step of ``flip_attack``: a ``_greedy_flips`` chooser that
     flips the link with the largest first-order increase of the objective."""
-    masked = g0.mask(split.test)
     if y_hat is None:
         y_hat = self_train_labels(victim_model_kind(target), g0, split, cfg.t)
-    loss_fn = make_attack_loss(target, masked, split, y_hat, cfg.t)
-    penalty = Penalty.for_graph(masked, cfg.t, cfg.lam, cfg.eta)
-    edge = masked.edge_array()
-    us, vs = edge[split.train].T
-    dense = victim_model_kind(target) == "pole" or cfg.eta != 0.0
+    loss = make_attack_loss(target, g0.mask(split.test), split, y_hat, cfg.t, cfg.lam, cfg.eta)
+    us, vs = g0.edge_array()[split.train].T
 
     def choose(signs, pooled, trace):
         tape = tp.Tape()
         s = tape.leaf(signs, requires_grad=True)
-        # one dense adjacency per step, shared by the POLE loss and the eta term
-        A = tp.sym_scatter(s, *edge.T, masked.n) if dense else None
-        base = loss_fn(s, A)
-        tape.backward(penalized_loss(-base, s, penalty, trace.events, A))
+        base, J = loss(s, trace.events)
+        tape.backward(J)
         G = s.grad_or_zero()
         tape.release()
         scores = (-2.0 * signs[split.train]) * G[split.train]

@@ -147,11 +147,6 @@ def _node_values(corr, defined):
     return [float(c) if ok else None for c, ok in zip(corr, defined)]
 
 
-def polarization_nodes(g: SignedGraph, t: float):
-    """Per-node polarization; None where the correlation is undefined."""
-    return _node_values(*_walk_correlations(g, t))
-
-
 def graph_polarization(g: SignedGraph, t: float) -> float:
     return float(_defined_mean(*_walk_correlations(g, t)))
 

@@ -22,6 +22,7 @@ from .errors import ConfigError
 from .fextra import auc
 from .graph import (EdgeSplit, GraphCorpus, SignedGraph, largest_connected_component,
                     load_edge_list, load_graph_json, sample_subgraph_corpus, split_edges)
+from .pole import check_markov_time
 
 FEXTRA_POWERS = (0.01, 0.05, 0.10, 0.15, 0.20)
 POLE_POWERS = (0.01, 0.03, 0.05, 0.07, 0.10)
@@ -165,6 +166,12 @@ def build_poisoned_set(dataset: SignedGraph, cfg: ExperimentConfig):
 
 def run_detect_experiment(cfg: ExperimentConfig, dataset: SignedGraph | None = None,
                           corpus: GraphCorpus | None = None, poisoned=None):
+    """Detector ensemble AUCs on clean corpus graphs against poisoned snapshots.
+
+    The metric view reads the walk at ``cfg.t``, so a Markov time that is not
+    positive fails here, before any poisoning or corpus sampling.
+    """
+    check_markov_time(cfg.t)
     dataset = dataset if dataset is not None else load_dataset(cfg)
     if corpus is None:
         corpus = sample_subgraph_corpus(dataset, cfg.corpus_sizes,

@@ -97,10 +97,6 @@ class SignedGraph:
         """Dense symmetric A with entries in {+1,-1,0}."""
         return tp.sym_scatter(self.signs(), *self._edge.T, self.n)
 
-    def abs_adjacency(self):
-        """|A| of the signed entries only (A+ + A-); hidden-sign edges are 0."""
-        return np.abs(self.adjacency())
-
     def degrees(self):
         """Unsigned degrees from the signed entries, floored away from zero."""
         # |sign| once for each end of each link, in the order of the raveled (u, v) rows

@@ -30,6 +30,12 @@ from . import fextra
 COSINE_FLOOR = 1e-9
 
 
+def check_markov_time(t):
+    """Raise ``NumericError`` unless the Markov time t is positive (NaN is not)."""
+    if not t > 0:
+        raise NumericError(f"Markov time must be positive, got {t}")
+
+
 def transition_matrix(A, degrees, t, mode="unsym"):
     """exp(-(I - normalized A) t); polymorphic over tape Values for A.
 
@@ -38,10 +44,9 @@ def transition_matrix(A, degrees, t, mode="unsym"):
     similarity transform D^{-1/2} exp(.) D^{1/2}, since D^{-1} A is similar to
     D^{-1/2} A D^{-1/2}; A must be symmetric. Every walk of the package passes
     through here, so this is where a Markov time that is not positive (or is
-    NaN) raises ``NumericError``.
+    NaN) raises ``NumericError`` (``check_markov_time``).
     """
-    if not t > 0:
-        raise NumericError(f"Markov time must be positive, got {t}")
+    check_markov_time(t)
     d = np.maximum(np.asarray(degrees, dtype=float), DEGREE_FLOOR)
     r = 1.0 / np.sqrt(d)
     gen = tp.mul(tp.add(tp.mul(A, np.outer(r, r)), -np.eye(d.shape[0])), t)

@@ -44,9 +44,6 @@ class Tape:
     def leaf(self, data, requires_grad=False) -> "Value":
         return Value(np.asarray(data, dtype=float), self, requires_grad)
 
-    def constant(self, data) -> "Value":
-        return Value(np.asarray(data, dtype=float), self, False)
-
     def _append(self, node):
         self._nodes.append(node)
 

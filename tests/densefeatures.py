@@ -7,9 +7,9 @@ hand-written adjoint of the one-node ``fextra.link_features``.
 In the dense map every feature is read off n x n matrices: signed degrees
 are row sums of A+ and A-, and the common-neighbour and triad counts are
 entries of the products S @ S and A± @ A±. ``DenseFextraLoss`` is the
-attack loss written over them; it builds A from the sign vector with
-``tape.sym_scatter``, so its tape gradient with respect to that vector is the
-reference for the sparse one.
+log-likelihood of the FeXtra attack objective written over them; it builds A
+from the sign vector with ``tape.sym_scatter``, so its tape gradient with
+respect to that vector is the reference for the sparse one.
 
 ``relu`` and ``support`` serve only these oracles and the tests; no program
 path records a relu or builds the 0/1 support matrix.
@@ -104,7 +104,11 @@ def dense_extract_features(g, links):
 
 
 class DenseFextraLoss:
-    """``attacks._FextraLoss`` over the dense feature map."""
+    """The FeXtra ``base`` of ``attacks.make_attack_loss`` over the dense feature map.
+
+    It returns the log-likelihood only; a test adds the penalty terms with
+    ``attacks.penalized_loss`` to compare the whole objective J.
+    """
 
     def __init__(self, masked, split, y_hat, fit):
         edge = masked.edge_array()

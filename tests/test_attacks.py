@@ -4,15 +4,18 @@ import weakref
 import numpy as np
 import pytest
 
+from signedattack import attacks, balance, fextra
 from signedattack import tape as tp
-from signedattack.attacks import (AttackConfig, Penalty, _log_likelihood, _pick_flip,
+from signedattack.attacks import (AttackConfig, AttackTrace, _log_likelihood, _pick_flip,
                                   baseline_greedy_triads, baseline_rand, flip_attack,
-                                  flips_for_power, make_attack_loss, penalized_loss,
-                                  self_train_labels)
+                                  flips_for_power, gradient_chooser, make_attack_loss,
+                                  penalized_loss, self_train_labels, victim_model_kind,
+                                  victim_probs)
 from signedattack.balance import balance_ratio, graph_polarization, triad_census
 from signedattack.errors import ConfigError, NumericError
 from signedattack.experiments import ExperimentConfig, run_attack_trial
-from signedattack.fextra import auc, link_features, lr_predict, lr_train, ols_fit
+from signedattack.fextra import (auc, extract_features, link_features, lr_predict, lr_train,
+                                 ols_fit)
 from signedattack.graph import EdgeSplit, SignedGraph, split_edges
 from signedattack.tape import Tape
 from balanceoracles import dense_greedy_triads
@@ -30,7 +33,14 @@ def small_instance(n=14, deg=5, noise=0.1, seed=0, frac=0.15):
 def eval_loss(target, g, split, y_hat, t=1.0):
     masked = g.mask(split.test)
     loss_fn = make_attack_loss(target, masked, split, y_hat, t)
-    return float(tp._data(loss_fn(Tape().leaf(masked.signs(), requires_grad=True))))
+    return float(tp._data(loss_fn(Tape().leaf(masked.signs(), requires_grad=True))[0]))
+
+
+def objective(g, lam, eta):
+    """The attack objective of g with penalty weights lam and eta and every link in training."""
+    empty = np.array([], dtype=int)
+    split = EdgeSplit(train=np.arange(g.num_edges), test=empty, hidden_signs=empty)
+    return make_attack_loss("fextra-ols", g, split, [], 1.0, lam, eta)
 
 
 def test_self_train_perfect_model_recovers_labels():
@@ -78,7 +88,7 @@ def test_attack_loss_gradient_matches_finite_differences(target):
 
     from signedattack.tape import grad_check
 
-    err = grad_check(loss_fn, masked.signs(), h=1e-5, entries=entries)
+    err = grad_check(lambda s: loss_fn(s)[0], masked.signs(), h=1e-5, entries=entries)
     assert err < 1e-3
 
 
@@ -109,9 +119,9 @@ def test_penalized_loss_recovers_base_and_adds_T():
     t = Tape()
     s = t.leaf(g.signs(), requires_grad=True)
     base = tp.sum_(s * 0.0) + 2.5
-    out0 = penalized_loss(base, s, Penalty.for_graph(g, 1.0, 0.0, 0.0))
+    out0 = penalized_loss(base, s, None, objective(g, 0.0, 0.0))
     assert float(tp._data(out0)) == 2.5
-    out1 = penalized_loss(base, s, Penalty.for_graph(g, 1.0, 1.0, 0.0))
+    out1 = penalized_loss(base, s, None, objective(g, 1.0, 0.0))
     assert float(tp._data(out1)) == pytest.approx(3.5)  # T = 1
 
 
@@ -122,8 +132,8 @@ def test_polarization_penalty_is_the_detector_polarization(seed):
     g = two_community(60, 8, 0.1, seed=seed)
     t = Tape()
     s = t.leaf(g.signs(), requires_grad=True)
-    penalty = Penalty.for_graph(g, 1.0, 0.0, 1.0)
-    eta_term = float(tp._data(penalized_loss(0.0, s, penalty)))
+    A = tp.sym_scatter(s, *g.edge_array().T, g.n)
+    eta_term = float(tp._data(penalized_loss(0.0, s, A, objective(g, 0.0, 1.0))))
     assert eta_term == graph_polarization(g, 1.0)
 
 
@@ -133,8 +143,7 @@ def test_balance_penalty_is_the_detector_balance_ratio(seed):
     g = two_community(60, 8, 0.1, seed=seed)
     t = Tape()
     s = t.leaf(g.signs(), requires_grad=True)
-    penalty = Penalty.for_graph(g, 1.0, 1.0, 0.0)
-    assert float(tp._data(penalized_loss(0.0, s, penalty))) == balance_ratio(g)
+    assert float(tp._data(penalized_loss(0.0, s, None, objective(g, 1.0, 0.0)))) == balance_ratio(g)
 
 
 def test_penalized_loss_no_triads_contributes_zero():
@@ -142,7 +151,7 @@ def test_penalized_loss_no_triads_contributes_zero():
     t = Tape()
     s = t.leaf(g.signs(), requires_grad=True)
     events = []
-    out = penalized_loss(t.constant(1.0), s, Penalty.for_graph(g, 1.0, 5.0, 0.0), events)
+    out = penalized_loss(1.0, s, None, objective(g, 5.0, 0.0), events)
     assert float(tp._data(out)) == 1.0
     assert events
 
@@ -291,7 +300,7 @@ def test_greedy_scores_correlate_with_exact_gains():
         signs = masked.signs()
         t = Tape()
         s = t.leaf(signs, requires_grad=True)
-        t.backward(tp.mul(loss_fn(s), -1.0))
+        t.backward(tp.mul(loss_fn(s)[0], -1.0))
         G = s.grad_or_zero()
         gains = exact_flip_gains(loss_fn, signs, split.train, set())
         ks = sorted(gains)
@@ -417,7 +426,6 @@ def test_fextra_flip_scores_match_the_dense_feature_map(target, fit, lam, eta):
     split = split_edges(g, 0.1, seed=4)
     y_hat = self_train_labels("fextra", g, split)
     masked = g.mask(split.test)
-    penalty = Penalty.for_graph(masked, 1.0, lam, eta)
     # score a poisoned state too: five training links flipped
     signs1 = masked.signs()
     signs1[split.train[:5]] *= -1
@@ -425,11 +433,17 @@ def test_fextra_flip_scores_match_the_dense_feature_map(target, fit, lam, eta):
     def link_grads(loss_fn, signs):
         t = Tape()
         s = t.leaf(signs, requires_grad=True)
-        t.backward(penalized_loss(-loss_fn(s), s, penalty))
+        t.backward(loss_fn(s)[1])
         return s.grad_or_zero()[split.train]
 
-    sparse = make_attack_loss(target, masked, split, y_hat, 1.0)
-    dense = DenseFextraLoss(masked, split, y_hat, fit)
+    sparse = make_attack_loss(target, masked, split, y_hat, 1.0, lam, eta)
+    dense_loss = DenseFextraLoss(masked, split, y_hat, fit)
+
+    def dense(s):
+        base = dense_loss(s)
+        A = tp.sym_scatter(s, *masked.edge_array().T, masked.n)
+        return base, penalized_loss(-base, s, A, sparse)
+
     for signs in (masked.signs(), signs1):
         got, want = link_grads(sparse, signs), link_grads(dense, signs)
         assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
@@ -585,3 +599,64 @@ def test_baseline_greedy_triads_matches_the_dense_oracle(seed):
     want = dense_greedy_triads(g, split, budget, checkpoints)
     assert got.flips == want.flips
     assert got.snapshots[checkpoints[0]].edges == want.snapshots[checkpoints[0]].edges
+
+
+def counting(calls, fn):
+    """``fn`` that appends its positional arguments to ``calls`` on every call."""
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def test_penalized_fextra_attack_builds_one_wedge_index(monkeypatch):
+    # the FeXtra features and the lambda term read one index; a separate
+    # penalty object built a second, identical one
+    g, split = small_instance(n=16, deg=6, seed=7)
+    y_hat = self_train_labels("fextra", g, split)
+    built = []
+    wedge_index = counting(built, fextra.wedge_index)
+    for module in (attacks, balance, fextra):
+        monkeypatch.setattr(module, "wedge_index", wedge_index)
+    gradient_chooser(g, split, "fextra-ols", AttackConfig(budget=1, lam=2.0), y_hat)
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("target,eta,scatters", [("pole-sym", 2.0, 1), ("pole-unsym", 0.0, 1),
+                                                 ("fextra-ols", 2.0, 1), ("fextra-ols", 0.0, 0)])
+def test_a_step_scatters_the_dense_adjacency_once_when_the_objective_reads_it(
+        monkeypatch, target, eta, scatters):
+    g, split = small_instance(n=16, deg=6, seed=7)
+    y_hat = self_train_labels(victim_model_kind(target), g, split)
+    choose = gradient_chooser(g, split, target, AttackConfig(budget=1, lam=1.0, eta=eta), y_hat)
+    calls = []
+    monkeypatch.setattr(tp, "sym_scatter", counting(calls, tp.sym_scatter))
+    choose(g.mask(split.test).signs(), np.zeros(len(split.train), dtype=bool), AttackTrace())
+    assert len(calls) == scatters
+
+
+def feature_block_victim(g, split):
+    """The FeXtra victim as the feature block of all links, fit on its training rows."""
+    masked = g.mask(split.test)
+    feats = extract_features(masked, masked.edge_array())
+    y_tr = (masked.signs()[split.train] > 0).astype(float)
+    return lr_predict(lr_train(feats[split.train], y_tr), feats[split.test])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_fextra_victim_equals_the_feature_block_oracle(seed):
+    g = two_community(40 + 10 * seed, 8, 0.1, seed=seed)
+    split = split_edges(g, 0.15, seed=seed)
+    assert np.array_equal(victim_probs("fextra", g, split, 1.0), feature_block_victim(g, split))
+
+
+def test_flip_attack_calls_the_objective_and_the_penalty_through_the_module(monkeypatch):
+    # perfbench times both by wrapping these module attributes; a call that
+    # bypasses them would leave its span at zero
+    made, penalized = [], []
+    monkeypatch.setattr(attacks, "make_attack_loss", counting(made, attacks.make_attack_loss))
+    monkeypatch.setattr(attacks, "penalized_loss", counting(penalized, attacks.penalized_loss))
+    g, split = small_instance()
+    trace = flip_attack(g, split, "fextra-ols", AttackConfig(budget=2))
+    assert len(trace.flips) == 2
+    assert (len(made), len(penalized)) == (1, 2)

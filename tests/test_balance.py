@@ -3,7 +3,7 @@ import pytest
 
 from signedattack import tape as tp
 from signedattack.balance import (balance_ratio, balance_ratio_terms, balance_report,
-                                  graph_polarization, polarization_nodes, polarization_term,
+                                  graph_polarization, polarization_term,
                                   row_correlations, triad_census, triad_trace)
 from signedattack.errors import MetricUndefinedError
 from signedattack.fextra import wedge_index
@@ -134,7 +134,7 @@ def test_single_flip_changes_T_by_triad_multiple():
 
 def test_polarization_all_positive_is_one():
     g = complete_graph(5)
-    assert polarization_nodes(g, 1.0) == pytest.approx([1.0] * g.n, abs=1e-9)
+    assert balance_report(g, 1.0).pol_nodes == pytest.approx([1.0] * g.n, abs=1e-9)
     assert graph_polarization(g, 1.0) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -173,7 +173,6 @@ def test_polarization_equals_the_per_node_oracle(seed):
     hidden = np.random.default_rng(seed).permutation(full.num_edges)[:full.num_edges // 4]
     for g in (full, full.mask(hidden), two_community(20 + seed, 5, 0.1, seed=seed)):
         nodes = oracle_polarization_nodes(g, 1.0)
-        assert polarization_nodes(g, 1.0) == nodes
         assert graph_polarization(g, 1.0) == oracle_graph_polarization(g, 1.0)
         report = balance_report(g, t=1.0)
         assert (report.pol_nodes, report.pol_graph) == (nodes, oracle_graph_polarization(g, 1.0))

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from signedattack import experiments
 from signedattack.detectors import (DetectorView, OCSVMModel, detector_eval,
                                     metric_features, ocsvm_decision, ocsvm_fit,
                                     tsvd_features)
-from signedattack.errors import ConfigError, MetricUndefinedError
-from signedattack.experiments import ExperimentConfig, build_poisoned_set, run_attack_trial
+from signedattack.errors import ConfigError, MetricUndefinedError, NumericError
+from signedattack.experiments import (ExperimentConfig, build_poisoned_set, run_attack_trial,
+                                      run_detect_experiment)
 from signedattack.fextra import auc
 from signedattack.graph import GraphCorpus, SignedGraph
 from signedattack.linalg import truncated_svd
@@ -271,3 +273,13 @@ def test_poisoned_set_rejects_an_unknown_baseline():
     cfg = ExperimentConfig(subsample=0, powers=(0.05,), seeds=(0,), baseline="bogus")
     with pytest.raises(ConfigError, match="unknown baseline"):
         build_poisoned_set(g, cfg)
+
+
+@pytest.mark.parametrize("t", [-1.0, float("nan")])
+def test_detect_rejects_a_nonpositive_markov_time_before_poisoning(monkeypatch, t):
+    poisoned = []
+    monkeypatch.setattr(experiments, "poison", lambda *args, **kwargs: poisoned.append(args))
+    cfg = ExperimentConfig(subsample=0, powers=(0.05,), seeds=(0,), t=t)
+    with pytest.raises(NumericError, match="Markov time must be positive"):
+        run_detect_experiment(cfg, geometric_polarized(30, k=6, noise=0.1, seed=0))
+    assert poisoned == []

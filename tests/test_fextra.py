@@ -304,3 +304,37 @@ def test_auc_invariant_under_monotone_transforms(seed):
     base = auc(scores, labels)
     assert auc(np.exp(scores), labels) == pytest.approx(base, abs=1e-12)
     assert auc(3.0 * scores + 7.0, labels) == pytest.approx(base, abs=1e-12)
+
+
+def loop_auc(scores, labels):
+    """Mann-Whitney AUC with tie groups found by a Python loop over the sorted scores.
+
+    The oracle for the vectorized ranks of ``fextra.auc``: a group grows while
+    the next score equals its first one, so each NaN is a group of its own.
+    """
+    scores = np.asarray(scores, dtype=float)
+    pos = np.asarray(labels) == 1
+    n_pos, n_neg = int(pos.sum()), int((~pos).sum())
+    order = np.argsort(scores, kind="mergesort")
+    ranks = np.empty(len(scores))
+    sorted_scores = scores[order]
+    i = 0
+    while i < len(scores):
+        j = i
+        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_auc_equals_the_tie_group_loop(seed):
+    rng = np.random.default_rng(seed)
+    values = np.array([np.nan, -0.0, 0.0, -1.5, 0.25, 1.0, 3.0])
+    for _ in range(500):
+        m = int(rng.integers(2, 40))
+        scores = rng.choice(values[:int(rng.integers(2, len(values) + 1))], m)
+        labels = rng.integers(0, 2, m)
+        labels[:2] = (0, 1)
+        assert auc(scores, labels) == loop_auc(scores, labels)
