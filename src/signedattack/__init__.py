@@ -6,10 +6,10 @@ from .graph import (EdgeSplit, GraphCorpus, SignedGraph, largest_connected_compo
                     load_edge_list, load_graph_json, positive_ratio,
                     sample_subgraph_corpus, split_edges)
 from .tape import Tape, Value, grad_check
-from .linalg import matrix_exp, sym_eig, sym_matrix_exp, truncated_svd
-from .fextra import LRModel, auc, extract_features, lr_predict, lr_train, ols_fit
+from .linalg import sym_eig, sym_matrix_exp
+from .fextra import LRModel, auc, lr_predict, lr_train, ols_fit
 from .pole import autocovariance, cosine_normalize, pole_predict, transition_matrix
-from .balance import BalanceReport, balance_ratio, balance_report, graph_polarization, triad_census
+from .balance import BalanceReport, balance_ratio, balance_report, graph_polarization
 from .attacks import (AttackConfig, AttackTrace, baseline_greedy_triads, baseline_rand,
                       flip_attack, flips_for_power, penalized_loss, self_train_labels)
 from .detectors import (DetectorView, OCSVMModel, detector_eval, metric_features,

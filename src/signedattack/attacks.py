@@ -48,7 +48,7 @@ from .pole import autocovariance, cosine_normalize, pole_predict, transition_mat
 
 LOG_CLIP = 1e-12
 
-TARGETS = ("fextra-ols", "fextra-meta", "pole-sym", "pole-unsym")
+TARGETS = ("fextra-ols", "fextra-meta", "pole-unsym")
 
 
 @dataclass
@@ -82,6 +82,12 @@ def flips_for_power(g: SignedGraph, power: float) -> int:
 
 
 def victim_model_kind(target: str) -> str:
+    """The victim ``target`` attacks, "fextra" or "pole"; ``ConfigError`` outside ``TARGETS``.
+
+    The one check of a target name: the CLI, an attack trial and
+    ``make_attack_loss`` all reach it before they fit anything."""
+    if target not in TARGETS:
+        raise ConfigError(f"unknown attack target {target!r}; expected one of {TARGETS}")
     return "fextra" if target.startswith("fextra") else "pole"
 
 
@@ -141,11 +147,11 @@ class _Objective:
     def __init__(self, target, masked: SignedGraph, split: EdgeSplit, y_hat, t, lam, eta):
         self.split, self.t, self.lam, self.eta = split, t, lam, eta
         self.y_hat = np.asarray(y_hat, dtype=float)
-        self.fit = {"fextra-ols": ols_fit, "fextra-meta": lr_train}.get(target)
-        self.mode = target.removeprefix("pole-")
+        pole = victim_model_kind(target) == "pole"
+        self.fit = None if pole else {"fextra-ols": ols_fit, "fextra-meta": lr_train}[target]
         self.n, self.edge, self.degrees = masked.n, masked.edge_array(), masked.degrees()
         self.us_te, self.vs_te = self.edge[split.test].T
-        self.dense = self.fit is None or eta != 0.0
+        self.dense = pole or eta != 0.0
         self.index = wedge_index(masked, self.edge) if self.fit or lam != 0.0 else None
         self.tr_abs = float(triad_trace(np.abs(masked.signs()), self.index)) if lam != 0.0 else 0.0
         self.M_abs = (transition_matrix(np.abs(masked.adjacency()), self.degrees, t)
@@ -157,7 +163,7 @@ class _Objective:
         if self.fit is not None:
             p = _fextra_probs(s, self.index, self.split, self.fit)
         else:
-            _, P = cosine_normalize(autocovariance(A, self.degrees, self.t, self.mode))
+            _, P = cosine_normalize(autocovariance(A, self.degrees, self.t))
             p = tp.gather(P, self.us_te, self.vs_te)
         base = _log_likelihood(p, self.y_hat)
         return base, penalized_loss(-base, s, A, self, events)
@@ -170,10 +176,9 @@ def make_attack_loss(target: str, masked: SignedGraph, split: EdgeSplit, y_hat, 
     ``masked`` is the graph with the test signs hidden and ``s`` its sign
     vector on a tape; J = -base + lambda T + eta Pol is what a step
     differentiates (``_Objective``). Only a POLE loss and the eta term read
-    the Markov time ``t``.
+    the Markov time ``t``. An unknown ``target`` raises ``ConfigError``
+    (``victim_model_kind``).
     """
-    if target not in TARGETS:
-        raise ConfigError(f"unknown attack target {target!r}; expected one of {TARGETS}")
     return _Objective(target, masked, split, y_hat, t, lam, eta)
 
 
@@ -184,9 +189,8 @@ def penalized_loss(err, s, A, objective: _Objective, events=None):
     adjacency of s that the objective scattered for this step (None when it
     scattered none); only the eta term reads it. An undefined balance term
     contributes zero and logs an event in ``events``.
-    The polarization term is ``balance.polarization_term`` on the
-    row-normalized (``unsym``) walk, the one ``balance.graph_polarization``
-    reports.
+    The polarization term is ``balance.polarization_term`` on the walk
+    ``balance.graph_polarization`` reports.
     """
     out = err
     if objective.lam != 0.0:

@@ -10,8 +10,8 @@ the tests call `triad_census`, the enumeration oracle for both.
 Polarization correlates a node's signed and unsigned random-walk transition
 rows. Its one implementation, ``polarization_term``, averages the correlation
 over the nodes where both rows vary; the detector, the report and the attack
-penalty all read it on the default, row-normalized (``unsym``) walk of
-``pole.transition_matrix``, and none of them takes a walk mode.
+penalty all read it on the one walk of the package, the row-normalized
+``pole.transition_matrix``.
 """
 
 from __future__ import annotations

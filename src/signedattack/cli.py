@@ -3,10 +3,11 @@
 Subcommands: ingest, attack, detect, metrics. Options come from an
 optional JSON config document plus flags of the same name that override it;
 ``attack`` and ``detect`` share their attack flags, and ``--target`` offers
-``attacks.TARGETS``. Every command reads its graph through
-``experiments.load_dataset`` (an edge list or a ``.json`` dump, cut to its
-largest connected component). Exit codes: 0 success, 2 configuration error,
-3 numeric failure (a Markov time that is not positive is one).
+``attacks.TARGETS``; ``attacks.victim_model_kind`` checks their target, from
+a flag or a config file, before the graph is read. Every command reads its
+graph through ``experiments.load_dataset`` (an edge list or a ``.json`` dump,
+cut to its largest connected component). Exit codes: 0 success, 2
+configuration error, 3 numeric failure (a non-positive Markov time is one).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import os
 import sys
 import tempfile
 
-from .attacks import TARGETS
+from .attacks import TARGETS, victim_model_kind
 from .balance import balance_report
 from .errors import (ConfigError, InvalidSplitError, MetricUndefinedError,
                      NumericError, ParseError, SignedAttackError)
@@ -92,6 +93,8 @@ def build_config(args) -> ExperimentConfig:
         cfg.powers = tuple(float(p) for p in args.power.split(","))
         if list(cfg.powers) != sorted(cfg.powers):
             raise ConfigError("attack powers must be ascending")
+    if hasattr(args, "target"):
+        victim_model_kind(cfg.target)  # ConfigError for an unknown target
     if not cfg.dataset:
         raise ConfigError("a dataset path is required (--dataset or config)")
     if not os.path.exists(cfg.dataset):

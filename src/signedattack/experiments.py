@@ -54,7 +54,7 @@ class ExperimentConfig:
     def resolved_powers(self):
         if self.powers:
             return tuple(sorted(self.powers))
-        return POLE_POWERS if self.target.startswith("pole") else FEXTRA_POWERS
+        return POLE_POWERS if victim_model_kind(self.target) == "pole" else FEXTRA_POWERS
 
     def attack_config(self, budget):
         return AttackConfig(budget=budget, lam=self.lam, eta=self.eta, t=self.t,

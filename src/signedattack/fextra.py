@@ -6,8 +6,8 @@ the graph through a wedge index: the directed entries of every known link,
 and for each listed link its common neighbours w as the entries of (u, w)
 and (w, v). Sign flips never change the support, so the index is built once
 per link set, and the map over the signed entries costs O(links + wedges).
-It reads the signs as one vector over the graph's links, the same way for the
-victim (``extract_features``) and the attacks, which differentiate through it
+It reads the signs as one vector over the graph's links (``link_features``),
+the same way for the victim and the attacks, which differentiate through it
 with respect to that vector on the tape.
 
 The victim (``lr_train``) z-scores its training rows and fits a ridge
@@ -165,11 +165,6 @@ def link_features(signs, index: WedgeIndex):
         return np.bincount(index.edge, ap_bar * (a > 0.0) - am_bar, len(s))
 
     return tp._apply(lambda s: out, (vjp,), signs)
-
-
-def extract_features(g: SignedGraph, links) -> np.ndarray:
-    """Features (links x 9) for the given node pairs; pairs must be known links."""
-    return link_features(g.signs(), wedge_index(g, links))
 
 
 def logistic_theta(Z, y):

@@ -3,11 +3,10 @@
 ``transition_matrix`` and ``autocovariance`` over (A, degrees, t) are the
 one random-walk path: the POLE victim, the POLE attack loss, the
 polarization penalty and the balance metrics all call them. The walk
-transition is the exponential of the negative normalized Laplacian at
-Markov time t, either row-normalized (``unsym``, the default) or
-symmetrically normalized (``sym``, read only by the ``pole-sym`` attack).
-The two generators are similar matrices, so both modes come from one
-eigenbasis exponential of the symmetric generator, forward and backward.
+transition is the exponential of the row-normalized generator
+t (D^{-1} A - I) at Markov time t. That generator is similar to the
+symmetric t (D^{-1/2} A D^{-1/2} - I), so the walk comes from one
+eigenbasis exponential of the symmetric one, forward and backward.
 
 The autocovariance R = M^T W M is positive semidefinite, so the cosine of any
 exact embedding U U^T = R is R normalized by sqrt(diag R) (``cosine_normalize``);
@@ -36,24 +35,21 @@ def check_markov_time(t):
         raise NumericError(f"Markov time must be positive, got {t}")
 
 
-def transition_matrix(A, degrees, t, mode="unsym"):
-    """exp(-(I - normalized A) t); polymorphic over tape Values for A.
+def transition_matrix(A, degrees, t):
+    """exp(t (D^{-1} A - I)), the row-normalized walk; polymorphic over tape Values for A.
 
-    Both modes exponentiate the symmetric generator t (D^{-1/2} A D^{-1/2} - I)
-    through one eigendecomposition. The row-normalized (``unsym``) walk is its
-    similarity transform D^{-1/2} exp(.) D^{1/2}, since D^{-1} A is similar to
-    D^{-1/2} A D^{-1/2}; A must be symmetric. Every walk of the package passes
-    through here, so this is where a Markov time that is not positive (or is
-    NaN) raises ``NumericError`` (``check_markov_time``).
+    It exponentiates the symmetric generator t (D^{-1/2} A D^{-1/2} - I)
+    through one eigendecomposition and returns the similarity transform
+    D^{-1/2} exp(.) D^{1/2}, since D^{-1} A is similar to D^{-1/2} A D^{-1/2};
+    A must be symmetric. Every walk of the package passes through here, so
+    this is where a Markov time that is not positive (or is NaN) raises
+    ``NumericError`` (``check_markov_time``).
     """
     check_markov_time(t)
     d = np.maximum(np.asarray(degrees, dtype=float), DEGREE_FLOOR)
     r = 1.0 / np.sqrt(d)
     gen = tp.mul(tp.add(tp.mul(A, np.outer(r, r)), -np.eye(d.shape[0])), t)
-    M = sym_matrix_exp(gen)
-    if mode == "unsym":
-        return tp.mul(M, np.outer(r, np.sqrt(d)))
-    return M
+    return tp.mul(sym_matrix_exp(gen), np.outer(r, np.sqrt(d)))
 
 
 def degree_weight_matrix(degrees):
@@ -63,13 +59,13 @@ def degree_weight_matrix(degrees):
     return np.diag(d) / total - np.outer(d, d) / total ** 2
 
 
-def autocovariance(A, degrees, t, mode="unsym"):
+def autocovariance(A, degrees, t):
     """R = M(t)^T W M(t) of the walk over A; polymorphic over tape Values for A.
 
     The victim passes the signed A and |A|; the POLE attack passes the A it
     scattered from the sign vector on its tape.
     """
-    M = transition_matrix(A, degrees, t, mode)
+    M = transition_matrix(A, degrees, t)
     return tp.transpose(M) @ degree_weight_matrix(degrees) @ M
 
 

@@ -25,21 +25,21 @@ def pearson(x, y):
     return float((xc * yc).sum() / denom)
 
 
-def walk_pair(g, t, mode="unsym"):
+def walk_pair(g, t):
     """Signed and unsigned walk transition matrices at Markov time t."""
     A = g.adjacency()
     d = g.degrees()
-    return transition_matrix(A, d, t, mode), transition_matrix(np.abs(A), d, t, mode)
+    return transition_matrix(A, d, t), transition_matrix(np.abs(A), d, t)
 
 
-def oracle_polarization_nodes(g, t, mode="unsym"):
-    M_sign, M_abs = walk_pair(g, t, mode)
+def oracle_polarization_nodes(g, t):
+    M_sign, M_abs = walk_pair(g, t)
     return [pearson(M_abs[u], M_sign[u]) for u in range(g.n)]
 
 
-def oracle_graph_polarization(g, t, mode="unsym"):
+def oracle_graph_polarization(g, t):
     """Mean over the defined nodes; None if no node is defined."""
-    vals = [p for p in oracle_polarization_nodes(g, t, mode) if p is not None]
+    vals = [p for p in oracle_polarization_nodes(g, t) if p is not None]
     return float(np.mean(vals)) if vals else None
 
 

@@ -12,14 +12,16 @@ from the sign vector with ``tape.sym_scatter``, so its tape gradient with
 respect to that vector is the reference for the sparse one.
 
 ``relu`` and ``support`` serve only these oracles and the tests; no program
-path records a relu or builds the 0/1 support matrix.
+path records a relu or builds the 0/1 support matrix. ``extract_features``
+is the program's own map for given node pairs of a graph, the form the
+tests compare against these oracles.
 """
 
 import numpy as np
 
 from signedattack import tape as tp
 from signedattack.attacks import _log_likelihood
-from signedattack.fextra import lr_predict
+from signedattack.fextra import link_features, lr_predict, wedge_index
 
 
 def relu(a):
@@ -96,6 +98,11 @@ def dense_link_features(A, S, us, vs):
         bilinear_gather(A_minus, A_plus, us, vs),
         bilinear_gather(A_minus, A_minus, us, vs),
     ])
+
+
+def extract_features(g, links):
+    """Features (links x 9) for the given node pairs; pairs must be known links."""
+    return link_features(g.signs(), wedge_index(g, links))
 
 
 def dense_extract_features(g, links):

@@ -12,24 +12,21 @@ when the attacks moved from a dense adjacency leaf to the sign vector: the
 penalty's and the feature map's gradients are now summed per link, not per
 adjacency entry. Gain 0 went 1.7114055113610909 -> 1.7114055113610906 (its
 value before the move to group sums) and gain 4 went 5.209860611830469 ->
-5.209860611830468, one ulp each. The ``pole-sym-penalized`` gain 4 was
-re-recorded when the polarization penalty became the detector's exact
-polarization (mean over the nodes whose correlation is defined, no variance
-floor, means taken by dividing by the count): 0.24885717953390782 ->
-0.24885717953390785, one ulp; its flips, losses and snapshots did not move.
-Both penalized cases were re-recorded when the lambda term moved from the
-dense trace to wedge sums over the sign vector and a POLE step started
-sharing one dense adjacency between its loss and the eta term: the
-``fextra-ols-penalized`` gain 0 went 1.7114055113610906 -> 1.7114055113610909
-and the ``pole-sym-penalized`` gain 5 went 0.2166257739135554 ->
-0.21662577391355536, one ulp each; flips, losses and snapshots did not move.
+5.209860611830468, one ulp each. It was re-recorded again when the lambda
+term moved from the dense trace to wedge sums over the sign vector: gain 0
+went 1.7114055113610906 -> 1.7114055113610909, one ulp; flips, losses and
+snapshots did not move. The ``pole-unsym-penalized`` case, the same weights
+on POLE, was recorded on the code just before the symmetrically normalized
+walk and its target were deleted, so that eta on POLE stays pinned.
+``test_cases_cover_every_attack`` keeps ``CASES`` in step with
+``attacks.TARGETS``.
 Every value must be reproduced exactly.
 """
 
 import pytest
 
-from signedattack.attacks import (AttackConfig, baseline_greedy_triads, baseline_rand,
-                                  flip_attack)
+from signedattack.attacks import (TARGETS, AttackConfig, baseline_greedy_triads, baseline_rand,
+                                  flip_attack, victim_model_kind)
 from signedattack.graph import split_edges
 from synthgraphs import geometric_polarized
 
@@ -40,9 +37,8 @@ CASES = {
     "fextra-ols": ("fextra-ols", 0, {}),
     "fextra-ols-penalized": ("fextra-ols", 1, {"lam": 2.0, "eta": 5.0}),
     "fextra-meta": ("fextra-meta", 2, {}),
-    "pole-sym": ("pole-sym", 3, {}),
-    "pole-sym-penalized": ("pole-sym", 4, {"lam": 2.0, "eta": 5.0}),
     "pole-unsym": ("pole-unsym", 5, {}),
+    "pole-unsym-penalized": ("pole-unsym", 4, {"lam": 2.0, "eta": 5.0}),
     "rand": ("rand", 6, {}),
     "greedy-triads": ("greedy-triads", 7, {}),
 }
@@ -98,21 +94,6 @@ PINNED = {'fextra-meta': {'flips': [(14, 17, 0), (0, 17, 1), (10, 11, 2), (0, 19
                    'loss': [],
                    'snapshots': ['+++--+--+--+++-+++-+++++------++-+++++-++++++-+++++++-++++++',
                                  '+++--+--+---++-+++-+++++-----+++-+++++--+++++-+++++++-++++++']},
- 'pole-sym': {'flips': [(11, 13, 0), (5, 6, 1), (0, 2, 2), (0, 19, 3), (13, 14, 4), (17, 19, 5)],
-              'gains': [0.2528946480688299, 0.24317070358067144, 0.22486305329432726,
-                        0.3164550914652793, 0.22314515688154202, 0.20920688837711],
-              'loss': [-5.932990408483837, -6.252721634268839, -6.522344303769043,
-                       -6.78137196021622, -7.094104392647896, -7.3550326759656945],
-              'snapshots': ['--+---++++-++--++-+++-++++++++++-+-----+-++++++++++++++++++-',
-                            '--+--+++++-++--++-+++-++++++++++-+-----+-++++-++++++++++++--']},
- 'pole-sym-penalized': {'flips': [(0, 19, 0), (0, 17, 1), (8, 10, 2), (7, 10, 3), (2, 19, 4),
-                                  (5, 7, 5)],
-                        'gains': [0.34889716535705295, 0.2910432372004055, 0.27299488808896244,
-                                  0.260839636340526, 0.24885717953390785, 0.21662577391355536],
-                        'loss': [-5.44363504696254, -5.929344313144042, -6.058734783222226,
-                                 -6.449265182179852, -6.626720196320836, -6.784280389675811],
-                        'snapshots': ['++++-+++++-+++-+++++-+-----++++-+++++-+++++++++++++++++++-++',
-                                      '++++-+++++-+++++++++-++----++-+-+++++-+++++++++++++++++++-++']},
  'pole-unsym': {'flips': [(7, 9, 0), (6, 8, 1), (2, 5, 2), (10, 11, 3), (9, 11, 4), (5, 8, 5)],
                 'gains': [0.45073921792175037, 0.27688218792125824, 0.16995007292529143,
                           0.169627340697223, 0.25583376748583503, 0.17512213830744464],
@@ -120,6 +101,14 @@ PINNED = {'fextra-meta': {'flips': [(14, 17, 0), (0, 17, 1), (10, 11, 2), (0, 19
                          -6.8533758245413745, -7.060362319109677, -7.299276657612687],
                 'snapshots': ['+++----++--++---+-+++++++-++-+++-++-+--+++++++++++++++++++++',
                               '+++----++--++---+-+++++-+-++-+++-+-----+++++++++++++++++++++']},
+ 'pole-unsym-penalized': {'flips': [(0, 19, 0), (0, 17, 1), (8, 10, 2), (7, 10, 3), (2, 19, 4),
+                                    (5, 7, 5)],
+                          'gains': [0.3549440297897454, 0.2846983944940199, 0.2650205885447309,
+                                    0.23414802903255472, 0.22179254630943016, 0.21361606499001162],
+                          'loss': [-5.554599209602593, -6.045868224212573, -6.166747361272919,
+                                   -6.545245062557311, -6.703358965010247, -6.839679762567161],
+                          'snapshots': ['++++-+++++-+++-+++++-+-----++++-+++++-+++++++++++++++++++-++',
+                                        '++++-+++++-+++++++++-++----++-+-+++++-+++++++++++++++++++-++']},
  'rand': {'flips': [(5, 8, 0), (6, 8, 1), (7, 10, 2), (16, 17, 3), (8, 9, 4), (5, 6, 5)],
           'gains': [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
           'loss': [],
@@ -134,3 +123,13 @@ def test_flip_sequence_pinned(name):
     assert got["snapshots"] == want["snapshots"]
     assert got["gains"] == want["gains"]
     assert got["loss"] == want["loss"]
+
+
+def test_cases_cover_every_attack():
+    # a target added without a pin, or a pin left behind by a deleted
+    # target, fails here; so does a victim without a penalized pin
+    attacks = {attack for attack, _, _ in CASES.values()}
+    assert attacks == set(TARGETS) | {"rand", "greedy-triads"}
+    penalized = {victim_model_kind(attack) for attack, _, overrides in CASES.values()
+                 if overrides}
+    assert penalized == {victim_model_kind(target) for target in TARGETS}

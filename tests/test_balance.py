@@ -219,10 +219,9 @@ def test_balance_terms_differentiable():
 
 
 def test_polarization_term_matches_reporting_value():
-    # any walk, not only the row-normalized one the package reports on
     g = two_community(10, 5, 0.1, seed=3)
-    term = polarization_term(*walk_pair(g, 1.0, "sym"))
-    assert term == oracle_graph_polarization(g, 1.0, "sym")
+    term = polarization_term(*walk_pair(g, 1.0))
+    assert term == oracle_graph_polarization(g, 1.0)
 
 
 def test_polarization_term_gradient():
@@ -230,10 +229,10 @@ def test_polarization_term_gradient():
     A0 = g.adjacency()
     A_abs = np.abs(A0)
     d = g.degrees()
-    M_abs = transition_matrix(A_abs, d, 1.0, "sym")
+    M_abs = transition_matrix(A_abs, d, 1.0)
 
     def f(v):
-        M = transition_matrix(v, d, 1.0, "sym")
+        M = transition_matrix(v, d, 1.0)
         return polarization_term(M, M_abs)
 
     edge_entries = [(u, v) for u, v, _ in g.edges]

@@ -79,6 +79,30 @@ def test_attack_flags_offer_every_target(command):
         parser.parse_args([command, "--target", "bogus"])
 
 
+@pytest.mark.parametrize("baseline", [None, "rand"])
+@pytest.mark.parametrize("target", ["pole-sym", "bogus"])
+@pytest.mark.parametrize("command", ["attack", "detect"])
+def test_a_config_naming_an_unknown_target_is_refused(dataset_file, tmp_path, capsys, command,
+                                                      target, baseline):
+    # a retired or misspelled target must not run as some victim
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"target": target, "baseline": baseline}))
+    out = tmp_path / "o"
+    rc = main([command, "--config", str(cfg), "--dataset", dataset_file, "--format", "plain",
+               "--out", str(out), "--seed", "0", "--power", "0.05", "--subsample", "0"])
+    assert rc == 2
+    assert "unknown attack target" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_an_unknown_target_flag_exits_2(dataset_file, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["attack", "--dataset", dataset_file, "--target", "pole-sym",
+              "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "o").exists()
+
+
 def test_metrics_command(dataset_file, tmp_path):
     out = tmp_path / "m"
     rc = main(["metrics", "--dataset", dataset_file, "--format", "plain",

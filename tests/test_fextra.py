@@ -4,10 +4,11 @@ import pytest
 from signedattack import tape as tp
 from signedattack.errors import MetricUndefinedError, MissingEdgeError, NumericError
 from signedattack.experiments import victim_test_auc
-from signedattack.fextra import (LR_RIDGE, auc, extract_features, link_features, lr_predict,
-                                 lr_train, ols_fit, ols_theta, wedge_index)
+from signedattack.fextra import (LR_RIDGE, auc, link_features, lr_predict, lr_train, ols_fit,
+                                 ols_theta, wedge_index)
 from signedattack.graph import SignedGraph, split_edges
-from densefeatures import composite_link_features, dense_extract_features, support
+from densefeatures import (composite_link_features, dense_extract_features, extract_features,
+                           support)
 from synthgraphs import (all_positive_triangle, flipped, geometric_polarized,
                          random_signed_graph, two_community)
 

@@ -14,18 +14,11 @@ from signedattack.tape import Tape, grad_check
 from synthgraphs import complete_graph, two_community, two_triangles_bridge
 
 
-def cycle_graph(n, signs=None):
-    signs = signs or [1] * n
-    edges = sorted((min(i, (i + 1) % n), max(i, (i + 1) % n), signs[i]) for i in range(n))
-    return SignedGraph(n, edges)
-
-
 @pytest.mark.parametrize("t", [0.0, -1.0, np.nan])
 def test_transition_matrix_rejects_nonpositive_time(t):
     g = two_community(6, 3, 0.0, seed=1)
-    for mode in ("unsym", "sym"):
-        with pytest.raises(NumericError, match="Markov time must be positive"):
-            transition_matrix(g.adjacency(), g.degrees(), t, mode)
+    with pytest.raises(NumericError, match="Markov time must be positive"):
+        transition_matrix(g.adjacency(), g.degrees(), t)
     with pytest.raises(NumericError):
         autocovariance(g.adjacency(), g.degrees(), t)
 
@@ -48,14 +41,6 @@ def test_two_node_transition_closed_form():
     M = transition_matrix(g.adjacency(), g.degrees(), 1.0)
     assert M[0, 0] == pytest.approx(np.exp(-1) * np.cosh(1), abs=1e-10)
     assert M[0, 1] == pytest.approx(np.exp(-1) * np.sinh(1), abs=1e-10)
-
-
-def test_sym_equals_unsym_on_regular_graphs():
-    for n, signs in [(6, None), (8, [1, -1, 1, -1, 1, -1, 1, -1])]:
-        g = cycle_graph(n, signs)
-        a = transition_matrix(g.adjacency(), g.degrees(), 1.0)
-        b = transition_matrix(g.adjacency(), g.degrees(), 1.0, "sym")
-        assert np.abs(a - b).max() < 1e-10
 
 
 @pytest.mark.parametrize("t", [0.5, 1.0, 3.0])
@@ -91,9 +76,9 @@ def test_weight_matrix_annihilates_ones():
     assert abs(ones @ W @ ones) < 1e-12
 
 
-def test_autocovariance_symmetry_sym_mode():
+def test_autocovariance_symmetry():
     g = two_community(10, 4, 0.2, seed=3)
-    R = autocovariance(g.adjacency(), g.degrees(), 1.0, "sym")
+    R = autocovariance(g.adjacency(), g.degrees(), 1.0)
     assert np.abs(R - R.T).max() < 1e-10
 
 
@@ -107,7 +92,7 @@ def test_autocovariance_sign_equals_abs_on_positive_graph():
 
 def test_two_triangle_autocovariance_sign_pattern():
     g = two_triangles_bridge()
-    R = autocovariance(g.adjacency(), g.degrees(), 1.0, "sym")
+    R = autocovariance(g.adjacency(), g.degrees(), 1.0)
     within = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]
     cross = [(u, v) for u in range(3) for v in range(3, 6)]
     assert all(R[u, v] > 0 for u, v in within)
@@ -115,14 +100,14 @@ def test_two_triangle_autocovariance_sign_pattern():
     assert neg_cross > len(cross) / 2
 
 
-def test_autocovariance_gradient_sym_mode():
+def test_autocovariance_gradient():
     g = two_community(8, 4, 0.2, seed=5)
     A0 = g.adjacency()
     d = g.degrees()
     C = np.random.default_rng(0).standard_normal((g.n, g.n))
 
     def f(v):
-        return tp.sum_(autocovariance(v, d, 1.0, "sym") * C)
+        return tp.sum_(autocovariance(v, d, 1.0) * C)
 
     entries = [(u, v) for u, v, _ in g.edges]
     assert grad_check(f, A0, h=1e-5, entries=entries) < 1e-3
@@ -231,12 +216,12 @@ def test_pole_similarity_probability_two_triangle_bridge():
     k_within = g.edge_index(0, 1)
 
     masked = g.mask([k_bridge])
-    R = autocovariance(masked.adjacency(), masked.degrees(), 1.0, "sym")
+    R = autocovariance(masked.adjacency(), masked.degrees(), 1.0)
     _, P = cosine_normalize(R)
     assert P[2, 3] < 0.5
 
     masked = g.mask([k_within])
-    R = autocovariance(masked.adjacency(), masked.degrees(), 1.0, "sym")
+    R = autocovariance(masked.adjacency(), masked.degrees(), 1.0)
     _, P = cosine_normalize(R)
     assert P[0, 1] > 0.5
 
@@ -274,25 +259,23 @@ def test_pole_predict_scatters_the_adjacency_at_most_twice(monkeypatch):
     assert 1 <= len(calls) <= 2
 
 
-def separate_walks_pole_predict(g, split, t, mode):
+def separate_walks_pole_predict(g, split, t):
     """The victim with the signed and unsigned adjacencies scattered on their own."""
     us, vs = g.edge_array().T
     feats = []
     for A in (g.adjacency(), np.abs(g.adjacency())):
-        M = transition_matrix(A, g.degrees(), t, mode)
+        M = transition_matrix(A, g.degrees(), t)
         feats.append((M.T @ degree_weight_matrix(g.degrees()) @ M)[us, vs])
     y_train = (g.signs()[split.train] > 0).astype(float)
     model = lr_train(np.column_stack(feats)[split.train], y_train)
     return lr_predict(model, np.column_stack(feats)[split.test])
 
 
-# the victim reads the row-normalized walk only
-@pytest.mark.parametrize("mode", ["unsym"])
 @pytest.mark.parametrize("seed", range(3))
-def test_pole_predict_equals_separately_scattered_walks(seed, mode):
+def test_pole_predict_equals_separately_scattered_walks(seed):
     # the same probabilities bit for bit, so the same POLE AUC rows
     g = two_community(40 + 10 * seed, 6, 0.1, seed=seed)
     split = split_edges(g, 0.2, seed=seed)
     masked = g.mask(split.test)
     assert np.array_equal(pole_predict(masked, split, 1.0),
-                          separate_walks_pole_predict(masked, split, 1.0, mode))
+                          separate_walks_pole_predict(masked, split, 1.0))
