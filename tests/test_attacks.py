@@ -618,8 +618,11 @@ def test_penalized_fextra_attack_builds_one_wedge_index(monkeypatch):
     assert len(built) == 1
 
 
+# the POLE loss and the eta term share one scatter; FeXtra without eta needs none
 @pytest.mark.parametrize("target,eta,scatters", [("pole-unsym", 2.0, 1), ("pole-unsym", 0.0, 1),
-                                                 ("fextra-ols", 2.0, 1), ("fextra-ols", 0.0, 0)])
+                                                 ("fextra-ols", 2.0, 1), ("fextra-ols", 0.0, 0)],
+                         ids=["pole-shared-by-loss-and-eta", "pole-unsym-no-eta",
+                              "fextra-ols-eta", "fextra-ols-no-eta"])
 def test_a_step_scatters_the_dense_adjacency_once_when_the_objective_reads_it(
         monkeypatch, target, eta, scatters):
     g, split = small_instance(n=16, deg=6, seed=7)
