@@ -16,19 +16,19 @@ the attack's visibility to detectors) close to the clean graph:
 
 ``make_attack_loss`` is that one objective. It builds every per-attack
 constant once and, called on s, returns the log-likelihood ``base`` and J;
-``penalized_loss`` adds the two penalty terms. The objective alone decides
-whether a step scatters the dense adjacency from s (``tape.sym_scatter``):
-it does for a POLE target or a nonzero eta, once, and the POLE loss and the
-eta term share it. The recorded per-step ``loss_curve`` holds ``base``, so
-more negative means more damage.
+``penalized_loss`` adds the two penalty terms. A step computes each graph
+quantity of s at most once, and every term reads it: the FeXtra feature
+block X for a FeXtra target or lambda, and the walk M over the adjacency
+scattered from s (``tape.sym_scatter``) for a POLE target or eta. The
+recorded per-step ``loss_curve`` holds ``base``, so more negative means more damage.
 
 The FeXtra losses put the victim's feature map in front of either the
 closed-form ridge surrogate (``fextra-ols``) or the victim's own converged
 logistic fit (``fextra-meta``), which the tape differentiates implicitly at
 its optimum; the FeXtra victim runs the ``fextra-meta`` prediction off the
 tape. The POLE surrogate scores a test link by the cosine of an exact
-factor of the autocovariance R (``pole.autocovariance``, the victim's own
-walk), which is R normalized by its own diagonal, so no embedding is fitted.
+factor of the autocovariance R of M (``pole.autocovariance``, the victim's
+own walk), which is R normalized by its own diagonal, so no embedding is fitted.
 The Markov time ``t`` is a plain float here; only the POLE losses, the POLE
 victim and the polarization penalty read it.
 """
@@ -40,9 +40,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tape as tp
-from .balance import balance_ratio_terms, polarization_term, triad_trace
+from .balance import balance_ratio_terms, polarization_term, triad_traces
 from .errors import ConfigError, MetricUndefinedError, NumericError
-from .fextra import WedgeIndex, link_features, lr_predict, lr_train, ols_fit, wedge_index
+from .fextra import BALANCED_WEDGES, link_features, lr_predict, lr_train, ols_fit, wedge_index
 from .graph import EdgeSplit, SignedGraph
 from .pole import autocovariance, cosine_normalize, pole_predict, transition_matrix
 
@@ -84,8 +84,8 @@ def flips_for_power(g: SignedGraph, power: float) -> int:
 def victim_model_kind(target: str) -> str:
     """The victim ``target`` attacks, "fextra" or "pole"; ``ConfigError`` outside ``TARGETS``.
 
-    The one check of a target name: the CLI, an attack trial and
-    ``make_attack_loss`` all reach it before they fit anything."""
+    The one check of a target name: ``experiments.check_attack_names`` and
+    ``make_attack_loss`` reach it before they fit anything."""
     if target not in TARGETS:
         raise ConfigError(f"unknown attack target {target!r}; expected one of {TARGETS}")
     return "fextra" if target.startswith("fextra") else "pole"
@@ -100,8 +100,9 @@ def victim_probs(model: str, g: SignedGraph, split: EdgeSplit, t: float):
     """
     masked = g.mask(split.test)
     if model == "fextra":
-        return _fextra_probs(masked.signs(), wedge_index(masked, masked.edge_array()), split,
-                             lr_train)
+        signs = masked.signs()
+        X = link_features(signs, wedge_index(masked, masked.edge_array()))
+        return _fextra_probs(X, signs, split, lr_train)
     if model == "pole":
         return pole_predict(masked, split, t)
     raise ConfigError(f"unknown victim model {model!r}")
@@ -124,10 +125,9 @@ def _log_likelihood(p, y_hat):
     return tp.sum_(y_hat * tp.log(p_lo) + (1.0 - y_hat) * tp.log(p_hi))
 
 
-def _fextra_probs(s, index: WedgeIndex, split: EdgeSplit, fit):
-    """FeXtra test-link probabilities: the features of the sign vector ``s``, ``fit`` on
-    the training rows, predicted on the test rows; polymorphic over tape Values for s."""
-    X = link_features(s, index)
+def _fextra_probs(X, s, split: EdgeSplit, fit):
+    """FeXtra test-link probabilities: ``fit`` on the training rows of X, the features of
+    the sign vector ``s``, predicted on its test rows; polymorphic over tape Values."""
     X_tr, X_te = tp.gather_rows(X, split.train), tp.gather_rows(X, split.test)
     y_tr = (tp._data(s)[split.train] > 0).astype(float)
     return lr_predict(fit(X_tr, y_tr), X_te)
@@ -139,9 +139,7 @@ class _Objective:
     ``base`` is the self-labels' log-likelihood under the target's
     surrogate. Flips never change the support, so each constant is built
     once, and only when a term reads it: one wedge index for the FeXtra
-    features and the lambda term, tr(|A|^3) for lambda, the unsigned walk
-    for eta. A step scatters the dense A from s only for a POLE target or a
-    nonzero eta, and once: the POLE loss and the eta term share it.
+    features and the lambda term, the unsigned walk for eta.
     """
 
     def __init__(self, target, masked: SignedGraph, split: EdgeSplit, y_hat, t, lam, eta):
@@ -151,22 +149,28 @@ class _Objective:
         self.fit = None if pole else {"fextra-ols": ols_fit, "fextra-meta": lr_train}[target]
         self.n, self.edge, self.degrees = masked.n, masked.edge_array(), masked.degrees()
         self.us_te, self.vs_te = self.edge[split.test].T
-        self.dense = pole or eta != 0.0
+        self.walks = pole or eta != 0.0
         self.index = wedge_index(masked, self.edge) if self.fit or lam != 0.0 else None
-        self.tr_abs = float(triad_trace(np.abs(masked.signs()), self.index)) if lam != 0.0 else 0.0
         self.M_abs = (transition_matrix(np.abs(masked.adjacency()), self.degrees, t)
                       if eta != 0.0 else None)
 
+    def step_quantities(self, s):
+        """The feature block X of all links and the walk M of ``s``; None where no term reads it."""
+        X = link_features(s, self.index) if self.index is not None else None
+        M = (transition_matrix(tp.sym_scatter(s, *self.edge.T, self.n), self.degrees, self.t)
+             if self.walks else None)
+        return X, M
+
     def __call__(self, s, events=None):
         """(base, J) at the sign vector ``s``, both on its tape."""
-        A = tp.sym_scatter(s, *self.edge.T, self.n) if self.dense else None
+        X, M = self.step_quantities(s)
         if self.fit is not None:
-            p = _fextra_probs(s, self.index, self.split, self.fit)
+            p = _fextra_probs(X, s, self.split, self.fit)
         else:
-            _, P = cosine_normalize(autocovariance(A, self.degrees, self.t))
+            _, P = cosine_normalize(autocovariance(M, self.degrees))
             p = tp.gather(P, self.us_te, self.vs_te)
         base = _log_likelihood(p, self.y_hat)
-        return base, penalized_loss(-base, s, A, self, events)
+        return base, penalized_loss(-base, s, X, M, self, events)
 
 
 def make_attack_loss(target: str, masked: SignedGraph, split: EdgeSplit, y_hat, t,
@@ -182,26 +186,23 @@ def make_attack_loss(target: str, masked: SignedGraph, split: EdgeSplit, y_hat, 
     return _Objective(target, masked, split, y_hat, t, lam, eta)
 
 
-def penalized_loss(err, s, A, objective: _Objective, events=None):
-    """err + lambda T(s) + eta Pol(A), each term on the tape, read off ``objective``.
+def penalized_loss(err, s, X, M, objective: _Objective, events=None):
+    """err + lambda T(s) + eta Pol(M), each term on the tape, weighted by ``objective``.
 
-    T reads the wedge sums of the sign vector ``s``. A is the dense
-    adjacency of s that the objective scattered for this step (None when it
-    scattered none); only the eta term reads it. An undefined balance term
-    contributes zero and logs an event in ``events``.
-    The polarization term is ``balance.polarization_term`` on the walk
-    ``balance.graph_polarization`` reports.
+    X and M are the step's ``objective.step_quantities(s)``. T reads both
+    traces off X (``balance.triad_traces``); Pol is ``balance.polarization_term``
+    on M, as ``balance.graph_polarization`` reports it. An undefined balance
+    term contributes zero and logs an event in ``events``.
     """
     out = err
     if objective.lam != 0.0:
         try:
-            out = out + objective.lam * balance_ratio_terms(s, objective.index, objective.tr_abs)
+            out = out + objective.lam * balance_ratio_terms(*triad_traces(s, X))
         except MetricUndefinedError:
             if events is not None:
                 events.append("balance term undefined (no triads); contributed 0")
     if objective.eta != 0.0:
-        M_sign = transition_matrix(A, objective.degrees, objective.t)
-        out = out + objective.eta * polarization_term(M_sign, objective.M_abs)
+        out = out + objective.eta * polarization_term(M, objective.M_abs)
     return out
 
 
@@ -265,7 +266,7 @@ def gradient_chooser(g0: SignedGraph, split: EdgeSplit, target: str, cfg: Attack
 
     def choose(signs, pooled, trace):
         tape = tp.Tape()
-        s = tape.leaf(signs, requires_grad=True)
+        s = tape.leaf(signs)
         base, J = loss(s, trace.events)
         tape.backward(J)
         G = s.grad_or_zero()
@@ -309,16 +310,15 @@ def baseline_greedy_triads(g0: SignedGraph, split: EdgeSplit, budget: int,
     """Flip the training link whose flip most reduces the balanced-triad count.
 
     For a link (u, v) with sign s, the balanced-minus-unbalanced count of
-    triads through it is s (tri_pp - tri_pm - tri_mp + tri_mm), exact wedge
-    sums of the FeXtra feature map over an index built once per attack.
-    Flipping negates it, so the greedy score is exactly that quantity.
+    triads through it is s W, where W = X @ ``BALANCED_WEDGES`` is its exact
+    wedge sum, read off the FeXtra features X over an index built once per
+    attack. Flipping negates it, so the greedy score is exactly s W.
     """
     _check_budget(budget, split)
     index = wedge_index(g0.mask(split.test), g0.edge_array()[split.train])
 
     def choose(signs, pooled, trace):
-        tri = link_features(signs, index)[:, 5:]
-        scores = signs[split.train] * (tri[:, 0] - tri[:, 1] - tri[:, 2] + tri[:, 3])
+        scores = signs[split.train] * (link_features(signs, index) @ BALANCED_WEDGES)
         j = _pick_flip(scores, index.us, index.vs, pooled)
         return j, float(scores[j])
 

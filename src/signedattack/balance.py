@@ -3,10 +3,13 @@
 The triad balance ratio and the triad counts of ``balance_report`` come from
 traces: tr(|A|^3) is six times the number of fully signed triangles and
 tr(A^3) + tr(|A|^3) twelve times the balanced ones (hidden-sign edges are 0
-in A). Each trace is a wedge sum over the FeXtra wedge index of all links,
-tr(A^3) = 2 sum_k s_k sum_{wedges (u, w, v) of link k} s_uw s_wv, so it
-builds no n x n matrix; its terms are integers, so the sums are exact. Only
-the tests call `triad_census`, the enumeration oracle for both.
+in A). Both are read off one FeXtra feature block X of all links
+(``triad_traces``): tr(A^3) = 2 sum_k s_k W_k, where W_k = X[k] @
+``fextra.BALANCED_WEDGES`` sums s_uw s_wv over the wedges (u, w, v) closing
+link k, and tr(|A|^3) sums the four triad columns instead. No n x n matrix
+is built and the terms are integers, so the sums are exact; the attack's
+lambda term reads the block its step computed. Only the tests call
+``triad_census``, the enumeration oracle for both.
 Polarization correlates a node's signed and unsigned random-walk transition
 rows. Its one implementation, ``polarization_term``, averages the correlation
 over the nodes where both rows vary; the detector, the report and the attack
@@ -22,7 +25,7 @@ import numpy as np
 
 from . import tape as tp
 from .errors import MetricUndefinedError
-from .fextra import WedgeIndex, wedge_index
+from .fextra import BALANCED_WEDGES, link_features, wedge_index
 from .graph import SignedGraph
 from .pole import transition_matrix
 
@@ -47,38 +50,32 @@ class BalanceReport:
         }
 
 
-def triad_trace(signs, index: WedgeIndex):
-    """tr(A^3) of the adjacency whose link entries are ``signs``; polymorphic over tape Values.
+def triad_traces(signs, X):
+    """(tr(A^3), tr(|A|^3)) of the adjacency whose link entries are ``signs``.
 
-    ``index`` is the wedge index of all the graph's links in edge-list order,
-    so listed link k is link k: tr(A^3) = 2 sum_k s_k W_k, where W_k sums
-    s_uw s_wv over the wedges (u, w, v) closing link k.
+    ``X`` is ``link_features(signs, index)`` over the wedge index of all the
+    graph's links in edge-list order, so row k is link k. tr(A^3) is polymorphic
+    over tape Values; tr(|A|^3) is a float, as sign flips never change it.
     """
-    a = tp.gather_rows(signs, index.edge)
-    wedges = tp.gather_rows(a, index.first) * tp.gather_rows(a, index.second)
-    return 2.0 * tp.sum_(signs * tp.segment_sum(wedges, index.link, len(index.us)))
+    tr = 2.0 * tp.sum_(signs * (X @ BALANCED_WEDGES))
+    return tr, 2.0 * float(np.abs(tp._data(signs)) @ tp._data(X)[:, 5:].sum(axis=1))
 
 
-def balance_ratio_terms(signs, index: WedgeIndex, tr_abs):
-    """(tr(A^3) + tr(|A|^3)) / (2 tr(|A|^3)) with tr(|A|^3) supplied as a constant.
-
-    Polymorphic over tape Values for the sign vector; |A| never changes
-    under sign flips, so the caller computes tr(|A|^3) once, as
-    ``triad_trace`` of |signs|.
-    """
+def balance_ratio_terms(tr, tr_abs):
+    """(tr(A^3) + tr(|A|^3)) / (2 tr(|A|^3)) from ``triad_traces``; polymorphic over tape Values."""
     if tr_abs <= 0:
         raise MetricUndefinedError("graph has no triads; balance ratio undefined")
-    return (triad_trace(signs, index) + tr_abs) * (1.0 / (2.0 * tr_abs))
+    return (tr + tr_abs) * (1.0 / (2.0 * tr_abs))
 
 
-def triad_terms(g: SignedGraph):
-    """The wedge index of all g's links and tr(|A|^3), the constants of ``balance_ratio_terms``."""
-    index = wedge_index(g, g.edge_array())
-    return index, float(triad_trace(np.abs(g.signs()), index))
+def graph_triad_traces(g: SignedGraph):
+    """``triad_traces`` of g, read off the feature block of all its links."""
+    signs = g.signs()
+    return triad_traces(signs, link_features(signs, wedge_index(g, g.edge_array())))
 
 
 def balance_ratio(g: SignedGraph) -> float:
-    return float(balance_ratio_terms(g.signs(), *triad_terms(g)))
+    return float(balance_ratio_terms(*graph_triad_traces(g)))
 
 
 def triad_census(g: SignedGraph):
@@ -152,9 +149,9 @@ def graph_polarization(g: SignedGraph, t: float) -> float:
 
 
 def balance_report(g: SignedGraph, t: float = 1.0) -> BalanceReport:
-    index, tr_abs = triad_terms(g)
+    tr, tr_abs = graph_triad_traces(g)
     total = round(tr_abs / 6)
-    T = float(balance_ratio_terms(g.signs(), index, tr_abs)) if total else None
+    T = float(balance_ratio_terms(tr, tr_abs)) if total else None
     # T is exactly balanced / total, so rounding T * total recovers the count
     balanced = round(T * total) if total else 0
     corr, defined = _walk_correlations(g, t)

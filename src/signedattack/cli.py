@@ -2,9 +2,10 @@
 
 Subcommands: ingest, attack, detect, metrics. Options come from an
 optional JSON config document plus flags of the same name that override it;
-``attack`` and ``detect`` share their attack flags, and ``--target`` offers
-``attacks.TARGETS``; ``attacks.victim_model_kind`` checks their target, from
-a flag or a config file, before the graph is read. Every command reads its
+``attack`` and ``detect`` share their attack flags, ``--target`` offers
+``attacks.TARGETS`` and ``--baseline`` ``experiments.BASELINES``;
+``experiments.check_attack_names`` checks their target and baseline, from a
+flag or a config file, before the graph is read. Every command reads its
 graph through ``experiments.load_dataset`` (an edge list or a ``.json`` dump,
 cut to its largest connected component). Exit codes: 0 success, 2
 configuration error, 3 numeric failure (a non-positive Markov time is one).
@@ -20,12 +21,12 @@ import os
 import sys
 import tempfile
 
-from .attacks import TARGETS, victim_model_kind
+from .attacks import TARGETS
 from .balance import balance_report
 from .errors import (ConfigError, InvalidSplitError, MetricUndefinedError,
                      NumericError, ParseError, SignedAttackError)
-from .experiments import (ExperimentConfig, load_dataset, run_attack_experiment,
-                          run_detect_experiment)
+from .experiments import (BASELINES, ExperimentConfig, check_attack_names, load_dataset,
+                          run_attack_experiment, run_detect_experiment)
 from .graph import positive_ratio
 
 
@@ -94,7 +95,7 @@ def build_config(args) -> ExperimentConfig:
         if list(cfg.powers) != sorted(cfg.powers):
             raise ConfigError("attack powers must be ascending")
     if hasattr(args, "target"):
-        victim_model_kind(cfg.target)  # ConfigError for an unknown target
+        check_attack_names(cfg)
     if not cfg.dataset:
         raise ConfigError("a dataset path is required (--dataset or config)")
     if not os.path.exists(cfg.dataset):
@@ -190,7 +191,7 @@ def make_parser():
     p = sub.add_parser("attack", help="run poisoning trials and report victim AUC")
     _add_common(p)
     _add_attack(p)
-    p.add_argument("--baseline", choices=["rand", "greedy-triads"], default=None)
+    p.add_argument("--baseline", choices=BASELINES, default=None)
     p.set_defaults(func=cmd_attack)
 
     p = sub.add_parser("detect", help="fit detectors on clean subgraphs, score attacks")

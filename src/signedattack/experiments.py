@@ -4,9 +4,9 @@ This module is the engine behind the command-line interface; everything
 here is importable so tests and notebooks can drive the same protocol.
 An attack trial and the poisoned set of a detection run poison a graph the
 same way: subsample, split, then the configured attack or baseline up to
-the budget of the largest power (``poison``). The Markov time ``t`` reaches
-only the walks: the POLE victim and losses, the polarization penalty and
-the detector's metric view.
+the budget of the largest power (``poison``), once ``check_attack_names``
+has passed both names. The Markov time ``t`` reaches only the walks: the
+POLE victim and losses, the polarization penalty and the detector's metric view.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .pole import check_markov_time
 
 FEXTRA_POWERS = (0.01, 0.05, 0.10, 0.15, 0.20)
 POLE_POWERS = (0.01, 0.03, 0.05, 0.07, 0.10)
+BASELINES = ("rand", "greedy-triads")
 
 
 @dataclass
@@ -61,6 +62,13 @@ class ExperimentConfig:
                             checkpoints=self.resolved_powers())
 
 
+def check_attack_names(cfg: ExperimentConfig):
+    """``ConfigError`` for a target outside ``TARGETS`` or a baseline outside ``BASELINES``."""
+    victim_model_kind(cfg.target)
+    if cfg.baseline and cfg.baseline not in BASELINES:
+        raise ConfigError(f"unknown baseline {cfg.baseline!r}; expected one of {BASELINES}")
+
+
 def load_dataset(cfg: ExperimentConfig) -> SignedGraph:
     """The largest connected component of ``cfg.dataset``, a ``.json`` graph dump
     or else an edge list in ``cfg.format``."""
@@ -93,14 +101,13 @@ def poison(g: SignedGraph, split: EdgeSplit, cfg: ExperimentConfig, seed: int, y
     Returns the trace and the attack's name. ``y_hat`` are the gradient
     attack's self-labels; without them it fits the clean victim itself.
     """
+    check_attack_names(cfg)
     powers = cfg.resolved_powers()
     budget = max(flips_for_power(g, p) for p in powers)
     if cfg.baseline == "rand":
         return baseline_rand(g, split, budget, seed, checkpoints=powers), "rand"
     if cfg.baseline == "greedy-triads":
         return baseline_greedy_triads(g, split, budget, checkpoints=powers), "greedy-triads"
-    if cfg.baseline:
-        raise ConfigError(f"unknown baseline {cfg.baseline!r}")
     trace = flip_attack(g, split, cfg.target, cfg.attack_config(budget), y_hat=y_hat)
     name = cfg.target
     if cfg.lam or cfg.eta:
@@ -115,6 +122,7 @@ def run_attack_trial(dataset: SignedGraph, cfg: ExperimentConfig, seed: int):
     self-label (the clean victim's thresholded prediction, which the
     gradient attacks target) equals the hidden sign.
     """
+    check_attack_names(cfg)
     g = subsample_graph(dataset, cfg.subsample, seed)
     split = split_edges(g, cfg.split_fraction, seed)
     model = victim_model_kind(cfg.target)
@@ -168,9 +176,10 @@ def run_detect_experiment(cfg: ExperimentConfig, dataset: SignedGraph | None = N
                           corpus: GraphCorpus | None = None, poisoned=None):
     """Detector ensemble AUCs on clean corpus graphs against poisoned snapshots.
 
-    The metric view reads the walk at ``cfg.t``, so a Markov time that is not
-    positive fails here, before any poisoning or corpus sampling.
+    The attack names and the Markov time (the metric view reads the walk at
+    ``cfg.t``) fail here, before the dataset is read or the corpus sampled.
     """
+    check_attack_names(cfg)
     check_markov_time(cfg.t)
     dataset = dataset if dataset is not None else load_dataset(cfg)
     if corpus is None:

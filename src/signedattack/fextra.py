@@ -8,7 +8,8 @@ and (w, v). Sign flips never change the support, so the index is built once
 per link set, and the map over the signed entries costs O(links + wedges).
 It reads the signs as one vector over the graph's links (``link_features``),
 the same way for the victim and the attacks, which differentiate through it
-with respect to that vector on the tape.
+with respect to that vector on the tape. The triad baseline and the
+balance traces read their signed wedge sums off it (``BALANCED_WEDGES``).
 
 The victim (``lr_train``) z-scores its training rows and fits a ridge
 logistic regression by Newton's method to a gradient-norm tolerance. On the
@@ -42,6 +43,8 @@ FEATURE_NAMES = (
     "deg_pos_u", "deg_neg_u", "deg_pos_v", "deg_neg_v",
     "common_neighbors", "tri_pp", "tri_pm", "tri_mp", "tri_mm",
 )
+# X @ BALANCED_WEDGES = tri_pp - tri_pm - tri_mp + tri_mm = (A @ A)[u, v] per link (u, v)
+BALANCED_WEDGES = (0, 0, 0, 0, 0, 1, -1, -1, 1)
 
 
 @dataclass
@@ -210,7 +213,7 @@ def logistic_theta(Z, y):
         v = np.linalg.solve(H, g)
         Z._accumulate(-(np.outer(p - y, v) + np.outer(w * (Zd @ v), theta)) / m)
 
-    return tp._record(Z.tape, theta, vjp, Z.requires_grad), grad_norm
+    return tp._record(Z.tape, theta, vjp), grad_norm
 
 
 def lr_train(X, y) -> LRModel:

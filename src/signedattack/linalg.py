@@ -81,18 +81,14 @@ def sym_matrix_exp(S):
     Gamma holds divided differences of exp over the eigenvalue pairs, with
     the exp(lambda) limit on (near-)degenerate pairs.
     """
-    if not tp._is_value(S):
-        lam, Q = sym_eig(S)
-        return (Q * np.exp(lam)) @ Q.T
-
-    Ssym = tp.mul(tp.add(S, tp.transpose(S)), 0.5)
-    lam, Q = sym_eig(Ssym.data)
+    lam, Q = sym_eig(tp._data(S))
     elam = np.exp(lam)
     out_data = (Q * elam) @ Q.T
+    if not tp._is_value(S):
+        return out_data
+    Ssym = tp.mul(tp.add(S, tp.transpose(S)), 0.5)
 
     def vjp(g):
-        if not Ssym.requires_grad:
-            return
         diff = lam[:, None] - lam[None, :]
         near = np.abs(diff) < DEGENERATE_EIG_TOL
         safe = np.where(near, 1.0, diff)
@@ -102,7 +98,7 @@ def sym_matrix_exp(S):
         gt = Q.T @ g @ Q
         Ssym._accumulate(Q @ (gamma * gt) @ Q.T)
 
-    return tp._record(Ssym.tape, out_data, vjp, Ssym.requires_grad)
+    return tp._record(Ssym.tape, out_data, vjp)
 
 
 def truncated_svd(A: np.ndarray, d: int):

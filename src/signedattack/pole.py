@@ -1,14 +1,14 @@
 """Random-walk autocovariance similarity and the POLE trust predictor.
 
-``transition_matrix`` and ``autocovariance`` over (A, degrees, t) are the
-one random-walk path: the POLE victim, the POLE attack loss, the
-polarization penalty and the balance metrics all call them. The walk
-transition is the exponential of the row-normalized generator
-t (D^{-1} A - I) at Markov time t. That generator is similar to the
-symmetric t (D^{-1/2} A D^{-1/2} - I), so the walk comes from one
-eigenbasis exponential of the symmetric one, forward and backward.
+``transition_matrix`` over (A, degrees, t) is the one random-walk path: the
+POLE victim, the POLE attack loss, the polarization penalty and the balance
+metrics all walk through it. The walk transition is the exponential of the
+row-normalized generator t (D^{-1} A - I) at Markov time t. That generator
+is similar to the symmetric t (D^{-1/2} A D^{-1/2} - I), so the walk comes
+from one eigenbasis exponential of the symmetric one, forward and backward.
 
-The autocovariance R = M^T W M is positive semidefinite, so the cosine of any
+The autocovariance R = M^T W M of a walk M (so an attack step hands its one
+walk to the loss and the penalty) is positive semidefinite, so the cosine of any
 exact embedding U U^T = R is R normalized by sqrt(diag R) (``cosine_normalize``);
 the attacks use that closed form instead of fitting a factor.
 """
@@ -59,13 +59,12 @@ def degree_weight_matrix(degrees):
     return np.diag(d) / total - np.outer(d, d) / total ** 2
 
 
-def autocovariance(A, degrees, t):
-    """R = M(t)^T W M(t) of the walk over A; polymorphic over tape Values for A.
+def autocovariance(M, degrees):
+    """R = M^T W M of a walk M from ``transition_matrix``; polymorphic over tape Values.
 
-    The victim passes the signed A and |A|; the POLE attack passes the A it
-    scattered from the sign vector on its tape.
+    The victim passes the walks over the signed A and |A|; the POLE attack
+    passes the walk over the A it scattered from the sign vector on its tape.
     """
-    M = transition_matrix(A, degrees, t)
     return tp.transpose(M) @ degree_weight_matrix(degrees) @ M
 
 
@@ -140,7 +139,8 @@ def pole_predict(g: SignedGraph, split: EdgeSplit, t):
     if (degrees == DEGREE_FLOOR).any():
         warnings.warn("graph has an isolated (all-hidden) node; degree floored",
                       RuntimeWarning, stacklevel=2)
-    feats = np.column_stack([autocovariance(X, degrees, t)[us, vs] for X in (A, np.abs(A))])
+    feats = np.column_stack([autocovariance(transition_matrix(X, degrees, t), degrees)[us, vs]
+                             for X in (A, np.abs(A))])
     y_train = (g.signs()[split.train] > 0).astype(float)
     model = fextra.lr_train(feats[split.train], y_train)
     return fextra.lr_predict(model, feats[split.test])

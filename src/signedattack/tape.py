@@ -1,11 +1,11 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
-A :class:`Tape` records every primitive applied to values that require
-gradients; ``Tape.backward`` replays the records once in reverse creation
-order (which is a valid reverse topological order) and accumulates adjoints
-into the leaves.  Values that do not require gradients pass through as thin
-wrappers with no recording cost, so the same model code serves both the
-plain forward evaluation and the attack gradient path.
+A :class:`Tape` records every primitive applied to its values, each of
+which is differentiable; ``Tape.backward`` replays the records once in
+reverse creation order (which is a valid reverse topological order) and
+accumulates adjoints into the leaves. Plain arrays are constants and record
+nothing, so the same model code serves both the plain forward evaluation
+and the attack gradient path.
 
 Each primitive is one call to ``_apply``, the one recording rule: a
 forward over the inputs' arrays plus one adjoint per input, reduced to that
@@ -16,11 +16,11 @@ is how the attacks and ``SignedGraph.adjacency`` turn a sign vector into A.
 The adjoints of ``gather`` and ``gather_rows`` add repeated positions up with
 ``np.bincount`` over row-major flat indices, which sums in index order as
 ``np.add.at`` does but without its per-element overhead. ``fextra.link_features``
-is an ``_apply`` primitive outside this module: the whole feature map is one
-node, and its adjoint scatters through several indices of the wedge index at
-once. Two primitives record themselves through ``_record`` because their
-adjoints share work: ``fextra.logistic_theta`` (the Hessian at the optimum)
-and ``linalg.sym_matrix_exp`` (the eigenbasis).
+is an ``_apply`` primitive outside this module: the whole feature map, group
+sums included, is one node, and its adjoint scatters through several indices
+of the wedge index at once. Two primitives record themselves through
+``_record`` because their adjoints share work: ``fextra.logistic_theta``
+(the Hessian at the optimum) and ``linalg.sym_matrix_exp`` (the eigenbasis).
 
 ``backward`` leaves the records in place. A caller that is done with the
 gradients calls ``Tape.release``, as the greedy attack step does after each
@@ -41,11 +41,8 @@ class Tape:
     def __init__(self):
         self._nodes = []
 
-    def leaf(self, data, requires_grad=False) -> "Value":
-        return Value(np.asarray(data, dtype=float), self, requires_grad)
-
-    def _append(self, node):
-        self._nodes.append(node)
+    def leaf(self, data) -> "Value":
+        return Value(np.asarray(data, dtype=float), self)
 
     def __len__(self):
         return len(self._nodes)
@@ -79,16 +76,15 @@ class Tape:
 class Value:
     """Array-valued node, either a leaf or the output of a primitive."""
 
-    __slots__ = ("data", "tape", "requires_grad", "grad", "_vjp")
+    __slots__ = ("data", "tape", "grad", "_vjp")
 
     # keep numpy from absorbing Values in mixed expressions; binary ops then
     # fall back to the reflected dunders below
     __array_ufunc__ = None
 
-    def __init__(self, data, tape, requires_grad):
+    def __init__(self, data, tape):
         self.data = np.asarray(data, dtype=float)
         self.tape = tape
-        self.requires_grad = requires_grad
         self.grad = None
         self._vjp = None
 
@@ -165,16 +161,11 @@ def _tape_of(*xs):
     return None
 
 
-def _record(tape, data, vjp, needs_grad):
-    out = Value(data, tape, needs_grad)
-    if needs_grad and tape is not None:
-        out._vjp = vjp
-        tape._append(out)
+def _record(tape, data, vjp):
+    out = Value(data, tape)
+    out._vjp = vjp
+    tape._nodes.append(out)
     return out
-
-
-def _needs(*xs):
-    return any(_is_value(x) and x.requires_grad for x in xs)
 
 
 def _unbroadcast(g, shape):
@@ -201,10 +192,10 @@ def _apply(forward, vjps, *args):
 
     def vjp(g):
         for x, d, rule in zip(args, datas, vjps):
-            if _is_value(x) and x.requires_grad:
+            if _is_value(x):
                 x._accumulate(_unbroadcast(rule(g, out, *datas), d.shape))
 
-    return _record(_tape_of(*args), out, vjp, _needs(*args))
+    return _record(_tape_of(*args), out, vjp)
 
 
 # -- primitives --------------------------------------------------------------
@@ -330,16 +321,6 @@ def sym_scatter(a, us, vs, n):
     return _apply(forward, (lambda g, o, a: g[us, vs] + g[vs, us],), a)
 
 
-def segment_sum(a, index, size):
-    """Sums of the entries of a by group: out[j] = sum of a[k] over index[k] == j.
-
-    ``size`` fixes the output length, so empty and trailing groups read 0.
-    """
-    index = np.asarray(index, dtype=int)
-    return _apply(lambda a: np.bincount(index, weights=a, minlength=size),
-                  (lambda g, o, a: g[index],), a)
-
-
 def prepend_ones(a):
     """Add an all-ones first column (the intercept)."""
     return _apply(lambda a: np.column_stack([np.ones(a.shape[0]), a]),
@@ -363,14 +344,15 @@ def inverse(a):
 def grad_check(f, x0, h=1e-5, entries=None):
     """Max relative error between tape and central-difference gradients.
 
-    ``f`` maps a leaf Value to a scalar Value. ``entries`` optionally
-    restricts the probed coordinates to a list of index tuples of ``x0``;
-    by default every entry of ``x0`` is probed. The relative error uses
-    denominator max(|g|, 1e-8) per entry.
+    ``f`` maps a leaf Value to a scalar Value; the central differences call
+    it on plain arrays, which record nothing. ``entries`` optionally restricts
+    the probed coordinates to a list of index tuples of ``x0``; by default
+    every entry of ``x0`` is probed. The relative error uses denominator
+    max(|g|, 1e-8) per entry.
     """
     x0 = np.asarray(x0, dtype=float)
     tape = Tape()
-    x = tape.leaf(x0, requires_grad=True)
+    x = tape.leaf(x0)
     out = f(x)
     tape.backward(out)
     g = x.grad_or_zero()
@@ -381,10 +363,10 @@ def grad_check(f, x0, h=1e-5, entries=None):
     for idx in entries:
         xp = x0.copy()
         xp[idx] += h
-        fp = float(_data(f(Tape().leaf(xp))))
+        fp = float(_data(f(xp)))
         xm = x0.copy()
         xm[idx] -= h
-        fm = float(_data(f(Tape().leaf(xm))))
+        fm = float(_data(f(xm)))
         fd = (fp - fm) / (2.0 * h)
         err = abs(fd - g[idx]) / max(abs(g[idx]), 1e-8)
         worst = max(worst, err)

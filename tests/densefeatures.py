@@ -2,7 +2,8 @@
 
 ``composite_link_features`` is the wedge-index map written as 23 recorded
 tape primitives, whose backward is the reference, bit for bit, for the
-hand-written adjoint of the one-node ``fextra.link_features``.
+hand-written adjoint of the one-node ``fextra.link_features``. Its group
+sums are ``segment_sum``, a tape primitive only this composite uses.
 
 In the dense map every feature is read off n x n matrices: signed degrees
 are row sums of A+ and A-, and the common-neighbour and triad counts are
@@ -11,10 +12,10 @@ log-likelihood of the FeXtra attack objective written over them; it builds A
 from the sign vector with ``tape.sym_scatter``, so its tape gradient with
 respect to that vector is the reference for the sparse one.
 
-``relu`` and ``support`` serve only these oracles and the tests; no program
-path records a relu or builds the 0/1 support matrix. ``extract_features``
-is the program's own map for given node pairs of a graph, the form the
-tests compare against these oracles.
+``relu``, ``segment_sum`` and ``support`` serve only these oracles and the
+tests; no program path records a relu or a segment sum or builds the 0/1
+support matrix. ``extract_features`` is the program's own map for given
+node pairs of a graph, the form the tests compare against these oracles.
 """
 
 import numpy as np
@@ -29,6 +30,16 @@ def relu(a):
     return tp._apply(lambda a: np.maximum(a, 0.0), (lambda g, o, a: g * (a > 0.0),), a)
 
 
+def segment_sum(a, index, size):
+    """Sums of the entries of a by group: out[j] = sum of a[k] over index[k] == j.
+
+    ``size`` fixes the output length, so empty and trailing groups read 0.
+    """
+    index = np.asarray(index, dtype=int)
+    return tp._apply(lambda a: np.bincount(index, weights=a, minlength=size),
+                     (lambda g, o, a: g[index],), a)
+
+
 def support(g):
     """0/1 matrix of every known link of g, including hidden-sign edges."""
     return tp.sym_scatter(np.ones(g.num_edges), *g.edge_array().T, g.n)
@@ -39,8 +50,8 @@ def composite_link_features(signs, index):
     a = tp.gather_rows(signs, index.edge)
     a_plus = relu(a)
     a_minus = a_plus - a
-    dpos = tp.segment_sum(a_plus, index.rows, index.n)
-    dneg = tp.segment_sum(a_minus, index.rows, index.n)
+    dpos = segment_sum(a_plus, index.rows, index.n)
+    dneg = segment_sum(a_minus, index.rows, index.n)
     us, vs = index.us, index.vs
     first = [tp.gather_rows(x, index.first) for x in (a_plus, a_minus)]
     second = [tp.gather_rows(x, index.second) for x in (a_plus, a_minus)]
@@ -50,7 +61,7 @@ def composite_link_features(signs, index):
         tp.gather_rows(dpos, vs),
         tp.gather_rows(dneg, vs),
         index.common,
-        *(tp.segment_sum(p * q, index.link, len(us)) for p in first for q in second),
+        *(segment_sum(p * q, index.link, len(us)) for p in first for q in second),
     ]
     return tp.colstack(cols)
 
@@ -73,12 +84,12 @@ def bilinear_gather(p, q, us, vs):
     def vjp(g):
         C = np.zeros((pd.shape[0], qd.shape[1]))
         np.add.at(C, (us, vs), g)
-        if tp._is_value(p) and p.requires_grad:
+        if tp._is_value(p):
             p._accumulate(C @ qd.T)
-        if tp._is_value(q) and q.requires_grad:
+        if tp._is_value(q):
             q._accumulate(pd.T @ C)
 
-    return tp._record(tp._tape_of(p, q), out_data, vjp, tp._needs(p, q))
+    return tp._record(tp._tape_of(p, q), out_data, vjp)
 
 
 def dense_link_features(A, S, us, vs):

@@ -18,6 +18,17 @@ went 1.7114055113610906 -> 1.7114055113610909, one ulp; flips, losses and
 snapshots did not move. The ``pole-unsym-penalized`` case, the same weights
 on POLE, was recorded on the code just before the symmetrically normalized
 walk and its target were deleted, so that eta on POLE stays pinned.
+Both penalized cases were re-recorded when a step came to compute the
+feature block and the walk once and the penalty terms to read them: the
+lambda and the loss cotangents now add up on the one feature block, and the
+eta and the loss cotangents on the one walk, before one backward through
+each. ``fextra-ols-penalized`` gain 2 went 2.7148646405924564 ->
+2.714864640592457 (1 ulp). The ``pole-unsym-penalized`` gains went
+0.3549440297897454 -> 0.35494402978974526 (-2 ulps), 0.2846983944940199 ->
+0.28469839449401996 (+1), 0.2650205885447309 -> 0.265020588544731 (+2),
+0.23414802903255472 -> 0.23414802903255477 (+2), 0.22179254630943016 ->
+0.22179254630943024 (+3) and 0.21361606499001162 -> 0.21361606499001148
+(-5). No flip, loss or snapshot moved.
 ``test_cases_cover_every_attack`` keeps ``CASES`` in step with
 ``attacks.TARGETS``.
 Every value must be reproduced exactly.
@@ -82,7 +93,7 @@ PINNED = {'fextra-meta': {'flips': [(14, 17, 0), (0, 17, 1), (10, 11, 2), (0, 19
                               '+++---+++--+++-++++++++-+------++--++-++++++++++-+++++++++++']},
  'fextra-ols-penalized': {'flips': [(16, 18, 0), (12, 14, 1), (14, 17, 2), (13, 15, 3),
                                     (16, 19, 4), (16, 17, 5)],
-                          'gains': [1.7114055113610909, 3.4944275809088303, 2.7148646405924564,
+                          'gains': [1.7114055113610909, 3.4944275809088303, 2.714864640592457,
                                     5.846913843611497, 5.209860611830468, 4.307575797606102],
                           'loss': [-2.557308559338811, -3.1121971244327264, -3.227734354112278,
                                    -9.111521488630089, -10.46000692633818, -12.768724440053349],
@@ -103,8 +114,8 @@ PINNED = {'fextra-meta': {'flips': [(14, 17, 0), (0, 17, 1), (10, 11, 2), (0, 19
                               '+++----++--++---+-+++++-+-++-+++-+-----+++++++++++++++++++++']},
  'pole-unsym-penalized': {'flips': [(0, 19, 0), (0, 17, 1), (8, 10, 2), (7, 10, 3), (2, 19, 4),
                                     (5, 7, 5)],
-                          'gains': [0.3549440297897454, 0.2846983944940199, 0.2650205885447309,
-                                    0.23414802903255472, 0.22179254630943016, 0.21361606499001162],
+                          'gains': [0.35494402978974526, 0.28469839449401996, 0.265020588544731,
+                                    0.23414802903255477, 0.22179254630943024, 0.21361606499001148],
                           'loss': [-5.554599209602593, -6.045868224212573, -6.166747361272919,
                                    -6.545245062557311, -6.703358965010247, -6.839679762567161],
                           'snapshots': ['++++-+++++-+++-+++++-+-----++++-+++++-+++++++++++++++++++-++',

@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-from signedattack import attacks, balance, fextra
+from signedattack import attacks, balance, experiments, fextra, pole
 from signedattack import tape as tp
 from signedattack.attacks import (AttackConfig, AttackTrace, _log_likelihood, _pick_flip,
                                   baseline_greedy_triads, baseline_rand, flip_attack,
@@ -34,6 +34,11 @@ def objective(g, lam, eta):
     empty = np.array([], dtype=int)
     split = EdgeSplit(train=np.arange(g.num_edges), test=empty, hidden_signs=empty)
     return make_attack_loss("fextra-ols", g, split, [], 1.0, lam, eta)
+
+
+def penalty(err, s, objective, events=None):
+    """``penalized_loss`` of err at the sign vector s, reading the X and M of its step."""
+    return penalized_loss(err, s, *objective.step_quantities(s), objective, events)
 
 
 def test_self_train_perfect_model_recovers_labels():
@@ -98,11 +103,11 @@ def test_pole_attack_runs_at_300_nodes(target):
 def test_penalized_loss_recovers_base_and_adds_T():
     g = all_positive_triangle()
     t = Tape()
-    s = t.leaf(g.signs(), requires_grad=True)
+    s = t.leaf(g.signs())
     base = tp.sum_(s * 0.0) + 2.5
-    out0 = penalized_loss(base, s, None, objective(g, 0.0, 0.0))
+    out0 = penalty(base, s, objective(g, 0.0, 0.0))
     assert float(tp._data(out0)) == 2.5
-    out1 = penalized_loss(base, s, None, objective(g, 1.0, 0.0))
+    out1 = penalty(base, s, objective(g, 1.0, 0.0))
     assert float(tp._data(out1)) == pytest.approx(3.5)  # T = 1
 
 
@@ -112,9 +117,8 @@ def test_polarization_penalty_is_the_detector_polarization(seed):
     # detector view reports
     g = two_community(60, 8, 0.1, seed=seed)
     t = Tape()
-    s = t.leaf(g.signs(), requires_grad=True)
-    A = tp.sym_scatter(s, *g.edge_array().T, g.n)
-    eta_term = float(tp._data(penalized_loss(0.0, s, A, objective(g, 0.0, 1.0))))
+    s = t.leaf(g.signs())
+    eta_term = float(tp._data(penalty(0.0, s, objective(g, 0.0, 1.0))))
     assert eta_term == graph_polarization(g, 1.0)
 
 
@@ -123,16 +127,16 @@ def test_balance_penalty_is_the_detector_balance_ratio(seed):
     # the lambda twin: at the clean graph the lambda term is the detector's T
     g = two_community(60, 8, 0.1, seed=seed)
     t = Tape()
-    s = t.leaf(g.signs(), requires_grad=True)
-    assert float(tp._data(penalized_loss(0.0, s, None, objective(g, 1.0, 0.0)))) == balance_ratio(g)
+    s = t.leaf(g.signs())
+    assert float(tp._data(penalty(0.0, s, objective(g, 1.0, 0.0)))) == balance_ratio(g)
 
 
 def test_penalized_loss_no_triads_contributes_zero():
     g = SignedGraph(3, [(0, 1, 1), (1, 2, 1)])
     t = Tape()
-    s = t.leaf(g.signs(), requires_grad=True)
+    s = t.leaf(g.signs())
     events = []
-    out = penalized_loss(1.0, s, None, objective(g, 5.0, 0.0), events)
+    out = penalty(1.0, s, objective(g, 5.0, 0.0), events)
     assert float(tp._data(out)) == 1.0
     assert events
 
@@ -280,7 +284,7 @@ def test_greedy_scores_correlate_with_exact_gains():
         loss_fn = make_attack_loss("fextra-ols", masked, split, y_hat, 1.0)
         signs = masked.signs()
         t = Tape()
-        s = t.leaf(signs, requires_grad=True)
+        s = t.leaf(signs)
         t.backward(tp.mul(loss_fn(s)[0], -1.0))
         G = s.grad_or_zero()
         gains = exact_flip_gains(loss_fn, signs, split.train, set())
@@ -413,7 +417,7 @@ def test_fextra_flip_scores_match_the_dense_feature_map(target, fit, lam, eta):
 
     def link_grads(loss_fn, signs):
         t = Tape()
-        s = t.leaf(signs, requires_grad=True)
+        s = t.leaf(signs)
         t.backward(loss_fn(s)[1])
         return s.grad_or_zero()[split.train]
 
@@ -422,8 +426,7 @@ def test_fextra_flip_scores_match_the_dense_feature_map(target, fit, lam, eta):
 
     def dense(s):
         base = dense_loss(s)
-        A = tp.sym_scatter(s, *masked.edge_array().T, masked.n)
-        return base, penalized_loss(-base, s, A, sparse)
+        return base, penalty(-base, s, sparse)
 
     for signs in (masked.signs(), signs1):
         got, want = link_grads(sparse, signs), link_grads(dense, signs)
@@ -523,8 +526,8 @@ def test_fextra_ols_step_differentiates_the_sign_vector(monkeypatch):
     leaves, largest = [], []
 
     class RecordingTape(tp.Tape):
-        def leaf(self, data, requires_grad=False):
-            value = super().leaf(data, requires_grad)
+        def leaf(self, data):
+            value = super().leaf(data)
             leaves.append(value)
             return value
 
@@ -605,6 +608,17 @@ def test_an_unknown_target_is_refused_before_any_victim_fit(monkeypatch, target)
     assert fits == []
 
 
+def test_an_unknown_baseline_is_refused_before_any_victim_fit(monkeypatch):
+    # it was refused in ``poison``, after the clean victim fit
+    g, _ = small_instance()
+    fits = []
+    monkeypatch.setattr(experiments, "victim_probs", counting(fits, experiments.victim_probs))
+    cfg = ExperimentConfig(baseline="bogus", subsample=0, powers=(0.1,))
+    with pytest.raises(ConfigError, match="unknown baseline"):
+        run_attack_trial(g, cfg, 0)
+    assert fits == []
+
+
 def test_penalized_fextra_attack_builds_one_wedge_index(monkeypatch):
     # the FeXtra features and the lambda term read one index; a separate
     # penalty object built a second, identical one
@@ -632,6 +646,25 @@ def test_a_step_scatters_the_dense_adjacency_once_when_the_objective_reads_it(
     monkeypatch.setattr(tp, "sym_scatter", counting(calls, tp.sym_scatter))
     choose(g.mask(split.test).signs(), np.zeros(len(split.train), dtype=bool), AttackTrace())
     assert len(calls) == scatters
+
+
+@pytest.mark.parametrize("eta", [0.0, 5.0])
+@pytest.mark.parametrize("lam", [0.0, 2.0])
+@pytest.mark.parametrize("target", ["fextra-ols", "fextra-meta", "pole-unsym"])
+def test_a_step_computes_the_features_and_the_walk_at_most_once(monkeypatch, target, lam, eta):
+    # the features when the FeXtra surrogate or lambda reads them, the walk
+    # when the POLE loss or eta reads it; the eta term walked a second time
+    g, split = small_instance(n=16, deg=6, seed=7)
+    y_hat = self_train_labels(victim_model_kind(target), g, split)
+    choose = gradient_chooser(g, split, target, AttackConfig(budget=1, lam=lam, eta=eta), y_hat)
+    features, exps = [], []
+    for module in (attacks, balance):
+        monkeypatch.setattr(module, "link_features", counting(features, fextra.link_features))
+    monkeypatch.setattr(pole, "sym_matrix_exp", counting(exps, pole.sym_matrix_exp))
+    choose(g.mask(split.test).signs(), np.zeros(len(split.train), dtype=bool), AttackTrace())
+    fextra_target = victim_model_kind(target) == "fextra"
+    assert len(features) == (1 if fextra_target or lam else 0)
+    assert sum(tp._is_value(S) for S, in exps) == (1 if not fextra_target or eta else 0)
 
 
 def feature_block_victim(g, split):

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from signedattack import experiments
 from signedattack.attacks import TARGETS
 from signedattack.cli import main, make_parser
 from signedattack.experiments import ExperimentConfig, load_dataset
@@ -93,6 +94,23 @@ def test_a_config_naming_an_unknown_target_is_refused(dataset_file, tmp_path, ca
     assert rc == 2
     assert "unknown attack target" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["attack", "detect"])
+def test_a_config_naming_an_unknown_baseline_is_refused_before_the_graph_is_read(
+        monkeypatch, dataset_file, tmp_path, capsys, command):
+    # build_config passed it, and the run refused it only after reading the graph
+    read = []
+    monkeypatch.setattr(experiments, "load_dataset",
+                        lambda cfg, load=experiments.load_dataset: read.append(cfg) or load(cfg))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"baseline": "bogus"}))
+    out = tmp_path / "o"
+    rc = main([command, "--config", str(cfg), "--dataset", dataset_file, "--format", "plain",
+               "--out", str(out), "--seed", "0", "--power", "0.05", "--subsample", "0"])
+    assert rc == 2
+    assert "unknown baseline" in capsys.readouterr().err
+    assert read == [] and not out.exists()
 
 
 def test_an_unknown_target_flag_exits_2(dataset_file, tmp_path):

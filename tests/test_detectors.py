@@ -275,6 +275,26 @@ def test_poisoned_set_rejects_an_unknown_baseline():
         build_poisoned_set(g, cfg)
 
 
+@pytest.mark.parametrize("target,baseline,error",
+                         [("bogus", "rand", "unknown attack target"),
+                          ("fextra-ols", "bogus", "unknown baseline")],
+                         ids=["target-with-baseline", "baseline"])
+def test_detect_refuses_an_unknown_name_before_reading_or_sampling(monkeypatch, target, baseline,
+                                                                   error):
+    # the unknown target with a baseline ran to the end, and the unknown
+    # baseline was refused only after the clean corpus was sampled
+    work = []
+    for name in ("load_dataset", "sample_subgraph_corpus", "poison"):
+        monkeypatch.setattr(experiments, name, lambda *args, name=name: work.append(name))
+    cfg = ExperimentConfig(dataset="unread.csv", target=target, baseline=baseline, subsample=0,
+                           powers=(0.05,), seeds=(0,))
+    with pytest.raises(ConfigError, match=error):
+        run_detect_experiment(cfg)
+    with pytest.raises(ConfigError, match=error):
+        run_detect_experiment(cfg, geometric_polarized(30, k=6, noise=0.1, seed=0))
+    assert work == []
+
+
 @pytest.mark.parametrize("t", [-1.0, float("nan")])
 def test_detect_rejects_a_nonpositive_markov_time_before_poisoning(monkeypatch, t):
     poisoned = []

@@ -111,7 +111,7 @@ def test_features_equal_the_dense_map(graph):
 
 def _map_and_grad(feature_map, signs, index, w):
     t = tp.Tape()
-    s = t.leaf(signs, requires_grad=True)
+    s = t.leaf(signs)
     X = feature_map(s, index)
     t.backward(tp.sum_(X * w))
     return X.data, s.grad
@@ -151,7 +151,7 @@ def test_fused_feature_map_gradient_check():
 def test_feature_map_records_one_node():
     g = two_community(30, 6, 0.1, seed=5)
     t = tp.Tape()
-    link_features(t.leaf(g.signs(), requires_grad=True), wedge_index(g, g.edge_array()))
+    link_features(t.leaf(g.signs()), wedge_index(g, g.edge_array()))
     assert len(t) == 1
 
 

@@ -58,7 +58,7 @@ def test_sym_matrix_exp_trace_gradient_identity():
     S = rng.standard_normal((5, 5))
     S = 0.5 * (S + S.T)
     t = Tape()
-    s = t.leaf(S, requires_grad=True)
+    s = t.leaf(S)
     t.backward(tp.sum_(sym_matrix_exp(s) * np.eye(5)))
     assert np.abs(s.grad - sym_matrix_exp(S).T).max() < 1e-6
 

@@ -6,12 +6,12 @@ import pytest
 from signedattack import tape as tp
 from signedattack.errors import NumericError
 from signedattack.tape import Tape, grad_check
-from densefeatures import bilinear_gather, relu
+from densefeatures import bilinear_gather, relu, segment_sum
 
 
 def test_sum_of_entries_gradient_is_ones():
     t = Tape()
-    x = t.leaf(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    x = t.leaf(np.arange(6.0).reshape(2, 3))
     t.backward(tp.sum_(x))
     assert np.array_equal(x.grad, np.ones((2, 3)))
 
@@ -25,7 +25,7 @@ def test_grad_check_trace_cube():
     # d tr(X^3) / dX = 3 (X^2)^T
     X = np.random.default_rng(1).standard_normal((5, 5))
     t = Tape()
-    x = t.leaf(X, requires_grad=True)
+    x = t.leaf(X)
     t.backward(tp.sum_((x @ x) * tp.transpose(x)))
     assert np.allclose(x.grad, 3.0 * (X @ X).T)
     assert grad_check(lambda v: tp.sum_((v @ v) * tp.transpose(v)), X) < 1e-6
@@ -33,15 +33,15 @@ def test_grad_check_trace_cube():
 
 def test_unused_input_gradient_is_zero():
     t = Tape()
-    x = t.leaf(np.ones((2, 2)), requires_grad=True)
-    y = t.leaf(np.ones((2, 2)), requires_grad=True)
+    x = t.leaf(np.ones((2, 2)))
+    y = t.leaf(np.ones((2, 2)))
     t.backward(tp.sum_(x * x))
     assert np.array_equal(y.grad_or_zero(), np.zeros((2, 2)))
 
 
 def test_backward_requires_scalar():
     t = Tape()
-    x = t.leaf(np.ones((2, 2)), requires_grad=True)
+    x = t.leaf(np.ones((2, 2)))
     with pytest.raises(NumericError):
         t.backward(x * 2.0)
 
@@ -124,7 +124,7 @@ def test_bilinear_gather_rectangular_with_repeated_pair():
     assert np.allclose(bilinear_gather(P, Q, us, vs), (P @ Q)[us, vs])
 
     t = Tape()
-    p, q = t.leaf(P, requires_grad=True), t.leaf(Q, requires_grad=True)
+    p, q = t.leaf(P), t.leaf(Q)
     t.backward(tp.sum_(bilinear_gather(p, q, us, vs) * w))
     gp, gq = _row_scatter_vjp(P, Q, us, vs, w)
     assert np.allclose(p.grad, gp, rtol=1e-13, atol=1e-13)
@@ -146,7 +146,7 @@ def test_bilinear_gather_same_value_on_both_sides():
         return tp.sum_(bilinear_gather(v, v, us, vs) * w)
 
     t = Tape()
-    x = t.leaf(X, requires_grad=True)
+    x = t.leaf(X)
     t.backward(f(x))
     gp, gq = _row_scatter_vjp(X, X, us, vs, w)
     assert np.allclose(x.grad, gp + gq, rtol=1e-13, atol=1e-13)
@@ -155,7 +155,7 @@ def test_bilinear_gather_same_value_on_both_sides():
 
 def test_backward_keeps_nodes_until_release():
     t = Tape()
-    x = t.leaf(np.arange(4.0).reshape(2, 2), requires_grad=True)
+    x = t.leaf(np.arange(4.0).reshape(2, 2))
     t.backward(tp.sum_(x @ x))
     assert len(t) == 2
     t.release()
@@ -165,7 +165,7 @@ def test_backward_keeps_nodes_until_release():
 
 def test_clamp_gradient_masks_outside():
     t = Tape()
-    x = t.leaf(np.array([-2.0, 0.0, 2.0]), requires_grad=True)
+    x = t.leaf(np.array([-2.0, 0.0, 2.0]))
     t.backward(tp.sum_(tp.clamp(x, -1.0, 1.0)))
     assert np.array_equal(x.grad, np.array([0.0, 1.0, 0.0]))
 
@@ -205,7 +205,7 @@ def test_prepend_ones():
 def test_reverse_pass_visits_each_node_once():
     # mul-by-2 via self-addition: adjoints would double if visited twice
     t = Tape()
-    x = t.leaf(np.array([3.0]), requires_grad=True)
+    x = t.leaf(np.array([3.0]))
     y = x + x
     z = tp.sum_(y * y)
     t.backward(z)
@@ -285,7 +285,7 @@ ADJOINT_CASES = [
     ("gather_rows", "repeated-row", lambda x: tp.gather_rows(x, _rows),
      lambda x: x[_rows], _A),
     ("sym_scatter", "three-links", lambda x: tp.sym_scatter(x, _us, _vs, 4), _sym, _x3),
-    ("segment_sum", "repeated-empty-trailing", lambda x: tp.segment_sum(x, _groups, 6),
+    ("segment_sum", "repeated-empty-trailing", lambda x: segment_sum(x, _groups, 6),
      lambda x: np.array([x[0] + x[2], 0.0, x[1], x[3], 0.0, 0.0]), _x4),
     ("prepend_ones", "matrix", tp.prepend_ones,
      lambda x: np.column_stack([np.ones(x.shape[0]), x]), _B),
@@ -324,7 +324,7 @@ def add_at_scatter(a, index, g):
 
 def _gather_grad(op, x0, w):
     t = Tape()
-    x = t.leaf(x0, requires_grad=True)
+    x = t.leaf(x0)
     t.backward(tp.sum_(op(x) * w))
     return x.grad_or_zero()
 
@@ -356,4 +356,4 @@ def test_gather_rejects_negative_indices():
     with pytest.raises(IndexError):
         tp.gather(M, [0, 1], [-3, 2])
     with pytest.raises(IndexError):
-        tp.gather_rows(Tape().leaf(M, requires_grad=True), [2, -1])
+        tp.gather_rows(Tape().leaf(M), [2, -1])
