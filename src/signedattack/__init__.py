@@ -7,7 +7,7 @@ from .graph import (EdgeSplit, GraphCorpus, SignedGraph, largest_connected_compo
                     sample_subgraph_corpus, split_edges)
 from .tape import Tape, Value, grad_check
 from .linalg import sym_eig, sym_matrix_exp
-from .fextra import LRModel, auc, lr_predict, lr_train, ols_fit
+from .fextra import LRModel, auc, lr_predict, lr_train
 from .pole import autocovariance, cosine_normalize, pole_predict, transition_matrix
 from .balance import BalanceReport, balance_ratio, balance_report, graph_polarization
 from .attacks import (AttackConfig, AttackTrace, baseline_greedy_triads, baseline_rand,

@@ -26,9 +26,12 @@ The FeXtra losses put the victim's feature map in front of either the
 closed-form ridge surrogate (``fextra-ols``) or the victim's own converged
 logistic fit (``fextra-meta``), which the tape differentiates implicitly at
 its optimum; the FeXtra victim runs the ``fextra-meta`` prediction off the
-tape. The POLE surrogate scores a test link by the cosine of an exact
-factor of the autocovariance R of M (``pole.autocovariance``, the victim's
-own walk), which is R normalized by its own diagonal, so no embedding is fitted.
+tape. The whole ``fextra-ols`` head, from the feature block to ``base``, is
+one tape node (``_ols_log_likelihood``), so an unpenalized step records
+three nodes: the features, the head and the negation. The POLE surrogate
+scores a test link by the cosine of an exact factor of the autocovariance R
+of M (``pole.autocovariance``, the victim's own walk), which is R normalized
+by its own diagonal, so no embedding is fitted.
 The Markov time ``t`` is a plain float here; only the POLE losses, the POLE
 victim and the polarization penalty read it.
 """
@@ -42,7 +45,7 @@ import numpy as np
 from . import tape as tp
 from .balance import balance_ratio_terms, polarization_term, triad_traces
 from .errors import ConfigError, MetricUndefinedError, NumericError
-from .fextra import BALANCED_WEDGES, link_features, lr_predict, lr_train, ols_fit, wedge_index
+from .fextra import BALANCED_WEDGES, link_features, lr_predict, lr_train, ols_theta, wedge_index
 from .graph import EdgeSplit, SignedGraph
 from .pole import autocovariance, cosine_normalize, pole_predict, transition_matrix
 
@@ -84,7 +87,7 @@ def flips_for_power(g: SignedGraph, power: float) -> int:
 def victim_model_kind(target: str) -> str:
     """The victim ``target`` attacks, "fextra" or "pole"; ``ConfigError`` outside ``TARGETS``.
 
-    The one check of a target name: ``experiments.check_attack_names`` and
+    The one check of a target name: ``experiments.check_attack_config`` and
     ``make_attack_loss`` reach it before they fit anything."""
     if target not in TARGETS:
         raise ConfigError(f"unknown attack target {target!r}; expected one of {TARGETS}")
@@ -95,14 +98,14 @@ def victim_probs(model: str, g: SignedGraph, split: EdgeSplit, t: float):
     """Victim positive-sign probabilities for the test links of ``split``.
 
     The victim is fit on ``g`` with the test signs hidden, from the training
-    signs only. The FeXtra victim is ``_fextra_probs`` with the victim's own
-    fit, off the tape. Only the POLE victim reads the Markov time ``t``.
+    signs only. The FeXtra victim is ``_fextra_probs`` off the tape. Only the
+    POLE victim reads the Markov time ``t``.
     """
     masked = g.mask(split.test)
     if model == "fextra":
         signs = masked.signs()
         X = link_features(signs, wedge_index(masked, masked.edge_array()))
-        return _fextra_probs(X, signs, split, lr_train)
+        return _fextra_probs(X, signs, split)
     if model == "pole":
         return pole_predict(masked, split, t)
     raise ConfigError(f"unknown victim model {model!r}")
@@ -118,19 +121,68 @@ def self_train_labels(model, g_clean: SignedGraph, split: EdgeSplit, t: float = 
     return (probs >= 0.5).astype(float)
 
 
+def _clipped_log_likelihood(p, y_hat):
+    """sum_e y log p + (1-y) log(1-p) on plain arrays, log arguments clipped to
+    [LOG_CLIP, 1]: (value, pullback from its cotangent to p).
+
+    The pullback adds its terms in the order the backward of the expression
+    written as tape primitives (clamps, logs, products and a sum) visits
+    them, so it equals that composite's gradient bit for bit. A clipped
+    argument passes no gradient.
+    """
+    q = 1.0 - p
+    p_lo, p_hi = np.clip(p, LOG_CLIP, 1.0), np.clip(q, LOG_CLIP, 1.0)
+    value = (y_hat * np.log(p_lo) + (1.0 - y_hat) * np.log(p_hi)).sum()
+
+    def pullback(g):
+        q_bar = g * (1.0 - y_hat) / p_hi * ((q > LOG_CLIP) & (q < 1.0))
+        return -q_bar + g * y_hat / p_lo * ((p > LOG_CLIP) & (p < 1.0))
+
+    return value, pullback
+
+
 def _log_likelihood(p, y_hat):
-    """sum_e y log p + (1-y) log(1-p) with clipped log arguments."""
-    p_lo = tp.clamp(p, LOG_CLIP, 1.0)
-    p_hi = tp.clamp((1.0 - p), LOG_CLIP, 1.0)
-    return tp.sum_(y_hat * tp.log(p_lo) + (1.0 - y_hat) * tp.log(p_hi))
+    """``_clipped_log_likelihood`` of p; one tape node when p is a Value."""
+    value, pullback = _clipped_log_likelihood(tp._data(p), y_hat)
+    return tp._apply(lambda p: value, (lambda g, out, p: pullback(g),), p)
 
 
-def _fextra_probs(X, s, split: EdgeSplit, fit):
-    """FeXtra test-link probabilities: ``fit`` on the training rows of X, the features of
-    the sign vector ``s``, predicted on its test rows; polymorphic over tape Values."""
+def _ols_log_likelihood(X, s, split: EdgeSplit, y_hat):
+    """The ``fextra-ols`` log-likelihood from the feature block X of all links; one tape node.
+
+    ``fextra.ols_theta`` fits the training rows of X to the labels of the
+    sign vector ``s``; the test rows give p = sigmoid([1, ln(X+1)] @ theta),
+    and ``_clipped_log_likelihood`` scores p against ``y_hat``. The adjoint
+    replays the backward of that chain written as tape primitives (sigmoid,
+    the product with theta, ln(x+1), the fit's pullback), so the gradient is
+    the composite's bit for bit (``tests/densefeatures.py``). It writes the
+    test rows of the cotangent and then the training rows: the two row sets
+    are disjoint, so this equals scattering each and adding.
+    """
+    Xd, y_tr = tp._data(X), (tp._data(s)[split.train] > 0).astype(float)
+    theta, theta_pullback = ols_theta(Xd[split.train], y_tr)
+    X1 = Xd[split.test] + 1.0
+    Z = tp.prepend_ones(np.log(X1))
+    p = tp.sigmoid(Z @ theta)
+    value, p_pullback = _clipped_log_likelihood(p, y_hat)
+
+    def vjp(g, out, Xd):
+        a_bar = p_pullback(g) * p * (1.0 - p)
+        X_bar = np.zeros_like(Xd)
+        X_bar[split.test] = np.outer(a_bar, theta)[:, 1:] / X1
+        X_bar[split.train] = theta_pullback(Z.T @ a_bar)
+        return X_bar
+
+    return tp._apply(lambda X: value, (vjp,), X)
+
+
+def _fextra_probs(X, s, split: EdgeSplit):
+    """FeXtra victim test-link probabilities: ``lr_train`` on the training rows of X, the
+    features of the sign vector ``s``, predicted on its test rows; polymorphic over tape
+    Values."""
     X_tr, X_te = tp.gather_rows(X, split.train), tp.gather_rows(X, split.test)
     y_tr = (tp._data(s)[split.train] > 0).astype(float)
-    return lr_predict(fit(X_tr, y_tr), X_te)
+    return lr_predict(lr_train(X_tr, y_tr), X_te)
 
 
 class _Objective:
@@ -139,18 +191,19 @@ class _Objective:
     ``base`` is the self-labels' log-likelihood under the target's
     surrogate. Flips never change the support, so each constant is built
     once, and only when a term reads it: one wedge index for the FeXtra
-    features and the lambda term, the unsigned walk for eta.
+    features and the lambda term, the unsigned walk for eta. The
+    ``fextra-ols`` base is one tape node over X (``_ols_log_likelihood``);
+    the ``fextra-meta`` and POLE bases end in one ``_log_likelihood`` node.
     """
 
     def __init__(self, target, masked: SignedGraph, split: EdgeSplit, y_hat, t, lam, eta):
         self.split, self.t, self.lam, self.eta = split, t, lam, eta
-        self.y_hat = np.asarray(y_hat, dtype=float)
+        self.target, self.y_hat = target, np.asarray(y_hat, dtype=float)
         pole = victim_model_kind(target) == "pole"
-        self.fit = None if pole else {"fextra-ols": ols_fit, "fextra-meta": lr_train}[target]
         self.n, self.edge, self.degrees = masked.n, masked.edge_array(), masked.degrees()
         self.us_te, self.vs_te = self.edge[split.test].T
         self.walks = pole or eta != 0.0
-        self.index = wedge_index(masked, self.edge) if self.fit or lam != 0.0 else None
+        self.index = wedge_index(masked, self.edge) if not pole or lam != 0.0 else None
         self.M_abs = (transition_matrix(np.abs(masked.adjacency()), self.degrees, t)
                       if eta != 0.0 else None)
 
@@ -164,12 +217,13 @@ class _Objective:
     def __call__(self, s, events=None):
         """(base, J) at the sign vector ``s``, both on its tape."""
         X, M = self.step_quantities(s)
-        if self.fit is not None:
-            p = _fextra_probs(X, s, self.split, self.fit)
+        if self.target == "fextra-ols":
+            base = _ols_log_likelihood(X, s, self.split, self.y_hat)
+        elif self.target == "fextra-meta":
+            base = _log_likelihood(_fextra_probs(X, s, self.split), self.y_hat)
         else:
             _, P = cosine_normalize(autocovariance(M, self.degrees))
-            p = tp.gather(P, self.us_te, self.vs_te)
-        base = _log_likelihood(p, self.y_hat)
+            base = _log_likelihood(tp.gather(P, self.us_te, self.vs_te), self.y_hat)
         return base, penalized_loss(-base, s, X, M, self, events)
 
 

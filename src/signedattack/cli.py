@@ -4,8 +4,8 @@ Subcommands: ingest, attack, detect, metrics. Options come from an
 optional JSON config document plus flags of the same name that override it;
 ``attack`` and ``detect`` share their attack flags, ``--target`` offers
 ``attacks.TARGETS`` and ``--baseline`` ``experiments.BASELINES``;
-``experiments.check_attack_names`` checks their target and baseline, from a
-flag or a config file, before the graph is read. Every command reads its
+``experiments.check_attack_config`` checks their target, baseline and
+powers, from a flag or a config file, before the graph is read. Every command reads its
 graph through ``experiments.load_dataset`` (an edge list or a ``.json`` dump,
 cut to its largest connected component). Exit codes: 0 success, 2
 configuration error, 3 numeric failure (a non-positive Markov time is one).
@@ -25,7 +25,7 @@ from .attacks import TARGETS
 from .balance import balance_report
 from .errors import (ConfigError, InvalidSplitError, MetricUndefinedError,
                      NumericError, ParseError, SignedAttackError)
-from .experiments import (BASELINES, ExperimentConfig, check_attack_names, load_dataset,
+from .experiments import (BASELINES, ExperimentConfig, check_attack_config, load_dataset,
                           run_attack_experiment, run_detect_experiment)
 from .graph import positive_ratio
 
@@ -95,7 +95,7 @@ def build_config(args) -> ExperimentConfig:
         if list(cfg.powers) != sorted(cfg.powers):
             raise ConfigError("attack powers must be ascending")
     if hasattr(args, "target"):
-        check_attack_names(cfg)
+        check_attack_config(cfg)
     if not cfg.dataset:
         raise ConfigError("a dataset path is required (--dataset or config)")
     if not os.path.exists(cfg.dataset):

@@ -4,13 +4,15 @@ This module is the engine behind the command-line interface; everything
 here is importable so tests and notebooks can drive the same protocol.
 An attack trial and the poisoned set of a detection run poison a graph the
 same way: subsample, split, then the configured attack or baseline up to
-the budget of the largest power (``poison``), once ``check_attack_names``
-has passed both names. The Markov time ``t`` reaches only the walks: the
-POLE victim and losses, the polarization penalty and the detector's metric view.
+the budget of the largest power (``poison``), once ``check_attack_config``
+has passed both names and every power. The Markov time ``t`` reaches only
+the walks: the POLE victim and losses, the polarization penalty and the
+detector's metric view.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,11 +64,15 @@ class ExperimentConfig:
                             checkpoints=self.resolved_powers())
 
 
-def check_attack_names(cfg: ExperimentConfig):
-    """``ConfigError`` for a target outside ``TARGETS`` or a baseline outside ``BASELINES``."""
+def check_attack_config(cfg: ExperimentConfig):
+    """``ConfigError`` for a target outside ``TARGETS``, a baseline outside ``BASELINES``,
+    or an attack power that is not a finite number >= 0 (power 0 flips nothing)."""
     victim_model_kind(cfg.target)
     if cfg.baseline and cfg.baseline not in BASELINES:
         raise ConfigError(f"unknown baseline {cfg.baseline!r}; expected one of {BASELINES}")
+    for p in cfg.powers:
+        if not isinstance(p, (int, float)) or not 0 <= p < math.inf:
+            raise ConfigError(f"attack power {p!r} must be a finite number >= 0")
 
 
 def load_dataset(cfg: ExperimentConfig) -> SignedGraph:
@@ -101,7 +107,7 @@ def poison(g: SignedGraph, split: EdgeSplit, cfg: ExperimentConfig, seed: int, y
     Returns the trace and the attack's name. ``y_hat`` are the gradient
     attack's self-labels; without them it fits the clean victim itself.
     """
-    check_attack_names(cfg)
+    check_attack_config(cfg)
     powers = cfg.resolved_powers()
     budget = max(flips_for_power(g, p) for p in powers)
     if cfg.baseline == "rand":
@@ -122,7 +128,7 @@ def run_attack_trial(dataset: SignedGraph, cfg: ExperimentConfig, seed: int):
     self-label (the clean victim's thresholded prediction, which the
     gradient attacks target) equals the hidden sign.
     """
-    check_attack_names(cfg)
+    check_attack_config(cfg)
     g = subsample_graph(dataset, cfg.subsample, seed)
     split = split_edges(g, cfg.split_fraction, seed)
     model = victim_model_kind(cfg.target)
@@ -176,10 +182,11 @@ def run_detect_experiment(cfg: ExperimentConfig, dataset: SignedGraph | None = N
                           corpus: GraphCorpus | None = None, poisoned=None):
     """Detector ensemble AUCs on clean corpus graphs against poisoned snapshots.
 
-    The attack names and the Markov time (the metric view reads the walk at
-    ``cfg.t``) fail here, before the dataset is read or the corpus sampled.
+    The attack names and powers and the Markov time (the metric view reads
+    the walk at ``cfg.t``) fail here, before the dataset is read or the
+    corpus sampled.
     """
-    check_attack_names(cfg)
+    check_attack_config(cfg)
     check_markov_time(cfg.t)
     dataset = dataset if dataset is not None else load_dataset(cfg)
     if corpus is None:

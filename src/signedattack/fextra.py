@@ -18,7 +18,10 @@ Hessian at the optimum (implicit differentiation), not from the steps that
 reached it. ``ols_theta`` is the closed-form least-squares surrogate for the
 fit: features pass through ln(x+1), labels through a clipped logit, and the
 Gram matrix gets a small ridge so the solve stays defined on integer count
-data.
+data. It is a plain numpy fit that returns its own pullback from theta to
+the features, which the ``fextra-ols`` attack objective records inside one
+tape node (``attacks``); nothing else in the package predicts from ln(x+1)
+features.
 """
 
 from __future__ import annotations
@@ -50,9 +53,6 @@ BALANCED_WEDGES = (0, 0, 0, 0, 0, 1, -1, -1, 1)
 @dataclass
 class LRModel:
     theta: object  # intercept followed by the feature weights; a tape Value on the tape
-    # the closed-form surrogate is fit on ln(x+1) features; predictions must
-    # apply the same map
-    log_features: bool = False
     # z-scoring of the training rows that ``lr_train`` fit on, applied to any
     # rows it predicts
     center: object = None
@@ -234,32 +234,43 @@ def lr_train(X, y) -> LRModel:
 
 def lr_predict(model: LRModel, X):
     """Positive-sign probabilities for the rows of X; polymorphic over tape Values."""
-    if model.log_features:
-        X = tp.log(X + 1.0)
     if model.center is not None:
         X = (X - model.center) / model.scale
     return tp.sigmoid(tp.prepend_ones(X) @ model.theta)
 
 
 def ols_theta(X, y):
-    """Closed-form surrogate fit; polymorphic over tape Values for X.
+    """Closed-form surrogate fit on plain arrays: (theta, pullback).
 
     theta = (Z^T Z + OLS_RIDGE I)^{-1} Z^T logit(clip(y)) with Z = [1, ln(X+1)]
-    and y clipped to [OLS_LABEL_EPS, 1 - OLS_LABEL_EPS].
+    and y clipped to [OLS_LABEL_EPS, 1 - OLS_LABEL_EPS]. ``pullback(theta_bar)``
+    is the adjoint with respect to X. It adds its terms in the order the
+    backward of the fit written as tape primitives visits them: the inverse,
+    Z^T z, Z^T Z, the transpose, then the log (``tests/densefeatures.py``
+    keeps that composite as the oracle), so its result equals the
+    composite's gradient bit for bit. A singular Gram matrix raises
+    ``NumericError``.
     """
-    y = np.asarray(y, dtype=float)
-    yc = np.clip(y, OLS_LABEL_EPS, 1.0 - OLS_LABEL_EPS)
+    yc = np.clip(np.asarray(y, dtype=float), OLS_LABEL_EPS, 1.0 - OLS_LABEL_EPS)
     z = np.log(yc / (1.0 - yc))
-    lnX = tp.log(X + 1.0)
-    Z = tp.prepend_ones(lnX)
-    Zt = tp.transpose(Z)
-    gram = Zt @ Z + np.eye(tp._data(Z).shape[1]) * OLS_RIDGE
-    return tp.inverse(gram) @ (Zt @ z)
+    X1 = X + 1.0
+    Z = tp.prepend_ones(np.log(X1))
+    Zt = np.transpose(Z)
+    try:
+        inv = np.linalg.inv(Zt @ Z + np.eye(Z.shape[1]) * OLS_RIDGE)
+    except np.linalg.LinAlgError as e:
+        raise NumericError(f"singular Gram matrix in the surrogate fit: {e}") from e
+    w = Zt @ z
+    theta = inv @ w
 
+    def pullback(theta_bar):
+        w_bar = inv.T @ theta_bar
+        gram_bar = -inv.T @ np.outer(theta_bar, w) @ inv.T
+        Zt_bar = np.outer(w_bar, z) + gram_bar @ Z.T
+        Z_bar = Zt.T @ gram_bar + Zt_bar.T
+        return Z_bar[:, 1:] / X1
 
-def ols_fit(X, y) -> LRModel:
-    """The surrogate as a model for ``lr_predict``; polymorphic over tape Values for X."""
-    return LRModel(ols_theta(X, y), log_features=True)
+    return theta, pullback
 
 
 def auc(scores, labels) -> float:

@@ -10,17 +10,22 @@ and the attack gradient path.
 Each primitive is one call to ``_apply``, the one recording rule: a
 forward over the inputs' arrays plus one adjoint per input, reduced to that
 input's shape. Given only plain ndarrays it returns the plain result, so the
-primitives are polymorphic; ``mean_`` is a composite of two of them.
-``sym_scatter`` builds a dense symmetric matrix from one value per link, which
-is how the attacks and ``SignedGraph.adjacency`` turn a sign vector into A.
-The adjoints of ``gather`` and ``gather_rows`` add repeated positions up with
-``np.bincount`` over row-major flat indices, which sums in index order as
-``np.add.at`` does but without its per-element overhead. ``fextra.link_features``
-is an ``_apply`` primitive outside this module: the whole feature map, group
-sums included, is one node, and its adjoint scatters through several indices
-of the wedge index at once. Two primitives record themselves through
-``_record`` because their adjoints share work: ``fextra.logistic_theta``
-(the Hessian at the optimum) and ``linalg.sym_matrix_exp`` (the eigenbasis).
+primitives are polymorphic. ``sym_scatter`` builds a dense symmetric matrix
+from one value per link, which is how the attacks and
+``SignedGraph.adjacency`` turn a sign vector into A. The adjoints of
+``gather`` and ``gather_rows`` add repeated positions up with ``np.bincount``
+over row-major flat indices, which sums in index order as ``np.add.at`` does
+but without its per-element overhead.
+
+Three ``_apply`` primitives live outside this module, each a whole stage
+that would otherwise be a chain of small nodes: ``fextra.link_features``
+(the feature map, group sums included), ``attacks._log_likelihood`` (the
+clipped log-likelihood) and ``attacks._ols_log_likelihood`` (the
+``fextra-ols`` surrogate from the feature block to the log-likelihood). Their
+adjoints add terms in the order the composite's backward would, so gradients
+match it bit for bit. Two primitives record themselves through ``_record``
+because their adjoints share work: ``fextra.logistic_theta`` (the Hessian at
+the optimum) and ``linalg.sym_matrix_exp`` (the eigenbasis).
 
 ``backward`` leaves the records in place. A caller that is done with the
 gradients calls ``Tape.release``, as the greedy attack step does after each
@@ -88,14 +93,6 @@ class Value:
         self.grad = None
         self._vjp = None
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def T(self):
-        return transpose(self)
-
     def grad_or_zero(self):
         return self.grad if self.grad is not None else np.zeros_like(self.data)
 
@@ -127,9 +124,6 @@ class Value:
     def __truediv__(self, other):
         return div(self, other)
 
-    def __rtruediv__(self, other):
-        return div(other, self)
-
     def __neg__(self):
         return mul(self, -1.0)
 
@@ -138,12 +132,6 @@ class Value:
 
     def __rmatmul__(self, other):
         return matmul(other, self)
-
-    def sum(self, axis=None, keepdims=False):
-        return sum_(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return mean_(self, axis=axis, keepdims=keepdims)
 
 
 def _is_value(x):
@@ -233,10 +221,6 @@ def transpose(a):
     return _apply(np.transpose, (lambda g, o, a: g.T,), a)
 
 
-def log(a):
-    return _apply(np.log, (lambda g, o, a: g / a,), a)
-
-
 def sqrt(a):
     return _apply(np.sqrt, (lambda g, o, a: g * 0.5 / o,), a)
 
@@ -259,12 +243,6 @@ def sum_(a, axis=None, keepdims=False):
         return np.broadcast_to(g, a.shape)
 
     return _apply(lambda a: a.sum(axis=axis, keepdims=keepdims), (vjp,), a)
-
-
-def mean_(a, axis=None, keepdims=False):
-    ad = _data(a)
-    denom = ad.size if axis is None else ad.shape[axis]
-    return mul(sum_(a, axis=axis, keepdims=keepdims), 1.0 / denom)
 
 
 def _nonnegative(index):
@@ -331,14 +309,6 @@ def colstack(cols):
     """Stack 1-d pieces as the columns of a matrix."""
     vjps = [lambda g, o, *cs, j=j: g[:, j] for j in range(len(cols))]
     return _apply(lambda *cs: np.stack(cs, axis=1), vjps, *cols)
-
-
-def inverse(a):
-    """Matrix inverse as a recorded primitive (desk-scale solves)."""
-    try:
-        return _apply(np.linalg.inv, (lambda g, inv, a: -inv.T @ g @ inv.T,), a)
-    except np.linalg.LinAlgError as e:
-        raise NumericError(f"singular matrix in inverse: {e}") from e
 
 
 def grad_check(f, x0, h=1e-5, entries=None):

@@ -1,9 +1,17 @@
-"""Oracles for the FeXtra feature map: the dense map and the tape composite.
+"""Oracles for the FeXtra feature map and surrogate: the dense map and the tape composites.
 
 ``composite_link_features`` is the wedge-index map written as 23 recorded
 tape primitives, whose backward is the reference, bit for bit, for the
 hand-written adjoint of the one-node ``fextra.link_features``. Its group
 sums are ``segment_sum``, a tape primitive only this composite uses.
+
+``composite_ols_log_likelihood`` is the ``fextra-ols`` head written as 26
+recorded primitives: two row gathers, the surrogate fit ``ols_fit`` (9, with
+the ``inverse`` primitive), the ln(x+1) prediction ``predict`` (5) and the
+clipped log-likelihood ``composite_log_likelihood`` (10). Its backward is the
+reference, bit for bit, for the one-node ``attacks._ols_log_likelihood``,
+whose adjoint runs ``fextra.ols_theta``'s pullback, and for the one-node
+``attacks._log_likelihood``.
 
 In the dense map every feature is read off n x n matrices: signed degrees
 are row sums of A+ and A-, and the common-neighbour and triad counts are
@@ -12,22 +20,31 @@ log-likelihood of the FeXtra attack objective written over them; it builds A
 from the sign vector with ``tape.sym_scatter``, so its tape gradient with
 respect to that vector is the reference for the sparse one.
 
-``relu``, ``segment_sum`` and ``support`` serve only these oracles and the
-tests; no program path records a relu or a segment sum or builds the 0/1
-support matrix. ``extract_features`` is the program's own map for given
-node pairs of a graph, the form the tests compare against these oracles.
+``relu``, ``log``, ``segment_sum``, ``inverse`` and ``support`` serve only
+these oracles and the tests; no program path records a relu, a log, a segment
+sum or an inverse, or builds the 0/1 support matrix. ``extract_features`` is
+the program's own map for given node pairs of a graph, the form the tests
+compare against these oracles.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from signedattack import tape as tp
-from signedattack.attacks import _log_likelihood
-from signedattack.fextra import link_features, lr_predict, wedge_index
+from signedattack.attacks import LOG_CLIP
+from signedattack.fextra import (OLS_LABEL_EPS, OLS_RIDGE, link_features, lr_predict,
+                                 wedge_index)
 
 
 def relu(a):
     """max(a, 0) on the tape; the adjoint passes where a > 0."""
     return tp._apply(lambda a: np.maximum(a, 0.0), (lambda g, o, a: g * (a > 0.0),), a)
+
+
+def log(a):
+    """Natural log on the tape; the adjoint divides by a."""
+    return tp._apply(np.log, (lambda g, o, a: g / a,), a)
 
 
 def segment_sum(a, index, size):
@@ -38,6 +55,53 @@ def segment_sum(a, index, size):
     index = np.asarray(index, dtype=int)
     return tp._apply(lambda a: np.bincount(index, weights=a, minlength=size),
                      (lambda g, o, a: g[index],), a)
+
+
+def inverse(a):
+    """Matrix inverse as a recorded primitive."""
+    return tp._apply(np.linalg.inv, (lambda g, inv, a: -inv.T @ g @ inv.T,), a)
+
+
+def composite_ols_theta(X, y):
+    """``fextra.ols_theta``'s theta as a composite of tape primitives (9 nodes)."""
+    yc = np.clip(np.asarray(y, dtype=float), OLS_LABEL_EPS, 1.0 - OLS_LABEL_EPS)
+    z = np.log(yc / (1.0 - yc))
+    Z = tp.prepend_ones(log(X + 1.0))
+    Zt = tp.transpose(Z)
+    gram = Zt @ Z + np.eye(tp._data(Z).shape[1]) * OLS_RIDGE
+    return inverse(gram) @ (Zt @ z)
+
+
+@dataclass
+class OLSModel:
+    """The surrogate as a model: theta over the intercept and ln(x+1) features."""
+    theta: object
+
+
+def ols_fit(X, y) -> OLSModel:
+    return OLSModel(composite_ols_theta(X, y))
+
+
+def predict(model, X):
+    """Positive-sign probabilities; an ``OLSModel`` reads the rows of X through ln(x+1)
+    first, any other model goes to ``fextra.lr_predict``."""
+    if isinstance(model, OLSModel):
+        return tp.sigmoid(tp.prepend_ones(log(X + 1.0)) @ model.theta)
+    return lr_predict(model, X)
+
+
+def composite_log_likelihood(p, y_hat):
+    """``attacks._log_likelihood`` as a composite of tape primitives (10 nodes)."""
+    p_lo = tp.clamp(p, LOG_CLIP, 1.0)
+    p_hi = tp.clamp((1.0 - p), LOG_CLIP, 1.0)
+    return tp.sum_(y_hat * log(p_lo) + (1.0 - y_hat) * log(p_hi))
+
+
+def composite_ols_log_likelihood(X, s, split, y_hat):
+    """``attacks._ols_log_likelihood`` as a composite of tape primitives (26 nodes)."""
+    X_tr, X_te = tp.gather_rows(X, split.train), tp.gather_rows(X, split.test)
+    y_tr = (tp._data(s)[split.train] > 0).astype(float)
+    return composite_log_likelihood(predict(ols_fit(X_tr, y_tr), X_te), y_hat)
 
 
 def support(g):
@@ -143,4 +207,4 @@ class DenseFextraLoss:
         X_tr = tp.gather_rows(X, self.split.train)
         X_te = tp.gather_rows(X, self.split.test)
         y_tr = (tp._data(s)[self.split.train] > 0).astype(float)
-        return _log_likelihood(lr_predict(self.fit(X_tr, y_tr), X_te), self.y_hat)
+        return composite_log_likelihood(predict(self.fit(X_tr, y_tr), X_te), self.y_hat)

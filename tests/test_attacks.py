@@ -6,7 +6,8 @@ import pytest
 
 from signedattack import attacks, balance, experiments, fextra, pole
 from signedattack import tape as tp
-from signedattack.attacks import (AttackConfig, AttackTrace, _log_likelihood, _pick_flip,
+from signedattack.attacks import (LOG_CLIP, AttackConfig, AttackTrace, _log_likelihood,
+                                  _ols_log_likelihood, _pick_flip,
                                   baseline_greedy_triads, baseline_rand, flip_attack,
                                   flips_for_power, gradient_chooser, make_attack_loss,
                                   penalized_loss, self_train_labels, victim_model_kind,
@@ -14,11 +15,12 @@ from signedattack.attacks import (AttackConfig, AttackTrace, _log_likelihood, _p
 from signedattack.balance import balance_ratio, graph_polarization, triad_census
 from signedattack.errors import ConfigError, NumericError
 from signedattack.experiments import ExperimentConfig, run_attack_trial
-from signedattack.fextra import auc, link_features, lr_predict, lr_train, ols_fit
+from signedattack.fextra import auc, link_features, lr_predict, lr_train
 from signedattack.graph import EdgeSplit, SignedGraph, split_edges
 from signedattack.tape import Tape
 from balanceoracles import dense_greedy_triads
-from densefeatures import DenseFextraLoss, extract_features
+from densefeatures import (DenseFextraLoss, composite_log_likelihood,
+                           composite_ols_log_likelihood, extract_features, ols_fit, predict)
 from synthgraphs import (all_positive_triangle, complete_graph, flipped, geometric_polarized,
                          two_community)
 
@@ -221,7 +223,7 @@ def test_penalty_changes_flip_choice_but_same_interface():
 
 
 def exact_flip_gains(loss_fn, signs, candidates, pool):
-    """Exact objective increase for each candidate single flip of a FeXtra loss.
+    """Exact objective increase for each candidate single flip of a ``fextra-ols`` loss.
 
     The objective is the error with the training labels held at ``signs``,
     i.e. the same function of s that the greedy score linearizes (the
@@ -233,7 +235,7 @@ def exact_flip_gains(loss_fn, signs, candidates, pool):
 
     def err_at(s):
         X = link_features(s, loss_fn.index)
-        return -float(_log_likelihood(lr_predict(loss_fn.fit(X[train], y_tr), X[test]),
+        return -float(_log_likelihood(predict(ols_fit(X[train], y_tr), X[test]),
                                       loss_fn.y_hat))
 
     base = err_at(signs)
@@ -433,6 +435,84 @@ def test_fextra_flip_scores_match_the_dense_feature_map(target, fit, lam, eta):
         assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
 
+def head_gradient(head, X0, s, split, y_hat):
+    """(base, dJ/dX, nodes) of J = -head(X, s, split, y_hat) at the feature block X0."""
+    t = Tape()
+    X = t.leaf(X0)
+    base = head(X, s, split, y_hat)
+    t.backward(-base)
+    return float(tp._data(base)), X.grad_or_zero(), len(t)
+
+
+def graph_head_instance(seed):
+    """Features of a poisoned two-community graph with its split and random self-labels."""
+    g = two_community(60, 8, 0.1, seed=seed)
+    split = split_edges(g, 0.15, seed=seed)
+    masked = g.mask(split.test)
+    s = masked.signs()
+    s[split.train[:5]] *= -1
+    X = link_features(s, fextra.wedge_index(masked, masked.edge_array()))
+    y_hat = np.random.default_rng(seed).integers(0, 2, len(split.test)).astype(float)
+    return X, s, split, y_hat
+
+
+def clipped_head_instance(single_class=False):
+    """Count features with a few huge test entries, so p reaches 1.0 and drops below LOG_CLIP.
+
+    Those four test links are self-labelled against their prediction, where
+    the clip decides the gradient. Rows 36-39 are in neither split and must
+    get a zero cotangent."""
+    rng = np.random.default_rng(3)
+    X = rng.integers(0, 6, size=(40, 9)).astype(float)
+    order = rng.permutation(40)
+    split = EdgeSplit(train=order[:24], test=order[24:36], hidden_signs=np.ones(12))
+    s = np.ones(40) if single_class else rng.choice([-1.0, 1.0], 40)
+    X[split.test[:4], rng.integers(0, 9, 4)] = 1e15
+    y_hat = rng.integers(0, 2, 12).astype(float)
+    p = predict(ols_fit(X[split.train], (s[split.train] > 0).astype(float)), X[split.test])
+    y_hat[:4] = p[:4] < 0.5
+    return X, s, split, y_hat
+
+
+HEAD_INSTANCES = {
+    **{f"graph-{seed}": lambda seed=seed: graph_head_instance(seed) for seed in range(3)},
+    "clipped": clipped_head_instance,
+    "single-class": lambda: clipped_head_instance(single_class=True),
+}
+
+
+@pytest.mark.parametrize("name", HEAD_INSTANCES)
+def test_the_fextra_ols_head_node_equals_the_composite_bit_for_bit(name):
+    X, s, split, y_hat = HEAD_INSTANCES[name]()
+    got = head_gradient(_ols_log_likelihood, X, s, split, y_hat)
+    want = head_gradient(composite_ols_log_likelihood, X, s, split, y_hat)
+    assert got[0] == want[0] and np.array_equal(got[1], want[1])
+    assert (got[2], want[2]) == (2, 27)
+    outside = np.setdiff1d(np.arange(len(X)), np.r_[split.train, split.test])
+    assert not got[1][outside].any()
+    y_tr = (s[split.train] > 0).astype(float)
+    if name == "clipped":
+        p = predict(ols_fit(X[split.train], y_tr), X[split.test])
+        assert (p == 1.0).any() and (p < LOG_CLIP).any()
+    if name == "single-class":
+        assert y_tr.all()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_the_log_likelihood_node_equals_the_composite_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    p0 = np.r_[rng.random(20), 0.0, 1e-13, LOG_CLIP, 1.0 - 1e-13, 1.0]
+    y = rng.integers(0, 2, len(p0)).astype(float)
+    results = []
+    for loglik in (_log_likelihood, composite_log_likelihood):
+        t = Tape()
+        p = t.leaf(p0)
+        t.backward(-loglik(p, y))
+        results.append((float(tp._data(loglik(p0, y))), p.grad_or_zero()))
+    (got, got_grad), (want, want_grad) = results
+    assert got == want and np.array_equal(got_grad, want_grad)
+
+
 class _NoAddAt:
     """``np.add`` with its ``at`` method turned into a failure."""
 
@@ -619,6 +699,27 @@ def test_an_unknown_baseline_is_refused_before_any_victim_fit(monkeypatch):
     assert fits == []
 
 
+@pytest.mark.parametrize("power", [-0.05, float("nan"), float("inf"), "0.05"])
+def test_an_unusable_power_is_refused_before_any_victim_fit(monkeypatch, power):
+    # a negative power ran the whole attack and then raised KeyError; nan
+    # and inf raised ValueError and OverflowError from the flip count
+    g, _ = small_instance()
+    fits = []
+    monkeypatch.setattr(experiments, "victim_probs", counting(fits, experiments.victim_probs))
+    for baseline in (None, "rand"):
+        cfg = ExperimentConfig(baseline=baseline, subsample=0, powers=(0.05, power))
+        with pytest.raises(ConfigError, match="attack power"):
+            run_attack_trial(g, cfg, 0)
+    assert fits == []
+
+
+def test_power_zero_is_a_usable_power():
+    g, _ = small_instance()
+    rows, trace, _ = run_attack_trial(g, ExperimentConfig(subsample=0, powers=(0, 0.05)), 0)
+    assert rows[0]["auc_poisoned"] == rows[0]["auc_clean"]
+    assert trace.snapshots[0].signs().tolist() == g.signs().tolist()
+
+
 def test_penalized_fextra_attack_builds_one_wedge_index(monkeypatch):
     # the FeXtra features and the lambda term read one index; a separate
     # penalty object built a second, identical one
@@ -648,6 +749,13 @@ def test_a_step_scatters_the_dense_adjacency_once_when_the_objective_reads_it(
     assert len(calls) == scatters
 
 
+# tape nodes of one step at (lambda, eta) = (0, 0), (2, 0), (0, 5), (2, 5): the
+# fextra-ols head is one node, the other bases end in one log-likelihood node;
+# the composite heads recorded 28/36/54/62, 32/40/58/66 and 34/43/51/60
+STEP_NODES = {"fextra-ols": (3, 11, 29, 37), "fextra-meta": (23, 31, 49, 57),
+              "pole-unsym": (25, 34, 42, 51)}
+
+
 @pytest.mark.parametrize("eta", [0.0, 5.0])
 @pytest.mark.parametrize("lam", [0.0, 2.0])
 @pytest.mark.parametrize("target", ["fextra-ols", "fextra-meta", "pole-unsym"])
@@ -657,7 +765,14 @@ def test_a_step_computes_the_features_and_the_walk_at_most_once(monkeypatch, tar
     g, split = small_instance(n=16, deg=6, seed=7)
     y_hat = self_train_labels(victim_model_kind(target), g, split)
     choose = gradient_chooser(g, split, target, AttackConfig(budget=1, lam=lam, eta=eta), y_hat)
-    features, exps = [], []
+    features, exps, nodes = [], [], []
+
+    class RecordingTape(tp.Tape):
+        def backward(self, loss):
+            nodes.append(len(self))
+            super().backward(loss)
+
+    monkeypatch.setattr(tp, "Tape", RecordingTape)
     for module in (attacks, balance):
         monkeypatch.setattr(module, "link_features", counting(features, fextra.link_features))
     monkeypatch.setattr(pole, "sym_matrix_exp", counting(exps, pole.sym_matrix_exp))
@@ -665,6 +780,7 @@ def test_a_step_computes_the_features_and_the_walk_at_most_once(monkeypatch, tar
     fextra_target = victim_model_kind(target) == "fextra"
     assert len(features) == (1 if fextra_target or lam else 0)
     assert sum(tp._is_value(S) for S, in exps) == (1 if not fextra_target or eta else 0)
+    assert nodes == [STEP_NODES[target][2 * (eta != 0.0) + (lam != 0.0)]]
 
 
 def feature_block_victim(g, split):

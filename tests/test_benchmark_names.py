@@ -3,7 +3,9 @@
 ``perfbench/layers.py`` lists each traced layer as an (owner, attribute)
 pair, and the benchmark also wraps ``attacks.make_attack_loss``. A rename
 that drops one of them would otherwise show up only in the slow benchmark
-smoke test.
+smoke test. A layer whose name resolves but that no program path calls any
+more reads a structural 0, so the layers a ``fextra-ols`` step must run are
+also counted on a small attack.
 """
 
 import importlib.util
@@ -12,6 +14,9 @@ from pathlib import Path
 import pytest
 
 from signedattack import attacks
+from signedattack.attacks import AttackConfig, flip_attack, self_train_labels
+from signedattack.graph import split_edges
+from synthgraphs import two_community
 
 _spec = importlib.util.spec_from_file_location(
     "perfbench_layers", Path(__file__).resolve().parents[1] / "perfbench" / "layers.py")
@@ -25,3 +30,16 @@ TRACED.append(("attacks.loss", attacks, "make_attack_loss"))
 @pytest.mark.parametrize("name, owner, attr", TRACED, ids=[f"{n}:{a}" for n, _, a in TRACED])
 def test_traced_name_resolves(name, owner, attr):
     assert callable(getattr(owner, attr, None)), f"{name}: {owner.__name__}.{attr} is gone"
+
+
+def test_a_fextra_ols_step_runs_the_fit_the_features_and_one_backward():
+    g = two_community(60, 8, 0.1, seed=4)
+    split = split_edges(g, 0.1, seed=4)
+    y_hat = self_train_labels("fextra", g, split)
+    tracer = layers.Tracer()
+    with layers.Patches() as patches:
+        tracer.install(patches)
+        trace = flip_attack(g, split, "fextra-ols", AttackConfig(budget=4), y_hat)
+    assert len(trace.flips) == 4
+    for name in ("fextra.ols", "fextra.features", "tape.backward"):
+        assert tracer.calls[name] == 4, name

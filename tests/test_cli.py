@@ -113,6 +113,38 @@ def test_a_config_naming_an_unknown_baseline_is_refused_before_the_graph_is_read
     assert read == [] and not out.exists()
 
 
+@pytest.mark.parametrize("power", ["-0.05", "nan", "inf"])
+def test_an_unusable_power_flag_exits_2_before_the_attack(monkeypatch, dataset_file, tmp_path,
+                                                          capsys, power):
+    # -0.05 exited 1 with KeyError after the whole attack, nan with
+    # ValueError and inf with OverflowError
+    read = []
+    monkeypatch.setattr(experiments, "load_dataset",
+                        lambda cfg, load=experiments.load_dataset: read.append(cfg) or load(cfg))
+    out = tmp_path / "o"
+    rc = main(["attack", "--dataset", dataset_file, "--format", "plain", "--out", str(out),
+               "--seed", "0", f"--power={power}", "--subsample", "0"])
+    assert rc == 2
+    assert "attack power" in capsys.readouterr().err
+    assert read == [] and not out.exists()
+
+
+def test_a_detect_config_with_a_negative_power_exits_2(monkeypatch, dataset_file, tmp_path,
+                                                        capsys):
+    # it exited 1 with KeyError after poisoning
+    read = []
+    monkeypatch.setattr(experiments, "load_dataset",
+                        lambda cfg, load=experiments.load_dataset: read.append(cfg) or load(cfg))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"powers": [0.05, -0.01]}))
+    out = tmp_path / "o"
+    rc = main(["detect", "--config", str(cfg), "--dataset", dataset_file, "--format", "plain",
+               "--out", str(out), "--seed", "0", "--subsample", "0"])
+    assert rc == 2
+    assert "attack power" in capsys.readouterr().err
+    assert read == [] and not out.exists()
+
+
 def test_an_unknown_target_flag_exits_2(dataset_file, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["attack", "--dataset", dataset_file, "--target", "pole-sym",

@@ -295,6 +295,20 @@ def test_detect_refuses_an_unknown_name_before_reading_or_sampling(monkeypatch, 
     assert work == []
 
 
+@pytest.mark.parametrize("power", [-0.01, float("nan"), float("inf")])
+def test_detect_refuses_an_unusable_power_before_reading_or_sampling(monkeypatch, power):
+    # a negative power raised KeyError only after the poisoned set was built
+    work = []
+    for name in ("load_dataset", "sample_subgraph_corpus", "poison"):
+        monkeypatch.setattr(experiments, name, lambda *args, name=name: work.append(name))
+    cfg = ExperimentConfig(dataset="unread.csv", subsample=0, powers=(0.05, power), seeds=(0,))
+    with pytest.raises(ConfigError, match="attack power"):
+        run_detect_experiment(cfg)
+    with pytest.raises(ConfigError, match="attack power"):
+        run_detect_experiment(cfg, geometric_polarized(30, k=6, noise=0.1, seed=0))
+    assert work == []
+
+
 @pytest.mark.parametrize("t", [-1.0, float("nan")])
 def test_detect_rejects_a_nonpositive_markov_time_before_poisoning(monkeypatch, t):
     poisoned = []

@@ -4,11 +4,11 @@ import pytest
 from signedattack import tape as tp
 from signedattack.errors import MetricUndefinedError, MissingEdgeError, NumericError
 from signedattack.experiments import victim_test_auc
-from signedattack.fextra import (LR_RIDGE, auc, link_features, lr_predict, lr_train, ols_fit,
-                                 ols_theta, wedge_index)
+from signedattack.fextra import (LR_RIDGE, auc, link_features, lr_predict, lr_train, ols_theta,
+                                 wedge_index)
 from signedattack.graph import SignedGraph, split_edges
-from densefeatures import (composite_link_features, dense_extract_features, extract_features,
-                           support)
+from densefeatures import (composite_link_features, composite_ols_theta, dense_extract_features,
+                           extract_features, ols_fit, predict, support)
 from synthgraphs import (all_positive_triangle, flipped, geometric_polarized,
                          random_signed_graph, two_community)
 
@@ -229,26 +229,26 @@ def test_lr_victim_auc_at_least_ols_on_degree_24_graphs(seed):
     X = extract_features(masked, [(u, v) for u, v, _ in masked.edges])
     y = (masked.signs()[split.train] > 0).astype(float)
     truth = (split.hidden_signs > 0).astype(int)
-    ols_auc = auc(lr_predict(ols_fit(X[split.train], y), X[split.test]), truth)
+    ols_auc = auc(predict(ols_fit(X[split.train], y), X[split.test]), truth)
     assert victim_test_auc(g, split, "fextra") >= ols_auc
 
 
 def test_ols_two_points_interpolates():
     X = np.array([[0.0], [3.0]])
     y = np.array([0.0, 1.0])
-    m = ols_fit(X, y)
+    theta, _ = ols_theta(X, y)
     # transformed labels reproduced exactly by the linear fit
     z = np.log(np.array([0.01, 0.99]) / (1 - np.array([0.01, 0.99])))
     Z = tp.prepend_ones(np.log(X + 1.0))
-    assert np.abs(Z @ m.theta - z).max() < 1e-3
+    assert np.abs(Z @ theta - z).max() < 1e-3
 
 
 def test_ols_constant_labels():
     X = np.random.default_rng(3).random((20, 9)) * 4
-    m = ols_fit(X, np.ones(20))
+    theta, _ = ols_theta(X, np.ones(20))
     logit = np.log(0.99 / 0.01)
-    assert np.abs(m.theta[1:]).max() < 1e-3
-    assert m.theta[0] == pytest.approx(logit, abs=1e-2)
+    assert np.abs(theta[1:]).max() < 1e-3
+    assert theta[0] == pytest.approx(logit, abs=1e-2)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -256,7 +256,8 @@ def test_ols_matches_normal_equations_oracle(seed):
     rng = np.random.default_rng(seed)
     X = rng.integers(0, 6, size=(30, 9)).astype(float)
     y = (rng.random(30) < 0.7).astype(float)
-    theta = ols_theta(X, y)
+    theta, _ = ols_theta(X, y)
+    assert np.array_equal(theta, composite_ols_theta(X, y))
     # independent normal-equations solve
     Z = tp.prepend_ones(np.log(X + 1.0))
     yc = np.clip(y, 0.01, 0.99)
@@ -274,7 +275,7 @@ def test_ols_self_training_agrees_with_lr_on_separable_data():
     y = (g.signs() > 0).astype(float)
     lr_m = lr_train(X, y)
     ols_m = ols_fit(X, y)
-    agree = np.mean((lr_predict(lr_m, X) >= 0.5) == (lr_predict(ols_m, X) >= 0.5))
+    agree = np.mean((lr_predict(lr_m, X) >= 0.5) == (predict(ols_m, X) >= 0.5))
     assert agree >= 0.95
 
 
