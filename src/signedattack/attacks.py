@@ -45,7 +45,8 @@ import numpy as np
 from . import tape as tp
 from .balance import balance_ratio_terms, polarization_term, triad_traces
 from .errors import ConfigError, MetricUndefinedError, NumericError
-from .fextra import BALANCED_WEDGES, link_features, lr_predict, lr_train, ols_theta, wedge_index
+from .fextra import (BALANCED_WEDGES, link_features, link_index, lr_predict, lr_train,
+                     ols_design, ols_theta, wedge_index)
 from .graph import EdgeSplit, SignedGraph
 from .pole import autocovariance, cosine_normalize, pole_predict, transition_matrix
 
@@ -104,7 +105,7 @@ def victim_probs(model: str, g: SignedGraph, split: EdgeSplit, t: float):
     masked = g.mask(split.test)
     if model == "fextra":
         signs = masked.signs()
-        X = link_features(signs, wedge_index(masked, masked.edge_array()))
+        X = link_features(signs, link_index(masked))
         return _fextra_probs(X, signs, split)
     if model == "pole":
         return pole_predict(masked, split, t)
@@ -150,20 +151,22 @@ def _log_likelihood(p, y_hat):
 def _ols_log_likelihood(X, s, split: EdgeSplit, y_hat):
     """The ``fextra-ols`` log-likelihood from the feature block X of all links; one tape node.
 
-    ``fextra.ols_theta`` fits the training rows of X to the labels of the
-    sign vector ``s``; the test rows give p = sigmoid([1, ln(X+1)] @ theta),
-    and ``_clipped_log_likelihood`` scores p against ``y_hat``. The adjoint
+    ``fextra.ols_theta`` fits the training rows of X to the 0/1 labels
+    s > 0 of the sign vector ``s``, with the label logits and the ridge
+    taken from its module constants; the test rows give
+    p = sigmoid([1, ln(X+1)] @ theta), the design matrix written by
+    ``fextra.ols_design`` and the sigmoid evaluated on plain arrays, and
+    ``_clipped_log_likelihood`` scores p against ``y_hat``. The adjoint
     replays the backward of that chain written as tape primitives (sigmoid,
     the product with theta, ln(x+1), the fit's pullback), so the gradient is
     the composite's bit for bit (``tests/densefeatures.py``). It writes the
     test rows of the cotangent and then the training rows: the two row sets
     are disjoint, so this equals scattering each and adding.
     """
-    Xd, y_tr = tp._data(X), (tp._data(s)[split.train] > 0).astype(float)
+    Xd, y_tr = tp._data(X), tp._data(s)[split.train] > 0
     theta, theta_pullback = ols_theta(Xd[split.train], y_tr)
-    X1 = Xd[split.test] + 1.0
-    Z = tp.prepend_ones(np.log(X1))
-    p = tp.sigmoid(Z @ theta)
+    X1, Z = ols_design(Xd[split.test])
+    p = 1.0 / (1.0 + np.exp(-(Z @ theta)))
     value, p_pullback = _clipped_log_likelihood(p, y_hat)
 
     def vjp(g, out, Xd):
@@ -190,8 +193,10 @@ class _Objective:
 
     ``base`` is the self-labels' log-likelihood under the target's
     surrogate. Flips never change the support, so each constant is built
-    once, and only when a term reads it: one wedge index for the FeXtra
-    features and the lambda term, the unsigned walk for eta. The
+    once, and only when a term reads it: the wedge index for the FeXtra
+    features and the lambda term, the unsigned walk for eta. The index is
+    ``fextra.link_index`` of the masked graph, so an objective built in a
+    trial whose clean victim was already fit reuses that fit's index. The
     ``fextra-ols`` base is one tape node over X (``_ols_log_likelihood``);
     the ``fextra-meta`` and POLE bases end in one ``_log_likelihood`` node.
     """
@@ -203,7 +208,7 @@ class _Objective:
         self.n, self.edge, self.degrees = masked.n, masked.edge_array(), masked.degrees()
         self.us_te, self.vs_te = self.edge[split.test].T
         self.walks = pole or eta != 0.0
-        self.index = wedge_index(masked, self.edge) if not pole or lam != 0.0 else None
+        self.index = link_index(masked) if not pole or lam != 0.0 else None
         self.M_abs = (transition_matrix(np.abs(masked.adjacency()), self.degrees, t)
                       if eta != 0.0 else None)
 
@@ -291,11 +296,13 @@ def _greedy_flips(g0: SignedGraph, split: EdgeSplit, budget: int, checkpoints,
     edge = g0.edge_array()
     trace = AttackTrace()
     pooled = np.zeros(len(split.train), dtype=bool)
+    due = {}  # flip count -> the checkpoints it reaches, in checkpoint order
+    for p in checkpoints:
+        due.setdefault(flips_for_power(g0, p), []).append(p)
 
     def snapshot():
-        for p in checkpoints:
-            if flips_for_power(g0, p) == len(trace.flips):
-                trace.snapshots[p] = g0.with_signs(full_signs)
+        for p in due.get(len(trace.flips), ()):
+            trace.snapshots[p] = g0.with_signs(full_signs)
 
     snapshot()
     for step in range(budget):

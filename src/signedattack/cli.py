@@ -3,8 +3,9 @@
 Subcommands: ingest, attack, detect, metrics. Options come from an
 optional JSON config document plus flags of the same name that override it;
 ``attack`` and ``detect`` share their attack flags, ``--target`` offers
-``attacks.TARGETS`` and ``--baseline`` ``experiments.BASELINES``;
-``experiments.check_attack_config`` checks their target, baseline and
+``attacks.TARGETS`` and ``--baseline`` ``experiments.BASELINES``. Each
+config value must have the type of its ``ExperimentConfig`` field, and
+``experiments.check_attack_config`` checks the target, baseline and
 powers, from a flag or a config file, before the graph is read. Every command reads its
 graph through ``experiments.load_dataset`` (an edge list or a ``.json`` dump,
 cut to its largest connected component). Exit codes: 0 success, 2
@@ -62,6 +63,27 @@ def _write_json(path, obj):
     _write_atomic(path, lambda f: json.dump(obj, f, indent=2, sort_keys=True))
 
 
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# ExperimentConfig field annotation -> (check of a JSON value, what it expects)
+_CONFIG_TYPES = {
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "str | None": (lambda v: v is None or isinstance(v, str), "a string or null"),
+    "int": (_is_int, "an integer"),
+    "float": (_is_number, "a number"),
+    "tuple[int, ...]": (lambda v: isinstance(v, list) and all(map(_is_int, v)),
+                        "a list of integers"),
+    "tuple[float, ...]": (lambda v: isinstance(v, list) and all(map(_is_number, v)),
+                          "a list of numbers"),
+}
+
+
 def build_config(args) -> ExperimentConfig:
     base = {}
     if args.config:
@@ -71,10 +93,13 @@ def build_config(args) -> ExperimentConfig:
             except json.JSONDecodeError as e:
                 raise ConfigError(f"bad config JSON: {e}") from e
     cfg = ExperimentConfig()
-    known = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    types = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
     for key, val in base.items():
-        if key not in known:
+        if key not in types:
             raise ConfigError(f"unknown config key {key!r}")
+        check, expected = _CONFIG_TYPES[types[key]]
+        if not check(val):
+            raise ConfigError(f"config key {key!r} must be {expected}, got {val!r}")
         setattr(cfg, key, tuple(val) if isinstance(val, list) else val)
     overrides = {
         "dataset": args.dataset, "format": args.format, "out": args.out,
@@ -177,6 +202,7 @@ def _add_attack(p):
     p.add_argument("--eta", type=float, default=None,
                    help="polarization penalty weight")
     p.add_argument("--subsample", type=int, default=None)
+    p.add_argument("--baseline", choices=BASELINES, default=None)
 
 
 def make_parser():
@@ -191,7 +217,6 @@ def make_parser():
     p = sub.add_parser("attack", help="run poisoning trials and report victim AUC")
     _add_common(p)
     _add_attack(p)
-    p.add_argument("--baseline", choices=BASELINES, default=None)
     p.set_defaults(func=cmd_attack)
 
     p = sub.add_parser("detect", help="fit detectors on clean subgraphs, score attacks")

@@ -5,7 +5,9 @@ here is importable so tests and notebooks can drive the same protocol.
 An attack trial and the poisoned set of a detection run poison a graph the
 same way: subsample, split, then the configured attack or baseline up to
 the budget of the largest power (``poison``), once ``check_attack_config``
-has passed both names and every power. The Markov time ``t`` reaches only
+has passed both names and every power. The trial graph, its masked views
+and its poisoned snapshots have the same links, so a FeXtra trial builds
+one wedge index for all of them. The Markov time ``t`` reaches only
 the walks: the POLE victim and losses, the polarization penalty and the
 detector's metric view.
 """
@@ -39,14 +41,14 @@ class ExperimentConfig:
     split_fraction: float = 0.1
     target: str = "fextra-ols"
     baseline: str | None = None   # "rand" | "greedy-triads"
-    powers: tuple = ()
+    powers: tuple[float, ...] = ()
     lam: float = 0.0
     eta: float = 0.0
     t: float = 1.0
-    seeds: tuple = (0, 1, 2, 3, 4)
+    seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
     out: str = "out"
     # detector settings
-    corpus_sizes: tuple = (300, 400, 500)
+    corpus_sizes: tuple[int, ...] = (300, 400, 500)
     corpus_per_size: int = 20
     corpus_seed: int = 12345
     nu: float = 0.1
@@ -96,7 +98,11 @@ def subsample_graph(g: SignedGraph, size: int, seed: int) -> SignedGraph:
 
 def victim_test_auc(g: SignedGraph, split: EdgeSplit, model: str,
                     t=1.0) -> float:
-    """Retrain the victim on the (possibly poisoned) graph and score test links."""
+    """Retrain the victim on the (possibly poisoned) graph and score test links.
+
+    A poisoned snapshot shares the trial graph's links, so the FeXtra retrain
+    reads the wedge index the clean fit built (``fextra.link_index``).
+    """
     probs = victim_probs(model, g, split, t)
     return auc(probs, (split.hidden_signs > 0).astype(int))
 

@@ -6,6 +6,10 @@ the graph through a wedge index: the directed entries of every known link,
 and for each listed link its common neighbours w as the entries of (u, w)
 and (w, v). Sign flips never change the support, so the index is built once
 per link set, and the map over the signed entries costs O(links + wedges).
+The index of all of a graph's links (``link_index``) is built on first use
+and kept in the graph's ``support_cache``, which the graphs derived from it
+by masking or by new signs share: an attack trial builds it once for the
+clean self-label fit, the attack objective and every victim retrain.
 It reads the signs as one vector over the graph's links (``link_features``),
 the same way for the victim and the attacks, which differentiate through it
 with respect to that vector on the tape. The triad baseline and the
@@ -16,16 +20,17 @@ logistic regression by Newton's method to a gradient-norm tolerance. On the
 tape the fit is one primitive whose gradient comes from one solve with its
 Hessian at the optimum (implicit differentiation), not from the steps that
 reached it. ``ols_theta`` is the closed-form least-squares surrogate for the
-fit: features pass through ln(x+1), labels through a clipped logit, and the
-Gram matrix gets a small ridge so the solve stays defined on integer count
-data. It is a plain numpy fit that returns its own pullback from theta to
-the features, which the ``fextra-ols`` attack objective records inside one
-tape node (``attacks``); nothing else in the package predicts from ln(x+1)
-features.
+fit: features pass through ln(x+1), 0/1 labels through a clipped logit
+(``OLS_LOGITS``), and the Gram matrix gets a small ridge so the solve stays
+defined on integer count data. It is a plain numpy fit that returns its own
+pullback from theta to the features, which the ``fextra-ols`` attack
+objective records inside one tape node (``attacks``); nothing else in the
+package predicts from ln(x+1) features.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +53,12 @@ FEATURE_NAMES = (
 )
 # X @ BALANCED_WEDGES = tri_pp - tri_pm - tri_mp + tri_mm = (A @ A)[u, v] per link (u, v)
 BALANCED_WEDGES = (0, 0, 0, 0, 0, 1, -1, -1, 1)
+# the surrogate's target for label 0 and for label 1: the logit of the label
+# clipped to [OLS_LABEL_EPS, 1 - OLS_LABEL_EPS], by the expression the fit
+# once evaluated on every row
+_CLIPPED_LABELS = np.clip(np.array([0.0, 1.0]), OLS_LABEL_EPS, 1.0 - OLS_LABEL_EPS)
+OLS_LOGITS = np.log(_CLIPPED_LABELS / (1.0 - _CLIPPED_LABELS))
+OLS_LOGITS.flags.writeable = False
 
 
 @dataclass
@@ -71,6 +82,12 @@ class WedgeIndex:
     ``signs[edge[e]]``. Listed link j is (us[j], vs[j]). Wedge i closes
     listed link ``link[i]`` = (u, v) through a common neighbour w:
     ``first[i]`` is the entry of (u, w) and ``second[i]`` that of (w, v).
+
+    The index reads the links but not their signs. ``link_index`` builds the
+    index of all of a graph's links on first use and shares it with every
+    graph masked or re-signed from it; an index of other links (the triad
+    baseline's training links) or of a graph no trial reuses (the balance
+    traces) comes from ``wedge_index``, built each time it is asked for.
     """
 
     n: int
@@ -85,9 +102,10 @@ class WedgeIndex:
 
 
 def wedge_index(g: SignedGraph, links) -> WedgeIndex:
-    """The wedge index of ``links`` (node pairs, each a known link of ``g``).
+    """The wedge index of ``links`` (node pairs, each a known link of ``g``), built now.
 
     It costs O(links x degree) and builds no n x n or links x n array.
+    ``link_index`` is the cached index of all of ``g``'s links.
     """
     n, edges = g.n, g.edge_array()
     rows = np.concatenate([edges[:, 0], edges[:, 1]])
@@ -121,6 +139,20 @@ def wedge_index(g: SignedGraph, links) -> WedgeIndex:
                       np.bincount(link, minlength=len(links)).astype(float))
 
 
+def link_index(g: SignedGraph) -> WedgeIndex:
+    """The wedge index of all of ``g``'s links, in edge-list order; built on first use.
+
+    It is kept in ``g.support_cache``, which ``g`` shares with the graph it
+    was masked or re-signed from and with those masked or re-signed from it,
+    so they all read one index. A graph on other links (``induced_subgraph``,
+    a largest component) builds its own.
+    """
+    index = g.support_cache.get("wedge_index")
+    if index is None:
+        index = g.support_cache["wedge_index"] = wedge_index(g, g.edge_array())
+    return index
+
+
 def link_features(signs, index: WedgeIndex):
     """The nine-column feature block of the listed links; polymorphic over tape Values.
 
@@ -129,7 +161,8 @@ def link_features(signs, index: WedgeIndex):
     as ``signs[index.edge]``. Signed degrees sum entries by row, and each
     triad count sums, over the link's wedges, the product of its two legs.
     Sign flips never change the support, so callers build the index once per
-    link set and each evaluation costs O(links + wedges).
+    link set and each evaluation costs O(links + wedges). The nine columns
+    are written into one preallocated block.
 
     On the tape the map is one recorded primitive. Its adjoint takes the
     cotangent of the nine columns back to ``signs`` with ``bincount`` over
@@ -149,9 +182,11 @@ def link_features(signs, index: WedgeIndex):
     dpos = np.bincount(rows, weights=a_plus, minlength=n)
     dneg = np.bincount(rows, weights=a_minus, minlength=n)
     fp, fm, sp, sm = a_plus[first], a_minus[first], a_plus[second], a_minus[second]
-    tri = [np.bincount(link, weights=p * q, minlength=m)
-           for p, q in ((fp, sp), (fp, sm), (fm, sp), (fm, sm))]
-    out = np.stack([dpos[us], dneg[us], dpos[vs], dneg[vs], index.common, *tri], axis=1)
+    out = np.empty((m, len(FEATURE_NAMES)))
+    out[:, 0], out[:, 1], out[:, 2], out[:, 3] = dpos[us], dneg[us], dpos[vs], dneg[vs]
+    out[:, 4] = index.common
+    for j, (p, q) in enumerate(((fp, sp), (fp, sm), (fm, sp), (fm, sm)), start=5):
+        out[:, j] = np.bincount(link, weights=p * q, minlength=m)
 
     def vjp(G, out, s):
         gpp, gpm, gmp, gmm = (G[link, j] for j in (5, 6, 7, 8))
@@ -239,25 +274,43 @@ def lr_predict(model: LRModel, X):
     return tp.sigmoid(tp.prepend_ones(X) @ model.theta)
 
 
+@functools.cache
+def _ols_ridge(k):
+    """OLS_RIDGE I of width ``k``, built once per width and shared read-only."""
+    ridge = np.eye(k) * OLS_RIDGE
+    ridge.flags.writeable = False
+    return ridge
+
+
+def ols_design(X):
+    """(X + 1, Z = [1, ln(X + 1)]): the surrogate's design matrix, written into one block."""
+    X1 = X + 1.0
+    Z = np.empty((X1.shape[0], X1.shape[1] + 1))
+    Z[:, 0] = 1.0
+    Z[:, 1:] = np.log(X1)
+    return X1, Z
+
+
 def ols_theta(X, y):
     """Closed-form surrogate fit on plain arrays: (theta, pullback).
 
-    theta = (Z^T Z + OLS_RIDGE I)^{-1} Z^T logit(clip(y)) with Z = [1, ln(X+1)]
-    and y clipped to [OLS_LABEL_EPS, 1 - OLS_LABEL_EPS]. ``pullback(theta_bar)``
-    is the adjoint with respect to X. It adds its terms in the order the
-    backward of the fit written as tape primitives visits them: the inverse,
-    Z^T z, Z^T Z, the transpose, then the log (``tests/densefeatures.py``
-    keeps that composite as the oracle), so its result equals the
-    composite's gradient bit for bit. A singular Gram matrix raises
-    ``NumericError``.
+    theta = (Z^T Z + OLS_RIDGE I)^{-1} Z^T z with Z = [1, ln(X+1)]
+    (``ols_design``) and z the clipped logit of each label. The labels are
+    0/1 (every caller passes s > 0), so z is read off the module constant
+    ``OLS_LOGITS``, and the ridge OLS_RIDGE I is built once per width: per
+    call only Z, the Gram matrix and its inverse are computed.
+    ``pullback(theta_bar)`` is the adjoint with respect to X. It adds its
+    terms in the order the backward of the fit written as tape primitives
+    visits them: the inverse, Z^T z, Z^T Z, the transpose, then the log
+    (``tests/densefeatures.py`` keeps that composite as the oracle), so its
+    result equals the composite's gradient bit for bit. A singular Gram
+    matrix raises ``NumericError``.
     """
-    yc = np.clip(np.asarray(y, dtype=float), OLS_LABEL_EPS, 1.0 - OLS_LABEL_EPS)
-    z = np.log(yc / (1.0 - yc))
-    X1 = X + 1.0
-    Z = tp.prepend_ones(np.log(X1))
+    z = OLS_LOGITS[np.asarray(y, dtype=np.intp)]
+    X1, Z = ols_design(X)
     Zt = np.transpose(Z)
     try:
-        inv = np.linalg.inv(Zt @ Z + np.eye(Z.shape[1]) * OLS_RIDGE)
+        inv = np.linalg.inv(Zt @ Z + _ols_ridge(Z.shape[1]))
     except np.linalg.LinAlgError as e:
         raise NumericError(f"singular Gram matrix in the surrogate fit: {e}") from e
     w = Zt @ z

@@ -9,7 +9,11 @@ list ``edges`` and the (u, v) -> position lookup are derived from the arrays
 on first use; the matrix views, degrees and every editing operation are
 array operations. Graphs are treated as immutable: every editing operation
 returns a new instance, and one derived from a validated graph's arrays is
-not validated again.
+not validated again. A graph made by :meth:`SignedGraph.mask` or
+:meth:`SignedGraph.with_signs` has the same links as its parent, so it
+shares the parent's edge array and its ``support_cache``: whatever is
+computed from the links alone is computed once for all of them
+(``fextra.link_index`` keeps the wedge index there).
 """
 
 from __future__ import annotations
@@ -39,18 +43,24 @@ class SignedGraph:
                    dict(meta or {}))
         self._validate()
 
-    def _init(self, n, edge, signs, node_labels, meta):
+    def _init(self, n, edge, signs, node_labels, meta, support_cache=None):
         self.n = n
         self._edge = np.ascontiguousarray(edge)
         self._signs = np.ascontiguousarray(signs)
         self._edge.flags.writeable = self._signs.flags.writeable = False
         self.node_labels = node_labels
         self.meta = meta
+        # values that depend on the links but not their signs, shared with
+        # every graph derived by mask or with_signs
+        self.support_cache = {} if support_cache is None else support_cache
 
-    def _derived(self, n, edge, signs, node_labels):
-        """A graph on arrays taken from this validated one, left unvalidated."""
+    def _derived(self, n, edge, signs, node_labels, support_cache=None):
+        """A graph on arrays taken from this validated one, left unvalidated.
+
+        Pass ``support_cache`` only when ``edge`` is this graph's own edge array.
+        """
         g = object.__new__(SignedGraph)
-        g._init(n, edge, signs, node_labels, dict(self.meta))
+        g._init(n, edge, signs, node_labels, dict(self.meta), support_cache)
         return g
 
     def _validate(self):
@@ -119,14 +129,15 @@ class SignedGraph:
         """Hide the signs of the links at these positions (the analyst's view of test links)."""
         signs = self._signs.copy()
         signs[np.asarray(edge_indices, dtype=np.intp)] = 0
-        return self._derived(self.n, self._edge, signs, list(self.node_labels))
+        return self._derived(self.n, self._edge, signs, list(self.node_labels),
+                             self.support_cache)
 
     def with_signs(self, signs) -> "SignedGraph":
         """The same links with new signs, one per link in edge-list order, validated."""
         signs = np.asarray(signs).astype(np.int64)
         if signs.shape != self._signs.shape:
             raise ValueError(f"{signs.size} signs for {self.num_edges} links")
-        g = self._derived(self.n, self._edge, signs, list(self.node_labels))
+        g = self._derived(self.n, self._edge, signs, list(self.node_labels), self.support_cache)
         g._validate()
         return g
 

@@ -21,10 +21,12 @@ Three ``_apply`` primitives live outside this module, each a whole stage
 that would otherwise be a chain of small nodes: ``fextra.link_features``
 (the feature map, group sums included), ``attacks._log_likelihood`` (the
 clipped log-likelihood) and ``attacks._ols_log_likelihood`` (the
-``fextra-ols`` surrogate from the feature block to the log-likelihood). Their
-adjoints add terms in the order the composite's backward would, so gradients
-match it bit for bit. Two primitives record themselves through ``_record``
-because their adjoints share work: ``fextra.logistic_theta`` (the Hessian at
+``fextra-ols`` surrogate from the feature block to the log-likelihood; its
+forward builds the design matrices and runs the sigmoid on plain arrays,
+not through ``prepend_ones`` and ``sigmoid``). Their adjoints add terms in
+the order the composite's backward would, so gradients match it bit for
+bit. Two primitives record themselves through ``_record`` because their
+adjoints share work: ``fextra.logistic_theta`` (the Hessian at
 the optimum) and ``linalg.sym_matrix_exp`` (the eigenbasis).
 
 ``backward`` leaves the records in place. A caller that is done with the

@@ -529,9 +529,10 @@ class _NoAddAt:
         raise AssertionError("np.add.at called")
 
 
-def test_fextra_ols_step_records_at_most_28_nodes_and_no_add_at(monkeypatch):
-    # the feature map is one node (it was a composite of 23), and gather
-    # adjoints scatter with bincount; the step recorded 50 nodes before
+def test_fextra_ols_step_records_3_nodes_and_no_add_at(monkeypatch):
+    # the features, the fused surrogate head and the negation, and no
+    # np.add.at scatter; on this 300-node graph the step recorded 50 nodes
+    # with the composite feature map and 28 with the composite head
     sizes = []
 
     class RecordingTape(tp.Tape):
@@ -545,7 +546,55 @@ def test_fextra_ols_step_records_at_most_28_nodes_and_no_add_at(monkeypatch):
     split = split_edges(g, 0.1, seed=0)
     trace = flip_attack(g, split, "fextra-ols", AttackConfig(budget=2))
     assert len(trace.flips) == 2
-    assert len(sizes) == 2 and max(sizes) <= 28
+    assert sizes == [3, 3]
+
+
+def _raises(name):
+    def proxy(*args, **kwargs):
+        raise AssertionError(f"{name} called in a step")
+    return proxy
+
+
+@pytest.mark.parametrize("lam", [0.0, 2.0])
+def test_a_fextra_ols_step_builds_no_stacked_block(monkeypatch, lam):
+    # the feature block and the design matrices are written into preallocated
+    # blocks; np.stack and tp.prepend_ones (column_stack) built them each step
+    g = two_community(60, 8, 0.1, seed=4)
+    split = split_edges(g, 0.1, seed=4)
+    choose = gradient_chooser(g, split, "fextra-ols", AttackConfig(budget=2, lam=lam))
+    for name in ("stack", "column_stack"):
+        monkeypatch.setattr(np, name, _raises(f"np.{name}"))
+    monkeypatch.setattr(tp, "prepend_ones", _raises("tp.prepend_ones"))
+    signs = g.mask(split.test).signs()
+    trace = AttackTrace()
+    for _ in range(2):
+        choose(signs, np.zeros(len(split.train), dtype=bool), trace)
+    assert len(trace.loss_curve) == 2
+
+
+def test_a_fextra_ols_trial_builds_one_wedge_index(monkeypatch):
+    # the clean fit, the objective and the retrain at each of the five
+    # powers built one each: 7 per trial
+    built = []
+    wedge_index = counting(built, fextra.wedge_index)
+    for module in (attacks, balance, fextra):
+        monkeypatch.setattr(module, "wedge_index", wedge_index)
+    cfg = ExperimentConfig(subsample=0, seeds=(0,))
+    rows, trace, g = run_attack_trial(two_community(60, 8, 0.1, seed=4), cfg, 0)
+    assert len(rows) == 5 and len(trace.snapshots) == 5
+    assert len(built) == 1
+
+
+def test_a_checkpoint_count_shared_by_two_powers_snapshots_both():
+    g, split = small_instance()
+    budget = flips_for_power(g, 0.1)
+    powers = (0.0, 0.1, 0.1 + 0.1 / g.num_edges, 0.0001)
+    assert flips_for_power(g, powers[2]) == budget and flips_for_power(g, powers[3]) == 0
+    trace = baseline_rand(g, split, budget, 0, checkpoints=powers)
+    assert list(trace.snapshots) == [0.0, 0.0001, 0.1, 0.1 + 0.1 / g.num_edges]
+    assert trace.snapshots[0.0].signs().tolist() == g.signs().tolist()
+    assert trace.snapshots[0.1] is not trace.snapshots[powers[2]]
+    assert trace.snapshots[0.1].signs().tolist() == trace.snapshots[powers[2]].signs().tolist()
 
 
 def lexsort_pick_flip(scores, us, vs, pooled):
@@ -722,9 +771,10 @@ def test_power_zero_is_a_usable_power():
 
 def test_penalized_fextra_attack_builds_one_wedge_index(monkeypatch):
     # the FeXtra features and the lambda term read one index; a separate
-    # penalty object built a second, identical one
+    # penalty object built a second, identical one. The self-labels come from
+    # an equal graph: a fit on g itself would leave g's index cached.
     g, split = small_instance(n=16, deg=6, seed=7)
-    y_hat = self_train_labels("fextra", g, split)
+    y_hat = self_train_labels("fextra", small_instance(n=16, deg=6, seed=7)[0], split)
     built = []
     wedge_index = counting(built, fextra.wedge_index)
     for module in (attacks, balance, fextra):

@@ -263,3 +263,56 @@ def test_fextra_attack_reads_no_markov_time(dataset_file, tmp_path):
     assert main(base + ["--t", "0", "--out", str(tmp_path / "b")]) == 0
     assert ((tmp_path / "a" / "attack_auc.csv").read_bytes()
             == (tmp_path / "b" / "attack_auc.csv").read_bytes())
+
+
+@pytest.mark.parametrize("command,config,key", [
+    ("attack", {"seeds": 3}, "seeds"),
+    ("attack", {"corpus_sizes": 300}, "corpus_sizes"),
+    ("attack", {"subsample": "100"}, "subsample"),
+    ("attack", {"lam": "2"}, "lam"),
+    ("detect", {"t": "1"}, "t"),
+    ("attack", {"subsample": True}, "subsample"),
+    ("attack", {"seeds": [0, 1.5]}, "seeds"),
+    ("attack", {"baseline": 1}, "baseline"),
+], ids=["seeds-int", "corpus-sizes-int", "subsample-str", "lam-str", "detect-t-str",
+        "subsample-bool", "seeds-float", "baseline-int"])
+def test_a_config_value_of_the_wrong_type_exits_2_before_the_graph_is_read(
+        monkeypatch, dataset_file, tmp_path, capsys, command, config, key):
+    # the first five raised TypeError or ValueError (lam only after the whole attack)
+    read = []
+    monkeypatch.setattr(experiments, "load_dataset",
+                        lambda cfg, load=experiments.load_dataset: read.append(cfg) or load(cfg))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "o"
+    rc = main([command, "--config", str(cfg), "--dataset", dataset_file, "--format", "plain",
+               "--out", str(out), "--power", "0.05"])
+    assert rc == 2
+    assert f"config key {key!r}" in capsys.readouterr().err
+    assert read == [] and not out.exists()
+
+
+def test_a_config_accepts_an_int_for_a_float_field(dataset_file, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lam": 0, "split_fraction": 0.1, "baseline": None}))
+    rc = main(["attack", "--config", str(cfg), "--dataset", dataset_file, "--format", "plain",
+               "--out", str(tmp_path / "o"), "--seed", "0", "--power", "0.05",
+               "--subsample", "0"])
+    assert rc == 0
+
+
+def test_detect_baseline_flag_poisons_with_that_baseline(monkeypatch, dataset_file, tmp_path):
+    # argparse refused --baseline on detect, though a config file could set it
+    calls = []
+    monkeypatch.setattr(experiments, "baseline_rand",
+                        lambda *a, run=experiments.baseline_rand, **kw:
+                        calls.append(a) or run(*a, **kw))
+    monkeypatch.setattr(experiments, "flip_attack",
+                        lambda *a, **kw: pytest.fail("the gradient attack ran"))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"corpus_sizes": [50, 60], "corpus_per_size": 4, "corpus_seed": 1,
+                               "seeds": [0], "subsample": 60, "powers": [0.05]}))
+    rc = main(["detect", "--config", str(cfg), "--dataset", dataset_file, "--format", "plain",
+               "--out", str(tmp_path / "det"), "--baseline", "rand"])
+    assert rc == 0
+    assert len(calls) == 1

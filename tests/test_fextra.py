@@ -4,9 +4,9 @@ import pytest
 from signedattack import tape as tp
 from signedattack.errors import MetricUndefinedError, MissingEdgeError, NumericError
 from signedattack.experiments import victim_test_auc
-from signedattack.fextra import (LR_RIDGE, auc, link_features, lr_predict, lr_train, ols_theta,
-                                 wedge_index)
-from signedattack.graph import SignedGraph, split_edges
+from signedattack.fextra import (LR_RIDGE, OLS_LABEL_EPS, OLS_LOGITS, auc, link_features,
+                                 link_index, lr_predict, lr_train, ols_theta, wedge_index)
+from signedattack.graph import SignedGraph, largest_connected_component, split_edges
 from densefeatures import (composite_link_features, composite_ols_theta, dense_extract_features,
                            extract_features, ols_fit, predict, support)
 from synthgraphs import (all_positive_triangle, flipped, geometric_polarized,
@@ -146,6 +146,41 @@ def test_fused_feature_map_gradient_check():
     x0 = rng.choice([-1.0, 1.0], g.num_edges) * rng.uniform(0.5, 1.5, g.num_edges)
     w = rng.standard_normal((g.num_edges, 9))
     assert tp.grad_check(lambda s: tp.sum_(link_features(s, index) * w), x0) < 1e-6
+
+
+def test_masked_and_resigned_graphs_share_one_link_index():
+    g = two_community(40, 6, 0.1, seed=3)
+    split = split_edges(g, 0.2, seed=3)
+    index = link_index(g)
+    masked = g.mask(split.test)
+    resigned = masked.with_signs(-g.signs())
+    assert link_index(masked) is index and link_index(resigned) is index
+    assert link_index(resigned.mask(split.train)) is index
+    want = wedge_index(g, g.edge_array())
+    for field in ("rows", "edge", "us", "vs", "first", "second", "link", "common"):
+        assert np.array_equal(getattr(index, field), getattr(want, field)), field
+
+
+def test_a_graph_on_other_links_builds_its_own_link_index():
+    g = two_community(40, 6, 0.1, seed=3)
+    index = link_index(g)
+    for other in (g.induced_subgraph(range(g.n)), largest_connected_component(g),
+                  SignedGraph(g.n, g.edges)):
+        assert link_index(other) is not index
+        assert np.array_equal(link_index(other).first, index.first)
+    # a mask taken before the first build shares the index all the same
+    h = two_community(40, 6, 0.1, seed=3)
+    masked = h.mask([0, 1])
+    assert link_index(masked) is link_index(h)
+
+
+@pytest.mark.parametrize("label", [0, 1])
+def test_each_label_logit_constant_is_the_clipped_logit_of_its_label(label):
+    yc = np.clip(np.array([float(label)]), OLS_LABEL_EPS, 1.0 - OLS_LABEL_EPS)
+    assert OLS_LOGITS[label] == np.log(yc / (1 - yc))[0]
+    # as ols_theta evaluated it on a block of labels
+    block = np.clip(np.full(37, float(label)), OLS_LABEL_EPS, 1.0 - OLS_LABEL_EPS)
+    assert (np.log(block / (1 - block)) == OLS_LOGITS[label]).all()
 
 
 def test_feature_map_records_one_node():
