@@ -7,10 +7,11 @@ to the sign vector s (one entry per link, hidden signs 0), score each
 not-yet-flipped training link k by the first-order objective increase of
 its flip, -2 s_k dJ/ds_k, and flip the best one.
 The triad baseline scores links by their balanced-triad count, read off the
-FeXtra wedge sums, and the random baseline replays a seeded draw. The
-objective being *maximized* is the prediction error on the self-labelled
-test links, optionally penalized to keep the balance metrics (and thereby
-the attack's visibility to detectors) close to the clean graph:
+wedge sums of the trial's FeXtra block of all links (over its cached
+index), and the random baseline replays a seeded draw. The objective being
+*maximized* is the prediction error on the self-labelled test links,
+optionally penalized to keep the balance metrics (and thereby the attack's
+visibility to detectors) close to the clean graph:
 
     J = -(sum_e y_e log p_e + (1 - y_e) log(1 - p_e)) + lambda T + eta Pol
 
@@ -45,8 +46,8 @@ import numpy as np
 from . import tape as tp
 from .balance import balance_ratio_terms, polarization_term, triad_traces
 from .errors import ConfigError, MetricUndefinedError, NumericError
-from .fextra import (BALANCED_WEDGES, link_features, link_index, lr_predict, lr_train,
-                     ols_design, ols_theta, wedge_index)
+from .fextra import (BALANCED_WEDGES, link_features, link_index, ols_design, ols_theta,
+                     split_probs)
 from .graph import EdgeSplit, SignedGraph
 from .pole import autocovariance, cosine_normalize, pole_predict, transition_matrix
 
@@ -99,14 +100,16 @@ def victim_probs(model: str, g: SignedGraph, split: EdgeSplit, t: float):
     """Victim positive-sign probabilities for the test links of ``split``.
 
     The victim is fit on ``g`` with the test signs hidden, from the training
-    signs only. The FeXtra victim is ``_fextra_probs`` off the tape. Only the
-    POLE victim reads the Markov time ``t``.
+    signs only. Both victims end in the shared head ``fextra.split_probs``:
+    the FeXtra victim on the feature block of all links, the POLE victim
+    (``pole_predict``) on its autocovariance pairs. Only the POLE victim
+    reads the Markov time ``t``.
     """
     masked = g.mask(split.test)
     if model == "fextra":
         signs = masked.signs()
         X = link_features(signs, link_index(masked))
-        return _fextra_probs(X, signs, split)
+        return split_probs(X, signs, split)
     if model == "pole":
         return pole_predict(masked, split, t)
     raise ConfigError(f"unknown victim model {model!r}")
@@ -179,15 +182,6 @@ def _ols_log_likelihood(X, s, split: EdgeSplit, y_hat):
     return tp._apply(lambda X: value, (vjp,), X)
 
 
-def _fextra_probs(X, s, split: EdgeSplit):
-    """FeXtra victim test-link probabilities: ``lr_train`` on the training rows of X, the
-    features of the sign vector ``s``, predicted on its test rows; polymorphic over tape
-    Values."""
-    X_tr, X_te = tp.gather_rows(X, split.train), tp.gather_rows(X, split.test)
-    y_tr = (tp._data(s)[split.train] > 0).astype(float)
-    return lr_predict(lr_train(X_tr, y_tr), X_te)
-
-
 class _Objective:
     """J = -base + lambda T + eta Pol on the sign vector, and every per-attack constant.
 
@@ -225,7 +219,7 @@ class _Objective:
         if self.target == "fextra-ols":
             base = _ols_log_likelihood(X, s, self.split, self.y_hat)
         elif self.target == "fextra-meta":
-            base = _log_likelihood(_fextra_probs(X, s, self.split), self.y_hat)
+            base = _log_likelihood(split_probs(X, s, self.split), self.y_hat)
         else:
             _, P = cosine_normalize(autocovariance(M, self.degrees))
             base = _log_likelihood(tp.gather(P, self.us_te, self.vs_te), self.y_hat)
@@ -372,15 +366,17 @@ def baseline_greedy_triads(g0: SignedGraph, split: EdgeSplit, budget: int,
 
     For a link (u, v) with sign s, the balanced-minus-unbalanced count of
     triads through it is s W, where W = X @ ``BALANCED_WEDGES`` is its exact
-    wedge sum, read off the FeXtra features X over an index built once per
-    attack. Flipping negates it, so the greedy score is exactly s W.
+    wedge sum, read off the FeXtra feature block X of all links over the
+    trial's cached index (``fextra.link_index``). Flipping negates it, so the
+    greedy score of a training link is exactly s W.
     """
     _check_budget(budget, split)
-    index = wedge_index(g0.mask(split.test), g0.edge_array()[split.train])
+    index = link_index(g0.mask(split.test))
+    us, vs = g0.edge_array()[split.train].T
 
     def choose(signs, pooled, trace):
-        scores = signs[split.train] * (link_features(signs, index) @ BALANCED_WEDGES)
-        j = _pick_flip(scores, index.us, index.vs, pooled)
+        scores = (signs * (link_features(signs, index) @ BALANCED_WEDGES))[split.train]
+        j = _pick_flip(scores, us, vs, pooled)
         return j, float(scores[j])
 
     return _greedy_flips(g0, split, budget, checkpoints, choose)

@@ -71,7 +71,7 @@ def balance_ratio_terms(tr, tr_abs):
 def graph_triad_traces(g: SignedGraph):
     """``triad_traces`` of g, read off the feature block of all its links."""
     signs = g.signs()
-    return triad_traces(signs, link_features(signs, wedge_index(g, g.edge_array())))
+    return triad_traces(signs, link_features(signs, wedge_index(g)))
 
 
 def balance_ratio(g: SignedGraph) -> float:

@@ -2,11 +2,13 @@
 
 Subcommands: ingest, attack, detect, metrics. Options come from an
 optional JSON config document plus flags of the same name that override it;
-``attack`` and ``detect`` share their attack flags, ``--target`` offers
-``attacks.TARGETS`` and ``--baseline`` ``experiments.BASELINES``. Each
-config value must have the type of its ``ExperimentConfig`` field, and
-``experiments.check_attack_config`` checks the target, baseline and
-powers, from a flag or a config file, before the graph is read. Every command reads its
+``attack`` and ``detect`` share their attack flags; ``--target``,
+``--baseline`` and ``--strategy`` offer ``attacks.TARGETS``,
+``experiments.BASELINES`` and ``detectors.STRATEGIES``. Each config value
+must have the type of its ``ExperimentConfig`` field, and
+``experiments.check_attack_config`` (for ``detect`` also
+``check_detect_config``) checks the settings, from a flag or a config file,
+before the graph is read. Every command reads its
 graph through ``experiments.load_dataset`` (an edge list or a ``.json`` dump,
 cut to its largest connected component). Exit codes: 0 success, 2
 configuration error, 3 numeric failure (a non-positive Markov time is one).
@@ -26,8 +28,10 @@ from .attacks import TARGETS
 from .balance import balance_report
 from .errors import (ConfigError, InvalidSplitError, MetricUndefinedError,
                      NumericError, ParseError, SignedAttackError)
-from .experiments import (BASELINES, ExperimentConfig, check_attack_config, load_dataset,
-                          run_attack_experiment, run_detect_experiment)
+from .detectors import STRATEGIES
+from .experiments import (BASELINES, ExperimentConfig, check_attack_config,
+                          check_detect_config, load_dataset, run_attack_experiment,
+                          run_detect_experiment)
 from .graph import positive_ratio
 
 
@@ -101,18 +105,10 @@ def build_config(args) -> ExperimentConfig:
         if not check(val):
             raise ConfigError(f"config key {key!r} must be {expected}, got {val!r}")
         setattr(cfg, key, tuple(val) if isinstance(val, list) else val)
-    overrides = {
-        "dataset": args.dataset, "format": args.format, "out": args.out,
-        "target": getattr(args, "target", None),
-        "baseline": getattr(args, "baseline", None),
-        "lam": getattr(args, "lam", None), "eta": getattr(args, "eta", None),
-        "subsample": getattr(args, "subsample", None),
-        "t": getattr(args, "t", None),
-        "strategy": getattr(args, "strategy", None),
-    }
-    for key, val in overrides.items():
-        if val is not None:
-            setattr(cfg, key, val)
+    # each flag that sets one field as given has that field's name as its dest
+    for key in types:
+        if getattr(args, key, None) is not None:
+            setattr(cfg, key, getattr(args, key))
     if getattr(args, "seed", None):
         cfg.seeds = tuple(int(s) for s in args.seed.split(","))
     if getattr(args, "power", None):
@@ -121,6 +117,8 @@ def build_config(args) -> ExperimentConfig:
             raise ConfigError("attack powers must be ascending")
     if hasattr(args, "target"):
         check_attack_config(cfg)
+    if hasattr(args, "strategy"):
+        check_detect_config(cfg)
     if not cfg.dataset:
         raise ConfigError("a dataset path is required (--dataset or config)")
     if not os.path.exists(cfg.dataset):
@@ -222,7 +220,7 @@ def make_parser():
     p = sub.add_parser("detect", help="fit detectors on clean subgraphs, score attacks")
     _add_common(p)
     _add_attack(p)
-    p.add_argument("--strategy", choices=["mean", "min", "max"], default=None)
+    p.add_argument("--strategy", choices=STRATEGIES, default=None)
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("metrics", help="balance report for a graph file")

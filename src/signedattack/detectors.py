@@ -29,6 +29,7 @@ DEFAULT_GAMMA = 0.1
 DEFAULT_EMBED_DIM = 32
 OCSVM_TOL = 1e-6  # KKT gap at which the dual solver stops
 OCSVM_PASSES_PER_ROW = 200  # pairwise updates allowed per training row
+STRATEGIES = ("mean", "min", "max")  # how the ensemble combines the view scores
 
 
 @dataclass
@@ -184,7 +185,7 @@ def detector_eval(clean: GraphCorpus, poisoned, views, strategy="max"):
     by the chosen strategy. The AUC treats the anomaly class as positive by
     negating the combined score. Returns (auc_value, per_graph_rows).
     """
-    if strategy not in ("mean", "min", "max"):
+    if strategy not in STRATEGIES:
         raise ConfigError(f"unknown ensemble strategy {strategy!r}")
     graphs = list(clean.graphs) + list(poisoned)
     n_clean = len(clean.graphs)

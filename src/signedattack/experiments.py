@@ -21,7 +21,7 @@ import numpy as np
 
 from .attacks import (AttackConfig, baseline_greedy_triads, baseline_rand, flip_attack,
                       flips_for_power, victim_model_kind, victim_probs)
-from .detectors import DetectorView, detector_eval
+from .detectors import STRATEGIES, DetectorView, detector_eval
 from .errors import ConfigError
 from .fextra import auc
 from .graph import (EdgeSplit, GraphCorpus, SignedGraph, largest_connected_component,
@@ -68,13 +68,32 @@ class ExperimentConfig:
 
 def check_attack_config(cfg: ExperimentConfig):
     """``ConfigError`` for a target outside ``TARGETS``, a baseline outside ``BASELINES``,
-    or an attack power that is not a finite number >= 0 (power 0 flips nothing)."""
+    an attack power that is not a finite number >= 0 (power 0 flips nothing) or no seed."""
+    if not cfg.seeds:
+        raise ConfigError("at least one seed is required")
     victim_model_kind(cfg.target)
     if cfg.baseline and cfg.baseline not in BASELINES:
         raise ConfigError(f"unknown baseline {cfg.baseline!r}; expected one of {BASELINES}")
     for p in cfg.powers:
         if not isinstance(p, (int, float)) or not 0 <= p < math.inf:
             raise ConfigError(f"attack power {p!r} must be a finite number >= 0")
+
+
+def check_detect_config(cfg: ExperimentConfig):
+    """``ConfigError`` for detector settings no run can use: a strategy outside
+    ``detectors.STRATEGIES``, nu outside (0, 1], gamma not a finite number > 0,
+    ``embed_dim`` below 1 or fewer than 2 corpus graphs."""
+    if cfg.strategy not in STRATEGIES:
+        raise ConfigError(f"unknown ensemble strategy {cfg.strategy!r}; "
+                          f"expected one of {STRATEGIES}")
+    if not 0 < cfg.nu <= 1:
+        raise ConfigError(f"nu must be in (0, 1], got {cfg.nu}")
+    if not 0 < cfg.gamma < math.inf:
+        raise ConfigError(f"gamma must be a finite number > 0, got {cfg.gamma}")
+    if cfg.embed_dim < 1:
+        raise ConfigError(f"embed_dim must be at least 1, got {cfg.embed_dim}")
+    if len(cfg.corpus_sizes) * cfg.corpus_per_size < 2:
+        raise ConfigError("the clean corpus needs at least 2 graphs")
 
 
 def load_dataset(cfg: ExperimentConfig) -> SignedGraph:
@@ -159,6 +178,7 @@ def run_attack_trial(dataset: SignedGraph, cfg: ExperimentConfig, seed: int):
 
 
 def run_attack_experiment(cfg: ExperimentConfig, dataset: SignedGraph | None = None):
+    check_attack_config(cfg)
     dataset = dataset if dataset is not None else load_dataset(cfg)
     all_rows, traces = [], {}
     for seed in cfg.seeds:
@@ -188,11 +208,12 @@ def run_detect_experiment(cfg: ExperimentConfig, dataset: SignedGraph | None = N
                           corpus: GraphCorpus | None = None, poisoned=None):
     """Detector ensemble AUCs on clean corpus graphs against poisoned snapshots.
 
-    The attack names and powers and the Markov time (the metric view reads
-    the walk at ``cfg.t``) fail here, before the dataset is read or the
-    corpus sampled.
+    The attack settings, the detector settings and the Markov time (the
+    metric view reads the walk at ``cfg.t``) fail here, before the dataset
+    is read or the corpus sampled.
     """
     check_attack_config(cfg)
+    check_detect_config(cfg)
     check_markov_time(cfg.t)
     dataset = dataset if dataset is not None else load_dataset(cfg)
     if corpus is None:

@@ -2,25 +2,28 @@
 
 Features for a link (u, v) are the four signed degrees, the common-neighbor
 count and the four triad-type counts, in that order. The feature map reads
-the graph through a wedge index: the directed entries of every known link,
-and for each listed link its common neighbours w as the entries of (u, w)
-and (w, v). Sign flips never change the support, so the index is built once
-per link set, and the map over the signed entries costs O(links + wedges).
-The index of all of a graph's links (``link_index``) is built on first use
-and kept in the graph's ``support_cache``, which the graphs derived from it
-by masking or by new signs share: an attack trial builds it once for the
-clean self-label fit, the attack objective and every victim retrain.
+the graph through a wedge index: the directed entries of every link, and for
+each link its common neighbours w as the entries of (u, w) and (w, v). Sign
+flips never change the support, so the index is built once per graph's
+links, and the map over the signed entries costs O(links + wedges).
+The index (``link_index``) is built on first use and kept in the graph's
+``support_cache``, which the graphs derived from it by masking or by new
+signs share: an attack trial builds it once for the clean self-label fit,
+the attack objective, the triad baseline and every victim retrain.
 It reads the signs as one vector over the graph's links (``link_features``),
 the same way for the victim and the attacks, which differentiate through it
 with respect to that vector on the tape. The triad baseline and the
-balance traces read their signed wedge sums off it (``BALANCED_WEDGES``).
+balance traces read their signed wedge sums off the block of all links
+(``BALANCED_WEDGES``).
 
 The victim (``lr_train``) z-scores its training rows and fits a ridge
-logistic regression by Newton's method to a gradient-norm tolerance. On the
-tape the fit is one primitive whose gradient comes from one solve with its
-Hessian at the optimum (implicit differentiation), not from the steps that
-reached it. ``ols_theta`` is the closed-form least-squares surrogate for the
-fit: features pass through ln(x+1), 0/1 labels through a clipped logit
+logistic regression by Newton's method to a gradient-norm tolerance. Both
+victims end in ``split_probs``, which fits it on the training rows of a
+per-link block and predicts the test rows. On the tape the fit is one
+primitive whose gradient comes from one solve with its Hessian at the
+optimum (implicit differentiation), not from the steps that reached it.
+``ols_theta`` is the closed-form least-squares surrogate for the fit:
+features pass through ln(x+1), 0/1 labels through a clipped logit
 (``OLS_LOGITS``), and the Gram matrix gets a small ridge so the solve stays
 defined on integer count data. It is a plain numpy fit that returns its own
 pullback from theta to the features, which the ``fextra-ols`` attack
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tape as tp
-from .errors import MetricUndefinedError, MissingEdgeError, NumericError
+from .errors import MetricUndefinedError, NumericError
 from .graph import SignedGraph
 
 OLS_LABEL_EPS = 0.01
@@ -73,21 +76,20 @@ class LRModel:
 
 @dataclass(frozen=True)
 class WedgeIndex:
-    """Where the feature map of a list of links reads the graph's sign vector.
+    """Where the feature map of a graph's links reads its sign vector.
 
-    Entry e is a directed pair (u, v) of a known link, hidden signs
-    included; each link gives two, (u, v) and (v, u), sorted by row and
-    then column. ``rows[e]`` is the entry's first node and ``edge[e]`` the
-    link's position in the graph's edge list, so the entry's sign is
-    ``signs[edge[e]]``. Listed link j is (us[j], vs[j]). Wedge i closes
-    listed link ``link[i]`` = (u, v) through a common neighbour w:
+    Entry e is a directed pair (u, v) of a link, hidden signs included; each
+    link gives two, (u, v) and (v, u), sorted by row and then column.
+    ``rows[e]`` is the entry's first node and ``edge[e]`` the link's
+    position in the graph's edge list, so the entry's sign is
+    ``signs[edge[e]]``. Link j is (us[j], vs[j]), in edge-list order. Wedge
+    i closes link ``link[i]`` = (u, v) through a common neighbour w:
     ``first[i]`` is the entry of (u, w) and ``second[i]`` that of (w, v).
 
-    The index reads the links but not their signs. ``link_index`` builds the
-    index of all of a graph's links on first use and shares it with every
-    graph masked or re-signed from it; an index of other links (the triad
-    baseline's training links) or of a graph no trial reuses (the balance
-    traces) comes from ``wedge_index``, built each time it is asked for.
+    The index reads the links but not their signs. ``link_index`` builds it
+    on first use and shares it with every graph masked or re-signed from the
+    graph; a graph no trial reuses (the balance traces) calls
+    ``wedge_index``, which builds it each time it is asked for.
     """
 
     n: int
@@ -98,14 +100,14 @@ class WedgeIndex:
     first: np.ndarray
     second: np.ndarray
     link: np.ndarray
-    common: np.ndarray  # wedges per listed link: its common-neighbour count
+    common: np.ndarray  # wedges per link: its common-neighbour count
 
 
-def wedge_index(g: SignedGraph, links) -> WedgeIndex:
-    """The wedge index of ``links`` (node pairs, each a known link of ``g``), built now.
+def wedge_index(g: SignedGraph) -> WedgeIndex:
+    """The wedge index of ``g``'s links, built now.
 
     It costs O(links x degree) and builds no n x n or links x n array.
-    ``link_index`` is the cached index of all of ``g``'s links.
+    ``link_index`` is the cached one.
     """
     n, edges = g.n, g.edge_array()
     rows = np.concatenate([edges[:, 0], edges[:, 1]])
@@ -113,34 +115,23 @@ def wedge_index(g: SignedGraph, links) -> WedgeIndex:
     keys = rows * n + cols
     order = np.argsort(keys)
     rows, cols, keys = rows[order], cols[order], keys[order]
-
-    def entry(a, b):
-        """Entry positions of the pairs (a, b) and whether each is a known link."""
-        key = a * n + b
-        pos = np.searchsorted(keys, key)
-        found = pos < len(keys)
-        found[found] = keys[pos[found]] == key[found]
-        return pos, found
-
-    links = np.asarray(links, dtype=int).reshape(-1, 2)
-    us, vs = links[:, 0], links[:, 1]
-    known = entry(us, vs)[1] & ((links >= 0) & (links < n)).all(axis=1)
-    if not known.all():
-        u, v = links[np.argmin(known)]
-        raise MissingEdgeError(f"({u},{v}) is not a known link")
-    # every neighbour w of u, as the entry of (u, w), for each listed (u, v)
+    us, vs = edges[:, 0], edges[:, 1]
+    # every neighbour w of u, as the entry of (u, w), for each link (u, v)
     start = np.searchsorted(rows, us)
     deg = np.searchsorted(rows, us, side="right") - start
-    link = np.repeat(np.arange(len(links)), deg)
+    link = np.repeat(np.arange(len(edges)), deg)
     first = np.arange(len(link)) + np.repeat(start - (np.cumsum(deg) - deg), deg)
-    second, closed = entry(cols[first], vs[link])
+    # the wedge closes where (w, v) is an entry too
+    key = cols[first] * n + vs[link]
+    second = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+    closed = keys[second] == key
     link = link[closed]
     return WedgeIndex(n, rows, order % len(edges), us, vs, first[closed], second[closed], link,
-                      np.bincount(link, minlength=len(links)).astype(float))
+                      np.bincount(link, minlength=len(edges)).astype(float))
 
 
 def link_index(g: SignedGraph) -> WedgeIndex:
-    """The wedge index of all of ``g``'s links, in edge-list order; built on first use.
+    """``wedge_index(g)``, built on first use.
 
     It is kept in ``g.support_cache``, which ``g`` shares with the graph it
     was masked or re-signed from and with those masked or re-signed from it,
@@ -149,19 +140,19 @@ def link_index(g: SignedGraph) -> WedgeIndex:
     """
     index = g.support_cache.get("wedge_index")
     if index is None:
-        index = g.support_cache["wedge_index"] = wedge_index(g, g.edge_array())
+        index = g.support_cache["wedge_index"] = wedge_index(g)
     return index
 
 
 def link_features(signs, index: WedgeIndex):
-    """The nine-column feature block of the listed links; polymorphic over tape Values.
+    """The nine-column feature block of the index's links; polymorphic over tape Values.
 
     ``signs`` holds one sign per link of the graph the index was built from
     (hidden signs 0), in edge-list order; the map gathers each entry's sign
     as ``signs[index.edge]``. Signed degrees sum entries by row, and each
     triad count sums, over the link's wedges, the product of its two legs.
     Sign flips never change the support, so callers build the index once per
-    link set and each evaluation costs O(links + wedges). The nine columns
+    graph's links and each evaluation costs O(links + wedges). The nine columns
     are written into one preallocated block.
 
     On the tape the map is one recorded primitive. Its adjoint takes the
@@ -241,14 +232,12 @@ def logistic_theta(Z, y):
         theta, f = theta - t * step, f_next
     else:
         raise NumericError(f"logistic fit did not converge (gradient norm {grad_norm:g})")
-    if not tp._is_value(Z):
-        return theta, grad_norm
 
-    def vjp(g):
+    def vjp(g, out, Zd):
         v = np.linalg.solve(H, g)
-        Z._accumulate(-(np.outer(p - y, v) + np.outer(w * (Zd @ v), theta)) / m)
+        return -(np.outer(p - y, v) + np.outer(w * (Zd @ v), theta)) / m
 
-    return tp._record(Z.tape, theta, vjp), grad_norm
+    return tp._apply(lambda Zd: theta, (vjp,), Z), grad_norm
 
 
 def lr_train(X, y) -> LRModel:
@@ -272,6 +261,14 @@ def lr_predict(model: LRModel, X):
     if model.center is not None:
         X = (X - model.center) / model.scale
     return tp.sigmoid(tp.prepend_ones(X) @ model.theta)
+
+
+def split_probs(X, signs, split):
+    """The victims' head: ``lr_train`` on the training rows of the per-link block X,
+    labelled by ``signs`` > 0, predicting its test rows; polymorphic over tape Values."""
+    X_tr, X_te = tp.gather_rows(X, split.train), tp.gather_rows(X, split.test)
+    y_tr = (tp._data(signs)[split.train] > 0).astype(float)
+    return lr_predict(lr_train(X_tr, y_tr), X_te)
 
 
 @functools.cache

@@ -74,31 +74,28 @@ def matrix_exp(A, order: int = EXP_TAYLOR_ORDER):
 
 
 def sym_matrix_exp(S):
-    """exp of a symmetric matrix via its eigendecomposition.
+    """exp of a symmetric matrix via its eigendecomposition; polymorphic over tape Values.
 
-    The input is symmetrized as (S + S^T)/2 first (on the tape when S is a
-    Value). Backward propagates G through Q (Gamma o (Q^T G Q)) Q^T where
-    Gamma holds divided differences of exp over the eigenvalue pairs, with
-    the exp(lambda) limit on (near-)degenerate pairs.
+    The input is symmetrized as (S + S^T)/2 first. On the tape both steps
+    are one recorded primitive: the adjoint G' = Q (Gamma o (Q^T G Q)) Q^T
+    of the symmetrized input, where Gamma holds divided differences of exp
+    over the eigenvalue pairs with the exp(lambda) limit on (near-)degenerate
+    pairs, goes back to S as G'/2 + (G'/2)^T.
     """
     lam, Q = sym_eig(tp._data(S))
     elam = np.exp(lam)
-    out_data = (Q * elam) @ Q.T
-    if not tp._is_value(S):
-        return out_data
-    Ssym = tp.mul(tp.add(S, tp.transpose(S)), 0.5)
 
-    def vjp(g):
+    def vjp(g, out, S):
         diff = lam[:, None] - lam[None, :]
         near = np.abs(diff) < DEGENERATE_EIG_TOL
         safe = np.where(near, 1.0, diff)
         gamma = np.where(near,
                          np.exp(0.5 * (lam[:, None] + lam[None, :])),
                          np.expm1(safe) / safe * elam[None, :])
-        gt = Q.T @ g @ Q
-        Ssym._accumulate(Q @ (gamma * gt) @ Q.T)
+        half = Q @ (gamma * (Q.T @ g @ Q)) @ Q.T * 0.5
+        return half + half.T
 
-    return tp._record(Ssym.tape, out_data, vjp)
+    return tp._apply(lambda S: (Q * elam) @ Q.T, (vjp,), S)
 
 
 def truncated_svd(A: np.ndarray, d: int):

@@ -124,13 +124,13 @@ def cosine_normalize(R):
 
 
 def pole_predict(g: SignedGraph, split: EdgeSplit, t):
-    """Fit the victim's logistic regression on per-link (R_sign, R_abs) pairs.
+    """The victims' shared head ``fextra.split_probs`` on per-link (R_sign, R_abs) pairs.
 
     R_sign and R_abs are the autocovariances at Markov time t of the walks
     over g's signed adjacency A and over |A|. Returns predicted
     positive-sign probabilities for the test links of the split, using only
-    training-link signs. The fit is ``fextra.lr_train``, the same converged
-    fit as the FeXtra victim's, on two features. A node whose links are all
+    training-link signs: the same converged ``fextra.lr_train`` fit as the
+    FeXtra victim's, on two features. A node whose links are all
     hidden has degree 0 before the floor (degrees count signed links, so the
     floor marks exactly those nodes); it draws a ``RuntimeWarning``.
     """
@@ -141,6 +141,4 @@ def pole_predict(g: SignedGraph, split: EdgeSplit, t):
                       RuntimeWarning, stacklevel=2)
     feats = np.column_stack([autocovariance(transition_matrix(X, degrees, t), degrees)[us, vs]
                              for X in (A, np.abs(A))])
-    y_train = (g.signs()[split.train] > 0).astype(float)
-    model = fextra.lr_train(feats[split.train], y_train)
-    return fextra.lr_predict(model, feats[split.test])
+    return fextra.split_probs(feats, g.signs(), split)

@@ -7,9 +7,9 @@ accumulates adjoints into the leaves. Plain arrays are constants and record
 nothing, so the same model code serves both the plain forward evaluation
 and the attack gradient path.
 
-Each primitive is one call to ``_apply``, the one recording rule: a
-forward over the inputs' arrays plus one adjoint per input, reduced to that
-input's shape. Given only plain ndarrays it returns the plain result, so the
+Every node is recorded by ``_apply``, the one recording rule: a forward
+over the inputs' arrays plus one adjoint per input, reduced to that input's
+shape. Given only plain ndarrays it returns the plain result, so the
 primitives are polymorphic. ``sym_scatter`` builds a dense symmetric matrix
 from one value per link, which is how the attacks and
 ``SignedGraph.adjacency`` turn a sign vector into A. The adjoints of
@@ -17,17 +17,15 @@ from one value per link, which is how the attacks and
 over row-major flat indices, which sums in index order as ``np.add.at`` does
 but without its per-element overhead.
 
-Three ``_apply`` primitives live outside this module, each a whole stage
-that would otherwise be a chain of small nodes: ``fextra.link_features``
-(the feature map, group sums included), ``attacks._log_likelihood`` (the
-clipped log-likelihood) and ``attacks._ols_log_likelihood`` (the
-``fextra-ols`` surrogate from the feature block to the log-likelihood; its
-forward builds the design matrices and runs the sigmoid on plain arrays,
-not through ``prepend_ones`` and ``sigmoid``). Their adjoints add terms in
-the order the composite's backward would, so gradients match it bit for
-bit. Two primitives record themselves through ``_record`` because their
-adjoints share work: ``fextra.logistic_theta`` (the Hessian at
-the optimum) and ``linalg.sym_matrix_exp`` (the eigenbasis).
+Five ``_apply`` nodes live outside this module, each a whole stage that
+would otherwise be a chain of small nodes: ``fextra.link_features`` (the
+feature map), ``fextra.logistic_theta`` (the converged fit, whose adjoint
+solves with the Hessian at the optimum), ``linalg.sym_matrix_exp`` (the
+symmetrization and the exponential, whose adjoint works in the eigenbasis),
+``attacks._log_likelihood`` (the clipped log-likelihood) and
+``attacks._ols_log_likelihood`` (the ``fextra-ols`` surrogate from the
+feature block to the log-likelihood). Their adjoints add terms in the order
+the composite's backward would, so gradients match it bit for bit.
 
 ``backward`` leaves the records in place. A caller that is done with the
 gradients calls ``Tape.release``, as the greedy attack step does after each
@@ -144,20 +142,6 @@ def _data(x):
     return x.data if _is_value(x) else np.asarray(x, dtype=float)
 
 
-def _tape_of(*xs):
-    for x in xs:
-        if _is_value(x):
-            return x.tape
-    return None
-
-
-def _record(tape, data, vjp):
-    out = Value(data, tape)
-    out._vjp = vjp
-    tape._nodes.append(out)
-    return out
-
-
 def _unbroadcast(g, shape):
     """Reduce gradient ``g`` back to ``shape`` after numpy broadcasting."""
     while g.ndim > len(shape):
@@ -177,7 +161,8 @@ def _apply(forward, vjps, *args):
     """
     datas = [_data(x) for x in args]
     out = forward(*datas)
-    if not any(_is_value(x) for x in args):
+    tape = next((x.tape for x in args if _is_value(x)), None)
+    if tape is None:
         return out
 
     def vjp(g):
@@ -185,7 +170,10 @@ def _apply(forward, vjps, *args):
             if _is_value(x):
                 x._accumulate(_unbroadcast(rule(g, out, *datas), d.shape))
 
-    return _record(_tape_of(*args), out, vjp)
+    node = Value(out, tape)
+    node._vjp = vjp
+    tape._nodes.append(node)
+    return node
 
 
 # -- primitives --------------------------------------------------------------

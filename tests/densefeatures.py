@@ -22,9 +22,9 @@ respect to that vector is the reference for the sparse one.
 
 ``relu``, ``log``, ``segment_sum``, ``inverse`` and ``support`` serve only
 these oracles and the tests; no program path records a relu, a log, a segment
-sum or an inverse, or builds the 0/1 support matrix. ``extract_features`` is
-the program's own map for given node pairs of a graph, the form the tests
-compare against these oracles.
+sum or an inverse, or builds the 0/1 support matrix. ``extract_features``
+reads the rows of given links off the program's own block of all links, the
+form the tests compare against these oracles.
 """
 
 from dataclasses import dataclass
@@ -134,26 +134,20 @@ def bilinear_gather(p, q, us, vs):
     """Entries (p @ q)[us[k], vs[k]], one per link; polymorphic over tape Values.
 
     The backward scatters the link adjoints into one dense matrix C
-    (repeated (u, v) pairs add up) and accumulates C @ q^T into ``p`` and
-    p^T @ C into ``q``. C feeds both adjoints, so the primitive records
-    itself.
+    (repeated (u, v) pairs add up) and sends C @ q^T to ``p`` and p^T @ C to
+    ``q``.
     """
     us = np.asarray(us, dtype=int)
     vs = np.asarray(vs, dtype=int)
-    pd, qd = tp._data(p), tp._data(q)
-    out_data = (pd @ qd)[us, vs]
-    if not (tp._is_value(p) or tp._is_value(q)):
-        return out_data
 
-    def vjp(g):
-        C = np.zeros((pd.shape[0], qd.shape[1]))
+    def scatter(g, p, q):
+        C = np.zeros((p.shape[0], q.shape[1]))
         np.add.at(C, (us, vs), g)
-        if tp._is_value(p):
-            p._accumulate(C @ qd.T)
-        if tp._is_value(q):
-            q._accumulate(pd.T @ C)
+        return C
 
-    return tp._record(tp._tape_of(p, q), out_data, vjp)
+    return tp._apply(lambda p, q: (p @ q)[us, vs],
+                     (lambda g, o, p, q: scatter(g, p, q) @ q.T,
+                      lambda g, o, p, q: p.T @ scatter(g, p, q)), p, q)
 
 
 def dense_link_features(A, S, us, vs):
@@ -176,8 +170,11 @@ def dense_link_features(A, S, us, vs):
 
 
 def extract_features(g, links):
-    """Features (links x 9) for the given node pairs; pairs must be known links."""
-    return link_features(g.signs(), wedge_index(g, links))
+    """Features (links x 9) for the given links of g: each link's row of the block of all
+    links, oriented as the edge list stores it; a pair that is not a link raises
+    ``MissingEdgeError``."""
+    rows = [g.edge_index(u, v) for u, v in np.asarray(links, dtype=int).reshape(-1, 2)]
+    return link_features(g.signs(), wedge_index(g))[rows]
 
 
 def dense_extract_features(g, links):

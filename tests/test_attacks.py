@@ -451,7 +451,7 @@ def graph_head_instance(seed):
     masked = g.mask(split.test)
     s = masked.signs()
     s[split.train[:5]] *= -1
-    X = link_features(s, fextra.wedge_index(masked, masked.edge_array()))
+    X = link_features(s, fextra.wedge_index(masked))
     y_hat = np.random.default_rng(seed).integers(0, 2, len(split.test)).astype(float)
     return X, s, split, y_hat
 
@@ -577,9 +577,20 @@ def test_a_fextra_ols_trial_builds_one_wedge_index(monkeypatch):
     # powers built one each: 7 per trial
     built = []
     wedge_index = counting(built, fextra.wedge_index)
-    for module in (attacks, balance, fextra):
+    for module in (balance, fextra):
         monkeypatch.setattr(module, "wedge_index", wedge_index)
     cfg = ExperimentConfig(subsample=0, seeds=(0,))
+    rows, trace, g = run_attack_trial(two_community(60, 8, 0.1, seed=4), cfg, 0)
+    assert len(rows) == 5 and len(trace.snapshots) == 5
+    assert len(built) == 1
+
+
+def test_a_greedy_triads_trial_builds_one_wedge_index(monkeypatch):
+    # the baseline built a second index, of the training links alone; it
+    # now reads the training rows of the block the clean fit indexed
+    built = []
+    monkeypatch.setattr(fextra, "WedgeIndex", counting(built, fextra.WedgeIndex))
+    cfg = ExperimentConfig(baseline="greedy-triads", subsample=0, seeds=(0,))
     rows, trace, g = run_attack_trial(two_community(60, 8, 0.1, seed=4), cfg, 0)
     assert len(rows) == 5 and len(trace.snapshots) == 5
     assert len(built) == 1
@@ -727,7 +738,7 @@ def test_an_unknown_target_is_refused_before_any_victim_fit(monkeypatch, target)
     g, split = small_instance()
     fits = []
     monkeypatch.setattr(attacks, "pole_predict", counting(fits, attacks.pole_predict))
-    monkeypatch.setattr(attacks, "wedge_index", counting(fits, attacks.wedge_index))
+    monkeypatch.setattr(fextra, "wedge_index", counting(fits, fextra.wedge_index))
     with pytest.raises(ConfigError, match="unknown attack target"):
         make_attack_loss(target, g.mask(split.test), split, [], 1.0)
     for baseline in (None, "rand"):
@@ -777,7 +788,7 @@ def test_penalized_fextra_attack_builds_one_wedge_index(monkeypatch):
     y_hat = self_train_labels("fextra", small_instance(n=16, deg=6, seed=7)[0], split)
     built = []
     wedge_index = counting(built, fextra.wedge_index)
-    for module in (attacks, balance, fextra):
+    for module in (balance, fextra):
         monkeypatch.setattr(module, "wedge_index", wedge_index)
     gradient_chooser(g, split, "fextra-ols", AttackConfig(budget=1, lam=2.0), y_hat)
     assert len(built) == 1
@@ -800,10 +811,12 @@ def test_a_step_scatters_the_dense_adjacency_once_when_the_objective_reads_it(
 
 
 # tape nodes of one step at (lambda, eta) = (0, 0), (2, 0), (0, 5), (2, 5): the
-# fextra-ols head is one node, the other bases end in one log-likelihood node;
-# the composite heads recorded 28/36/54/62, 32/40/58/66 and 34/43/51/60
-STEP_NODES = {"fextra-ols": (3, 11, 29, 37), "fextra-meta": (23, 31, 49, 57),
-              "pole-unsym": (25, 34, 42, 51)}
+# fextra-ols head is one node, the other bases end in one log-likelihood node
+# and each walk's exponential is one node; the composite heads recorded
+# 28/36/54/62, 32/40/58/66 and 34/43/51/60, and with the exponential's
+# symmetrization as three more nodes 3/11/29/37, 23/31/49/57 and 25/34/42/51
+STEP_NODES = {"fextra-ols": (3, 11, 26, 34), "fextra-meta": (23, 31, 46, 54),
+              "pole-unsym": (22, 31, 39, 48)}
 
 
 @pytest.mark.parametrize("eta", [0.0, 5.0])

@@ -87,7 +87,7 @@ def test_wedge_traces_equal_the_dense_traces(seed):
     for g in (full, full.mask(hidden)):
         signs, A = g.signs(), g.adjacency()
         # both traces off one feature block of the signed graph
-        X = link_features(signs, wedge_index(g, g.edge_array()))
+        X = link_features(signs, wedge_index(g))
         assert triad_traces(signs, X) == (dense_triad_trace(A), dense_triad_trace(np.abs(A)))
         want = dense_balance_ratio(g)
         if want is None:
@@ -209,7 +209,7 @@ def test_balance_terms_differentiable():
     # with respect to the sign vector, hidden signs included
     g = two_community(12, 5, 0.2, seed=2).mask([1, 4])
     signs = g.signs()
-    index = wedge_index(g, g.edge_array())
+    index = wedge_index(g)
     tr_abs = triad_traces(signs, link_features(signs, index))[1]
 
     def f(s):

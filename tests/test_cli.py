@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 
@@ -7,7 +8,7 @@ import pytest
 
 from signedattack import experiments
 from signedattack.attacks import TARGETS
-from signedattack.cli import main, make_parser
+from signedattack.cli import build_config, main, make_parser
 from signedattack.experiments import ExperimentConfig, load_dataset
 from signedattack.graph import load_graph_json
 from synthgraphs import geometric_polarized
@@ -143,6 +144,82 @@ def test_a_detect_config_with_a_negative_power_exits_2(monkeypatch, dataset_file
     assert rc == 2
     assert "attack power" in capsys.readouterr().err
     assert read == [] and not out.exists()
+
+
+@pytest.mark.parametrize("command,config,error", [
+    ("detect", {"strategy": "bogus"}, "unknown ensemble strategy"),
+    ("detect", {"embed_dim": -1}, "embed_dim must be"),
+    ("detect", {"embed_dim": 0}, "embed_dim must be"),
+    ("detect", {"gamma": -1.0}, "gamma must be"),
+    ("detect", {"nu": 0}, "nu must be"),
+    ("detect", {"nu": 2}, "nu must be"),
+    ("detect", {"corpus_per_size": 1, "corpus_sizes": [40]}, "at least 2 graphs"),
+    ("detect", {"seeds": []}, "at least one seed"),
+    ("attack", {"seeds": []}, "at least one seed"),
+], ids=["strategy-bogus", "embed-dim-negative", "embed-dim-0", "gamma-negative", "nu-0", "nu-2",
+        "one-corpus-graph", "detect-no-seed", "attack-no-seed"])
+def test_an_unusable_run_setting_exits_2_before_the_graph_is_read(
+        monkeypatch, dataset_file, tmp_path, capsys, command, config, error):
+    # each ran the poisoning first and then exited 2 or 1, or exited 0 with
+    # AUCs of 0 (gamma -1), an empty embedding (embed_dim 0) or a header-only CSV
+    read = []
+    monkeypatch.setattr(experiments, "load_dataset",
+                        lambda cfg, load=experiments.load_dataset: read.append(cfg) or load(cfg))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "o"
+    rc = main([command, "--config", str(cfg), "--dataset", dataset_file, "--format", "plain",
+               "--out", str(out), "--power", "0.05", "--subsample", "0"])
+    assert rc == 2
+    assert error in capsys.readouterr().err
+    assert read == [] and not out.exists()
+
+
+# (flag, flag value, config key, config value, value the flag sets): every
+# flag of ``detect`` but --config
+FLAG_OVERRIDES = [
+    ("--dataset", "<copy>", "dataset", "<dataset>", "<copy>"),
+    ("--format", "rated", "format", "plain", "rated"),
+    ("--out", "flag-out", "out", "config-out", "flag-out"),
+    ("--seed", "2,3", "seeds", [1], (2, 3)),
+    ("--t", "0.5", "t", 2.0, 0.5),
+    ("--target", "pole-unsym", "target", "fextra-meta", "pole-unsym"),
+    ("--power", "0.01,0.02", "powers", [0.1], (0.01, 0.02)),
+    ("--lambda", "2", "lam", 1.0, 2.0),
+    ("--eta", "3", "eta", 1.0, 3.0),
+    ("--subsample", "50", "subsample", 60, 50),
+    ("--baseline", "greedy-triads", "baseline", "rand", "greedy-triads"),
+    ("--strategy", "min", "strategy", "mean", "min"),
+]
+
+
+def test_the_flag_override_table_covers_every_detect_flag():
+    parser = make_parser()
+    dests = set()
+    for flag, value, *_ in FLAG_OVERRIDES:
+        args = vars(parser.parse_args(["detect", flag, value]))
+        dests |= {k for k, v in args.items() if v is not None} - {"command", "func"}
+    assert dests == set(vars(parser.parse_args(["detect"]))) - {"command", "func", "config"}
+
+
+@pytest.mark.parametrize("flag,value,key,config_value,want", FLAG_OVERRIDES,
+                         ids=[row[0].lstrip("-") for row in FLAG_OVERRIDES])
+def test_each_flag_overrides_its_config_key_and_no_other(dataset_file, tmp_path, flag, value,
+                                                         key, config_value, want):
+    copy = tmp_path / "copy.csv"
+    copy.write_text(open(dataset_file).read())
+    paths = {"<dataset>": dataset_file, "<copy>": str(copy)}
+    value, config_value, want = (paths.get(x, x) if isinstance(x, str) else x
+                                 for x in (value, config_value, want))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dataset": dataset_file, key: config_value}))
+    parser = make_parser()
+    from_file = build_config(parser.parse_args(["detect", "--config", str(cfg)]))
+    flagged = build_config(parser.parse_args(["detect", "--config", str(cfg), flag, value]))
+    assert getattr(flagged, key) == want != getattr(from_file, key)
+    rest = [{k: v for k, v in dataclasses.asdict(c).items() if k != key}
+            for c in (from_file, flagged)]
+    assert rest[0] == rest[1]
 
 
 def test_an_unknown_target_flag_exits_2(dataset_file, tmp_path):

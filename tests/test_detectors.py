@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,8 @@ from signedattack.detectors import (DetectorView, OCSVMModel, detector_eval,
                                     metric_features, ocsvm_decision, ocsvm_fit,
                                     tsvd_features)
 from signedattack.errors import ConfigError, MetricUndefinedError, NumericError
-from signedattack.experiments import (ExperimentConfig, build_poisoned_set, run_attack_trial,
+from signedattack.experiments import (ExperimentConfig, build_poisoned_set,
+                                      run_attack_experiment, run_attack_trial,
                                       run_detect_experiment)
 from signedattack.fextra import auc
 from signedattack.graph import GraphCorpus, SignedGraph
@@ -307,6 +310,46 @@ def test_detect_refuses_an_unusable_power_before_reading_or_sampling(monkeypatch
     with pytest.raises(ConfigError, match="attack power"):
         run_detect_experiment(cfg, geometric_polarized(30, k=6, noise=0.1, seed=0))
     assert work == []
+
+
+# detector settings no run can use, and the error each raises; every one was
+# refused, if at all, only after the poisoning (strategy, nu, no corpus), ran
+# on (embed_dim 0 scored an empty embedding, gamma -1 reported AUCs of 0) or
+# failed with a bare ValueError (embed_dim -1)
+UNUSABLE_DETECT_SETTINGS = {
+    "strategy-bogus": ({"strategy": "bogus"}, "unknown ensemble strategy"),
+    "nu-0": ({"nu": 0.0}, "nu must be"),
+    "nu-2": ({"nu": 2.0}, "nu must be"),
+    "gamma-negative": ({"gamma": -1.0}, "gamma must be"),
+    "gamma-inf": ({"gamma": float("inf")}, "gamma must be"),
+    "embed-dim-negative": ({"embed_dim": -1}, "embed_dim must be"),
+    "embed-dim-0": ({"embed_dim": 0}, "embed_dim must be"),
+    "one-corpus-graph": ({"corpus_sizes": (40,), "corpus_per_size": 1}, "at least 2 graphs"),
+    "no-seed": ({"seeds": ()}, "at least one seed"),
+}
+
+
+@pytest.mark.parametrize("settings,error", UNUSABLE_DETECT_SETTINGS.values(),
+                         ids=UNUSABLE_DETECT_SETTINGS)
+def test_detect_refuses_unusable_detector_settings_before_reading_or_sampling(
+        monkeypatch, settings, error):
+    work = []
+    for name in ("load_dataset", "sample_subgraph_corpus", "poison"):
+        monkeypatch.setattr(experiments, name, lambda *args, name=name: work.append(name))
+    cfg = ExperimentConfig(dataset="unread.csv", subsample=0, powers=(0.05,), seeds=(0,))
+    cfg = replace(cfg, **settings)
+    with pytest.raises(ConfigError, match=error):
+        run_detect_experiment(cfg)
+    with pytest.raises(ConfigError, match=error):
+        run_detect_experiment(cfg, geometric_polarized(30, k=6, noise=0.1, seed=0))
+    assert work == []
+
+
+def test_an_attack_experiment_without_a_seed_is_refused_before_reading():
+    # it returned no rows, so the command wrote a CSV with only its header
+    cfg = ExperimentConfig(dataset="unread.csv", subsample=0, powers=(0.05,), seeds=())
+    with pytest.raises(ConfigError, match="at least one seed"):
+        run_attack_experiment(cfg)
 
 
 @pytest.mark.parametrize("t", [-1.0, float("nan")])

@@ -99,13 +99,13 @@ def test_features_on_masked_graph_gamma_exceeds_triads():
                          ids=["geometric_polarized", "two_community"])
 def test_features_equal_the_dense_map(graph):
     # masked links count as common neighbours but carry sign 0; a link list
-    # may run (v, u), repeat a link or cover only some of them
+    # may repeat a link or cover only some of them
     split = split_edges(graph, 0.2, seed=0)
     links = graph.edge_array()
     subset = links[np.random.default_rng(0).choice(len(links), len(links) // 3,
                                                    replace=False)]
     for g in (graph, graph.mask(split.test)):
-        for pairs in (links, links[:, ::-1], subset, np.vstack([subset[:, ::-1], subset])):
+        for pairs in (links, subset, np.vstack([subset, subset])):
             assert np.array_equal(extract_features(g, pairs), dense_extract_features(g, pairs))
 
 
@@ -126,7 +126,7 @@ def test_fused_feature_map_equals_the_tape_composite(graph):
     split = split_edges(graph, 0.2, seed=0)
     rng = np.random.default_rng(3)
     for g in (graph, graph.mask(split.test)):
-        index = wedge_index(g, g.edge_array())
+        index = wedge_index(g)
         poisoned = g.signs()
         poisoned[rng.choice(g.num_edges, 10, replace=False)] *= -1
         for signs in (g.signs(), poisoned):
@@ -141,7 +141,7 @@ def test_fused_feature_map_gradient_check():
     # off the relu kink at 0 the map is quadratic in the signs, so central
     # differences are exact up to rounding
     g = two_community(30, 6, 0.1, seed=5)
-    index = wedge_index(g, g.edge_array())
+    index = wedge_index(g)
     rng = np.random.default_rng(5)
     x0 = rng.choice([-1.0, 1.0], g.num_edges) * rng.uniform(0.5, 1.5, g.num_edges)
     w = rng.standard_normal((g.num_edges, 9))
@@ -156,7 +156,7 @@ def test_masked_and_resigned_graphs_share_one_link_index():
     resigned = masked.with_signs(-g.signs())
     assert link_index(masked) is index and link_index(resigned) is index
     assert link_index(resigned.mask(split.train)) is index
-    want = wedge_index(g, g.edge_array())
+    want = wedge_index(g)
     for field in ("rows", "edge", "us", "vs", "first", "second", "link", "common"):
         assert np.array_equal(getattr(index, field), getattr(want, field)), field
 
@@ -186,7 +186,7 @@ def test_each_label_logit_constant_is_the_clipped_logit_of_its_label(label):
 def test_feature_map_records_one_node():
     g = two_community(30, 6, 0.1, seed=5)
     t = tp.Tape()
-    link_features(t.leaf(g.signs()), wedge_index(g, g.edge_array()))
+    link_features(t.leaf(g.signs()), wedge_index(g))
     assert len(t) == 1
 
 

@@ -263,7 +263,8 @@ def test_pole_predict_scatters_the_adjacency_at_most_twice(monkeypatch):
 
 
 def separate_walks_pole_predict(g, split, t):
-    """The victim with the signed and unsigned adjacencies scattered on their own."""
+    """The victim with the signed and unsigned adjacencies scattered on their own, ending in
+    ``lr_predict(lr_train(...))`` on the training and test rows of the pairs."""
     us, vs = g.edge_array().T
     feats = []
     for A in (g.adjacency(), np.abs(g.adjacency())):
@@ -276,7 +277,8 @@ def separate_walks_pole_predict(g, split, t):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_pole_predict_equals_separately_scattered_walks(seed):
-    # the same probabilities bit for bit, so the same POLE AUC rows
+    # the same probabilities bit for bit, so the same POLE AUC rows: the
+    # victims' shared head is the plain logistic fit on the pairs' rows
     g = two_community(40 + 10 * seed, 6, 0.1, seed=seed)
     split = split_edges(g, 0.2, seed=seed)
     masked = g.mask(split.test)

@@ -5,6 +5,8 @@ import pytest
 
 from signedattack import tape as tp
 from signedattack.errors import NumericError
+from signedattack.fextra import logistic_theta
+from signedattack.linalg import sym_matrix_exp
 from signedattack.tape import Tape, grad_check
 from densefeatures import bilinear_gather, inverse, log, relu, segment_sum
 
@@ -217,6 +219,18 @@ def test_reverse_pass_visits_each_node_once():
     z = tp.sum_(y * y)
     t.backward(z)
     assert np.allclose(x.grad, 8.0 * x.data)
+
+
+def test_the_logistic_fit_and_the_exponential_each_record_one_node():
+    # the exponential recorded its input's symmetrization as three more nodes
+    rng = np.random.default_rng(2)
+    Z = np.column_stack([np.ones(12), rng.standard_normal((12, 3))])
+    y = (rng.standard_normal(12) > 0).astype(float)
+    S = rng.standard_normal((5, 5))
+    for fused, x0, rest in ((logistic_theta, Z, (y,)), (sym_matrix_exp, S, ())):
+        t = Tape()
+        fused(t.leaf(x0), *rest)
+        assert len(t) == 1, fused.__name__
 
 
 # -- per-primitive adjoint table ----------------------------------------------
