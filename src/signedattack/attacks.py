@@ -30,9 +30,10 @@ its optimum; the FeXtra victim runs the ``fextra-meta`` prediction off the
 tape. The whole ``fextra-ols`` head, from the feature block to ``base``, is
 one tape node (``_ols_log_likelihood``), so an unpenalized step records
 three nodes: the features, the head and the negation. The POLE surrogate
-scores a test link by the cosine of an exact factor of the autocovariance R
-of M (``pole.autocovariance``, the victim's own walk), which is R normalized
-by its own diagonal, so no embedding is fitted.
+scores a test link (u, v) by the cosine of an exact factor of the
+autocovariance R of M (the victim's own walk): R_uv normalized by R_uu and
+R_vv, three entries that ``pole.autocovariance`` reads off M, so no
+embedding is fitted and no n x n array is built after the walk.
 The Markov time ``t`` is a plain float here; only the POLE losses, the POLE
 victim and the polarization penalty read it.
 """
@@ -221,8 +222,10 @@ class _Objective:
         elif self.target == "fextra-meta":
             base = _log_likelihood(split_probs(X, s, self.split), self.y_hat)
         else:
-            _, P = cosine_normalize(autocovariance(M, self.degrees))
-            base = _log_likelihood(tp.gather(P, self.us_te, self.vs_te), self.y_hat)
+            us, vs = self.us_te, self.vs_te
+            _, P = cosine_normalize(*(autocovariance(M, self.degrees, a, b)
+                                      for a, b in ((us, vs), (us, us), (vs, vs))))
+            base = _log_likelihood(P, self.y_hat)
         return base, penalized_loss(-base, s, X, M, self, events)
 
 

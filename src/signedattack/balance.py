@@ -133,10 +133,9 @@ def _defined_mean(corr, defined):
 def _walk_correlations(g: SignedGraph, t: float):
     """``row_correlations`` of g's signed and unsigned row-normalized walks at Markov time t.
 
-    The walks are the one place a balance metric needs the dense A; it is
-    scattered from the sign vector, as the attack penalty scatters it.
+    The walks are the one place a balance metric builds the dense A.
     """
-    A, d = tp.sym_scatter(g.signs(), *g.edge_array().T, g.n), g.degrees()
+    A, d = g.adjacency(), g.degrees()
     return row_correlations(transition_matrix(A, d, t), transition_matrix(np.abs(A), d, t))
 
 

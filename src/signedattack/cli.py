@@ -5,13 +5,15 @@ optional JSON config document plus flags of the same name that override it;
 ``attack`` and ``detect`` share their attack flags; ``--target``,
 ``--baseline`` and ``--strategy`` offer ``attacks.TARGETS``,
 ``experiments.BASELINES`` and ``detectors.STRATEGIES``. Each config value
-must have the type of its ``ExperimentConfig`` field, and
+must have the type of its ``ExperimentConfig`` field (``--seed`` and
+``--power`` take comma-separated lists), and
 ``experiments.check_attack_config`` (for ``detect`` also
 ``check_detect_config``) checks the settings, from a flag or a config file,
 before the graph is read. Every command reads its
 graph through ``experiments.load_dataset`` (an edge list or a ``.json`` dump,
 cut to its largest connected component). Exit codes: 0 success, 2
-configuration error, 3 numeric failure (a non-positive Markov time is one).
+configuration or usage error, 3 numeric failure (a non-positive Markov time
+is one).
 """
 
 from __future__ import annotations
@@ -105,16 +107,10 @@ def build_config(args) -> ExperimentConfig:
         if not check(val):
             raise ConfigError(f"config key {key!r} must be {expected}, got {val!r}")
         setattr(cfg, key, tuple(val) if isinstance(val, list) else val)
-    # each flag that sets one field as given has that field's name as its dest
+    # each flag has its field's name as its dest and converts to the field's type
     for key in types:
         if getattr(args, key, None) is not None:
             setattr(cfg, key, getattr(args, key))
-    if getattr(args, "seed", None):
-        cfg.seeds = tuple(int(s) for s in args.seed.split(","))
-    if getattr(args, "power", None):
-        cfg.powers = tuple(float(p) for p in args.power.split(","))
-        if list(cfg.powers) != sorted(cfg.powers):
-            raise ConfigError("attack powers must be ascending")
     if hasattr(args, "target"):
         check_attack_config(cfg)
     if hasattr(args, "strategy"):
@@ -132,7 +128,6 @@ def cmd_ingest(args) -> int:
     stats = {"n": g.n, "edges": g.num_edges,
              "positive_ratio": round(positive_ratio(g), 4),
              "rejected_rows": g.meta.get("rejected_rows", 0)}
-    os.makedirs(cfg.out, exist_ok=True)
     _write_json(os.path.join(cfg.out, "graph.json"), g.to_json_dict())
     _write_json(os.path.join(cfg.out, "stats.json"), stats)
     print(f"n={stats['n']} edges={stats['edges']} "
@@ -143,7 +138,6 @@ def cmd_ingest(args) -> int:
 def cmd_attack(args) -> int:
     cfg = build_config(args)
     rows, traces = run_attack_experiment(cfg)
-    os.makedirs(cfg.out, exist_ok=True)
     _write_csv(os.path.join(cfg.out, "attack_auc.csv"), rows,
                ["seed", "power", "attack", "model", "auc_clean", "auc_poisoned",
                 "self_label_acc"])
@@ -163,7 +157,6 @@ def cmd_attack(args) -> int:
 def cmd_detect(args) -> int:
     cfg = build_config(args)
     summary, rows, _ = run_detect_experiment(cfg)
-    os.makedirs(cfg.out, exist_ok=True)
     columns = list(rows[0].keys())
     _write_csv(os.path.join(cfg.out, "detector_scores.csv"), rows, columns)
     _write_json(os.path.join(cfg.out, "detector_summary.json"), summary)
@@ -176,11 +169,18 @@ def cmd_metrics(args) -> int:
     cfg = build_config(args)
     g = load_dataset(cfg)
     report = balance_report(g, t=cfg.t)
-    os.makedirs(cfg.out, exist_ok=True)
     _write_json(os.path.join(cfg.out, "balance.json"), report.to_json_dict())
     t_str = "undefined" if report.T is None else f"{report.T:.4f}"
     print(f"T={t_str} triads={report.total_triads} pol={report.pol_graph:.4f}")
     return 0
+
+
+def _list_of(convert):
+    """An argparse type: the tuple of comma-separated values, each read by ``convert``."""
+    def parse(text):
+        return tuple(convert(x) for x in text.split(","))
+    parse.__name__ = f"comma-separated {convert.__name__}"  # argparse's error names it
+    return parse
 
 
 def _add_common(p):
@@ -188,13 +188,15 @@ def _add_common(p):
     p.add_argument("--dataset", help="edge-list or graph-dump path")
     p.add_argument("--format", default=None, choices=["plain", "rated"])
     p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--seed", default=None, help="comma-separated trial seeds")
+    p.add_argument("--seed", dest="seeds", type=_list_of(int), default=None,
+                   help="comma-separated trial seeds")
     p.add_argument("--t", type=float, default=None, help="Markov time")
 
 
 def _add_attack(p):
     p.add_argument("--target", choices=TARGETS, default=None)
-    p.add_argument("--power", default=None, help="comma-separated attack powers")
+    p.add_argument("--power", dest="powers", type=_list_of(float), default=None,
+                   help="comma-separated attack powers, ascending")
     p.add_argument("--lambda", dest="lam", type=float, default=None,
                    help="balance-ratio penalty weight")
     p.add_argument("--eta", type=float, default=None,

@@ -58,7 +58,7 @@ class ExperimentConfig:
 
     def resolved_powers(self):
         if self.powers:
-            return tuple(sorted(self.powers))
+            return tuple(self.powers)
         return POLE_POWERS if victim_model_kind(self.target) == "pole" else FEXTRA_POWERS
 
     def attack_config(self, budget):
@@ -68,15 +68,20 @@ class ExperimentConfig:
 
 def check_attack_config(cfg: ExperimentConfig):
     """``ConfigError`` for a target outside ``TARGETS``, a baseline outside ``BASELINES``,
-    an attack power that is not a finite number >= 0 (power 0 flips nothing) or no seed."""
+    an attack power that is not a finite number >= 0 (power 0 flips nothing), powers not
+    strictly ascending, or seeds that are missing or repeated (rows would repeat)."""
     if not cfg.seeds:
         raise ConfigError("at least one seed is required")
+    if len(set(cfg.seeds)) != len(cfg.seeds):
+        raise ConfigError(f"seeds must be distinct, got {list(cfg.seeds)}")
     victim_model_kind(cfg.target)
     if cfg.baseline and cfg.baseline not in BASELINES:
         raise ConfigError(f"unknown baseline {cfg.baseline!r}; expected one of {BASELINES}")
     for p in cfg.powers:
         if not isinstance(p, (int, float)) or not 0 <= p < math.inf:
             raise ConfigError(f"attack power {p!r} must be a finite number >= 0")
+    if any(a >= b for a, b in zip(cfg.powers, cfg.powers[1:])):
+        raise ConfigError(f"attack powers must be strictly ascending, got {list(cfg.powers)}")
 
 
 def check_detect_config(cfg: ExperimentConfig):

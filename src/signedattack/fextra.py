@@ -69,8 +69,8 @@ class LRModel:
     theta: object  # intercept followed by the feature weights; a tape Value on the tape
     # z-scoring of the training rows that ``lr_train`` fit on, applied to any
     # rows it predicts
-    center: object = None
-    scale: object = None
+    center: object
+    scale: object
     grad_norm: float | None = None  # objective gradient norm where lr_train stopped
 
 
@@ -258,8 +258,7 @@ def lr_train(X, y) -> LRModel:
 
 def lr_predict(model: LRModel, X):
     """Positive-sign probabilities for the rows of X; polymorphic over tape Values."""
-    if model.center is not None:
-        X = (X - model.center) / model.scale
+    X = (X - model.center) / model.scale
     return tp.sigmoid(tp.prepend_ones(X) @ model.theta)
 
 

@@ -202,7 +202,8 @@ def load_graph_json(path) -> SignedGraph:
 
 
 def _parse_rows(path, fmt):
-    """Yield (lineno, u, v, rating) from a CSV edge list; header optional."""
+    """Yield (lineno, u, v, rating) from a CSV edge list; header optional; integer
+    node ids and a finite rating, else ``ParseError``."""
     with open(path, newline="") as f:
         reader = csv.reader(f)
         for lineno, row in enumerate(reader, start=1):
@@ -217,14 +218,15 @@ def _parse_rows(path, fmt):
             if len(row) < 3:
                 raise ParseError(f"expected at least 3 columns, got {len(row)}", lineno)
             try:
-                u = int(float(row[0]))
-                v = int(float(row[1]))
-                r = float(row[2])
+                u, v, r = (float(x) for x in row[:3])
             except ValueError as e:
                 raise ParseError(f"non-numeric field: {e}", lineno) from e
+            if not (u.is_integer() and v.is_integer() and np.isfinite(r)):
+                raise ParseError(f"node ids must be integers and the rating finite, got "
+                                 f"{', '.join(row[:3])}", lineno)
             if fmt == "plain" and r not in (1.0, -1.0):
                 raise ParseError(f"plain sign must be +1 or -1, got {row[2]}", lineno)
-            yield lineno, u, v, r
+            yield lineno, int(u), int(v), r
 
 
 def load_edge_list(path, fmt="plain") -> SignedGraph:

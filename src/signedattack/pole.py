@@ -7,10 +7,12 @@ row-normalized generator t (D^{-1} A - I) at Markov time t. That generator
 is similar to the symmetric t (D^{-1/2} A D^{-1/2} - I), so the walk comes
 from one eigenbasis exponential of the symmetric one, forward and backward.
 
-The autocovariance R = M^T W M of a walk M (so an attack step hands its one
-walk to the loss and the penalty) is positive semidefinite, so the cosine of any
-exact embedding U U^T = R is R normalized by sqrt(diag R) (``cosine_normalize``);
-the attacks use that closed form instead of fitting a factor.
+The autocovariance R = M^T (diag(w) - w w^T) M of a walk M, w = d / sum(d),
+is read only at node pairs (the victim's links, the attack's test links and
+their ends), so ``autocovariance`` forms those entries, never the n x n R.
+R is positive semidefinite, so the cosine of any exact embedding U U^T = R
+is R_uv / sqrt(R_uu R_vv) (``cosine_normalize``, elementwise); the attacks
+use that closed form instead of fitting a factor.
 """
 
 from __future__ import annotations
@@ -52,20 +54,19 @@ def transition_matrix(A, degrees, t):
     return tp.mul(sym_matrix_exp(gen), np.outer(r, np.sqrt(d)))
 
 
-def degree_weight_matrix(degrees):
-    """W = D/sum(d) - d d^T / sum(d)^2, the walk-weighting constant."""
-    d = np.maximum(np.asarray(degrees, dtype=float), DEGREE_FLOOR)
-    total = d.sum()
-    return np.diag(d) / total - np.outer(d, d) / total ** 2
+def autocovariance(M, degrees, us, vs):
+    """R[us[k], vs[k]] of R = M^T W M for a walk M from ``transition_matrix``.
 
-
-def autocovariance(M, degrees):
-    """R = M^T W M of a walk M from ``transition_matrix``; polymorphic over tape Values.
-
-    The victim passes the walks over the signed A and |A|; the POLE attack
-    passes the walk over the A it scattered from the sign vector on its tape.
+    R_uv = sum_i w_i M_iu M_iv - (M^T w)_u (M^T w)_v with w = d / sum(d), read
+    off the gathered columns u and v of M; polymorphic over tape Values. The
+    victim passes the walks over the signed A and |A|; the POLE attack passes
+    the walk over the A it scattered from the sign vector on its tape.
     """
-    return tp.transpose(M) @ degree_weight_matrix(degrees) @ M
+    d = np.maximum(np.asarray(degrees, dtype=float), DEGREE_FLOOR)
+    w = d / d.sum()
+    Mt = tp.transpose(M)
+    Mu, Mv = tp.gather_rows(Mt, us), tp.gather_rows(Mt, vs)
+    return (Mu * Mv) @ w - (Mu @ w) * (Mv @ w)
 
 
 def factorization_steps(R, U0, iters, lr):
@@ -106,21 +107,18 @@ def factorization_steps(R, U0, iters, lr):
     return U, curve
 
 
-def cosine_normalize(R):
-    """Cosine normalization of a PSD R by its own diagonal, then to [0, 1].
+def cosine_normalize(r_uv, r_uu, r_vv):
+    """Cosine normalization of autocovariance pairs by their diagonals, then to [0, 1].
 
     Any U with U U^T = R has row norms |U_i| = sqrt(R_ii), so this is the
     cosine similarity of an exact factor of R without computing one.
-    Returns (R_cos, P): R_cos = clamp(R_ij / (s_i s_j), -1, 1) with
-    s_i = sqrt(R_ii + COSINE_FLOOR^2), and P = (R_cos + 1)/2. Polymorphic over tape
-    Values in R.
+    Returns (R_cos, P), elementwise: R_cos = clamp(r_uv / (s_u s_v), -1, 1)
+    with s_u = sqrt(r_uu + COSINE_FLOOR^2), and P = (R_cos + 1)/2.
+    Polymorphic over tape Values.
     """
-    idx = np.arange(tp._data(R).shape[0])
-    norms = tp.colstack([tp.sqrt(tp.gather(R, idx, idx) + COSINE_FLOOR ** 2)])
-    denom = tp.matmul(norms, tp.transpose(norms))
-    R_cos = tp.clamp(R / denom, -1.0, 1.0)
-    P = (R_cos + 1.0) * 0.5
-    return R_cos, P
+    floor = COSINE_FLOOR ** 2
+    R_cos = tp.clamp(r_uv / (tp.sqrt(r_uu + floor) * tp.sqrt(r_vv + floor)), -1.0, 1.0)
+    return R_cos, (R_cos + 1.0) * 0.5
 
 
 def pole_predict(g: SignedGraph, split: EdgeSplit, t):
@@ -139,6 +137,6 @@ def pole_predict(g: SignedGraph, split: EdgeSplit, t):
     if (degrees == DEGREE_FLOOR).any():
         warnings.warn("graph has an isolated (all-hidden) node; degree floored",
                       RuntimeWarning, stacklevel=2)
-    feats = np.column_stack([autocovariance(transition_matrix(X, degrees, t), degrees)[us, vs]
+    feats = np.column_stack([autocovariance(transition_matrix(X, degrees, t), degrees, us, vs)
                              for X in (A, np.abs(A))])
     return fextra.split_probs(feats, g.signs(), split)

@@ -12,10 +12,13 @@ over the inputs' arrays plus one adjoint per input, reduced to that input's
 shape. Given only plain ndarrays it returns the plain result, so the
 primitives are polymorphic. ``sym_scatter`` builds a dense symmetric matrix
 from one value per link, which is how the attacks and
-``SignedGraph.adjacency`` turn a sign vector into A. The adjoints of
-``gather`` and ``gather_rows`` add repeated positions up with ``np.bincount``
-over row-major flat indices, which sums in index order as ``np.add.at`` does
-but without its per-element overhead.
+``SignedGraph.adjacency`` turn a sign vector into A. The other primitives
+are ``add``, ``mul``, ``div``, ``matmul``, ``transpose``, ``sqrt``,
+``sigmoid``, ``clamp``, ``sum_``, ``gather_rows`` and ``prepend_ones``; the
+POLE autocovariance reads the pairs' columns of a walk as ``gather_rows`` of
+its ``transpose``. The adjoint of ``gather_rows`` adds repeated rows up with
+``np.bincount`` over row-major flat indices, which sums in index order as
+``np.add.at`` does but without its per-element overhead.
 
 Five ``_apply`` nodes live outside this module, each a whole stage that
 would otherwise be a chain of small nodes: ``fextra.link_features`` (the
@@ -239,7 +242,7 @@ def _nonnegative(index):
     """``index`` as an int array; a negative entry is rejected, not wrapped."""
     index = np.asarray(index, dtype=int)
     if index.size and index.min() < 0:
-        raise IndexError(f"negative gather index {index.min()}")
+        raise IndexError(f"negative row index {index.min()}")
     return index
 
 
@@ -250,13 +253,6 @@ def _scatter(g, flat, shape):
     repeated position gets the same sum bit for bit.
     """
     return np.bincount(flat, weights=g.ravel(), minlength=int(np.prod(shape))).reshape(shape)
-
-
-def gather(a, rows, cols):
-    """Pick entries a[rows[k], cols[k]] of a matrix into a vector."""
-    rows, cols = _nonnegative(rows), _nonnegative(cols)
-    return _apply(lambda a: a[rows, cols],
-                  (lambda g, o, a: _scatter(g, rows * a.shape[1] + cols, a.shape),), a)
 
 
 def gather_rows(a, rows):
@@ -293,12 +289,6 @@ def prepend_ones(a):
     """Add an all-ones first column (the intercept)."""
     return _apply(lambda a: np.column_stack([np.ones(a.shape[0]), a]),
                   (lambda g, o, a: g[:, 1:],), a)
-
-
-def colstack(cols):
-    """Stack 1-d pieces as the columns of a matrix."""
-    vjps = [lambda g, o, *cs, j=j: g[:, j] for j in range(len(cols))]
-    return _apply(lambda *cs: np.stack(cs, axis=1), vjps, *cols)
 
 
 def grad_check(f, x0, h=1e-5, entries=None):

@@ -20,9 +20,10 @@ log-likelihood of the FeXtra attack objective written over them; it builds A
 from the sign vector with ``tape.sym_scatter``, so its tape gradient with
 respect to that vector is the reference for the sparse one.
 
-``relu``, ``log``, ``segment_sum``, ``inverse`` and ``support`` serve only
-these oracles and the tests; no program path records a relu, a log, a segment
-sum or an inverse, or builds the 0/1 support matrix. ``extract_features``
+``relu``, ``log``, ``segment_sum``, ``inverse``, ``colstack`` and ``support``
+serve only these oracles and the tests; no program path records a relu, a
+log, a segment sum, an inverse or a column stack, or builds the 0/1 support
+matrix. ``extract_features``
 reads the rows of given links off the program's own block of all links, the
 form the tests compare against these oracles.
 """
@@ -55,6 +56,12 @@ def segment_sum(a, index, size):
     index = np.asarray(index, dtype=int)
     return tp._apply(lambda a: np.bincount(index, weights=a, minlength=size),
                      (lambda g, o, a: g[index],), a)
+
+
+def colstack(cols):
+    """Stack 1-d pieces as the columns of a matrix; each piece's adjoint is its column."""
+    vjps = [lambda g, o, *cs, j=j: g[:, j] for j in range(len(cols))]
+    return tp._apply(lambda *cs: np.stack(cs, axis=1), vjps, *cols)
 
 
 def inverse(a):
@@ -127,7 +134,7 @@ def composite_link_features(signs, index):
         index.common,
         *(segment_sum(p * q, index.link, len(us)) for p in first for q in second),
     ]
-    return tp.colstack(cols)
+    return colstack(cols)
 
 
 def bilinear_gather(p, q, us, vs):
@@ -156,7 +163,7 @@ def dense_link_features(A, S, us, vs):
     A_minus = A_plus - A
     dpos = tp.sum_(A_plus, axis=1)
     dneg = tp.sum_(A_minus, axis=1)
-    return tp.colstack([
+    return colstack([
         tp.gather_rows(dpos, us),
         tp.gather_rows(dneg, us),
         tp.gather_rows(dpos, vs),

@@ -55,7 +55,7 @@ def test_self_train_degenerate_model_ties_positive():
     from signedattack.fextra import LRModel, lr_predict
 
     X = np.zeros((4, 9))
-    p = lr_predict(LRModel(theta=np.zeros(10)), X)
+    p = lr_predict(LRModel(theta=np.zeros(10), center=0.0, scale=1.0), X)
     assert np.all((p >= 0.5).astype(float) == 1.0)
 
 
@@ -660,6 +660,35 @@ def test_fextra_ols_step_records_no_n_by_n_array(monkeypatch):
     assert len(largest) == 1 and largest[0] < g.n ** 2
 
 
+def test_a_pole_step_records_no_n_by_n_array_after_the_walk(monkeypatch):
+    # the loss reads R at the test links and their ends; the dense R = M^T W M
+    # and its cosine matrix were n x n nodes of every step. The walk's
+    # transpose, one per pair call, is a view of the walk and owns no array;
+    # the other nodes are k x n gathers of k test links or smaller
+    walks, shapes, views = [], [], []
+
+    def recording_walk(*args):
+        walks.append(pole.transition_matrix(*args))
+        return walks[-1]
+
+    class RecordingTape(tp.Tape):
+        def backward(self, loss):
+            walk = walks[-1].data
+            after = self._nodes[[v.data is walk for v in self._nodes].index(True) + 1:]
+            owned = [v.data.shape for v in after if not np.shares_memory(v.data, walk)]
+            shapes.append(set(owned))
+            views.append(len(after) - len(owned))
+            super().backward(loss)
+
+    monkeypatch.setattr(tp, "Tape", RecordingTape)
+    monkeypatch.setattr(attacks, "transition_matrix", recording_walk)
+    g = two_community(300, avg_deg=24, seed=0)
+    split = split_edges(g, 0.1, seed=0)
+    flip_attack(g, split, "pole-unsym", AttackConfig(budget=1))
+    k = len(split.test)
+    assert shapes == [{(k, g.n), (k,), ()}] and views == [3]
+
+
 def test_fextra_ols_step_differentiates_the_sign_vector(monkeypatch):
     # the leaf is one sign per link, and no node or adjoint of the step is
     # n x n; a dense adjacency leaf made both the leaf and its gradient n x n
@@ -814,9 +843,12 @@ def test_a_step_scatters_the_dense_adjacency_once_when_the_objective_reads_it(
 # fextra-ols head is one node, the other bases end in one log-likelihood node
 # and each walk's exponential is one node; the composite heads recorded
 # 28/36/54/62, 32/40/58/66 and 34/43/51/60, and with the exponential's
-# symmetrization as three more nodes 3/11/29/37, 23/31/49/57 and 25/34/42/51
+# symmetrization as three more nodes 3/11/29/37, 23/31/49/57 and 25/34/42/51.
+# The POLE loss reads R in three pair calls of ten small nodes each and
+# normalizes them in nine; the dense R (3 nodes), the cosine matrix (10) and
+# the gather of P at the test links recorded 22/31/39/48
 STEP_NODES = {"fextra-ols": (3, 11, 26, 34), "fextra-meta": (23, 31, 46, 54),
-              "pole-unsym": (22, 31, 39, 48)}
+              "pole-unsym": (47, 56, 64, 73)}
 
 
 @pytest.mark.parametrize("eta", [0.0, 5.0])

@@ -97,19 +97,24 @@ def test_wedge_traces_equal_the_dense_traces(seed):
             assert balance_ratio(g) == want == balance_report(g).T
 
 
-def test_balance_metrics_never_build_the_dense_adjacency(monkeypatch):
+def test_balance_ratio_and_degrees_build_no_dense_adjacency_and_the_report_one(monkeypatch):
     # the triad traces are wedge sums and degrees a bincount; the walks of
-    # the report scatter their one dense matrix from the sign vector
+    # the report are the one place that builds a dense A
     g = two_community(40, 6, 0.1, seed=1).mask([0, 3, 5])
     want = balance_ratio(g), balance_report(g).to_json_dict(), g.degrees()
+    scatters = []
+    sym_scatter = tp.sym_scatter
 
-    def refuse(self):
-        raise AssertionError("SignedGraph.adjacency called")
+    def counting(*args):
+        scatters.append(args)
+        return sym_scatter(*args)
 
-    monkeypatch.setattr(SignedGraph, "adjacency", refuse)
+    monkeypatch.setattr(tp, "sym_scatter", counting)
     assert balance_ratio(g) == want[0]
-    assert balance_report(g).to_json_dict() == want[1]
     assert np.array_equal(g.degrees(), want[2])
+    assert scatters == []
+    assert balance_report(g).to_json_dict() == want[1]
+    assert len(scatters) == 1
 
 
 def test_balance_invariant_under_relabeling():

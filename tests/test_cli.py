@@ -45,6 +45,17 @@ def test_ingest_missing_file(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("row", ["0,1,nan", "3,0,inf", "2.7,3,1"])
+def test_ingest_of_a_malformed_rating_or_node_id_exits_2(tmp_path, capsys, row):
+    path = tmp_path / "g.csv"
+    path.write_text(f"0,2,1\n{row}\n")
+    out = tmp_path / "o"
+    rc = main(["ingest", "--dataset", str(path), "--format", "rated", "--out", str(out)])
+    assert rc == 2
+    assert "line 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_config_json(dataset_file, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{not json")
@@ -75,8 +86,8 @@ def test_attack_flags_offer_every_target(command):
     for target in TARGETS:
         args = parser.parse_args([command, "--target", target, "--power", "0.1",
                                   "--lambda", "1", "--eta", "2", "--subsample", "50"])
-        assert (args.target, args.power, args.lam, args.eta, args.subsample) == \
-            (target, "0.1", 1.0, 2.0, 50)
+        assert (args.target, args.powers, args.lam, args.eta, args.subsample) == \
+            (target, (0.1,), 1.0, 2.0, 50)
     with pytest.raises(SystemExit):
         parser.parse_args([command, "--target", "bogus"])
 
@@ -127,6 +138,41 @@ def test_an_unusable_power_flag_exits_2_before_the_attack(monkeypatch, dataset_f
                "--seed", "0", f"--power={power}", "--subsample", "0"])
     assert rc == 2
     assert "attack power" in capsys.readouterr().err
+    assert read == [] and not out.exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--seed", "x"), ("--seed", "1,,2"), ("--power", "abc")],
+                         ids=["seed-x", "seed-empty-item", "power-abc"])
+def test_an_unparsable_list_flag_exits_2(dataset_file, tmp_path, capsys, flag, value):
+    # each exited 1 with a ValueError traceback
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main(["attack", "--dataset", dataset_file, "--format", "plain", "--out", str(out),
+              "--subsample", "0", flag, value])
+    assert exc.value.code == 2
+    assert "invalid comma-separated" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config,error", [
+    ({"powers": [0.1, 0.05]}, "strictly ascending"),
+    ({"powers": [0.05, 0.05]}, "strictly ascending"),
+    ({"seeds": [1, 1]}, "seeds must be distinct"),
+], ids=["powers-descending", "powers-repeated", "seeds-repeated"])
+def test_a_config_with_unordered_powers_or_repeated_seeds_exits_2(
+        monkeypatch, dataset_file, tmp_path, capsys, config, error):
+    # the powers were sorted silently, and a repeated seed or power wrote
+    # duplicate CSV rows and overwrote its trace or snapshot file
+    read = []
+    monkeypatch.setattr(experiments, "load_dataset",
+                        lambda cfg, load=experiments.load_dataset: read.append(cfg) or load(cfg))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seeds": [0], **config}))
+    out = tmp_path / "o"
+    rc = main(["attack", "--config", str(cfg), "--dataset", dataset_file, "--format", "plain",
+               "--out", str(out), "--subsample", "0"])
+    assert rc == 2
+    assert error in capsys.readouterr().err
     assert read == [] and not out.exists()
 
 

@@ -209,7 +209,7 @@ def test_lr_predict_zero_theta_gives_half():
     from signedattack.fextra import LRModel
 
     X = np.random.default_rng(0).random((4, 9))
-    p = lr_predict(LRModel(theta=np.zeros(10)), X)
+    p = lr_predict(LRModel(theta=np.zeros(10), center=0.0, scale=1.0), X)
     assert np.allclose(p, 0.5)
 
 
@@ -217,7 +217,7 @@ def test_lr_predict_logit_values():
     from signedattack.fextra import LRModel
 
     X = np.array([[np.log(3.0)], [-np.log(3.0)]])
-    m = LRModel(theta=np.array([0.0, 1.0]))
+    m = LRModel(theta=np.array([0.0, 1.0]), center=0.0, scale=1.0)
     p = lr_predict(m, X)
     assert p[0] == pytest.approx(0.75)
     assert p[1] == pytest.approx(0.25)

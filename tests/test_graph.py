@@ -76,6 +76,19 @@ def test_load_malformed_row_reports_line(tmp_path):
     assert exc.value.line == 2
 
 
+@pytest.mark.parametrize("row", ["0,1,nan", "3,0,inf", "2.7,3,1", "inf,3,1"],
+                         ids=["nan-rating", "inf-rating", "fractional-node", "infinite-node"])
+def test_load_rejects_non_finite_ratings_and_non_integer_nodes(tmp_path, row):
+    # nan became a negative link, inf a positive one and 2.7 node 2, each
+    # with no rejected row; an infinite node id raised OverflowError
+    p = tmp_path / "g.csv"
+    with open(p, "w") as f:
+        f.write(f"0,2,1\n{row}\n")
+    with pytest.raises(ParseError, match=f"the rating finite, got {row.replace(',', ', ')}$") as exc:
+        load_edge_list(p, "rated")
+    assert exc.value.line == 2
+
+
 def test_load_relabels_contiguously(tmp_path):
     p = tmp_path / "g.csv"
     write_rows(p, [(10, 30, 1), (30, 77, -1)])

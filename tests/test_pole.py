@@ -8,15 +8,39 @@ from signedattack.errors import NumericError
 from signedattack.fextra import lr_predict, lr_train
 from signedattack.graph import DEGREE_FLOOR, EdgeSplit, SignedGraph, split_edges
 from signedattack.linalg import matrix_exp
-from signedattack.pole import (autocovariance, cosine_normalize, degree_weight_matrix,
-                               factorization_steps, pole_predict, transition_matrix)
+from signedattack.pole import (autocovariance, cosine_normalize, factorization_steps,
+                               pole_predict, transition_matrix)
 from signedattack.tape import Tape, grad_check
 from synthgraphs import complete_graph, two_community, two_triangles_bridge
 
 
-def walk_autocovariance(A, degrees, t=1.0):
-    """The autocovariance of the walk over A at Markov time t, as ``pole_predict`` composes it."""
-    return autocovariance(transition_matrix(A, degrees, t), degrees)
+def degree_weight_matrix(degrees):
+    """W = D/sum(d) - d d^T / sum(d)^2, the walk weighting of the dense oracle."""
+    d = np.maximum(np.asarray(degrees, dtype=float), DEGREE_FLOOR)
+    total = d.sum()
+    return np.diag(d) / total - np.outer(d, d) / total ** 2
+
+
+def dense_autocovariance(M, degrees):
+    """The whole n x n R = M^T W M, the oracle for ``autocovariance`` at pairs;
+    polymorphic over tape Values."""
+    return tp.transpose(M) @ degree_weight_matrix(degrees) @ M
+
+
+def all_pairs(n):
+    """(us, vs) over every ordered node pair, the diagonal included, row-major."""
+    return np.divmod(np.arange(n * n), n)
+
+
+def walk_autocovariance(A, degrees, us, vs, t=1.0):
+    """The autocovariance pairs of the walk over A at Markov time t, as ``pole_predict``
+    composes them."""
+    return autocovariance(transition_matrix(A, degrees, t), degrees, us, vs)
+
+
+def pair_cosine(R, us, vs):
+    """``cosine_normalize`` of the entries (us[k], vs[k]) of a whole matrix R."""
+    return cosine_normalize(R[us, vs], R[us, us], R[vs, vs])
 
 
 @pytest.mark.parametrize("t", [0.0, -1.0, np.nan])
@@ -73,33 +97,40 @@ def test_unsym_transition_matches_taylor_of_row_normalized_generator(t):
 
 
 def test_weight_matrix_annihilates_ones():
+    # the walk over |A| maps the ones vector to itself and w sums to 1, so
+    # every row of its R sums to 0, as W of the oracle annihilates the ones
     g = two_community(12, 4, 0.1, seed=2)
-    W = degree_weight_matrix(g.degrees())
     ones = np.ones(g.n)
-    assert abs(ones @ W @ ones) < 1e-12
+    assert abs(ones @ degree_weight_matrix(g.degrees()) @ ones) < 1e-12
+    A = np.abs(g.adjacency())
+    R = walk_autocovariance(A, g.degrees(), *all_pairs(g.n)).reshape(g.n, g.n)
+    assert np.abs(R.sum(axis=1)).max() < 1e-12
 
 
 def test_autocovariance_symmetry():
     g = two_community(10, 4, 0.2, seed=3)
-    R = walk_autocovariance(g.adjacency(), g.degrees())
-    assert np.abs(R - R.T).max() < 1e-10
+    us, vs = all_pairs(g.n)
+    M = transition_matrix(g.adjacency(), g.degrees(), 1.0)
+    assert np.array_equal(autocovariance(M, g.degrees(), us, vs),
+                          autocovariance(M, g.degrees(), vs, us))
 
 
 def test_autocovariance_sign_equals_abs_on_positive_graph():
     g = two_community(10, 4, 0.0, seed=4)
     g = g.with_signs([1] * g.num_edges)
     d = g.degrees()
-    assert np.allclose(walk_autocovariance(g.adjacency(), d),
-                       walk_autocovariance(np.abs(g.adjacency()), d))
+    pairs = all_pairs(g.n)
+    assert np.allclose(walk_autocovariance(g.adjacency(), d, *pairs),
+                       walk_autocovariance(np.abs(g.adjacency()), d, *pairs))
 
 
 def test_two_triangle_autocovariance_sign_pattern():
     g = two_triangles_bridge()
-    R = walk_autocovariance(g.adjacency(), g.degrees())
-    within = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]
-    cross = [(u, v) for u in range(3) for v in range(3, 6)]
-    assert all(R[u, v] > 0 for u, v in within)
-    neg_cross = sum(R[u, v] < 0 for u, v in cross)
+    within = np.array([(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
+    cross = np.array([(u, v) for u in range(3) for v in range(3, 6)])
+    A, d = g.adjacency(), g.degrees()
+    assert np.all(walk_autocovariance(A, d, *within.T) > 0)
+    neg_cross = np.count_nonzero(walk_autocovariance(A, d, *cross.T) < 0)
     assert neg_cross > len(cross) / 2
 
 
@@ -107,10 +138,11 @@ def test_autocovariance_gradient():
     g = two_community(8, 4, 0.2, seed=5)
     A0 = g.adjacency()
     d = g.degrees()
-    C = np.random.default_rng(0).standard_normal((g.n, g.n))
+    pairs = all_pairs(g.n)
+    C = np.random.default_rng(0).standard_normal(g.n * g.n)
 
     def f(v):
-        return tp.sum_(walk_autocovariance(v, d) * C)
+        return tp.sum_(walk_autocovariance(v, d, *pairs) * C)
 
     entries = [(u, v) for u, v, _ in g.edges]
     assert grad_check(f, A0, h=1e-5, entries=entries) < 1e-3
@@ -157,34 +189,38 @@ def test_cosine_normalize_exact_factorization():
     rng = np.random.default_rng(5)
     U = rng.standard_normal((7, 3))
     R = U @ U.T
-    R_cos, P = cosine_normalize(R)
+    us, vs = all_pairs(7)
+    R_cos, P = pair_cosine(R, us, vs)
     norms = np.linalg.norm(U, axis=1)
-    expect = R / np.outer(norms, norms)
-    assert np.abs(np.diag(R_cos) - 1.0).max() < 1e-12
+    expect = R[us, vs] / (norms[us] * norms[vs])
+    assert np.abs(R_cos[us == vs] - 1.0).max() < 1e-12
     assert np.abs(R_cos - expect).max() < 1e-12
     assert P.min() >= 0.0 and P.max() <= 1.0
 
 
 def test_cosine_normalize_autocovariance_matches_eigen_factor():
     g = two_community(30, 6, 0.1, seed=8)
-    R = walk_autocovariance(g.adjacency(), g.degrees())
+    M = transition_matrix(g.adjacency(), g.degrees(), 1.0)
+    R = dense_autocovariance(M, g.degrees())
     w, V = np.linalg.eigh(0.5 * (R + R.T))
     U = V * np.sqrt(np.clip(w, 0.0, None))
     norms = np.linalg.norm(U, axis=1)
-    R_cos, _ = cosine_normalize(R)
-    assert np.abs(R_cos - U @ U.T / np.outer(norms, norms)).max() < 1e-6
+    us, vs = all_pairs(g.n)
+    R_cos, _ = cosine_normalize(*(autocovariance(M, g.degrees(), a, b)
+                                  for a, b in ((us, vs), (us, us), (vs, vs))))
+    assert np.abs(R_cos - (U @ U.T)[us, vs] / (norms[us] * norms[vs])).max() < 1e-6
 
 
 def test_cosine_normalize_clamps_large_entries():
     R = np.array([[4.0, -9.0], [-9.0, 4.0]])
-    R_cos, P = cosine_normalize(R)
-    assert np.array_equal(R_cos, [[1.0, -1.0], [-1.0, 1.0]])
-    assert np.array_equal(P, [[1.0, 0.0], [0.0, 1.0]])
+    R_cos, P = pair_cosine(R, *all_pairs(2))
+    assert np.array_equal(R_cos, [1.0, -1.0, -1.0, 1.0])
+    assert np.array_equal(P, [1.0, 0.0, 0.0, 1.0])
 
 
 def test_cosine_normalize_zero_row_is_finite():
     R = np.array([[0.0, 0.2], [0.2, 2.0]])
-    R_cos, P = cosine_normalize(R)
+    R_cos, P = pair_cosine(R, *all_pairs(2))
     assert np.all(np.isfinite(R_cos))
     assert np.all(R_cos <= 1.0) and np.all(R_cos >= -1.0)
 
@@ -218,15 +254,14 @@ def test_pole_similarity_probability_two_triangle_bridge():
     k_bridge = g.edge_index(2, 3)
     k_within = g.edge_index(0, 1)
 
-    masked = g.mask([k_bridge])
-    R = walk_autocovariance(masked.adjacency(), masked.degrees())
-    _, P = cosine_normalize(R)
-    assert P[2, 3] < 0.5
+    def similarity_probability(masked, u, v):
+        pairs = [np.array([a]) for a in ((u, v), (u, u), (v, v))]
+        A, d = masked.adjacency(), masked.degrees()
+        _, P = cosine_normalize(*(walk_autocovariance(A, d, *p.T) for p in pairs))
+        return P[0]
 
-    masked = g.mask([k_within])
-    R = walk_autocovariance(masked.adjacency(), masked.degrees())
-    _, P = cosine_normalize(R)
-    assert P[0, 1] > 0.5
+    assert similarity_probability(g.mask([k_bridge]), 2, 3) < 0.5
+    assert similarity_probability(g.mask([k_within]), 0, 1) > 0.5
 
 
 def test_all_hidden_node_warns():
@@ -269,7 +304,7 @@ def separate_walks_pole_predict(g, split, t):
     feats = []
     for A in (g.adjacency(), np.abs(g.adjacency())):
         M = transition_matrix(A, g.degrees(), t)
-        feats.append((M.T @ degree_weight_matrix(g.degrees()) @ M)[us, vs])
+        feats.append(autocovariance(M, g.degrees(), us, vs))
     y_train = (g.signs()[split.train] > 0).astype(float)
     model = lr_train(np.column_stack(feats)[split.train], y_train)
     return lr_predict(model, np.column_stack(feats)[split.test])
@@ -284,3 +319,46 @@ def test_pole_predict_equals_separately_scattered_walks(seed):
     masked = g.mask(split.test)
     assert np.array_equal(pole_predict(masked, split, 1.0),
                           separate_walks_pole_predict(masked, split, 1.0))
+
+
+def oracle_graphs():
+    """(name, graph) pairs: seeded clean graphs, masked ones, and one with an all-hidden node."""
+    cases = []
+    for seed in range(2):
+        g = two_community(30 + 10 * seed, 6, 0.1, seed=seed)
+        cases.append((f"clean-{seed}", g))
+        cases.append((f"masked-{seed}", g.mask(split_edges(g, 0.2, seed=seed).test)))
+    g = SignedGraph(6, [(0, 1, 1), (0, 2, -1), (1, 2, 1), (2, 3, 1), (3, 4, -1), (4, 5, 1)])
+    cases.append(("all-hidden-node", g.mask([g.edge_index(4, 5)])))
+    return cases
+
+
+ORACLE_GRAPHS = oracle_graphs()
+
+
+@pytest.mark.parametrize("g", [g for _, g in ORACLE_GRAPHS], ids=[n for n, _ in ORACLE_GRAPHS])
+def test_autocovariance_pairs_match_the_dense_oracle(g):
+    # values and sign-vector gradients through the walk: the links, their
+    # ends' diagonals and a few pairs that are not links
+    edge, d = g.edge_array(), g.degrees()
+    rng = np.random.default_rng(g.n)
+    extra = rng.integers(0, g.n, (8, 2))
+    us = np.concatenate([edge[:, 0], edge[:, 0], edge[:, 1], extra[:, 0]])
+    vs = np.concatenate([edge[:, 1], edge[:, 0], edge[:, 1], extra[:, 1]])
+    c = rng.standard_normal(len(us))
+    C = np.zeros((g.n, g.n))
+    np.add.at(C, (us, vs), c)
+
+    def run(objective):
+        tape = Tape()
+        s = tape.leaf(g.signs())
+        M = transition_matrix(tp.sym_scatter(s, *edge.T, g.n), d, 1.0)
+        tape.backward(objective(M))
+        return s.grad_or_zero()
+
+    got = run(lambda M: tp.sum_(autocovariance(M, d, us, vs) * c))
+    want = run(lambda M: tp.sum_(dense_autocovariance(M, d) * C))
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    R = dense_autocovariance(transition_matrix(g.adjacency(), d, 1.0), d)
+    pairs = walk_autocovariance(g.adjacency(), d, us, vs)
+    assert np.abs(pairs - R[us, vs]).max() <= 1e-12 * np.abs(R).max()

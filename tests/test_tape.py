@@ -8,7 +8,7 @@ from signedattack.errors import NumericError
 from signedattack.fextra import logistic_theta
 from signedattack.linalg import sym_matrix_exp
 from signedattack.tape import Tape, grad_check
-from densefeatures import bilinear_gather, inverse, log, relu, segment_sum
+from densefeatures import bilinear_gather, colstack, inverse, log, relu, segment_sum
 
 
 def mean_(a, axis=None, keepdims=False):
@@ -107,11 +107,6 @@ def test_gather_and_bilinear_gather():
         return tp.sum_(bilinear_gather(v, Q, us, vs) * np.array([1.0, -2.0, 0.5, 3.0]))
 
     assert grad_check(f, P) < 1e-5
-
-    def g(v):
-        return tp.sum_(tp.gather(v, us, vs))
-
-    assert grad_check(g, P) < 1e-8
 
 
 def _row_scatter_vjp(P, Q, us, vs, g):
@@ -246,7 +241,6 @@ _col = _rng.uniform(0.5, 2.0, (3, 1))
 _M = _rng.standard_normal((4, 4)) + 4.0 * np.eye(4)
 _kinked = np.array([[-2.0, -0.5, 0.3, 0.8], [2.5, -1.5, 0.6, -0.2]])
 _rows = np.array([0, 2, 0, 1])  # row 0 twice
-_cols = np.array([1, 3, 1, 0])
 _c5 = _rng.standard_normal(5)
 _groups = np.array([0, 2, 0, 3])  # group 0 twice, group 1 empty, groups 4-5 trailing
 _v5 = _rng.standard_normal(5)
@@ -301,8 +295,6 @@ ADJOINT_CASES = [
      lambda x: x.sum(axis=1, keepdims=True), _A),
     ("mean_", "axis1-keepdims", lambda x: mean_(x, axis=1, keepdims=True),
      lambda x: x.sum(axis=1, keepdims=True) * (1.0 / x.shape[1]), _A),
-    ("gather", "repeated-entry", lambda x: tp.gather(x, _rows, _cols),
-     lambda x: x[_rows, _cols], _A),
     ("gather_rows", "repeated-row", lambda x: tp.gather_rows(x, _rows),
      lambda x: x[_rows], _A),
     ("sym_scatter", "three-links", lambda x: tp.sym_scatter(x, _us, _vs, 4), _sym, _x3),
@@ -310,7 +302,7 @@ ADJOINT_CASES = [
      lambda x: np.array([x[0] + x[2], 0.0, x[1], x[3], 0.0, 0.0]), _x4),
     ("prepend_ones", "matrix", tp.prepend_ones,
      lambda x: np.column_stack([np.ones(x.shape[0]), x]), _B),
-    ("colstack", "one-plain-column", lambda x: tp.colstack([x, _c5, x]),
+    ("colstack", "one-plain-column", lambda x: colstack([x, _c5, x]),
      lambda x: np.stack([x, _c5, x], axis=1), _v5),
     ("inverse", "well-conditioned", inverse, _inv, _M),
 ]
@@ -337,7 +329,7 @@ def test_every_public_primitive_has_an_adjoint_check():
 # -- gather adjoints against the np.add.at scatter ------------------------------
 
 def add_at_scatter(a, index, g):
-    """The former gather adjoint: ``np.add.at`` into zeros, then accumulated fresh."""
+    """The former ``gather_rows`` adjoint: ``np.add.at`` into zeros, then accumulated fresh."""
     acc = np.zeros_like(a)
     np.add.at(acc, index, g)
     return acc + 0.0
@@ -357,12 +349,10 @@ def test_gather_adjoints_equal_the_add_at_scatter(seed, count):
     rng = np.random.default_rng(seed)
     M = rng.standard_normal((4, 3))
     v = rng.standard_normal(5)
-    rows, cols = rng.integers(0, 4, count), rng.integers(0, 3, count)
+    rows = rng.integers(0, 4, count)
     picks = rng.integers(0, 5, count)
 
     w = rng.standard_normal(count)
-    assert np.array_equal(_gather_grad(lambda x: tp.gather(x, rows, cols), M, w),
-                          add_at_scatter(M, (rows, cols), w))
     assert np.array_equal(_gather_grad(lambda x: tp.gather_rows(x, picks), v, w),
                           add_at_scatter(v, picks, w))
     w2 = rng.standard_normal((count, 3))
@@ -372,9 +362,5 @@ def test_gather_adjoints_equal_the_add_at_scatter(seed, count):
 
 def test_gather_rejects_negative_indices():
     M = np.zeros((3, 3))
-    with pytest.raises(IndexError):
-        tp.gather(M, [0, -1], [1, 2])
-    with pytest.raises(IndexError):
-        tp.gather(M, [0, 1], [-3, 2])
     with pytest.raises(IndexError):
         tp.gather_rows(Tape().leaf(M), [2, -1])
