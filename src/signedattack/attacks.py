@@ -32,8 +32,8 @@ one tape node (``_ols_log_likelihood``), so an unpenalized step records
 three nodes: the features, the head and the negation. The POLE surrogate
 scores a test link (u, v) by the cosine of an exact factor of the
 autocovariance R of M (the victim's own walk): R_uv normalized by R_uu and
-R_vv, three entries that ``pole.autocovariance`` reads off M, so no
-embedding is fitted and no n x n array is built after the walk.
+R_vv, which one ``pole.autocovariance`` call reads off one transpose of M,
+so no embedding is fitted and no n x n array is built after the walk.
 The Markov time ``t`` is a plain float here; only the POLE losses, the POLE
 victim and the polarization penalty read it.
 """
@@ -193,7 +193,8 @@ class _Objective:
     ``fextra.link_index`` of the masked graph, so an objective built in a
     trial whose clean victim was already fit reuses that fit's index. The
     ``fextra-ols`` base is one tape node over X (``_ols_log_likelihood``);
-    the ``fextra-meta`` and POLE bases end in one ``_log_likelihood`` node.
+    the ``fextra-meta`` and POLE bases (the latter over one ``autocovariance``
+    call's R_uv, R_uu, R_vv) end in one ``_log_likelihood`` node.
     """
 
     def __init__(self, target, masked: SignedGraph, split: EdgeSplit, y_hat, t, lam, eta):
@@ -222,9 +223,7 @@ class _Objective:
         elif self.target == "fextra-meta":
             base = _log_likelihood(split_probs(X, s, self.split), self.y_hat)
         else:
-            us, vs = self.us_te, self.vs_te
-            _, P = cosine_normalize(*(autocovariance(M, self.degrees, a, b)
-                                      for a, b in ((us, vs), (us, us), (vs, vs))))
+            _, P = cosine_normalize(*autocovariance(M, self.degrees, self.us_te, self.vs_te))
             base = _log_likelihood(P, self.y_hat)
         return base, penalized_loss(-base, s, X, M, self, events)
 
@@ -262,9 +261,15 @@ def penalized_loss(err, s, X, M, objective: _Objective, events=None):
     return out
 
 
-def _check_budget(budget: int, split: EdgeSplit):
+def _check_budget(g0: SignedGraph, split: EdgeSplit, budget: int, checkpoints):
+    """``ConfigError`` unless the training links hold ``budget`` flips and every
+    checkpoint power of ``g0`` needs at most ``budget`` of them."""
     if budget > len(split.train):
         raise ConfigError(f"budget {budget} exceeds {len(split.train)} training links")
+    for p in checkpoints:
+        if flips_for_power(g0, p) > budget:
+            raise ConfigError(f"checkpoint power {p:g} needs {flips_for_power(g0, p)} flips, "
+                              f"over the budget of {budget}")
 
 
 def _pick_flip(scores, us, vs, pooled):
@@ -282,7 +287,7 @@ def _pick_flip(scores, us, vs, pooled):
 
 def _greedy_flips(g0: SignedGraph, split: EdgeSplit, budget: int, checkpoints,
                   choose) -> AttackTrace:
-    """Flip ``budget`` (checked by the caller) training links one at a time.
+    """Flip ``budget`` training links one at a time; the caller ran ``_check_budget``.
 
     ``choose(signs, pooled, trace)`` gets the masked signs (hidden signs 0),
     the mask of flipped training links and the trace so far, and returns the
@@ -348,7 +353,7 @@ def flip_attack(g0: SignedGraph, split: EdgeSplit, target: str,
     ``g0`` is the clean graph; test links are masked internally and never
     flipped.
     """
-    _check_budget(cfg.budget, split)
+    _check_budget(g0, split, cfg.budget, cfg.checkpoints)
     choose = gradient_chooser(g0, split, target, cfg, y_hat)
     return _greedy_flips(g0, split, cfg.budget, cfg.checkpoints, choose)
 
@@ -356,7 +361,7 @@ def flip_attack(g0: SignedGraph, split: EdgeSplit, target: str,
 def baseline_rand(g0: SignedGraph, split: EdgeSplit, budget: int, seed: int,
                   checkpoints=()) -> AttackTrace:
     """Flip a uniform random set of training links, in draw order."""
-    _check_budget(budget, split)
+    _check_budget(g0, split, budget, checkpoints)
     # the same draw as rng.choice(split.train, ...), as positions in split.train
     order = np.random.default_rng(seed).choice(len(split.train), size=budget, replace=False)
     return _greedy_flips(g0, split, budget, checkpoints,
@@ -373,7 +378,7 @@ def baseline_greedy_triads(g0: SignedGraph, split: EdgeSplit, budget: int,
     trial's cached index (``fextra.link_index``). Flipping negates it, so the
     greedy score of a training link is exactly s W.
     """
-    _check_budget(budget, split)
+    _check_budget(g0, split, budget, checkpoints)
     index = link_index(g0.mask(split.test))
     us, vs = g0.edge_array()[split.train].T
 

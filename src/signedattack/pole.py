@@ -8,11 +8,11 @@ is similar to the symmetric t (D^{-1/2} A D^{-1/2} - I), so the walk comes
 from one eigenbasis exponential of the symmetric one, forward and backward.
 
 The autocovariance R = M^T (diag(w) - w w^T) M of a walk M, w = d / sum(d),
-is read only at node pairs (the victim's links, the attack's test links and
-their ends), so ``autocovariance`` forms those entries, never the n x n R.
-R is positive semidefinite, so the cosine of any exact embedding U U^T = R
-is R_uv / sqrt(R_uu R_vv) (``cosine_normalize``, elementwise); the attacks
-use that closed form instead of fitting a factor.
+is read only at links (u, v): ``autocovariance`` returns R_uv, R_uu and R_vv
+from one read of their columns of M, never the n x n R. R is positive
+semidefinite, so the cosine of any exact embedding U U^T = R is
+R_uv / sqrt(R_uu R_vv) (``cosine_normalize``, elementwise); the attacks use
+that closed form instead of fitting a factor.
 """
 
 from __future__ import annotations
@@ -55,18 +55,19 @@ def transition_matrix(A, degrees, t):
 
 
 def autocovariance(M, degrees, us, vs):
-    """R[us[k], vs[k]] of R = M^T W M for a walk M from ``transition_matrix``.
+    """(R_uv, R_uu, R_vv) at the pairs (us[k], vs[k]) of R = M^T W M for a walk M.
 
-    R_uv = sum_i w_i M_iu M_iv - (M^T w)_u (M^T w)_v with w = d / sum(d), read
-    off the gathered columns u and v of M; polymorphic over tape Values. The
-    victim passes the walks over the signed A and |A|; the POLE attack passes
-    the walk over the A it scattered from the sign vector on its tape.
+    R_uv = sum_i w_i M_iu M_iv - (M^T w)_u (M^T w)_v with w = d / sum(d); all
+    three read one transpose of M gathered at us and at vs. Polymorphic over
+    tape Values. The victim passes the walks over the signed A and |A|; the
+    POLE attack, the walk over the A it scattered from its tape's sign vector.
     """
     d = np.maximum(np.asarray(degrees, dtype=float), DEGREE_FLOOR)
     w = d / d.sum()
     Mt = tp.transpose(M)
     Mu, Mv = tp.gather_rows(Mt, us), tp.gather_rows(Mt, vs)
-    return (Mu * Mv) @ w - (Mu @ w) * (Mv @ w)
+    cu, cv = Mu @ w, Mv @ w
+    return (Mu * Mv) @ w - cu * cv, (Mu * Mu) @ w - cu * cu, (Mv * Mv) @ w - cv * cv
 
 
 def factorization_steps(R, U0, iters, lr):
@@ -108,7 +109,7 @@ def factorization_steps(R, U0, iters, lr):
 
 
 def cosine_normalize(r_uv, r_uu, r_vv):
-    """Cosine normalization of autocovariance pairs by their diagonals, then to [0, 1].
+    """Cosine normalization of ``autocovariance``'s R_uv by R_uu and R_vv, then to [0, 1].
 
     Any U with U U^T = R has row norms |U_i| = sqrt(R_ii), so this is the
     cosine similarity of an exact factor of R without computing one.
@@ -124,11 +125,11 @@ def cosine_normalize(r_uv, r_uu, r_vv):
 def pole_predict(g: SignedGraph, split: EdgeSplit, t):
     """The victims' shared head ``fextra.split_probs`` on per-link (R_sign, R_abs) pairs.
 
-    R_sign and R_abs are the autocovariances at Markov time t of the walks
-    over g's signed adjacency A and over |A|. Returns predicted
-    positive-sign probabilities for the test links of the split, using only
-    training-link signs: the same converged ``fextra.lr_train`` fit as the
-    FeXtra victim's, on two features. A node whose links are all
+    R_sign and R_abs are the R_uv of ``autocovariance`` (R_uu, R_vv unread) at
+    Markov time t of the walks over g's signed adjacency A and over |A|.
+    Returns predicted positive-sign probabilities for the test links of the
+    split from training-link signs only: the same converged ``fextra.lr_train``
+    fit as the FeXtra victim's, on two features. A node whose links are all
     hidden has degree 0 before the floor (degrees count signed links, so the
     floor marks exactly those nodes); it draws a ``RuntimeWarning``.
     """
@@ -137,6 +138,6 @@ def pole_predict(g: SignedGraph, split: EdgeSplit, t):
     if (degrees == DEGREE_FLOOR).any():
         warnings.warn("graph has an isolated (all-hidden) node; degree floored",
                       RuntimeWarning, stacklevel=2)
-    feats = np.column_stack([autocovariance(transition_matrix(X, degrees, t), degrees, us, vs)
+    feats = np.column_stack([autocovariance(transition_matrix(X, degrees, t), degrees, us, vs)[0]
                              for X in (A, np.abs(A))])
     return fextra.split_probs(feats, g.signs(), split)

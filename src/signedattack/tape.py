@@ -15,8 +15,8 @@ from one value per link, which is how the attacks and
 ``SignedGraph.adjacency`` turn a sign vector into A. The other primitives
 are ``add``, ``mul``, ``div``, ``matmul``, ``transpose``, ``sqrt``,
 ``sigmoid``, ``clamp``, ``sum_``, ``gather_rows`` and ``prepend_ones``; the
-POLE autocovariance reads the pairs' columns of a walk as ``gather_rows`` of
-its ``transpose``. The adjoint of ``gather_rows`` adds repeated rows up with
+POLE autocovariance reads the pairs' columns of a walk as two ``gather_rows``
+(one per end) of one ``transpose``. The adjoint of ``gather_rows`` adds repeated rows up with
 ``np.bincount`` over row-major flat indices, which sums in index order as
 ``np.add.at`` does but without its per-element overhead.
 

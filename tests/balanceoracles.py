@@ -56,7 +56,7 @@ def dense_balance_ratio(g):
 
 
 def dense_greedy_triads(g0, split, budget, checkpoints=()):
-    _check_budget(budget, split)
+    _check_budget(g0, split, budget, checkpoints)
     edge = g0.edge_array()
     us, vs = edge[split.train].T
 

@@ -15,7 +15,7 @@ from signedattack.attacks import (LOG_CLIP, AttackConfig, AttackTrace, _log_like
 from signedattack.balance import balance_ratio, graph_polarization, triad_census
 from signedattack.errors import ConfigError, NumericError
 from signedattack.experiments import ExperimentConfig, run_attack_trial
-from signedattack.fextra import auc, link_features, lr_predict, lr_train
+from signedattack.fextra import link_features, lr_predict, lr_train
 from signedattack.graph import EdgeSplit, SignedGraph, split_edges
 from signedattack.tape import Tape
 from balanceoracles import dense_greedy_triads
@@ -194,6 +194,20 @@ def test_flip_attack_budget_exceeds_train_errors():
     g, split = small_instance(n=10, deg=4, seed=5)
     with pytest.raises(ConfigError):
         flip_attack(g, split, "fextra-ols", AttackConfig(budget=10 ** 6))
+
+
+@pytest.mark.parametrize("attack", [
+    lambda g, split: flip_attack(g, split, "fextra-ols",
+                                 AttackConfig(budget=2, checkpoints=(0.01, 0.5))),
+    lambda g, split: baseline_rand(g, split, 2, 0, checkpoints=(0.5,)),
+    lambda g, split: baseline_greedy_triads(g, split, 2, checkpoints=(0.01, 0.5)),
+], ids=["flip_attack", "baseline_rand", "baseline_greedy_triads"])
+def test_a_checkpoint_beyond_the_budget_errors(attack):
+    # power 0.5 of 120 links needs 60 flips; a budget of 2 never reached it,
+    # and the trace came back without that snapshot
+    g = two_community(40, 6, 0.1, seed=4)
+    with pytest.raises(ConfigError, match="checkpoint power 0.5 needs 60 flips"):
+        attack(g, split_edges(g, 0.2, seed=0))
 
 
 def test_lambda_eta_zero_recovers_basic_flip_sequence():
@@ -662,9 +676,10 @@ def test_fextra_ols_step_records_no_n_by_n_array(monkeypatch):
 
 def test_a_pole_step_records_no_n_by_n_array_after_the_walk(monkeypatch):
     # the loss reads R at the test links and their ends; the dense R = M^T W M
-    # and its cosine matrix were n x n nodes of every step. The walk's
-    # transpose, one per pair call, is a view of the walk and owns no array;
-    # the other nodes are k x n gathers of k test links or smaller
+    # and its cosine matrix were n x n nodes of every step. The walk's one
+    # transpose, shared by the pair read's two gathers, is a view of the walk
+    # and owns no array; the other nodes are k x n gathers of k test links or
+    # smaller
     walks, shapes, views = [], [], []
 
     def recording_walk(*args):
@@ -686,7 +701,7 @@ def test_a_pole_step_records_no_n_by_n_array_after_the_walk(monkeypatch):
     split = split_edges(g, 0.1, seed=0)
     flip_attack(g, split, "pole-unsym", AttackConfig(budget=1))
     k = len(split.test)
-    assert shapes == [{(k, g.n), (k,), ()}] and views == [3]
+    assert shapes == [{(k, g.n), (k,), ()}] and views == [1]
 
 
 def test_fextra_ols_step_differentiates_the_sign_vector(monkeypatch):
@@ -844,11 +859,13 @@ def test_a_step_scatters_the_dense_adjacency_once_when_the_objective_reads_it(
 # and each walk's exponential is one node; the composite heads recorded
 # 28/36/54/62, 32/40/58/66 and 34/43/51/60, and with the exponential's
 # symmetrization as three more nodes 3/11/29/37, 23/31/49/57 and 25/34/42/51.
-# The POLE loss reads R in three pair calls of ten small nodes each and
-# normalizes them in nine; the dense R (3 nodes), the cosine matrix (10) and
-# the gather of P at the test links recorded 22/31/39/48
+# The POLE loss reads R_uv, R_uu and R_vv in one pair read of twenty small
+# nodes (one transpose, two gathers, the two ends' M^T w and five per output)
+# and normalizes them in nine; three pair calls of ten nodes each recorded
+# 47/56/64/73, and the dense R (3 nodes), the cosine matrix (10) and the
+# gather of P at the test links 22/31/39/48
 STEP_NODES = {"fextra-ols": (3, 11, 26, 34), "fextra-meta": (23, 31, 46, 54),
-              "pole-unsym": (47, 56, 64, 73)}
+              "pole-unsym": (37, 46, 54, 63)}
 
 
 @pytest.mark.parametrize("eta", [0.0, 5.0])

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from signedattack import experiments
-from signedattack.detectors import (DetectorView, OCSVMModel, detector_eval,
-                                    metric_features, ocsvm_decision, ocsvm_fit,
-                                    tsvd_features)
+from signedattack.detectors import (DetectorView, detector_eval, metric_features,
+                                    ocsvm_decision, ocsvm_fit, tsvd_features)
 from signedattack.errors import ConfigError, MetricUndefinedError, NumericError
 from signedattack.experiments import (ExperimentConfig, build_poisoned_set,
                                       run_attack_experiment, run_attack_trial,

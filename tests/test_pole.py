@@ -11,7 +11,7 @@ from signedattack.linalg import matrix_exp
 from signedattack.pole import (autocovariance, cosine_normalize, factorization_steps,
                                pole_predict, transition_matrix)
 from signedattack.tape import Tape, grad_check
-from synthgraphs import complete_graph, two_community, two_triangles_bridge
+from synthgraphs import two_community, two_triangles_bridge
 
 
 def degree_weight_matrix(degrees):
@@ -33,7 +33,7 @@ def all_pairs(n):
 
 
 def walk_autocovariance(A, degrees, us, vs, t=1.0):
-    """The autocovariance pairs of the walk over A at Markov time t, as ``pole_predict``
+    """(R_uv, R_uu, R_vv) of the walk over A at Markov time t, as ``pole_predict``
     composes them."""
     return autocovariance(transition_matrix(A, degrees, t), degrees, us, vs)
 
@@ -103,7 +103,7 @@ def test_weight_matrix_annihilates_ones():
     ones = np.ones(g.n)
     assert abs(ones @ degree_weight_matrix(g.degrees()) @ ones) < 1e-12
     A = np.abs(g.adjacency())
-    R = walk_autocovariance(A, g.degrees(), *all_pairs(g.n)).reshape(g.n, g.n)
+    R = walk_autocovariance(A, g.degrees(), *all_pairs(g.n))[0].reshape(g.n, g.n)
     assert np.abs(R.sum(axis=1)).max() < 1e-12
 
 
@@ -111,8 +111,8 @@ def test_autocovariance_symmetry():
     g = two_community(10, 4, 0.2, seed=3)
     us, vs = all_pairs(g.n)
     M = transition_matrix(g.adjacency(), g.degrees(), 1.0)
-    assert np.array_equal(autocovariance(M, g.degrees(), us, vs),
-                          autocovariance(M, g.degrees(), vs, us))
+    assert np.array_equal(autocovariance(M, g.degrees(), us, vs)[0],
+                          autocovariance(M, g.degrees(), vs, us)[0])
 
 
 def test_autocovariance_sign_equals_abs_on_positive_graph():
@@ -120,8 +120,8 @@ def test_autocovariance_sign_equals_abs_on_positive_graph():
     g = g.with_signs([1] * g.num_edges)
     d = g.degrees()
     pairs = all_pairs(g.n)
-    assert np.allclose(walk_autocovariance(g.adjacency(), d, *pairs),
-                       walk_autocovariance(np.abs(g.adjacency()), d, *pairs))
+    assert np.allclose(walk_autocovariance(g.adjacency(), d, *pairs)[0],
+                       walk_autocovariance(np.abs(g.adjacency()), d, *pairs)[0])
 
 
 def test_two_triangle_autocovariance_sign_pattern():
@@ -129,8 +129,8 @@ def test_two_triangle_autocovariance_sign_pattern():
     within = np.array([(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
     cross = np.array([(u, v) for u in range(3) for v in range(3, 6)])
     A, d = g.adjacency(), g.degrees()
-    assert np.all(walk_autocovariance(A, d, *within.T) > 0)
-    neg_cross = np.count_nonzero(walk_autocovariance(A, d, *cross.T) < 0)
+    assert np.all(walk_autocovariance(A, d, *within.T)[0] > 0)
+    neg_cross = np.count_nonzero(walk_autocovariance(A, d, *cross.T)[0] < 0)
     assert neg_cross > len(cross) / 2
 
 
@@ -142,7 +142,7 @@ def test_autocovariance_gradient():
     C = np.random.default_rng(0).standard_normal(g.n * g.n)
 
     def f(v):
-        return tp.sum_(walk_autocovariance(v, d, *pairs) * C)
+        return tp.sum_(walk_autocovariance(v, d, *pairs)[0] * C)
 
     entries = [(u, v) for u, v, _ in g.edges]
     assert grad_check(f, A0, h=1e-5, entries=entries) < 1e-3
@@ -206,8 +206,7 @@ def test_cosine_normalize_autocovariance_matches_eigen_factor():
     U = V * np.sqrt(np.clip(w, 0.0, None))
     norms = np.linalg.norm(U, axis=1)
     us, vs = all_pairs(g.n)
-    R_cos, _ = cosine_normalize(*(autocovariance(M, g.degrees(), a, b)
-                                  for a, b in ((us, vs), (us, us), (vs, vs))))
+    R_cos, _ = cosine_normalize(*autocovariance(M, g.degrees(), us, vs))
     assert np.abs(R_cos - (U @ U.T)[us, vs] / (norms[us] * norms[vs])).max() < 1e-6
 
 
@@ -255,9 +254,8 @@ def test_pole_similarity_probability_two_triangle_bridge():
     k_within = g.edge_index(0, 1)
 
     def similarity_probability(masked, u, v):
-        pairs = [np.array([a]) for a in ((u, v), (u, u), (v, v))]
         A, d = masked.adjacency(), masked.degrees()
-        _, P = cosine_normalize(*(walk_autocovariance(A, d, *p.T) for p in pairs))
+        _, P = cosine_normalize(*walk_autocovariance(A, d, np.array([u]), np.array([v])))
         return P[0]
 
     assert similarity_probability(g.mask([k_bridge]), 2, 3) < 0.5
@@ -304,7 +302,7 @@ def separate_walks_pole_predict(g, split, t):
     feats = []
     for A in (g.adjacency(), np.abs(g.adjacency())):
         M = transition_matrix(A, g.degrees(), t)
-        feats.append(autocovariance(M, g.degrees(), us, vs))
+        feats.append(autocovariance(M, g.degrees(), us, vs)[0])
     y_train = (g.signs()[split.train] > 0).astype(float)
     model = lr_train(np.column_stack(feats)[split.train], y_train)
     return lr_predict(model, np.column_stack(feats)[split.test])
@@ -338,16 +336,17 @@ ORACLE_GRAPHS = oracle_graphs()
 
 @pytest.mark.parametrize("g", [g for _, g in ORACLE_GRAPHS], ids=[n for n, _ in ORACLE_GRAPHS])
 def test_autocovariance_pairs_match_the_dense_oracle(g):
-    # values and sign-vector gradients through the walk: the links, their
-    # ends' diagonals and a few pairs that are not links
+    # values and sign-vector gradients through the walk of R_uv, R_uu and
+    # R_vv: the links, their ends' diagonals and a few pairs that are not links
     edge, d = g.edge_array(), g.degrees()
     rng = np.random.default_rng(g.n)
     extra = rng.integers(0, g.n, (8, 2))
     us = np.concatenate([edge[:, 0], edge[:, 0], edge[:, 1], extra[:, 0]])
     vs = np.concatenate([edge[:, 1], edge[:, 0], edge[:, 1], extra[:, 1]])
-    c = rng.standard_normal(len(us))
+    c = rng.standard_normal((3, len(us)))
     C = np.zeros((g.n, g.n))
-    np.add.at(C, (us, vs), c)
+    for ck, (a, b) in zip(c, ((us, vs), (us, us), (vs, vs))):
+        np.add.at(C, (a, b), ck)
 
     def run(objective):
         tape = Tape()
@@ -356,9 +355,10 @@ def test_autocovariance_pairs_match_the_dense_oracle(g):
         tape.backward(objective(M))
         return s.grad_or_zero()
 
-    got = run(lambda M: tp.sum_(autocovariance(M, d, us, vs) * c))
+    got = run(lambda M: sum(tp.sum_(r * ck) for r, ck in zip(autocovariance(M, d, us, vs), c)))
     want = run(lambda M: tp.sum_(dense_autocovariance(M, d) * C))
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     R = dense_autocovariance(transition_matrix(g.adjacency(), d, 1.0), d)
     pairs = walk_autocovariance(g.adjacency(), d, us, vs)
-    assert np.abs(pairs - R[us, vs]).max() <= 1e-12 * np.abs(R).max()
+    for r, entries in zip(pairs, (R[us, vs], R[us, us], R[vs, vs])):
+        assert np.abs(r - entries).max() <= 1e-12 * np.abs(R).max()
