@@ -1,17 +1,19 @@
 """Greedy sign-flip poisoning attacks against the two trust predictors.
 
 Every attack and baseline runs the same loop, flipping one training link
-per step; they differ only in how the step chooses it. The gradient attacks
-evaluate the attack objective on the current poisoned graph, back-propagate
-to the sign vector s (one entry per link, hidden signs 0), score each
-not-yet-flipped training link k by the first-order objective increase of
-its flip, -2 s_k dJ/ds_k, and flip the best one.
-The triad baseline scores links by their balanced-triad count, read off the
-wedge sums of the trial's FeXtra block of all links (over its cached
-index), and the random baseline replays a seeded draw. The objective being
-*maximized* is the prediction error on the self-labelled test links,
-optionally penalized to keep the balance metrics (and thereby the attack's
-visibility to detectors) close to the clean graph:
+per step; they differ only in how the step chooses it. An attack returns
+its flip sequence alone: the poisoned graph at an attack power is the clean
+graph with a prefix of it applied (``AttackTrace.poisoned``). The gradient
+attacks evaluate the attack objective on the current poisoned graph,
+back-propagate to the sign vector s (one entry per link, hidden signs 0),
+score each not-yet-flipped training link k by the first-order objective
+increase of its flip, -2 s_k dJ/ds_k, and flip the best one. The triad
+baseline scores links by their balanced-triad count, read off the wedge
+sums of the trial's FeXtra block of all links (over its cached index), and
+the random baseline replays a seeded draw. The objective being *maximized*
+is the prediction error on the self-labelled test links, optionally
+penalized to keep the balance metrics (and thereby the attack's visibility
+to detectors) close to the clean graph:
 
     J = -(sum_e y_e log p_e + (1 - y_e) log(1 - p_e)) + lambda T + eta Pol
 
@@ -59,19 +61,31 @@ TARGETS = ("fextra-ols", "fextra-meta", "pole-unsym")
 
 @dataclass
 class AttackConfig:
+    """One gradient attack: ``budget`` flips, the penalty weights and the Markov time."""
     budget: int
     lam: float = 0.0
     eta: float = 0.0
     t: float = 1.0
-    checkpoints: tuple = ()  # attack powers (fractions of |E|) to snapshot
 
 
 @dataclass
 class AttackTrace:
     flips: list = field(default_factory=list)  # (u, v, step, predicted_gain)
     loss_curve: list = field(default_factory=list)
-    snapshots: dict = field(default_factory=dict)  # power -> poisoned SignedGraph
+    snapshots: dict = field(default_factory=dict)  # power -> poisoned graph, set by the caller
     events: list = field(default_factory=list)
+
+    def poisoned(self, g0: SignedGraph, power: float) -> SignedGraph:
+        """``g0`` with its first ``flips_for_power(g0, power)`` flips negated, test signs
+        kept: the graph the analyst observes. ``ConfigError`` past the last flip."""
+        k = flips_for_power(g0, power)
+        if k > len(self.flips):
+            raise ConfigError(f"attack power {power:g} needs {k} flips, "
+                              f"over the {len(self.flips)} of the trace")
+        signs = g0.signs()
+        flipped = [g0.edge_index(u, v) for u, v, *_ in self.flips[:k]]
+        signs[flipped] = -signs[flipped]
+        return g0.with_signs(signs)
 
     def to_json_dict(self):
         return {
@@ -261,15 +275,10 @@ def penalized_loss(err, s, X, M, objective: _Objective, events=None):
     return out
 
 
-def _check_budget(g0: SignedGraph, split: EdgeSplit, budget: int, checkpoints):
-    """``ConfigError`` unless the training links hold ``budget`` flips and every
-    checkpoint power of ``g0`` needs at most ``budget`` of them."""
+def _check_budget(split: EdgeSplit, budget: int):
+    """``ConfigError`` unless the training links hold ``budget`` flips."""
     if budget > len(split.train):
         raise ConfigError(f"budget {budget} exceeds {len(split.train)} training links")
-    for p in checkpoints:
-        if flips_for_power(g0, p) > budget:
-            raise ConfigError(f"checkpoint power {p:g} needs {flips_for_power(g0, p)} flips, "
-                              f"over the budget of {budget}")
 
 
 def _pick_flip(scores, us, vs, pooled):
@@ -285,36 +294,25 @@ def _pick_flip(scores, us, vs, pooled):
     return int(tied[np.lexsort((vs[tied], us[tied]))[0]])
 
 
-def _greedy_flips(g0: SignedGraph, split: EdgeSplit, budget: int, checkpoints,
-                  choose) -> AttackTrace:
+def _greedy_flips(g0: SignedGraph, split: EdgeSplit, budget: int, choose) -> AttackTrace:
     """Flip ``budget`` training links one at a time; the caller ran ``_check_budget``.
 
     ``choose(signs, pooled, trace)`` gets the masked signs (hidden signs 0),
     the mask of flipped training links and the trace so far, and returns the
     position in ``split.train`` of the next flip and its predicted gain.
-    Snapshots carry the original test signs: the graph the analyst observes.
+    It records no graph: ``AttackTrace.poisoned`` applies a prefix of the flips.
     """
-    signs, full_signs = g0.mask(split.test).signs(), g0.signs()
+    signs = g0.mask(split.test).signs()
     edge = g0.edge_array()
     trace = AttackTrace()
     pooled = np.zeros(len(split.train), dtype=bool)
-    due = {}  # flip count -> the checkpoints it reaches, in checkpoint order
-    for p in checkpoints:
-        due.setdefault(flips_for_power(g0, p), []).append(p)
-
-    def snapshot():
-        for p in due.get(len(trace.flips), ()):
-            trace.snapshots[p] = g0.with_signs(full_signs)
-
-    snapshot()
     for step in range(budget):
         j, gain = choose(signs, pooled, trace)
         k = int(split.train[j])
         u, v = edge[k]
-        signs[k], full_signs[k] = -signs[k], -full_signs[k]
+        signs[k] = -signs[k]
         pooled[j] = True
         trace.flips.append((int(u), int(v), step, gain))
-        snapshot()
     return trace
 
 
@@ -353,23 +351,21 @@ def flip_attack(g0: SignedGraph, split: EdgeSplit, target: str,
     ``g0`` is the clean graph; test links are masked internally and never
     flipped.
     """
-    _check_budget(g0, split, cfg.budget, cfg.checkpoints)
+    _check_budget(split, cfg.budget)
     choose = gradient_chooser(g0, split, target, cfg, y_hat)
-    return _greedy_flips(g0, split, cfg.budget, cfg.checkpoints, choose)
+    return _greedy_flips(g0, split, cfg.budget, choose)
 
 
-def baseline_rand(g0: SignedGraph, split: EdgeSplit, budget: int, seed: int,
-                  checkpoints=()) -> AttackTrace:
+def baseline_rand(g0: SignedGraph, split: EdgeSplit, budget: int, seed: int) -> AttackTrace:
     """Flip a uniform random set of training links, in draw order."""
-    _check_budget(g0, split, budget, checkpoints)
+    _check_budget(split, budget)
     # the same draw as rng.choice(split.train, ...), as positions in split.train
     order = np.random.default_rng(seed).choice(len(split.train), size=budget, replace=False)
-    return _greedy_flips(g0, split, budget, checkpoints,
+    return _greedy_flips(g0, split, budget,
                          lambda signs, pooled, trace: (int(order[len(trace.flips)]), 0.0))
 
 
-def baseline_greedy_triads(g0: SignedGraph, split: EdgeSplit, budget: int,
-                           checkpoints=()) -> AttackTrace:
+def baseline_greedy_triads(g0: SignedGraph, split: EdgeSplit, budget: int) -> AttackTrace:
     """Flip the training link whose flip most reduces the balanced-triad count.
 
     For a link (u, v) with sign s, the balanced-minus-unbalanced count of
@@ -378,7 +374,7 @@ def baseline_greedy_triads(g0: SignedGraph, split: EdgeSplit, budget: int,
     trial's cached index (``fextra.link_index``). Flipping negates it, so the
     greedy score of a training link is exactly s W.
     """
-    _check_budget(g0, split, budget, checkpoints)
+    _check_budget(split, budget)
     index = link_index(g0.mask(split.test))
     us, vs = g0.edge_array()[split.train].T
 
@@ -387,4 +383,4 @@ def baseline_greedy_triads(g0: SignedGraph, split: EdgeSplit, budget: int,
         j = _pick_flip(scores, us, vs, pooled)
         return j, float(scores[j])
 
-    return _greedy_flips(g0, split, budget, checkpoints, choose)
+    return _greedy_flips(g0, split, budget, choose)

@@ -5,11 +5,13 @@ here is importable so tests and notebooks can drive the same protocol.
 An attack trial and the poisoned set of a detection run poison a graph the
 same way: subsample, split, then the configured attack or baseline up to
 the budget of the largest power (``poison``), once ``check_attack_config``
-has passed both names and every power. The trial graph, its masked views
-and its poisoned snapshots have the same links, so a FeXtra trial builds
-one wedge index for all of them. The Markov time ``t`` reaches only
-the walks: the POLE victim and losses, the polarization penalty and the
-detector's metric view.
+has passed both names and every power. The snapshot at each power is the
+trial graph with that power's prefix of the flips applied
+(``AttackTrace.poisoned``). The trial graph, its masked views and its
+poisoned snapshots have the same links, so a FeXtra trial builds one wedge
+index for all of them. The Markov time ``t`` reaches only the walks: the
+POLE victim and losses, the polarization penalty and the detector's metric
+view.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ import numpy as np
 
 from .attacks import (AttackConfig, baseline_greedy_triads, baseline_rand, flip_attack,
                       flips_for_power, victim_model_kind, victim_probs)
-from .detectors import STRATEGIES, DetectorView, detector_eval
+from .detectors import (DEFAULT_EMBED_DIM, DEFAULT_GAMMA, DEFAULT_NU, STRATEGIES, DetectorView,
+                        detector_eval)
 from .errors import ConfigError
 from .fextra import auc
 from .graph import (EdgeSplit, GraphCorpus, SignedGraph, largest_connected_component,
@@ -51,9 +54,9 @@ class ExperimentConfig:
     corpus_sizes: tuple[int, ...] = (300, 400, 500)
     corpus_per_size: int = 20
     corpus_seed: int = 12345
-    nu: float = 0.1
-    gamma: float = 0.1
-    embed_dim: int = 32
+    nu: float = DEFAULT_NU
+    gamma: float = DEFAULT_GAMMA
+    embed_dim: int = DEFAULT_EMBED_DIM
     strategy: str = "max"
 
     def resolved_powers(self):
@@ -61,19 +64,20 @@ class ExperimentConfig:
             return tuple(self.powers)
         return POLE_POWERS if victim_model_kind(self.target) == "pole" else FEXTRA_POWERS
 
-    def attack_config(self, budget):
-        return AttackConfig(budget=budget, lam=self.lam, eta=self.eta, t=self.t,
-                            checkpoints=self.resolved_powers())
-
 
 def check_attack_config(cfg: ExperimentConfig):
     """``ConfigError`` for a target outside ``TARGETS``, a baseline outside ``BASELINES``,
     an attack power that is not a finite number >= 0 (power 0 flips nothing), powers not
-    strictly ascending, or seeds that are missing or repeated (rows would repeat)."""
+    strictly ascending, seeds that are missing, repeated (rows would repeat) or negative,
+    a split fraction outside (0, 1), or a penalty weight that is not finite."""
     if not cfg.seeds:
         raise ConfigError("at least one seed is required")
-    if len(set(cfg.seeds)) != len(cfg.seeds):
-        raise ConfigError(f"seeds must be distinct, got {list(cfg.seeds)}")
+    if len(set(cfg.seeds)) != len(cfg.seeds) or min(cfg.seeds) < 0:
+        raise ConfigError(f"seeds must be distinct and >= 0, got {list(cfg.seeds)}")
+    if not 0 < cfg.split_fraction < 1:
+        raise ConfigError(f"split_fraction must be in (0, 1), got {cfg.split_fraction}")
+    if not (math.isfinite(cfg.lam) and math.isfinite(cfg.eta)):
+        raise ConfigError(f"lam and eta must be finite, got {cfg.lam} and {cfg.eta}")
     victim_model_kind(cfg.target)
     if cfg.baseline and cfg.baseline not in BASELINES:
         raise ConfigError(f"unknown baseline {cfg.baseline!r}; expected one of {BASELINES}")
@@ -87,7 +91,8 @@ def check_attack_config(cfg: ExperimentConfig):
 def check_detect_config(cfg: ExperimentConfig):
     """``ConfigError`` for detector settings no run can use: a strategy outside
     ``detectors.STRATEGIES``, nu outside (0, 1], gamma not a finite number > 0,
-    ``embed_dim`` below 1 or fewer than 2 corpus graphs."""
+    ``embed_dim`` below 1, a negative ``corpus_seed``, a corpus size below 1 or
+    fewer than 2 corpus graphs."""
     if cfg.strategy not in STRATEGIES:
         raise ConfigError(f"unknown ensemble strategy {cfg.strategy!r}; "
                           f"expected one of {STRATEGIES}")
@@ -97,6 +102,10 @@ def check_detect_config(cfg: ExperimentConfig):
         raise ConfigError(f"gamma must be a finite number > 0, got {cfg.gamma}")
     if cfg.embed_dim < 1:
         raise ConfigError(f"embed_dim must be at least 1, got {cfg.embed_dim}")
+    if cfg.corpus_seed < 0:
+        raise ConfigError(f"corpus_seed must be >= 0, got {cfg.corpus_seed}")
+    if any(size < 1 for size in cfg.corpus_sizes):
+        raise ConfigError(f"corpus sizes must be at least 1, got {list(cfg.corpus_sizes)}")
     if len(cfg.corpus_sizes) * cfg.corpus_per_size < 2:
         raise ConfigError("the clean corpus needs at least 2 graphs")
 
@@ -134,20 +143,23 @@ def victim_test_auc(g: SignedGraph, split: EdgeSplit, model: str,
 def poison(g: SignedGraph, split: EdgeSplit, cfg: ExperimentConfig, seed: int, y_hat=None):
     """The configured attack, or baseline, on ``g`` up to the budget of the largest power.
 
-    Returns the trace and the attack's name. ``y_hat`` are the gradient
+    Returns the trace, its ``snapshots`` filled with ``trace.poisoned(g, p)``
+    at each power, and the attack's name. ``y_hat`` are the gradient
     attack's self-labels; without them it fits the clean victim itself.
     """
     check_attack_config(cfg)
     powers = cfg.resolved_powers()
     budget = max(flips_for_power(g, p) for p in powers)
     if cfg.baseline == "rand":
-        return baseline_rand(g, split, budget, seed, checkpoints=powers), "rand"
-    if cfg.baseline == "greedy-triads":
-        return baseline_greedy_triads(g, split, budget, checkpoints=powers), "greedy-triads"
-    trace = flip_attack(g, split, cfg.target, cfg.attack_config(budget), y_hat=y_hat)
-    name = cfg.target
-    if cfg.lam or cfg.eta:
-        name += f"(lam={cfg.lam:g},eta={cfg.eta:g})"
+        trace, name = baseline_rand(g, split, budget, seed), "rand"
+    elif cfg.baseline == "greedy-triads":
+        trace, name = baseline_greedy_triads(g, split, budget), "greedy-triads"
+    else:
+        attack = AttackConfig(budget=budget, lam=cfg.lam, eta=cfg.eta, t=cfg.t)
+        trace, name = flip_attack(g, split, cfg.target, attack, y_hat=y_hat), cfg.target
+        if cfg.lam or cfg.eta:
+            name += f"(lam={cfg.lam:g},eta={cfg.eta:g})"
+    trace.snapshots = {p: trace.poisoned(g, p) for p in powers}
     return trace, name
 
 

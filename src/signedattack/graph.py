@@ -298,7 +298,12 @@ def largest_connected_component(g: SignedGraph) -> SignedGraph:
 
 
 def split_edges(g: SignedGraph, test_fraction: float, seed: int) -> EdgeSplit:
-    """Seeded uniform partition of edges into train and test links."""
+    """Seeded uniform partition of edges into train and test links.
+
+    ``InvalidSplitError`` for a fraction outside (0, 1), NaN included, or one
+    that leaves either side empty."""
+    if not 0 < test_fraction < 1:
+        raise InvalidSplitError(f"test fraction {test_fraction} is not in (0, 1)")
     m = g.num_edges
     n_test = round(test_fraction * m)
     if not 0 < n_test < m:

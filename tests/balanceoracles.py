@@ -55,8 +55,8 @@ def dense_balance_ratio(g):
     return float((dense_triad_trace(A) + tr_abs) * (1.0 / (2.0 * tr_abs))) if tr_abs else None
 
 
-def dense_greedy_triads(g0, split, budget, checkpoints=()):
-    _check_budget(g0, split, budget, checkpoints)
+def dense_greedy_triads(g0, split, budget):
+    _check_budget(split, budget)
     edge = g0.edge_array()
     us, vs = edge[split.train].T
 
@@ -66,4 +66,4 @@ def dense_greedy_triads(g0, split, budget, checkpoints=()):
         j = _pick_flip(scores, us, vs, pooled)
         return j, float(scores[j])
 
-    return _greedy_flips(g0, split, budget, checkpoints, choose)
+    return _greedy_flips(g0, split, budget, choose)

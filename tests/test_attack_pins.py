@@ -69,20 +69,19 @@ def run_case(name):
     attack, seed, overrides = CASES[name]
     g = geometric_polarized(20, k=6, noise=0.1, seed=seed)
     split = split_edges(g, 0.15, seed=seed)
-    checkpoints = (3 / g.num_edges, BUDGET / g.num_edges)
+    powers = (3 / g.num_edges, BUDGET / g.num_edges)
     if attack == "rand":
-        trace = baseline_rand(g, split, BUDGET, seed=seed, checkpoints=checkpoints)
+        trace = baseline_rand(g, split, BUDGET, seed=seed)
     elif attack == "greedy-triads":
-        trace = baseline_greedy_triads(g, split, BUDGET, checkpoints=checkpoints)
+        trace = baseline_greedy_triads(g, split, BUDGET)
     else:
-        cfg = AttackConfig(budget=BUDGET, checkpoints=checkpoints, **overrides)
-        trace = flip_attack(g, split, attack, cfg)
+        trace = flip_attack(g, split, attack, AttackConfig(budget=BUDGET, **overrides))
     return {
         "flips": [(u, v, step) for u, v, step, _ in trace.flips],
         "gains": [gain for *_, gain in trace.flips],
         "loss": list(trace.loss_curve),
-        "snapshots": ["".join("+" if s > 0 else "-" for s in trace.snapshots[p].signs())
-                      for p in checkpoints],
+        "snapshots": ["".join("+" if s > 0 else "-" for s in trace.poisoned(g, p).signs())
+                      for p in powers],
     }
 
 

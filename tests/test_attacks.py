@@ -145,10 +145,9 @@ def test_penalized_loss_no_triads_contributes_zero():
 
 def test_flip_attack_budget_zero_returns_clean():
     g, split = small_instance()
-    cfg = AttackConfig(budget=0, checkpoints=(0.0,))
-    trace = flip_attack(g, split, "fextra-ols", cfg)
+    trace = flip_attack(g, split, "fextra-ols", AttackConfig(budget=0))
     assert trace.flips == []
-    assert trace.snapshots[0.0].edges == g.edges
+    assert trace.poisoned(g, 0.0).edges == g.edges
 
 
 def flipped_links(g, trace):
@@ -159,12 +158,11 @@ def flipped_links(g, trace):
 def test_flip_attack_full_budget_saturates_pool():
     g, split = small_instance(n=12, deg=4, seed=1)
     power = len(split.train) / g.num_edges
-    cfg = AttackConfig(budget=len(split.train), checkpoints=(power,))
-    trace = flip_attack(g, split, "fextra-ols", cfg)
+    trace = flip_attack(g, split, "fextra-ols", AttackConfig(budget=len(split.train)))
     assert len(trace.flips) == len(split.train)
     assert flipped_links(g, trace) == set(int(k) for k in split.train)
     # every training sign flipped exactly once, every test sign kept
-    poisoned = trace.snapshots[power].signs()
+    poisoned = trace.poisoned(g, power).signs()
     assert np.array_equal(poisoned[split.train], -g.signs()[split.train])
     assert np.array_equal(poisoned[split.test], g.signs()[split.test])
 
@@ -172,9 +170,8 @@ def test_flip_attack_full_budget_saturates_pool():
 def test_flip_attack_budget_identity_and_degrees():
     g, split = small_instance(n=16, deg=5, seed=2)
     B = 6
-    cfg = AttackConfig(budget=B, checkpoints=(B / g.num_edges,))
-    trace = flip_attack(g, split, "fextra-ols", cfg)
-    g_p = trace.snapshots[B / g.num_edges]
+    trace = flip_attack(g, split, "fextra-ols", AttackConfig(budget=B))
+    g_p = trace.poisoned(g, B / g.num_edges)
     delta = np.abs(g_p.adjacency() - g.adjacency()).sum() / 4.0
     assert delta == B
     assert np.array_equal(np.abs(g_p.adjacency()), np.abs(g.adjacency()))
@@ -197,17 +194,36 @@ def test_flip_attack_budget_exceeds_train_errors():
 
 
 @pytest.mark.parametrize("attack", [
-    lambda g, split: flip_attack(g, split, "fextra-ols",
-                                 AttackConfig(budget=2, checkpoints=(0.01, 0.5))),
-    lambda g, split: baseline_rand(g, split, 2, 0, checkpoints=(0.5,)),
-    lambda g, split: baseline_greedy_triads(g, split, 2, checkpoints=(0.01, 0.5)),
+    lambda g, split: flip_attack(g, split, "fextra-ols", AttackConfig(budget=2)),
+    lambda g, split: baseline_rand(g, split, 2, 0),
+    lambda g, split: baseline_greedy_triads(g, split, 2),
 ], ids=["flip_attack", "baseline_rand", "baseline_greedy_triads"])
 def test_a_checkpoint_beyond_the_budget_errors(attack):
-    # power 0.5 of 120 links needs 60 flips; a budget of 2 never reached it,
-    # and the trace came back without that snapshot
+    # power 0.5 of 120 links needs 60 flips; a budget of 2 never reaches it,
+    # and a snapshot there would be the graph at power 2/120
     g = two_community(40, 6, 0.1, seed=4)
-    with pytest.raises(ConfigError, match="checkpoint power 0.5 needs 60 flips"):
-        attack(g, split_edges(g, 0.2, seed=0))
+    trace = attack(g, split_edges(g, 0.2, seed=0))
+    assert trace.poisoned(g, 2 / g.num_edges).signs().tolist() != g.signs().tolist()
+    with pytest.raises(ConfigError, match="attack power 0.5 needs 60 flips, over the 2"):
+        trace.poisoned(g, 0.5)
+
+
+@pytest.mark.parametrize("attack", [
+    lambda g, split: flip_attack(g, split, "fextra-ols", AttackConfig(budget=8)),
+    lambda g, split: baseline_rand(g, split, 8, 3),
+    lambda g, split: baseline_greedy_triads(g, split, 8),
+], ids=["fextra-ols", "rand", "greedy-triads"])
+def test_poisoned_negates_exactly_the_first_flips_of_the_power(attack):
+    g, split = small_instance(n=16, deg=5, seed=3)
+    trace = attack(g, split)
+    flipped = [g.edge_index(u, v) for u, v, *_ in trace.flips]
+    for power in (0.0, 1 / g.num_edges, 0.05, 5 / g.num_edges, 8 / g.num_edges):
+        k = flips_for_power(g, power)
+        g_p = trace.poisoned(g, power)
+        assert [e[:2] for e in g_p.edges] == [e[:2] for e in g.edges]
+        changed = np.flatnonzero(g_p.signs() != g.signs())
+        assert changed.tolist() == sorted(flipped[:k])
+        assert np.array_equal(g_p.signs()[split.test], g.signs()[split.test])
 
 
 def test_lambda_eta_zero_recovers_basic_flip_sequence():
@@ -613,13 +629,16 @@ def test_a_greedy_triads_trial_builds_one_wedge_index(monkeypatch):
 def test_a_checkpoint_count_shared_by_two_powers_snapshots_both():
     g, split = small_instance()
     budget = flips_for_power(g, 0.1)
-    powers = (0.0, 0.1, 0.1 + 0.1 / g.num_edges, 0.0001)
-    assert flips_for_power(g, powers[2]) == budget and flips_for_power(g, powers[3]) == 0
-    trace = baseline_rand(g, split, budget, 0, checkpoints=powers)
-    assert list(trace.snapshots) == [0.0, 0.0001, 0.1, 0.1 + 0.1 / g.num_edges]
+    powers = (0.0, 0.0001, 0.1, 0.1 + 0.1 / g.num_edges)
+    assert flips_for_power(g, powers[1]) == 0 and flips_for_power(g, powers[3]) == budget
+    cfg = ExperimentConfig(baseline="rand", subsample=0, powers=powers)
+    trace, _ = experiments.poison(g, split, cfg, 0)
+    assert len(trace.flips) == budget
+    assert list(trace.snapshots) == list(powers)
     assert trace.snapshots[0.0].signs().tolist() == g.signs().tolist()
-    assert trace.snapshots[0.1] is not trace.snapshots[powers[2]]
-    assert trace.snapshots[0.1].signs().tolist() == trace.snapshots[powers[2]].signs().tolist()
+    assert trace.snapshots[0.0001].signs().tolist() == g.signs().tolist()
+    assert trace.snapshots[0.1] is not trace.snapshots[powers[3]]
+    assert trace.snapshots[0.1].signs().tolist() == trace.snapshots[powers[3]].signs().tolist()
 
 
 def lexsort_pick_flip(scores, us, vs, pooled):
@@ -748,7 +767,7 @@ def test_attack_trial_fits_the_clean_victim_once(monkeypatch):
     assert sum(f is g for f in fitted) == 1
 
     split = split_edges(g, cfg.split_fraction, 0)
-    want = flip_attack(g, split, "fextra-ols", cfg.attack_config(len(trace.flips)))
+    want = flip_attack(g, split, "fextra-ols", AttackConfig(budget=len(trace.flips)))
     assert trace.flips == want.flips
     acc = np.mean(self_train_labels("fextra", g, split) == (split.hidden_signs > 0))
     assert 0.0 < acc < 1.0
@@ -762,11 +781,11 @@ def test_baseline_greedy_triads_matches_the_dense_oracle(seed):
     g = two_community(30 + 5 * seed, 6 + seed, 0.1, seed=seed)
     split = split_edges(g, 0.2, seed=seed)
     budget = len(split.train) // 2
-    checkpoints = (budget / g.num_edges,)
-    got = baseline_greedy_triads(g, split, budget, checkpoints)
-    want = dense_greedy_triads(g, split, budget, checkpoints)
+    got = baseline_greedy_triads(g, split, budget)
+    want = dense_greedy_triads(g, split, budget)
     assert got.flips == want.flips
-    assert got.snapshots[checkpoints[0]].edges == want.snapshots[checkpoints[0]].edges
+    power = budget / g.num_edges
+    assert got.poisoned(g, power).edges == want.poisoned(g, power).edges
 
 
 def counting(calls, fn):

@@ -202,12 +202,24 @@ def test_a_detect_config_with_a_negative_power_exits_2(monkeypatch, dataset_file
     ("detect", {"corpus_per_size": 1, "corpus_sizes": [40]}, "at least 2 graphs"),
     ("detect", {"seeds": []}, "at least one seed"),
     ("attack", {"seeds": []}, "at least one seed"),
+    ("attack", {"seeds": [-1]}, "seeds must be distinct and >= 0"),
+    ("detect", {"corpus_seed": -1}, "corpus_seed must be"),
+    ("attack", {"split_fraction": float("nan")}, "split_fraction must be"),
+    ("attack", {"split_fraction": 1.5}, "split_fraction must be"),
+    ("detect", {"corpus_sizes": [-3, 40]}, "corpus sizes must be"),
+    ("attack", {"lam": float("nan")}, "lam and eta must be finite"),
+    ("attack", {"eta": float("inf")}, "lam and eta must be finite"),
 ], ids=["strategy-bogus", "embed-dim-negative", "embed-dim-0", "gamma-negative", "nu-0", "nu-2",
-        "one-corpus-graph", "detect-no-seed", "attack-no-seed"])
+        "one-corpus-graph", "detect-no-seed", "attack-no-seed", "seed-negative",
+        "corpus-seed-negative", "split-fraction-nan", "split-fraction-1.5",
+        "corpus-size-negative", "lam-nan", "eta-inf"])
 def test_an_unusable_run_setting_exits_2_before_the_graph_is_read(
         monkeypatch, dataset_file, tmp_path, capsys, command, config, error):
     # each ran the poisoning first and then exited 2 or 1, or exited 0 with
-    # AUCs of 0 (gamma -1), an empty embedding (embed_dim 0) or a header-only CSV
+    # AUCs of 0 (gamma -1), an empty embedding (embed_dim 0) or a header-only CSV;
+    # a negative seed, a NaN split fraction and a negative corpus size exited 1
+    # with a bare ValueError, 1.5 exited 2 once the graph was read, and a NaN or
+    # infinite penalty weight exited 3 after the clean victim fit
     read = []
     monkeypatch.setattr(experiments, "load_dataset",
                         lambda cfg, load=experiments.load_dataset: read.append(cfg) or load(cfg))

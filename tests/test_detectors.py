@@ -325,6 +325,8 @@ UNUSABLE_DETECT_SETTINGS = {
     "embed-dim-0": ({"embed_dim": 0}, "embed_dim must be"),
     "one-corpus-graph": ({"corpus_sizes": (40,), "corpus_per_size": 1}, "at least 2 graphs"),
     "no-seed": ({"seeds": ()}, "at least one seed"),
+    "corpus-seed-negative": ({"corpus_seed": -1}, "corpus_seed must be"),
+    "corpus-size-0": ({"corpus_sizes": (0, 40)}, "corpus sizes must be"),
 }
 
 
@@ -359,3 +361,8 @@ def test_detect_rejects_a_nonpositive_markov_time_before_poisoning(monkeypatch, 
     with pytest.raises(NumericError, match="Markov time must be positive"):
         run_detect_experiment(cfg, geometric_polarized(30, k=6, noise=0.1, seed=0))
     assert poisoned == []
+
+
+def test_the_run_config_and_a_detector_view_share_the_detector_defaults():
+    cfg, view = ExperimentConfig(), DetectorView("tsvd")
+    assert (cfg.nu, cfg.gamma, cfg.embed_dim) == (view.nu, view.gamma, view.d)

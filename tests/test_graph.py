@@ -156,6 +156,10 @@ def test_split_invalid_fraction():
         split_edges(g, 0.01, seed=0)
     with pytest.raises(InvalidSplitError):
         split_edges(g, 0.99, seed=0)
+    # NaN raised a bare ValueError from round()
+    for fraction in (float("nan"), 0.0, 1.0, 1.5, -0.1):
+        with pytest.raises(InvalidSplitError, match="not in"):
+            split_edges(g, fraction, seed=0)
 
 
 def test_flip_sign_involution_and_l1():
