@@ -104,8 +104,8 @@ def flips_for_power(g: SignedGraph, power: float) -> int:
 def victim_model_kind(target: str) -> str:
     """The victim ``target`` attacks, "fextra" or "pole"; ``ConfigError`` outside ``TARGETS``.
 
-    The one check of a target name: ``experiments.check_attack_config`` and
-    ``make_attack_loss`` reach it before they fit anything."""
+    The one check of a target name: ``experiments.ExperimentConfig`` and
+    ``make_attack_loss`` reach it before anything is fit."""
     if target not in TARGETS:
         raise ConfigError(f"unknown attack target {target!r}; expected one of {TARGETS}")
     return "fextra" if target.startswith("fextra") else "pole"

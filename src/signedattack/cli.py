@@ -4,12 +4,11 @@ Subcommands: ingest, attack, detect, metrics. Options come from an
 optional JSON config document plus flags of the same name that override it;
 ``attack`` and ``detect`` share their attack flags; ``--target``,
 ``--baseline`` and ``--strategy`` offer ``attacks.TARGETS``,
-``experiments.BASELINES`` and ``detectors.STRATEGIES``. Each config value
-must have the type of its ``ExperimentConfig`` field (``--seed`` and
-``--power`` take comma-separated lists), and
-``experiments.check_attack_config`` (for ``detect`` also
-``check_detect_config``) checks the settings, from a flag or a config file,
-before the graph is read. Every command reads its
+``experiments.BASELINES`` and ``detectors.STRATEGIES`` (``--seed`` and
+``--power`` take comma-separated lists). The config document must be a JSON
+object whose keys are ``ExperimentConfig`` fields; the config checks itself
+when made, so every command refuses a setting of the wrong type or one no
+run can use before the graph is read. Every command reads its
 graph through ``experiments.load_dataset`` (an edge list or a ``.json`` dump,
 cut to its largest connected component). Exit codes: 0 success, 2
 configuration or usage error, 3 numeric failure (a non-positive Markov time
@@ -31,8 +30,7 @@ from .balance import balance_report
 from .errors import (ConfigError, InvalidSplitError, MetricUndefinedError,
                      NumericError, ParseError, SignedAttackError)
 from .detectors import STRATEGIES
-from .experiments import (BASELINES, ExperimentConfig, check_attack_config,
-                          check_detect_config, load_dataset, run_attack_experiment,
+from .experiments import (BASELINES, ExperimentConfig, load_dataset, run_attack_experiment,
                           run_detect_experiment)
 from .graph import positive_ratio
 
@@ -69,55 +67,26 @@ def _write_json(path, obj):
     _write_atomic(path, lambda f: json.dump(obj, f, indent=2, sort_keys=True))
 
 
-def _is_int(v):
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_number(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-# ExperimentConfig field annotation -> (check of a JSON value, what it expects)
-_CONFIG_TYPES = {
-    "str": (lambda v: isinstance(v, str), "a string"),
-    "str | None": (lambda v: v is None or isinstance(v, str), "a string or null"),
-    "int": (_is_int, "an integer"),
-    "float": (_is_number, "a number"),
-    "tuple[int, ...]": (lambda v: isinstance(v, list) and all(map(_is_int, v)),
-                        "a list of integers"),
-    "tuple[float, ...]": (lambda v: isinstance(v, list) and all(map(_is_number, v)),
-                          "a list of numbers"),
-}
-
-
 def build_config(args) -> ExperimentConfig:
-    base = {}
+    document = {}
     if args.config:
         with open(args.config) as f:
             try:
-                base = json.load(f)
+                document = json.load(f)
             except json.JSONDecodeError as e:
                 raise ConfigError(f"bad config JSON: {e}") from e
-    cfg = ExperimentConfig()
-    types = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
-    for key, val in base.items():
-        if key not in types:
+        if not isinstance(document, dict):
+            raise ConfigError("the config document must be a JSON object")
+    keys = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    for key in document:
+        if key not in keys:
             raise ConfigError(f"unknown config key {key!r}")
-        check, expected = _CONFIG_TYPES[types[key]]
-        if not check(val):
-            raise ConfigError(f"config key {key!r} must be {expected}, got {val!r}")
-        setattr(cfg, key, tuple(val) if isinstance(val, list) else val)
     # each flag has its field's name as its dest and converts to the field's type
-    for key in types:
-        if getattr(args, key, None) is not None:
-            setattr(cfg, key, getattr(args, key))
-    if hasattr(args, "target"):
-        check_attack_config(cfg)
-    if hasattr(args, "strategy"):
-        check_detect_config(cfg)
+    flags = {k: v for k, v in vars(args).items() if k in keys and v is not None}
+    cfg = ExperimentConfig(**{**document, **flags})
     if not cfg.dataset:
         raise ConfigError("a dataset path is required (--dataset or config)")
-    if not os.path.exists(cfg.dataset):
+    if not os.path.isfile(cfg.dataset):
         raise ConfigError(f"dataset file not found: {cfg.dataset}")
     return cfg
 

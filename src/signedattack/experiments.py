@@ -4,20 +4,20 @@ This module is the engine behind the command-line interface; everything
 here is importable so tests and notebooks can drive the same protocol.
 An attack trial and the poisoned set of a detection run poison a graph the
 same way: subsample, split, then the configured attack or baseline up to
-the budget of the largest power (``poison``), once ``check_attack_config``
-has passed both names and every power. The snapshot at each power is the
-trial graph with that power's prefix of the flips applied
-(``AttackTrace.poisoned``). The trial graph, its masked views and its
-poisoned snapshots have the same links, so a FeXtra trial builds one wedge
-index for all of them. The Markov time ``t`` reaches only the walks: the
-POLE victim and losses, the polarization penalty and the detector's metric
-view.
+the budget of the largest power (``poison``). An ``ExperimentConfig``
+checks its settings when it is made, so no run starts from one it cannot
+use. The snapshot at each power is the trial graph with that power's
+prefix of the flips applied (``AttackTrace.poisoned``). The trial graph,
+its masked views and its poisoned snapshots have the same links, so a
+FeXtra trial builds one wedge index for all of them. The Markov time ``t``
+reaches only the walks: the POLE victim and losses, the polarization
+penalty and the detector's metric view.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -36,8 +36,37 @@ POLE_POWERS = (0.01, 0.03, 0.05, 0.07, 0.10)
 BASELINES = ("rand", "greedy-triads")
 
 
-@dataclass
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# ExperimentConfig field annotation -> (check of a value, what it expects); a
+# tuple field takes a list or a tuple and stores a tuple
+_TYPE_RULES = {
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "str | None": (lambda v: v is None or isinstance(v, str), "a string or null"),
+    "int": (_is_int, "an integer"),
+    "float": (_is_number, "a number"),
+    "tuple[int, ...]": (lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v)),
+                        "a list of integers"),
+    "tuple[float, ...]": (lambda v: isinstance(v, (list, tuple)) and all(map(_is_number, v)),
+                          "a list of numbers"),
+}
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """The settings of a run, checked when made: an instance is a usable config.
+
+    Making one, directly or by ``dataclasses.replace``, raises ``ConfigError``
+    for a value of the wrong type for its field, then for an attack setting
+    and then a detector setting that no run can use. The Markov time is
+    checked where a walk reads it (``pole.check_markov_time``).
+    """
     dataset: str = ""
     format: str = "rated"
     subsample: int = 300          # 0 means the full graph
@@ -59,55 +88,55 @@ class ExperimentConfig:
     embed_dim: int = DEFAULT_EMBED_DIM
     strategy: str = "max"
 
+    def __post_init__(self):
+        for f in fields(self):
+            val = getattr(self, f.name)
+            check, expected = _TYPE_RULES[f.type]
+            if not check(val):
+                raise ConfigError(f"config key {f.name!r} must be {expected}, got {val!r}")
+            if isinstance(val, list):
+                object.__setattr__(self, f.name, tuple(val))
+        # attack settings
+        if not self.seeds:
+            raise ConfigError("at least one seed is required")
+        if len(set(self.seeds)) != len(self.seeds) or min(self.seeds) < 0:
+            raise ConfigError(f"seeds must be distinct and >= 0, got {list(self.seeds)}")
+        if self.subsample < 0:
+            raise ConfigError(f"subsample must be >= 0, got {self.subsample}")
+        if not 0 < self.split_fraction < 1:
+            raise ConfigError(f"split_fraction must be in (0, 1), got {self.split_fraction}")
+        if not (math.isfinite(self.lam) and math.isfinite(self.eta)):
+            raise ConfigError(f"lam and eta must be finite, got {self.lam} and {self.eta}")
+        victim_model_kind(self.target)
+        if self.baseline and self.baseline not in BASELINES:
+            raise ConfigError(f"unknown baseline {self.baseline!r}; expected one of {BASELINES}")
+        for p in self.powers:
+            if not 0 <= p < math.inf:
+                raise ConfigError(f"attack power {p!r} must be a finite number >= 0")
+        if any(a >= b for a, b in zip(self.powers, self.powers[1:])):
+            raise ConfigError(f"attack powers must be strictly ascending, "
+                              f"got {list(self.powers)}")
+        # detector settings
+        if self.strategy not in STRATEGIES:
+            raise ConfigError(f"unknown ensemble strategy {self.strategy!r}; "
+                              f"expected one of {STRATEGIES}")
+        if not 0 < self.nu <= 1:
+            raise ConfigError(f"nu must be in (0, 1], got {self.nu}")
+        if not 0 < self.gamma < math.inf:
+            raise ConfigError(f"gamma must be a finite number > 0, got {self.gamma}")
+        if self.embed_dim < 1:
+            raise ConfigError(f"embed_dim must be at least 1, got {self.embed_dim}")
+        if self.corpus_seed < 0:
+            raise ConfigError(f"corpus_seed must be >= 0, got {self.corpus_seed}")
+        if any(size < 1 for size in self.corpus_sizes):
+            raise ConfigError(f"corpus sizes must be at least 1, got {list(self.corpus_sizes)}")
+        if len(self.corpus_sizes) * self.corpus_per_size < 2:
+            raise ConfigError("the clean corpus needs at least 2 graphs")
+
     def resolved_powers(self):
         if self.powers:
-            return tuple(self.powers)
+            return self.powers
         return POLE_POWERS if victim_model_kind(self.target) == "pole" else FEXTRA_POWERS
-
-
-def check_attack_config(cfg: ExperimentConfig):
-    """``ConfigError`` for a target outside ``TARGETS``, a baseline outside ``BASELINES``,
-    an attack power that is not a finite number >= 0 (power 0 flips nothing), powers not
-    strictly ascending, seeds that are missing, repeated (rows would repeat) or negative,
-    a split fraction outside (0, 1), or a penalty weight that is not finite."""
-    if not cfg.seeds:
-        raise ConfigError("at least one seed is required")
-    if len(set(cfg.seeds)) != len(cfg.seeds) or min(cfg.seeds) < 0:
-        raise ConfigError(f"seeds must be distinct and >= 0, got {list(cfg.seeds)}")
-    if not 0 < cfg.split_fraction < 1:
-        raise ConfigError(f"split_fraction must be in (0, 1), got {cfg.split_fraction}")
-    if not (math.isfinite(cfg.lam) and math.isfinite(cfg.eta)):
-        raise ConfigError(f"lam and eta must be finite, got {cfg.lam} and {cfg.eta}")
-    victim_model_kind(cfg.target)
-    if cfg.baseline and cfg.baseline not in BASELINES:
-        raise ConfigError(f"unknown baseline {cfg.baseline!r}; expected one of {BASELINES}")
-    for p in cfg.powers:
-        if not isinstance(p, (int, float)) or not 0 <= p < math.inf:
-            raise ConfigError(f"attack power {p!r} must be a finite number >= 0")
-    if any(a >= b for a, b in zip(cfg.powers, cfg.powers[1:])):
-        raise ConfigError(f"attack powers must be strictly ascending, got {list(cfg.powers)}")
-
-
-def check_detect_config(cfg: ExperimentConfig):
-    """``ConfigError`` for detector settings no run can use: a strategy outside
-    ``detectors.STRATEGIES``, nu outside (0, 1], gamma not a finite number > 0,
-    ``embed_dim`` below 1, a negative ``corpus_seed``, a corpus size below 1 or
-    fewer than 2 corpus graphs."""
-    if cfg.strategy not in STRATEGIES:
-        raise ConfigError(f"unknown ensemble strategy {cfg.strategy!r}; "
-                          f"expected one of {STRATEGIES}")
-    if not 0 < cfg.nu <= 1:
-        raise ConfigError(f"nu must be in (0, 1], got {cfg.nu}")
-    if not 0 < cfg.gamma < math.inf:
-        raise ConfigError(f"gamma must be a finite number > 0, got {cfg.gamma}")
-    if cfg.embed_dim < 1:
-        raise ConfigError(f"embed_dim must be at least 1, got {cfg.embed_dim}")
-    if cfg.corpus_seed < 0:
-        raise ConfigError(f"corpus_seed must be >= 0, got {cfg.corpus_seed}")
-    if any(size < 1 for size in cfg.corpus_sizes):
-        raise ConfigError(f"corpus sizes must be at least 1, got {list(cfg.corpus_sizes)}")
-    if len(cfg.corpus_sizes) * cfg.corpus_per_size < 2:
-        raise ConfigError("the clean corpus needs at least 2 graphs")
 
 
 def load_dataset(cfg: ExperimentConfig) -> SignedGraph:
@@ -147,7 +176,6 @@ def poison(g: SignedGraph, split: EdgeSplit, cfg: ExperimentConfig, seed: int, y
     at each power, and the attack's name. ``y_hat`` are the gradient
     attack's self-labels; without them it fits the clean victim itself.
     """
-    check_attack_config(cfg)
     powers = cfg.resolved_powers()
     budget = max(flips_for_power(g, p) for p in powers)
     if cfg.baseline == "rand":
@@ -170,7 +198,6 @@ def run_attack_trial(dataset: SignedGraph, cfg: ExperimentConfig, seed: int):
     self-label (the clean victim's thresholded prediction, which the
     gradient attacks target) equals the hidden sign.
     """
-    check_attack_config(cfg)
     g = subsample_graph(dataset, cfg.subsample, seed)
     split = split_edges(g, cfg.split_fraction, seed)
     model = victim_model_kind(cfg.target)
@@ -195,7 +222,6 @@ def run_attack_trial(dataset: SignedGraph, cfg: ExperimentConfig, seed: int):
 
 
 def run_attack_experiment(cfg: ExperimentConfig, dataset: SignedGraph | None = None):
-    check_attack_config(cfg)
     dataset = dataset if dataset is not None else load_dataset(cfg)
     all_rows, traces = [], {}
     for seed in cfg.seeds:
@@ -225,12 +251,9 @@ def run_detect_experiment(cfg: ExperimentConfig, dataset: SignedGraph | None = N
                           corpus: GraphCorpus | None = None, poisoned=None):
     """Detector ensemble AUCs on clean corpus graphs against poisoned snapshots.
 
-    The attack settings, the detector settings and the Markov time (the
-    metric view reads the walk at ``cfg.t``) fail here, before the dataset
-    is read or the corpus sampled.
+    A Markov time the metric view cannot read its walk at fails here,
+    before the dataset is read or the corpus sampled.
     """
-    check_attack_config(cfg)
-    check_detect_config(cfg)
     check_markov_time(cfg.t)
     dataset = dataset if dataset is not None else load_dataset(cfg)
     if corpus is None:

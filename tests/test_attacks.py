@@ -805,9 +805,9 @@ def test_an_unknown_target_is_refused_before_any_victim_fit(monkeypatch, target)
     with pytest.raises(ConfigError, match="unknown attack target"):
         make_attack_loss(target, g.mask(split.test), split, [], 1.0)
     for baseline in (None, "rand"):
-        cfg = ExperimentConfig(target=target, baseline=baseline, subsample=0, powers=(0.1,))
         with pytest.raises(ConfigError, match="unknown attack target"):
-            run_attack_trial(g, cfg, 0)
+            run_attack_trial(g, ExperimentConfig(target=target, baseline=baseline, subsample=0,
+                                                 powers=(0.1,)), 0)
     assert fits == []
 
 
@@ -816,23 +816,25 @@ def test_an_unknown_baseline_is_refused_before_any_victim_fit(monkeypatch):
     g, _ = small_instance()
     fits = []
     monkeypatch.setattr(experiments, "victim_probs", counting(fits, experiments.victim_probs))
-    cfg = ExperimentConfig(baseline="bogus", subsample=0, powers=(0.1,))
     with pytest.raises(ConfigError, match="unknown baseline"):
-        run_attack_trial(g, cfg, 0)
+        run_attack_trial(g, ExperimentConfig(baseline="bogus", subsample=0, powers=(0.1,)), 0)
     assert fits == []
 
 
-@pytest.mark.parametrize("power", [-0.05, float("nan"), float("inf"), "0.05"])
-def test_an_unusable_power_is_refused_before_any_victim_fit(monkeypatch, power):
+@pytest.mark.parametrize("power,error", [
+    (-0.05, "attack power"), (float("nan"), "attack power"), (float("inf"), "attack power"),
+    ("0.05", "config key 'powers' must be a list of numbers"),
+], ids=["-0.05", "nan", "inf", "0.05"])
+def test_an_unusable_power_is_refused_before_any_victim_fit(monkeypatch, power, error):
     # a negative power ran the whole attack and then raised KeyError; nan
     # and inf raised ValueError and OverflowError from the flip count
     g, _ = small_instance()
     fits = []
     monkeypatch.setattr(experiments, "victim_probs", counting(fits, experiments.victim_probs))
     for baseline in (None, "rand"):
-        cfg = ExperimentConfig(baseline=baseline, subsample=0, powers=(0.05, power))
-        with pytest.raises(ConfigError, match="attack power"):
-            run_attack_trial(g, cfg, 0)
+        with pytest.raises(ConfigError, match=error):
+            run_attack_trial(g, ExperimentConfig(baseline=baseline, subsample=0,
+                                                 powers=(0.05, power)), 0)
     assert fits == []
 
 

@@ -9,6 +9,7 @@ import pytest
 from signedattack import experiments
 from signedattack.attacks import TARGETS
 from signedattack.cli import build_config, main, make_parser
+from signedattack.errors import ConfigError
 from signedattack.experiments import ExperimentConfig, load_dataset
 from signedattack.graph import load_graph_json
 from synthgraphs import geometric_polarized
@@ -70,6 +71,31 @@ def test_unknown_config_key(dataset_file, tmp_path):
     rc = main(["ingest", "--config", str(cfg), "--dataset", dataset_file,
                "--out", str(tmp_path / "o")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("document", ["[1, 2]", "3"], ids=["list", "number"])
+def test_a_config_document_that_is_not_an_object_exits_2(dataset_file, tmp_path, capsys,
+                                                         document):
+    # it exited 1 with AttributeError: 'list' object has no attribute 'items'
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(document)
+    out = tmp_path / "o"
+    rc = main(["ingest", "--config", str(cfg), "--dataset", dataset_file, "--out", str(out)])
+    assert rc == 2
+    assert "the config document must be a JSON object" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_directory_given_as_the_dataset_exits_2_before_it_is_read(monkeypatch, tmp_path,
+                                                                     capsys):
+    # it passed os.path.exists and then exited 1 with IsADirectoryError
+    read = []
+    monkeypatch.setattr(experiments, "load_dataset", lambda cfg: read.append(cfg))
+    out = tmp_path / "o"
+    rc = main(["ingest", "--dataset", str(tmp_path), "--out", str(out)])
+    assert rc == 2
+    assert "dataset file not found" in capsys.readouterr().err
+    assert read == [] and not out.exists()
 
 
 def test_load_dataset_reads_edge_lists_and_json_dumps(dataset_file, tmp_path):
@@ -425,6 +451,55 @@ def test_a_config_value_of_the_wrong_type_exits_2_before_the_graph_is_read(
     assert rc == 2
     assert f"config key {key!r}" in capsys.readouterr().err
     assert read == [] and not out.exists()
+
+
+@pytest.mark.parametrize("command,flags,config,error", [
+    ("attack", ["--subsample", "-5"], {}, "subsample must be >= 0"),
+    ("attack", [], {"subsample": -3}, "subsample must be >= 0"),
+    ("metrics", [], {"seeds": []}, "at least one seed"),
+    ("ingest", [], {"nu": 2}, "nu must be"),
+    ("attack", [], {"strategy": "bogus"}, "unknown ensemble strategy"),
+], ids=["attack-subsample-flag", "attack-subsample-config", "metrics-no-seed", "ingest-nu-2",
+        "attack-strategy-bogus"])
+def test_every_command_refuses_an_unusable_setting_before_the_graph_is_read(
+        monkeypatch, dataset_file, tmp_path, capsys, command, flags, config, error):
+    # a negative subsample ran on the full graph, and the commands other than
+    # detect ran with detector settings no run can use; each exited 0
+    read = []
+    monkeypatch.setattr(experiments, "load_dataset",
+                        lambda cfg, load=experiments.load_dataset: read.append(cfg) or load(cfg))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "o"
+    rc = main([command, "--config", str(cfg), "--dataset", dataset_file, "--format", "plain",
+               "--out", str(out), *flags])
+    assert rc == 2
+    assert error in capsys.readouterr().err
+    assert read == [] and not out.exists()
+
+
+@pytest.mark.parametrize("field", dataclasses.fields(ExperimentConfig),
+                         ids=lambda f: f.name)
+def test_each_config_field_refuses_a_value_of_the_wrong_type(field):
+    # a field whose annotation has no type rule fails here with KeyError
+    wrong = 1 if field.type.startswith("str") else "1"
+    with pytest.raises(ConfigError, match=f"config key {field.name!r} must be"):
+        ExperimentConfig(**{field.name: wrong})
+
+
+def test_a_made_config_cannot_be_changed_into_an_unusable_one():
+    cfg = ExperimentConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.nu = 2.0
+    with pytest.raises(ConfigError, match="nu must be"):
+        dataclasses.replace(cfg, nu=2.0)
+    with pytest.raises(ConfigError, match="subsample must be >= 0"):
+        ExperimentConfig(subsample=-1)
+
+
+def test_a_config_stores_a_list_given_for_a_tuple_field_as_a_tuple():
+    cfg = ExperimentConfig(seeds=[2, 3], powers=[0.05], corpus_sizes=[40, 50])
+    assert (cfg.seeds, cfg.powers, cfg.corpus_sizes) == ((2, 3), (0.05,), (40, 50))
 
 
 def test_a_config_accepts_an_int_for_a_float_field(dataset_file, tmp_path):

@@ -272,9 +272,9 @@ def test_poisoned_set_is_poisoned_by_the_configured_attack_or_baseline(baseline)
 
 def test_poisoned_set_rejects_an_unknown_baseline():
     g = geometric_polarized(60, k=8, noise=0.1, seed=2)
-    cfg = ExperimentConfig(subsample=0, powers=(0.05,), seeds=(0,), baseline="bogus")
     with pytest.raises(ConfigError, match="unknown baseline"):
-        build_poisoned_set(g, cfg)
+        build_poisoned_set(g, ExperimentConfig(subsample=0, powers=(0.05,), seeds=(0,),
+                                               baseline="bogus"))
 
 
 @pytest.mark.parametrize("target,baseline,error",
@@ -288,12 +288,10 @@ def test_detect_refuses_an_unknown_name_before_reading_or_sampling(monkeypatch, 
     work = []
     for name in ("load_dataset", "sample_subgraph_corpus", "poison"):
         monkeypatch.setattr(experiments, name, lambda *args, name=name: work.append(name))
-    cfg = ExperimentConfig(dataset="unread.csv", target=target, baseline=baseline, subsample=0,
-                           powers=(0.05,), seeds=(0,))
     with pytest.raises(ConfigError, match=error):
-        run_detect_experiment(cfg)
-    with pytest.raises(ConfigError, match=error):
-        run_detect_experiment(cfg, geometric_polarized(30, k=6, noise=0.1, seed=0))
+        run_detect_experiment(ExperimentConfig(dataset="unread.csv", target=target,
+                                               baseline=baseline, subsample=0, powers=(0.05,),
+                                               seeds=(0,)))
     assert work == []
 
 
@@ -303,11 +301,9 @@ def test_detect_refuses_an_unusable_power_before_reading_or_sampling(monkeypatch
     work = []
     for name in ("load_dataset", "sample_subgraph_corpus", "poison"):
         monkeypatch.setattr(experiments, name, lambda *args, name=name: work.append(name))
-    cfg = ExperimentConfig(dataset="unread.csv", subsample=0, powers=(0.05, power), seeds=(0,))
     with pytest.raises(ConfigError, match="attack power"):
-        run_detect_experiment(cfg)
-    with pytest.raises(ConfigError, match="attack power"):
-        run_detect_experiment(cfg, geometric_polarized(30, k=6, noise=0.1, seed=0))
+        run_detect_experiment(ExperimentConfig(dataset="unread.csv", subsample=0,
+                                               powers=(0.05, power), seeds=(0,)))
     assert work == []
 
 
@@ -338,19 +334,16 @@ def test_detect_refuses_unusable_detector_settings_before_reading_or_sampling(
     for name in ("load_dataset", "sample_subgraph_corpus", "poison"):
         monkeypatch.setattr(experiments, name, lambda *args, name=name: work.append(name))
     cfg = ExperimentConfig(dataset="unread.csv", subsample=0, powers=(0.05,), seeds=(0,))
-    cfg = replace(cfg, **settings)
     with pytest.raises(ConfigError, match=error):
-        run_detect_experiment(cfg)
-    with pytest.raises(ConfigError, match=error):
-        run_detect_experiment(cfg, geometric_polarized(30, k=6, noise=0.1, seed=0))
+        run_detect_experiment(replace(cfg, **settings))
     assert work == []
 
 
 def test_an_attack_experiment_without_a_seed_is_refused_before_reading():
     # it returned no rows, so the command wrote a CSV with only its header
-    cfg = ExperimentConfig(dataset="unread.csv", subsample=0, powers=(0.05,), seeds=())
     with pytest.raises(ConfigError, match="at least one seed"):
-        run_attack_experiment(cfg)
+        run_attack_experiment(ExperimentConfig(dataset="unread.csv", subsample=0,
+                                               powers=(0.05,), seeds=()))
 
 
 @pytest.mark.parametrize("t", [-1.0, float("nan")])
