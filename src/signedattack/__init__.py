@@ -2,7 +2,7 @@
 
 from .errors import (ConfigError, InvalidSplitError, MetricUndefinedError,
                      MissingEdgeError, NumericError, ParseError, SignedAttackError)
-from .graph import (EdgeSplit, GraphCorpus, SignedGraph, largest_connected_component,
+from .graph import (EdgeSplit, SignedGraph, largest_connected_component,
                     load_edge_list, load_graph_json, positive_ratio,
                     sample_subgraph_corpus, split_edges)
 from .tape import Tape, Value, grad_check

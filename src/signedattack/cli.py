@@ -8,9 +8,10 @@ optional JSON config document plus flags of the same name that override it;
 ``--power`` take comma-separated lists). The config document must be a JSON
 object whose keys are ``ExperimentConfig`` fields; the config checks itself
 when made, so every command refuses a setting of the wrong type or one no
-run can use before the graph is read. Every command reads its
-graph through ``experiments.load_dataset`` (an edge list or a ``.json`` dump,
-cut to its largest connected component). Exit codes: 0 success, 2
+run can use before the graph is read, as it does an ``out`` that is a file
+or lies under one. Every command reads its graph through
+``experiments.load_dataset`` (an edge list or a ``.json`` dump, cut to its
+largest connected component). Exit codes: 0 success, 2
 configuration or usage error, 3 numeric failure (a non-positive Markov time
 is one).
 """
@@ -88,6 +89,13 @@ def build_config(args) -> ExperimentConfig:
         raise ConfigError("a dataset path is required (--dataset or config)")
     if not os.path.isfile(cfg.dataset):
         raise ConfigError(f"dataset file not found: {cfg.dataset}")
+    # the output directory is made at the first write: its nearest existing
+    # ancestor, or itself, must be a directory
+    existing = cfg.out
+    while existing and not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if existing and not os.path.isdir(existing):
+        raise ConfigError(f"output directory {cfg.out!r}: {existing!r} is not a directory")
     return cfg
 
 
@@ -110,7 +118,7 @@ def cmd_attack(args) -> int:
     _write_csv(os.path.join(cfg.out, "attack_auc.csv"), rows,
                ["seed", "power", "attack", "model", "auc_clean", "auc_poisoned",
                 "self_label_acc"])
-    for seed, (trace, _) in traces.items():
+    for seed, trace in traces.items():
         _write_json(os.path.join(cfg.out, f"trace_seed{seed}.json"),
                     trace.to_json_dict())
         for p, g_p in trace.snapshots.items():

@@ -8,8 +8,9 @@ symmetric eigendecomposition and runs no SVD.
 Each view feeds a one-class SVM with RBF kernel trained on clean graphs
 only; an ensemble combines per-view decision scores (min-max normalized
 over the evaluation set) by mean, min or max. ``detector_eval`` featurizes
-each graph once per view and fits each view's model in place from the
-clean rows before scoring the same rows.
+each graph of the clean and poisoned lists once per view, fits each view's
+model in place from the clean rows, scores the same rows and computes
+every AUC: one per view and the ensemble's.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from .balance import balance_ratio, graph_polarization
 from .errors import ConfigError, MetricUndefinedError, NumericError
 from .fextra import auc
-from .graph import GraphCorpus, SignedGraph
+from .graph import SignedGraph
 from .linalg import sym_eig
 
 DEFAULT_NU = 0.1
@@ -41,16 +42,6 @@ class OCSVMModel:
     nu: float
     mean: np.ndarray
     std: np.ndarray
-
-    def to_json_dict(self):
-        return {
-            "support_vectors": self.support_vectors.tolist(),
-            "alphas": self.alphas.tolist(),
-            "rho": self.rho,
-            "gamma": self.gamma,
-            "nu": self.nu,
-            "normalizer": {"mean": self.mean.tolist(), "std": self.std.tolist()},
-        }
 
 
 def _rbf(gamma, X, Y):
@@ -173,22 +164,23 @@ def _minmax(x):
     return (x - lo) / (hi - lo)
 
 
-def detector_eval(clean: GraphCorpus, poisoned, views, strategy="max"):
-    """Fit each view on the clean graphs, score clean + poisoned, compute the AUC.
+def detector_eval(clean, poisoned, views, strategy="max"):
+    """Fit each view on the clean graphs, score clean + poisoned, compute the AUCs.
 
     Each view featurizes each graph once. Its one-class SVM is fitted on the
     clean rows it could featurize and stored in ``view.model``, with the
     clean graphs it could not featurize counted in ``view.rejected``. A graph
-    that some view cannot featurize gets no row and stays out of the AUC.
+    that some view cannot featurize gets no row and stays out of the AUCs.
     Rows keep the graph's index in clean + poisoned order. Per view, decision
     scores over the rows are min-max normalized, then combined across views
-    by the chosen strategy. The AUC treats the anomaly class as positive by
-    negating the combined score. Returns (auc_value, per_graph_rows).
+    by the chosen strategy. Each AUC treats the anomaly class as positive by
+    negating the score. Returns (summary, per_graph_rows): the summary holds
+    ``{kind}_auc`` per view, in view order, then ``ensemble_{strategy}_auc``.
     """
     if strategy not in STRATEGIES:
         raise ConfigError(f"unknown ensemble strategy {strategy!r}")
-    graphs = list(clean.graphs) + list(poisoned)
-    n_clean = len(clean.graphs)
+    graphs = list(clean) + list(poisoned)
+    n_clean = len(clean)
     feats = [[_try_featurize(v, g) for g in graphs] for v in views]
     for v, f in zip(views, feats):
         train = [x for x in f[:n_clean] if x is not None]
@@ -197,14 +189,15 @@ def detector_eval(clean: GraphCorpus, poisoned, views, strategy="max"):
         v.model = ocsvm_fit(np.vstack(train), nu=v.nu, gamma=v.gamma)
         v.rejected = n_clean - len(train)
     keep = [i for i in range(len(graphs)) if all(f[i] is not None for f in feats)]
-    labels = np.array([1 if i < n_clean else -1 for i in keep])
-    if not (labels == -1).any():
+    anomalous = np.array([int(i >= n_clean) for i in keep])
+    if not anomalous.any():
         raise MetricUndefinedError("evaluation set has no poisoned graphs")
     per_view = np.vstack([_minmax(ocsvm_decision(v.model, np.vstack([f[i] for i in keep])))
                           for v, f in zip(views, feats)])
     combined = getattr(per_view, strategy)(axis=0)
-    value = auc(-combined, (labels == -1).astype(int))
-    rows = [{"graph": i, "label": int(labels[k]), "combined": float(combined[k]),
+    summary = {f"{v.kind}_auc": auc(-per_view[j], anomalous) for j, v in enumerate(views)}
+    summary[f"ensemble_{strategy}_auc"] = auc(-combined, anomalous)
+    rows = [{"graph": i, "label": -1 if i >= n_clean else 1, "combined": float(combined[k]),
              **{f"view_{v.kind}": float(per_view[j, k]) for j, v in enumerate(views)}}
             for k, i in enumerate(keep)]
-    return value, rows
+    return summary, rows

@@ -11,7 +11,8 @@ prefix of the flips applied (``AttackTrace.poisoned``). The trial graph,
 its masked views and its poisoned snapshots have the same links, so a
 FeXtra trial builds one wedge index for all of them. The Markov time ``t``
 reaches only the walks: the POLE victim and losses, the polarization
-penalty and the detector's metric view.
+penalty and the detector's metric view. A detect run's AUCs all come
+from ``detector_eval``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .detectors import (DEFAULT_EMBED_DIM, DEFAULT_GAMMA, DEFAULT_NU, STRATEGIES
                         detector_eval)
 from .errors import ConfigError
 from .fextra import auc
-from .graph import (EdgeSplit, GraphCorpus, SignedGraph, largest_connected_component,
+from .graph import (EdgeSplit, SignedGraph, largest_connected_component,
                     load_edge_list, load_graph_json, sample_subgraph_corpus, split_edges)
 from .pole import check_markov_time
 
@@ -222,12 +223,12 @@ def run_attack_trial(dataset: SignedGraph, cfg: ExperimentConfig, seed: int):
 
 
 def run_attack_experiment(cfg: ExperimentConfig, dataset: SignedGraph | None = None):
+    """Each seed's trial: (rows sorted by seed and power, {seed: trace})."""
     dataset = dataset if dataset is not None else load_dataset(cfg)
     all_rows, traces = [], {}
     for seed in cfg.seeds:
-        rows, trace, g = run_attack_trial(dataset, cfg, seed)
+        rows, traces[seed], _ = run_attack_trial(dataset, cfg, seed)
         all_rows.extend(rows)
-        traces[seed] = (trace, g)
     all_rows.sort(key=lambda r: (r["seed"], r["power"]))
     return all_rows, traces
 
@@ -248,11 +249,12 @@ def build_poisoned_set(dataset: SignedGraph, cfg: ExperimentConfig):
 
 
 def run_detect_experiment(cfg: ExperimentConfig, dataset: SignedGraph | None = None,
-                          corpus: GraphCorpus | None = None, poisoned=None):
-    """Detector ensemble AUCs on clean corpus graphs against poisoned snapshots.
+                          corpus: list[SignedGraph] | None = None, poisoned=None):
+    """Detector AUCs on clean corpus graphs against poisoned snapshots.
 
-    A Markov time the metric view cannot read its walk at fails here,
-    before the dataset is read or the corpus sampled.
+    Returns ``detector_eval``'s (summary, rows) and the fitted views. A
+    Markov time the metric view cannot read its walk at fails here, before
+    the dataset is read or the corpus sampled.
     """
     check_markov_time(cfg.t)
     dataset = dataset if dataset is not None else load_dataset(cfg)
@@ -263,10 +265,6 @@ def run_detect_experiment(cfg: ExperimentConfig, dataset: SignedGraph | None = N
         poisoned = build_poisoned_set(dataset, cfg)
     views = [DetectorView("metric", t=cfg.t, nu=cfg.nu, gamma=cfg.gamma),
              DetectorView("tsvd", d=cfg.embed_dim, nu=cfg.nu, gamma=cfg.gamma)]
-    ensemble_auc, rows = detector_eval(corpus, poisoned, views, cfg.strategy)
-    anomalous = np.array([r["label"] == -1 for r in rows], dtype=int)
-    summary = {f"{v.kind}_auc": auc(-np.array([r[f"view_{v.kind}"] for r in rows]), anomalous)
-               for v in views}
-    summary[f"ensemble_{cfg.strategy}_auc"] = ensemble_auc
+    summary, rows = detector_eval(corpus, poisoned, views, cfg.strategy)
     return summary, rows, views
 

@@ -13,14 +13,15 @@ not validated again. A graph made by :meth:`SignedGraph.mask` or
 :meth:`SignedGraph.with_signs` has the same links as its parent, so it
 shares the parent's edge array and its ``support_cache``: whatever is
 computed from the links alone is computed once for all of them
-(``fextra.link_index`` keeps the wedge index there).
+(``fextra.link_index`` keeps the wedge index there). A detector's clean
+corpus is a plain list of graphs (:func:`sample_subgraph_corpus`).
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -163,7 +164,20 @@ class SignedGraph:
 
     @classmethod
     def from_json_dict(cls, d):
-        return cls(d["n"], [tuple(e) for e in d["edges"]])
+        """The graph of a ``to_json_dict`` document: an object whose ``n`` is an
+        integer >= 0 and whose ``edges`` is a list of integer (u, v, sign)
+        triples, else ``ParseError``. A bool is not an integer here."""
+        if not isinstance(d, dict):
+            raise ParseError(f"a graph dump must be a JSON object, got {type(d).__name__}")
+        n, edges = d.get("n"), d.get("edges")
+        if not (type(n) is int and n >= 0):
+            raise ParseError(f"graph dump key 'n' must be an integer >= 0, got {n!r}")
+        if not isinstance(edges, list):
+            raise ParseError(f"graph dump key 'edges' must be a list, got {type(edges).__name__}")
+        for e in edges:
+            if not (isinstance(e, list) and len(e) == 3 and all(type(x) is int for x in e)):
+                raise ParseError(f"graph dump edge {e!r} is not an integer (u, v, sign) triple")
+        return cls(n, [tuple(e) for e in edges])
 
     def write_json(self, path):
         with open(path, "w") as f:
@@ -190,15 +204,15 @@ class EdgeSplit:
     hidden_signs: np.ndarray
 
 
-@dataclass
-class GraphCorpus:
-    graphs: list
-    provenance: dict = field(default_factory=dict)
-
-
 def load_graph_json(path) -> SignedGraph:
+    """The graph of a ``SignedGraph.write_json`` dump; ``ParseError`` for one that is
+    not JSON or not a graph dump."""
     with open(path) as f:
-        return SignedGraph.from_json_dict(json.load(f))
+        try:
+            document = json.load(f)
+        except json.JSONDecodeError as e:
+            raise ParseError(f"bad graph JSON: {e}") from e
+    return SignedGraph.from_json_dict(document)
 
 
 def _parse_rows(path, fmt):
@@ -318,8 +332,8 @@ def split_edges(g: SignedGraph, test_fraction: float, seed: int) -> EdgeSplit:
     return EdgeSplit(train=train, test=test, hidden_signs=signs[test].astype(int))
 
 
-def sample_subgraph_corpus(g: SignedGraph, sizes, per_size, seed) -> GraphCorpus:
-    """Random node samples, induced subgraphs, then the LCC of each."""
+def sample_subgraph_corpus(g: SignedGraph, sizes, per_size, seed) -> list[SignedGraph]:
+    """A list of ``per_size`` node samples per size: the LCC of each induced subgraph."""
     for size in sizes:
         if size > g.n:
             raise InvalidSplitError(f"sample size {size} exceeds graph size {g.n}")
@@ -329,9 +343,7 @@ def sample_subgraph_corpus(g: SignedGraph, sizes, per_size, seed) -> GraphCorpus
         for _ in range(per_size):
             nodes = rng.choice(g.n, size=size, replace=False)
             graphs.append(largest_connected_component(g.induced_subgraph(nodes)))
-    provenance = {"source": g.meta.get("source", "unknown"),
-                  "sizes": list(sizes), "per_size": per_size, "seed": seed}
-    return GraphCorpus(graphs=graphs, provenance=provenance)
+    return graphs
 
 
 def positive_ratio(g: SignedGraph) -> float:

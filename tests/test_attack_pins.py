@@ -1,46 +1,13 @@
 """Flip sequences of every attack, pinned on small seeded instances.
 
-The baseline values were recorded when each attack had its own loop. The
-FeXtra and POLE values were recorded once both victims were the converged
-logistic fit (which sets the self-labels of every gradient attack, and the
-fit that ``fextra-meta`` differentiates) and the polarization penalty ran on
-the row-normalized walk. The ``fextra-ols-penalized`` gains were
-re-recorded when the feature map moved from dense products to group sums
-over the links: the penalty and the base gradient now add up in another
-order, which moved its first gain by one ulp. They were re-recorded again
-when the attacks moved from a dense adjacency leaf to the sign vector: the
-penalty's and the feature map's gradients are now summed per link, not per
-adjacency entry. Gain 0 went 1.7114055113610909 -> 1.7114055113610906 (its
-value before the move to group sums) and gain 4 went 5.209860611830469 ->
-5.209860611830468, one ulp each. It was re-recorded again when the lambda
-term moved from the dense trace to wedge sums over the sign vector: gain 0
-went 1.7114055113610906 -> 1.7114055113610909, one ulp; flips, losses and
-snapshots did not move. The ``pole-unsym-penalized`` case, the same weights
-on POLE, was recorded on the code just before the symmetrically normalized
-walk and its target were deleted, so that eta on POLE stays pinned.
-Both penalized cases were re-recorded when a step came to compute the
-feature block and the walk once and the penalty terms to read them: the
-lambda and the loss cotangents now add up on the one feature block, and the
-eta and the loss cotangents on the one walk, before one backward through
-each. ``fextra-ols-penalized`` gain 2 went 2.7148646405924564 ->
-2.714864640592457 (1 ulp). The ``pole-unsym-penalized`` gains went
-0.3549440297897454 -> 0.35494402978974526 (-2 ulps), 0.2846983944940199 ->
-0.28469839449401996 (+1), 0.2650205885447309 -> 0.265020588544731 (+2),
-0.23414802903255472 -> 0.23414802903255477 (+2), 0.22179254630943016 ->
-0.22179254630943024 (+3) and 0.21361606499001162 -> 0.21361606499001148
-(-5). No flip, loss or snapshot moved.
-Both POLE cases were re-recorded when the POLE loss came to read the
-autocovariance only at the test links and their ends, summing
-sum_i w_i M_iu M_iv - (M^T w)_u (M^T w)_v per pair instead of taking
-entries of the dense M^T W M: every gain and loss that moved, moved by at
-most 6.3e-16 relative (CHANGES.md lists each old -> new value). No flip or
-snapshot moved. Their gains were re-recorded again when one autocovariance
-call came to return R_uv, R_uu and R_vv from the same gathered columns: the
-cotangents of the three outputs now add up on one pair of gathers, so the
-sign-vector gradient is summed in another order. Gains moved by at most
-1.1e-15 relative (CHANGES.md lists each); no flip, loss or snapshot moved.
-``test_cases_cover_every_attack`` keeps ``CASES`` in step with
-``attacks.TARGETS``.
+Each case runs one attack to a budget of ``BUDGET`` flips on a seeded
+``geometric_polarized`` graph and pins its flips, their gains, its loss
+curve and its snapshot signs. The FeXtra and POLE cases pin the gradient
+attacks against the converged logistic victim; the two ``-penalized``
+cases pin the lambda and eta terms on FeXtra and on POLE. A change that
+moves a value re-records it in the same change and logs the old and new
+value in CHANGES.md. ``test_cases_cover_every_attack`` keeps ``CASES`` in
+step with ``attacks.TARGETS``.
 Every value must be reproduced exactly.
 """
 

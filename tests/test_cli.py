@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from signedattack import experiments
+from signedattack import cli, experiments
 from signedattack.attacks import TARGETS
 from signedattack.cli import build_config, main, make_parser
 from signedattack.errors import ConfigError
@@ -22,6 +22,21 @@ def dataset_file(tmp_path_factory):
     path = root / "synthetic.csv"
     g.write_plain(path)
     return str(path)
+
+
+@pytest.fixture
+def reads(monkeypatch):
+    """The configs the graph was read with: ``cli`` reads it by its own name
+    (ingest, metrics) and ``experiments`` by its (attack, detect)."""
+    calls = []
+
+    def recording(cfg, load=experiments.load_dataset):
+        calls.append(cfg)
+        return load(cfg)
+
+    for module in (cli, experiments):
+        monkeypatch.setattr(module, "load_dataset", recording)
+    return calls
 
 
 def read_csv(path):
@@ -57,6 +72,50 @@ def test_ingest_of_a_malformed_rating_or_node_id_exits_2(tmp_path, capsys, row):
     assert not out.exists()
 
 
+# each exited 1 with a traceback, or 0 having read n or a node id as another integer
+MALFORMED_DUMPS = {
+    "truncated": ('{"n": 3, "edges": [[0, 1, 1], [1, 2', "bad graph JSON"),
+    "list": ("[[0, 1, 1]]", "must be a JSON object"),
+    "no-n": ('{"edges": [[0, 1, 1]]}', "'n' must be an integer >= 0"),
+    "n-string": ('{"n": "abc", "edges": [[0, 1, 1]]}', "'n' must be an integer >= 0"),
+    "n-negative": ('{"n": -1, "edges": []}', "'n' must be an integer >= 0"),
+    "n-float": ('{"n": 2.7, "edges": [[0, 1, 1]]}', "'n' must be an integer >= 0"),
+    "n-bool": ('{"n": true, "edges": []}', "'n' must be an integer >= 0"),
+    "edges-number": ('{"n": 3, "edges": 5}', "'edges' must be a list"),
+    "sign-string": ('{"n": 3, "edges": [[0, 1, "x"]]}', "not an integer (u, v, sign) triple"),
+    "node-float": ('{"n": 3, "edges": [[0.5, 1, 1], [1, 2, 1]]}',
+                   "not an integer (u, v, sign) triple"),
+}
+
+
+@pytest.mark.parametrize("document,error", MALFORMED_DUMPS.values(), ids=MALFORMED_DUMPS)
+def test_ingest_of_a_malformed_graph_dump_exits_2(tmp_path, capsys, document, error):
+    path = tmp_path / "g.json"
+    path.write_text(document)
+    out = tmp_path / "o"
+    rc = main(["ingest", "--dataset", str(path), "--out", str(out)])
+    assert rc == 2
+    assert error in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["ingest", "attack", "detect", "metrics"])
+@pytest.mark.parametrize("out", ["afile", "afile/sub"])
+def test_an_out_that_is_or_lies_under_a_file_exits_2_before_the_graph_is_read(
+        reads, dataset_file, tmp_path, capsys, command, out):
+    # ingest exited 1 with FileExistsError and metrics with NotADirectoryError;
+    # attack and detect failed so only after every trial had run
+    (tmp_path / "afile").write_text("")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seeds": [0], "powers": [0.05], "subsample": 0,
+                               "corpus_sizes": [50, 60], "corpus_per_size": 2}))
+    rc = main([command, "--config", str(cfg), "--dataset", dataset_file, "--format", "plain",
+               "--out", str(tmp_path / out)])
+    assert rc == 2
+    assert f"{str(tmp_path / 'afile')!r} is not a directory" in capsys.readouterr().err
+    assert reads == [] and (tmp_path / "afile").read_text() == ""
+
+
 def test_bad_config_json(dataset_file, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{not json")
@@ -86,16 +145,13 @@ def test_a_config_document_that_is_not_an_object_exits_2(dataset_file, tmp_path,
     assert not out.exists()
 
 
-def test_a_directory_given_as_the_dataset_exits_2_before_it_is_read(monkeypatch, tmp_path,
-                                                                     capsys):
+def test_a_directory_given_as_the_dataset_exits_2_before_it_is_read(reads, tmp_path, capsys):
     # it passed os.path.exists and then exited 1 with IsADirectoryError
-    read = []
-    monkeypatch.setattr(experiments, "load_dataset", lambda cfg: read.append(cfg))
     out = tmp_path / "o"
     rc = main(["ingest", "--dataset", str(tmp_path), "--out", str(out)])
     assert rc == 2
     assert "dataset file not found" in capsys.readouterr().err
-    assert read == [] and not out.exists()
+    assert reads == [] and not out.exists()
 
 
 def test_load_dataset_reads_edge_lists_and_json_dumps(dataset_file, tmp_path):
@@ -136,11 +192,8 @@ def test_a_config_naming_an_unknown_target_is_refused(dataset_file, tmp_path, ca
 
 @pytest.mark.parametrize("command", ["attack", "detect"])
 def test_a_config_naming_an_unknown_baseline_is_refused_before_the_graph_is_read(
-        monkeypatch, dataset_file, tmp_path, capsys, command):
+        reads, dataset_file, tmp_path, capsys, command):
     # build_config passed it, and the run refused it only after reading the graph
-    read = []
-    monkeypatch.setattr(experiments, "load_dataset",
-                        lambda cfg, load=experiments.load_dataset: read.append(cfg) or load(cfg))
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"baseline": "bogus"}))
     out = tmp_path / "o"
@@ -148,23 +201,20 @@ def test_a_config_naming_an_unknown_baseline_is_refused_before_the_graph_is_read
                "--out", str(out), "--seed", "0", "--power", "0.05", "--subsample", "0"])
     assert rc == 2
     assert "unknown baseline" in capsys.readouterr().err
-    assert read == [] and not out.exists()
+    assert reads == [] and not out.exists()
 
 
 @pytest.mark.parametrize("power", ["-0.05", "nan", "inf"])
-def test_an_unusable_power_flag_exits_2_before_the_attack(monkeypatch, dataset_file, tmp_path,
+def test_an_unusable_power_flag_exits_2_before_the_attack(reads, dataset_file, tmp_path,
                                                           capsys, power):
     # -0.05 exited 1 with KeyError after the whole attack, nan with
     # ValueError and inf with OverflowError
-    read = []
-    monkeypatch.setattr(experiments, "load_dataset",
-                        lambda cfg, load=experiments.load_dataset: read.append(cfg) or load(cfg))
     out = tmp_path / "o"
     rc = main(["attack", "--dataset", dataset_file, "--format", "plain", "--out", str(out),
                "--seed", "0", f"--power={power}", "--subsample", "0"])
     assert rc == 2
     assert "attack power" in capsys.readouterr().err
-    assert read == [] and not out.exists()
+    assert reads == [] and not out.exists()
 
 
 @pytest.mark.parametrize("flag,value", [("--seed", "x"), ("--seed", "1,,2"), ("--power", "abc")],
@@ -186,12 +236,9 @@ def test_an_unparsable_list_flag_exits_2(dataset_file, tmp_path, capsys, flag, v
     ({"seeds": [1, 1]}, "seeds must be distinct"),
 ], ids=["powers-descending", "powers-repeated", "seeds-repeated"])
 def test_a_config_with_unordered_powers_or_repeated_seeds_exits_2(
-        monkeypatch, dataset_file, tmp_path, capsys, config, error):
+        reads, dataset_file, tmp_path, capsys, config, error):
     # the powers were sorted silently, and a repeated seed or power wrote
     # duplicate CSV rows and overwrote its trace or snapshot file
-    read = []
-    monkeypatch.setattr(experiments, "load_dataset",
-                        lambda cfg, load=experiments.load_dataset: read.append(cfg) or load(cfg))
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seeds": [0], **config}))
     out = tmp_path / "o"
@@ -199,15 +246,12 @@ def test_a_config_with_unordered_powers_or_repeated_seeds_exits_2(
                "--out", str(out), "--subsample", "0"])
     assert rc == 2
     assert error in capsys.readouterr().err
-    assert read == [] and not out.exists()
+    assert reads == [] and not out.exists()
 
 
-def test_a_detect_config_with_a_negative_power_exits_2(monkeypatch, dataset_file, tmp_path,
+def test_a_detect_config_with_a_negative_power_exits_2(reads, dataset_file, tmp_path,
                                                         capsys):
     # it exited 1 with KeyError after poisoning
-    read = []
-    monkeypatch.setattr(experiments, "load_dataset",
-                        lambda cfg, load=experiments.load_dataset: read.append(cfg) or load(cfg))
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"powers": [0.05, -0.01]}))
     out = tmp_path / "o"
@@ -215,7 +259,7 @@ def test_a_detect_config_with_a_negative_power_exits_2(monkeypatch, dataset_file
                "--out", str(out), "--seed", "0", "--subsample", "0"])
     assert rc == 2
     assert "attack power" in capsys.readouterr().err
-    assert read == [] and not out.exists()
+    assert reads == [] and not out.exists()
 
 
 @pytest.mark.parametrize("command,config,error", [
@@ -240,15 +284,12 @@ def test_a_detect_config_with_a_negative_power_exits_2(monkeypatch, dataset_file
         "corpus-seed-negative", "split-fraction-nan", "split-fraction-1.5",
         "corpus-size-negative", "lam-nan", "eta-inf"])
 def test_an_unusable_run_setting_exits_2_before_the_graph_is_read(
-        monkeypatch, dataset_file, tmp_path, capsys, command, config, error):
+        reads, dataset_file, tmp_path, capsys, command, config, error):
     # each ran the poisoning first and then exited 2 or 1, or exited 0 with
     # AUCs of 0 (gamma -1), an empty embedding (embed_dim 0) or a header-only CSV;
     # a negative seed, a NaN split fraction and a negative corpus size exited 1
     # with a bare ValueError, 1.5 exited 2 once the graph was read, and a NaN or
     # infinite penalty weight exited 3 after the clean victim fit
-    read = []
-    monkeypatch.setattr(experiments, "load_dataset",
-                        lambda cfg, load=experiments.load_dataset: read.append(cfg) or load(cfg))
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     out = tmp_path / "o"
@@ -256,7 +297,7 @@ def test_an_unusable_run_setting_exits_2_before_the_graph_is_read(
                "--out", str(out), "--power", "0.05", "--subsample", "0"])
     assert rc == 2
     assert error in capsys.readouterr().err
-    assert read == [] and not out.exists()
+    assert reads == [] and not out.exists()
 
 
 # (flag, flag value, config key, config value, value the flag sets): every
@@ -438,11 +479,8 @@ def test_fextra_attack_reads_no_markov_time(dataset_file, tmp_path):
 ], ids=["seeds-int", "corpus-sizes-int", "subsample-str", "lam-str", "detect-t-str",
         "subsample-bool", "seeds-float", "baseline-int"])
 def test_a_config_value_of_the_wrong_type_exits_2_before_the_graph_is_read(
-        monkeypatch, dataset_file, tmp_path, capsys, command, config, key):
+        reads, dataset_file, tmp_path, capsys, command, config, key):
     # the first five raised TypeError or ValueError (lam only after the whole attack)
-    read = []
-    monkeypatch.setattr(experiments, "load_dataset",
-                        lambda cfg, load=experiments.load_dataset: read.append(cfg) or load(cfg))
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     out = tmp_path / "o"
@@ -450,7 +488,7 @@ def test_a_config_value_of_the_wrong_type_exits_2_before_the_graph_is_read(
                "--out", str(out), "--power", "0.05"])
     assert rc == 2
     assert f"config key {key!r}" in capsys.readouterr().err
-    assert read == [] and not out.exists()
+    assert reads == [] and not out.exists()
 
 
 @pytest.mark.parametrize("command,flags,config,error", [
@@ -462,12 +500,9 @@ def test_a_config_value_of_the_wrong_type_exits_2_before_the_graph_is_read(
 ], ids=["attack-subsample-flag", "attack-subsample-config", "metrics-no-seed", "ingest-nu-2",
         "attack-strategy-bogus"])
 def test_every_command_refuses_an_unusable_setting_before_the_graph_is_read(
-        monkeypatch, dataset_file, tmp_path, capsys, command, flags, config, error):
+        reads, dataset_file, tmp_path, capsys, command, flags, config, error):
     # a negative subsample ran on the full graph, and the commands other than
     # detect ran with detector settings no run can use; each exited 0
-    read = []
-    monkeypatch.setattr(experiments, "load_dataset",
-                        lambda cfg, load=experiments.load_dataset: read.append(cfg) or load(cfg))
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     out = tmp_path / "o"
@@ -475,7 +510,7 @@ def test_every_command_refuses_an_unusable_setting_before_the_graph_is_read(
                "--out", str(out), *flags])
     assert rc == 2
     assert error in capsys.readouterr().err
-    assert read == [] and not out.exists()
+    assert reads == [] and not out.exists()
 
 
 @pytest.mark.parametrize("field", dataclasses.fields(ExperimentConfig),

@@ -81,5 +81,5 @@ def test_detect_run_featurizes_each_graph_once_per_view(detect_inputs, monkeypat
 
     monkeypatch.setattr(DetectorView, "featurize", counting)
     run_detect_experiment(cfg, dataset, corpus, poisoned)
-    expected = len(corpus.graphs) + len(poisoned)
+    expected = len(corpus) + len(poisoned)
     assert calls == {"metric": expected, "tsvd": expected}

@@ -191,18 +191,18 @@ def test_corpus_size_and_determinism():
     g = two_community(60, 6, 0.05, seed=1)
     c1 = sample_subgraph_corpus(g, [20, 30], 3, seed=5)
     c2 = sample_subgraph_corpus(g, [20, 30], 3, seed=5)
-    assert len(c1.graphs) == 6
-    for a, b in zip(c1.graphs, c2.graphs):
+    assert len(c1) == 6
+    for a, b in zip(c1, c2):
         assert a.edges == b.edges
     # every member is connected
-    for sub in c1.graphs:
+    for sub in c1:
         assert largest_connected_component(sub).n == sub.n
 
 
 def test_corpus_full_size_is_whole_graph():
     g = two_community(25, 6, 0.0, seed=2)
     c = sample_subgraph_corpus(g, [g.n], 1, seed=0)
-    assert c.graphs[0].n == g.n
+    assert c[0].n == g.n
 
 
 def test_corpus_size_too_big():
