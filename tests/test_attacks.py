@@ -807,6 +807,27 @@ def test_an_unknown_target_is_refused_before_any_victim_fit(monkeypatch, target)
     assert fits == []
 
 
+# The two refusals below happen when a trial's config is made, so no run
+# function, and no victim fit, is ever reached with it.
+
+def test_an_unknown_baseline_is_refused_before_any_victim_fit():
+    # it was refused in ``poison``, after the clean victim fit
+    with pytest.raises(ConfigError, match="unknown baseline"):
+        ExperimentConfig(baseline="bogus", subsample=0, powers=(0.1,))
+
+
+@pytest.mark.parametrize("power,error", [
+    (-0.05, "attack power"), (float("nan"), "attack power"), (float("inf"), "attack power"),
+    ("0.05", "config key 'powers' must be a list of numbers"),
+], ids=["-0.05", "nan", "inf", "0.05"])
+def test_an_unusable_power_is_refused_before_any_victim_fit(power, error):
+    # a negative power ran the whole attack and then raised KeyError; nan
+    # and inf raised ValueError and OverflowError from the flip count
+    for baseline in (None, "rand"):
+        with pytest.raises(ConfigError, match=error):
+            ExperimentConfig(baseline=baseline, subsample=0, powers=(0.05, power))
+
+
 def test_power_zero_is_a_usable_power():
     g, _ = small_instance()
     rows, trace, _ = run_attack_trial(g, ExperimentConfig(subsample=0, powers=(0, 0.05)), 0)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -264,6 +266,48 @@ def test_poisoned_set_is_poisoned_by_the_configured_attack_or_baseline(baseline)
             for seed in cfg.seeds for p in cfg.powers]
     got = build_poisoned_set(g, cfg)
     assert [x.signs().tolist() for x in got] == [x.signs().tolist() for x in want]
+
+
+# The refusals below happen when a run's config is made, so no run function
+# is ever reached with it: nothing is read, sampled or poisoned.
+DETECT_CFG = ExperimentConfig(dataset="unread.csv", subsample=0, powers=(0.05,), seeds=(0,))
+
+
+def test_poisoned_set_rejects_an_unknown_baseline():
+    with pytest.raises(ConfigError, match="unknown baseline"):
+        ExperimentConfig(subsample=0, powers=(0.05,), seeds=(0,), baseline="bogus")
+
+
+@pytest.mark.parametrize("target,baseline,error",
+                         [("bogus", "rand", "unknown attack target"),
+                          ("fextra-ols", "bogus", "unknown baseline")],
+                         ids=["target-with-baseline", "baseline"])
+def test_detect_refuses_an_unknown_name_before_reading_or_sampling(target, baseline, error):
+    # the unknown target with a baseline ran to the end, and the unknown
+    # baseline was refused only after the clean corpus was sampled
+    with pytest.raises(ConfigError, match=error):
+        replace(DETECT_CFG, target=target, baseline=baseline)
+
+
+@pytest.mark.parametrize("power", [-0.01, float("nan"), float("inf")])
+def test_detect_refuses_an_unusable_power_before_reading_or_sampling(power):
+    # a negative power raised KeyError only after the poisoned set was built
+    with pytest.raises(ConfigError, match="attack power"):
+        replace(DETECT_CFG, powers=(0.05, power))
+
+
+@pytest.mark.parametrize("settings,error", [({"seeds": ()}, "at least one seed")],
+                         ids=["no-seed"])
+def test_detect_refuses_unusable_detector_settings_before_reading_or_sampling(settings, error):
+    # the other detector settings no run can use are in test_config.py
+    with pytest.raises(ConfigError, match=error):
+        replace(DETECT_CFG, **settings)
+
+
+def test_an_attack_experiment_without_a_seed_is_refused_before_reading():
+    # it returned no rows, so the command wrote a CSV with only its header
+    with pytest.raises(ConfigError, match="at least one seed"):
+        ExperimentConfig(dataset="unread.csv", subsample=0, powers=(0.05,), seeds=())
 
 
 def test_an_attack_experiment_returns_its_rows_and_each_seeds_trace():
