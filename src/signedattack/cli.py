@@ -71,10 +71,10 @@ def _write_json(path, obj):
 def build_config(args) -> ExperimentConfig:
     document = {}
     if args.config:
-        with open(args.config) as f:
+        with open(args.config, encoding="utf-8") as f:
             try:
                 document = json.load(f)
-            except json.JSONDecodeError as e:
+            except ValueError as e:  # not JSON, not UTF-8, or an integer of over 4300 digits
                 raise ConfigError(f"bad config JSON: {e}") from e
         if not isinstance(document, dict):
             raise ConfigError("the config document must be a JSON object")

@@ -2,17 +2,15 @@
 
 This module is the engine behind the command-line interface; everything
 here is importable so tests and notebooks can drive the same protocol.
-An attack trial and the poisoned set of a detection run poison a graph the
-same way: subsample, split, then the configured attack or baseline up to
-the budget of the largest power (``poison``). An ``ExperimentConfig``
-checks its settings when it is made, so no run starts from one it cannot
-use. The snapshot at each power is the trial graph with that power's
-prefix of the flips applied (``AttackTrace.poisoned``). The trial graph,
-its masked views and its poisoned snapshots have the same links, so a
-FeXtra trial builds one wedge index for all of them. The Markov time ``t``
-reaches only the walks: the POLE victim and losses, the polarization
-penalty and the detector's metric view. A detect run's AUCs all come
-from ``detector_eval``.
+``run_trial`` is the one place a trial is built: subsample, split, one
+clean victim fit, then the configured attack or baseline up to the budget
+of the largest power, whose snapshot at each power is the trial graph with
+that power's prefix of the flips applied (``AttackTrace.poisoned``). An
+attack trial scores those graphs and a detection run's poisoned set
+collects them. They share their links, so a FeXtra trial builds one wedge
+index. An ``ExperimentConfig`` checks its settings when it is made. The
+Markov time ``t`` reaches only the walks: the POLE victim and losses, the
+polarization penalty and the detector's metric view.
 """
 
 from __future__ import annotations
@@ -22,8 +20,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .attacks import (AttackConfig, baseline_greedy_triads, baseline_rand, flip_attack,
-                      flips_for_power, victim_model_kind, victim_probs)
+from .attacks import (AttackConfig, AttackTrace, baseline_greedy_triads, baseline_rand,
+                      flip_attack, flips_for_power, victim_model_kind, victim_probs)
 from .detectors import (DEFAULT_EMBED_DIM, DEFAULT_GAMMA, DEFAULT_NU, STRATEGIES, DetectorView,
                         detector_eval)
 from .errors import ConfigError
@@ -170,13 +168,30 @@ def victim_test_auc(g: SignedGraph, split: EdgeSplit, model: str,
     return auc(probs, (split.hidden_signs > 0).astype(int))
 
 
-def poison(g: SignedGraph, split: EdgeSplit, cfg: ExperimentConfig, seed: int, y_hat=None):
-    """The configured attack, or baseline, on ``g`` up to the budget of the largest power.
+@dataclass(frozen=True)
+class Trial:
+    """One seeded trial (``run_trial``): the trial graph and its split, the clean
+    victim's AUC and self-labels, and the trace of the attack or baseline ``attack``."""
+    g: SignedGraph
+    split: EdgeSplit
+    clean_auc: float
+    y_hat: np.ndarray
+    trace: AttackTrace
+    attack: str
 
-    Returns the trace, its ``snapshots`` filled with ``trace.poisoned(g, p)``
-    at each power, and the attack's name. ``y_hat`` are the gradient
-    attack's self-labels; without them it fits the clean victim itself.
+
+def run_trial(dataset: SignedGraph, cfg: ExperimentConfig, seed: int) -> Trial:
+    """Subsample, split, fit the clean victim once, then poison to the largest power's budget.
+
+    The clean victim's test probabilities give the clean AUC and, thresholded
+    at 0.5 (ties -> 1) as ``self_train_labels`` does, the self-labels the
+    gradient attack targets. The trace's ``snapshots`` hold
+    ``trace.poisoned(g, p)`` at each power.
     """
+    g = subsample_graph(dataset, cfg.subsample, seed)
+    split = split_edges(g, cfg.split_fraction, seed)
+    probs = victim_probs(victim_model_kind(cfg.target), g, split, cfg.t)
+    y_hat = (probs >= 0.5).astype(float)
     powers = cfg.resolved_powers()
     budget = max(flips_for_power(g, p) for p in powers)
     if cfg.baseline == "rand":
@@ -185,41 +200,30 @@ def poison(g: SignedGraph, split: EdgeSplit, cfg: ExperimentConfig, seed: int, y
         trace, name = baseline_greedy_triads(g, split, budget), "greedy-triads"
     else:
         attack = AttackConfig(budget=budget, lam=cfg.lam, eta=cfg.eta, t=cfg.t)
-        trace, name = flip_attack(g, split, cfg.target, attack, y_hat=y_hat), cfg.target
+        trace, name = flip_attack(g, split, cfg.target, attack, y_hat), cfg.target
         if cfg.lam or cfg.eta:
             name += f"(lam={cfg.lam:g},eta={cfg.eta:g})"
     trace.snapshots = {p: trace.poisoned(g, p) for p in powers}
-    return trace, name
+    return Trial(g, split, auc(probs, (split.hidden_signs > 0).astype(int)), y_hat, trace, name)
 
 
 def run_attack_trial(dataset: SignedGraph, cfg: ExperimentConfig, seed: int):
-    """One seeded trial: subsample, split, attack, per-power victim AUC rows.
+    """One seeded trial's per-power victim AUC rows, its trace and its graph.
 
     Each row also carries ``self_label_acc``, the share of test links whose
-    self-label (the clean victim's thresholded prediction, which the
-    gradient attacks target) equals the hidden sign.
+    self-label equals the hidden sign.
     """
-    g = subsample_graph(dataset, cfg.subsample, seed)
-    split = split_edges(g, cfg.split_fraction, seed)
-    model = victim_model_kind(cfg.target)
-    # one clean victim fit gives the clean AUC and the attack's self-labels,
-    # thresholded as self_train_labels does
-    truth = split.hidden_signs > 0
-    probs = victim_probs(model, g, split, cfg.t)
-    clean_auc = auc(probs, truth.astype(int))
-    y_hat = (probs >= 0.5).astype(float)
-    self_label_acc = float(np.mean(y_hat == truth))
-    trace, attack_name = poison(g, split, cfg, seed, y_hat)
-
+    trial = run_trial(dataset, cfg, seed)
+    g, split, model = trial.g, trial.split, victim_model_kind(cfg.target)
+    self_label_acc = float(np.mean(trial.y_hat == (split.hidden_signs > 0)))
     rows = []
     for p in cfg.resolved_powers():
-        g_p = trace.snapshots[p]
-        poisoned_auc = (clean_auc if flips_for_power(g, p) == 0
-                        else victim_test_auc(g_p, split, model, cfg.t))
-        rows.append({"seed": seed, "power": p, "attack": attack_name, "model": model,
-                     "auc_clean": clean_auc, "auc_poisoned": poisoned_auc,
+        poisoned_auc = (trial.clean_auc if flips_for_power(g, p) == 0
+                        else victim_test_auc(trial.trace.snapshots[p], split, model, cfg.t))
+        rows.append({"seed": seed, "power": p, "attack": trial.attack, "model": model,
+                     "auc_clean": trial.clean_auc, "auc_poisoned": poisoned_auc,
                      "self_label_acc": self_label_acc})
-    return rows, trace, g
+    return rows, trial.trace, g
 
 
 def run_attack_experiment(cfg: ExperimentConfig, dataset: SignedGraph | None = None):
@@ -234,18 +238,10 @@ def run_attack_experiment(cfg: ExperimentConfig, dataset: SignedGraph | None = N
 
 
 def build_poisoned_set(dataset: SignedGraph, cfg: ExperimentConfig):
-    """Poisoned snapshots for the detection protocol: seeds x powers graphs.
-
-    Each seed's graph is poisoned as in ``run_attack_trial``, by the
-    configured attack or baseline.
-    """
-    poisoned = []
-    for seed in cfg.seeds:
-        g = subsample_graph(dataset, cfg.subsample, seed)
-        split = split_edges(g, cfg.split_fraction, seed)
-        trace, _ = poison(g, split, cfg, seed)
-        poisoned.extend(trace.snapshots[p] for p in cfg.resolved_powers())
-    return poisoned
+    """Poisoned snapshots for the detection protocol: seeds x powers graphs, each
+    seed's from its one ``run_trial``, the same graphs its attack trial scores."""
+    return [snapshot for seed in cfg.seeds
+            for snapshot in run_trial(dataset, cfg, seed).trace.snapshots.values()]
 
 
 def run_detect_experiment(cfg: ExperimentConfig, dataset: SignedGraph | None = None,

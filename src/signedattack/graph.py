@@ -166,17 +166,20 @@ class SignedGraph:
     def from_json_dict(cls, d):
         """The graph of a ``to_json_dict`` document: an object whose ``n`` is an
         integer >= 0 and whose ``edges`` is a list of integer (u, v, sign)
-        triples, else ``ParseError``. A bool is not an integer here."""
+        triples, each integer in int64, else ``ParseError``. A bool is not an
+        integer here."""
         if not isinstance(d, dict):
             raise ParseError(f"a graph dump must be a JSON object, got {type(d).__name__}")
         n, edges = d.get("n"), d.get("edges")
-        if not (type(n) is int and n >= 0):
-            raise ParseError(f"graph dump key 'n' must be an integer >= 0, got {n!r}")
+        if not (type(n) is int and 0 <= n < 2**63):
+            raise ParseError(f"graph dump key 'n' must be an integer >= 0 and < 2^63, got {n!r}")
         if not isinstance(edges, list):
             raise ParseError(f"graph dump key 'edges' must be a list, got {type(edges).__name__}")
         for e in edges:
-            if not (isinstance(e, list) and len(e) == 3 and all(type(x) is int for x in e)):
-                raise ParseError(f"graph dump edge {e!r} is not an integer (u, v, sign) triple")
+            if not (isinstance(e, list) and len(e) == 3
+                    and all(type(x) is int and -2**63 <= x < 2**63 for x in e)):
+                raise ParseError(f"graph dump edge {e!r} is not an integer (u, v, sign) triple "
+                                 f"in int64")
         return cls(n, [tuple(e) for e in edges])
 
     def write_json(self, path):
@@ -205,21 +208,29 @@ class EdgeSplit:
 
 
 def load_graph_json(path) -> SignedGraph:
-    """The graph of a ``SignedGraph.write_json`` dump; ``ParseError`` for one that is
-    not JSON or not a graph dump."""
-    with open(path) as f:
+    """The graph of a ``SignedGraph.write_json`` dump, byte order mark optional;
+    ``ParseError`` for one that is not UTF-8 JSON or not a graph dump."""
+    with open(path, encoding="utf-8-sig") as f:
         try:
             document = json.load(f)
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # not JSON, not UTF-8, or an integer of over 4300 digits
             raise ParseError(f"bad graph JSON: {e}") from e
     return SignedGraph.from_json_dict(document)
 
 
+def _utf8_lines(f):
+    """The lines of the text file ``f``, ``ParseError`` where they are not UTF-8."""
+    try:
+        yield from f
+    except UnicodeDecodeError as e:
+        raise ParseError(f"the edge list is not UTF-8 text: {e}") from e
+
+
 def _parse_rows(path, fmt):
-    """Yield (lineno, u, v, rating) from a CSV edge list; header optional; integer
-    node ids and a finite rating, else ``ParseError``."""
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
+    """Yield (lineno, u, v, rating) from a UTF-8 CSV edge list, byte order mark
+    and header optional; integer node ids and a finite rating, else ``ParseError``."""
+    with open(path, newline="", encoding="utf-8-sig") as f:
+        reader = csv.reader(_utf8_lines(f))
         for lineno, row in enumerate(reader, start=1):
             row = [c.strip() for c in row if c.strip() != ""]
             if not row:

@@ -35,18 +35,23 @@ def _fix_column_signs(M):
     return signs
 
 
-def sym_eig(S: np.ndarray):
-    """(lam, Q) of (S + S^T)/2 like ``np.linalg.eigh``, with deterministic
-    eigenvector signs; eigenvalues ascending."""
+def _eigh(S: np.ndarray):
+    """``np.linalg.eigh`` of (S + S^T)/2, ``NumericError`` where it fails; eigenvector
+    signs as LAPACK leaves them."""
     S = np.asarray(S, dtype=float)
-    Ssym = 0.5 * (S + S.T)
     try:
-        lam, Q = np.linalg.eigh(Ssym)
+        return np.linalg.eigh(0.5 * (S + S.T))
     except np.linalg.LinAlgError as e:
         residual = float(np.abs(S - S.T).max())
         raise NumericError(
             f"eigendecomposition failed (asymmetry residual {residual:g}): {e}"
         ) from e
+
+
+def sym_eig(S: np.ndarray):
+    """(lam, Q) of (S + S^T)/2 like ``np.linalg.eigh``, with deterministic
+    eigenvector signs; eigenvalues ascending."""
+    lam, Q = _eigh(S)
     return lam, Q * _fix_column_signs(Q)
 
 
@@ -80,9 +85,10 @@ def sym_matrix_exp(S):
     are one recorded primitive: the adjoint G' = Q (Gamma o (Q^T G Q)) Q^T
     of the symmetrized input, where Gamma holds divided differences of exp
     over the eigenvalue pairs with the exp(lambda) limit on (near-)degenerate
-    pairs, goes back to S as G'/2 + (G'/2)^T.
+    pairs, goes back to S as G'/2 + (G'/2)^T. Neither Q e^Lambda Q^T nor the
+    adjoint depends on the sign of an eigenvector, so Q is left unfixed.
     """
-    lam, Q = sym_eig(tp._data(S))
+    lam, Q = _eigh(tp._data(S))
     elam = np.exp(lam)
 
     def vjp(g, out, S):

@@ -631,8 +631,10 @@ def test_a_checkpoint_count_shared_by_two_powers_snapshots_both():
     budget = flips_for_power(g, 0.1)
     powers = (0.0, 0.0001, 0.1, 0.1 + 0.1 / g.num_edges)
     assert flips_for_power(g, powers[1]) == 0 and flips_for_power(g, powers[3]) == budget
-    cfg = ExperimentConfig(baseline="rand", subsample=0, powers=powers)
-    trace, _ = experiments.poison(g, split, cfg, 0)
+    cfg = ExperimentConfig(baseline="rand", subsample=0, split_fraction=0.15, powers=powers)
+    trial = experiments.run_trial(g, cfg, 0)
+    assert trial.g is g and trial.split.test.tolist() == split.test.tolist()
+    trace = trial.trace
     assert len(trace.flips) == budget
     assert list(trace.snapshots) == list(powers)
     assert trace.snapshots[0.0].signs().tolist() == g.signs().tolist()

@@ -85,6 +85,11 @@ MALFORMED_DUMPS = {
     "sign-string": ('{"n": 3, "edges": [[0, 1, "x"]]}', "not an integer (u, v, sign) triple"),
     "node-float": ('{"n": 3, "edges": [[0.5, 1, 1], [1, 2, 1]]}',
                    "not an integer (u, v, sign) triple"),
+    # these two overflowed int64, and json refused the third with ValueError
+    "n-huge": ('{"n": %d, "edges": [[0, 1, 1]]}' % 10**20, "'n' must be an integer >= 0"),
+    "node-huge": ('{"n": 3, "edges": [[0, %d, 1]]}' % 10**20,
+                  "not an integer (u, v, sign) triple"),
+    "n-5000-digits": ('{"n": 1%s, "edges": []}' % ("0" * 5000), "bad graph JSON"),
 }
 
 
@@ -96,6 +101,21 @@ def test_ingest_of_a_malformed_graph_dump_exits_2(tmp_path, capsys, document, er
     rc = main(["ingest", "--dataset", str(path), "--out", str(out)])
     assert rc == 2
     assert error in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["g.json", "g.csv", "cfg.json"])
+def test_ingest_of_a_file_that_is_not_utf8_exits_2(dataset_file, tmp_path, capsys, name):
+    # a graph dump, an edge list and a config document each exited 1 with
+    # UnicodeDecodeError
+    path = tmp_path / name
+    path.write_bytes(b"\xff\xfe0\x00,\x001\x00,\x001\x00\n\x00")
+    out = tmp_path / "o"
+    files = (["--config", str(path), "--dataset", dataset_file] if name == "cfg.json"
+             else ["--dataset", str(path)])
+    rc = main(["ingest", *files, "--format", "plain", "--out", str(out)])
+    assert rc == 2
+    assert "can't decode byte 0xff" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -257,15 +257,30 @@ def test_detector_eval_strategies_and_rows():
         detector_eval(corpus, poisoned, views, "median")
 
 
-@pytest.mark.parametrize("baseline", [None, "rand", "greedy-triads"])
-def test_poisoned_set_is_poisoned_by_the_configured_attack_or_baseline(baseline):
+@pytest.mark.parametrize("settings", [{}, {"baseline": "rand"}, {"baseline": "greedy-triads"},
+                                      {"target": "pole-unsym"}, {"target": "fextra-meta"},
+                                      {"lam": 2.0, "eta": 5.0}],
+                         ids=["None", "rand", "greedy-triads", "pole-unsym", "fextra-meta",
+                              "fextra-ols-penalized"])
+def test_poisoned_set_is_poisoned_by_the_configured_attack_or_baseline(settings):
     # the detect protocol poisons each seed's graph as an attack trial does
     g = geometric_polarized(60, k=8, noise=0.1, seed=2)
-    cfg = ExperimentConfig(subsample=0, powers=(0.05, 0.10), seeds=(0, 1), baseline=baseline)
+    cfg = ExperimentConfig(subsample=0, powers=(0.05, 0.10), seeds=(0, 1), **settings)
     want = [run_attack_trial(g, cfg, seed)[1].snapshots[p]
             for seed in cfg.seeds for p in cfg.powers]
     got = build_poisoned_set(g, cfg)
     assert [x.signs().tolist() for x in got] == [x.signs().tolist() for x in want]
+
+
+def test_a_poisoned_set_runs_one_trial_per_seed(monkeypatch):
+    # a seed's snapshots come from its one trial: one subsample, split and poisoning
+    sampled = []
+    monkeypatch.setattr(experiments, "subsample_graph",
+                        lambda *args: sampled.append(args) or args[0])
+    g = geometric_polarized(40, k=8, noise=0.1, seed=2)
+    cfg = ExperimentConfig(subsample=0, powers=(0.05, 0.10), seeds=(3, 0, 1))
+    assert len(build_poisoned_set(g, cfg)) == 6
+    assert [seed for _, _, seed in sampled] == [3, 0, 1]
 
 
 # The refusals below happen when a run's config is made, so no run function
@@ -324,12 +339,12 @@ def test_an_attack_experiment_returns_its_rows_and_each_seeds_trace():
 
 @pytest.mark.parametrize("t", [-1.0, float("nan")])
 def test_detect_rejects_a_nonpositive_markov_time_before_poisoning(monkeypatch, t):
-    poisoned = []
-    monkeypatch.setattr(experiments, "poison", lambda *args, **kwargs: poisoned.append(args))
+    trials = []
+    monkeypatch.setattr(experiments, "run_trial", lambda *args, **kwargs: trials.append(args))
     cfg = ExperimentConfig(subsample=0, powers=(0.05,), seeds=(0,), t=t)
     with pytest.raises(NumericError, match="Markov time must be positive"):
         run_detect_experiment(cfg, geometric_polarized(30, k=6, noise=0.1, seed=0))
-    assert poisoned == []
+    assert trials == []
 
 
 def test_the_run_config_and_a_detector_view_share_the_detector_defaults():

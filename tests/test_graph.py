@@ -87,6 +87,19 @@ def test_load_rejects_non_finite_ratings_and_non_integer_nodes(tmp_path, row):
     assert exc.value.line == 2
 
 
+@pytest.mark.parametrize("write,load", [(SignedGraph.write_plain, load_edge_list),
+                                        (SignedGraph.write_json, load_graph_json)],
+                         ids=["edge-list", "dump"])
+def test_load_reads_a_file_that_opens_with_a_byte_order_mark(tmp_path, write, load):
+    # the edge list took its first row, read as "\ufeff0", for a header and
+    # dropped that link; the dump was not JSON
+    g = SignedGraph(4, [(0, 1, 1), (1, 2, 1), (2, 3, -1)])
+    path = tmp_path / "g"
+    write(g, path)
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert load(path).edges == g.edges
+
+
 def test_load_relabels_contiguously(tmp_path):
     p = tmp_path / "g.csv"
     write_rows(p, [(10, 30, 1), (30, 77, -1)])

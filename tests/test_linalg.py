@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from signedattack import linalg
 from signedattack import tape as tp
 from signedattack.linalg import matrix_exp, sym_eig, sym_matrix_exp, truncated_svd
 from signedattack.tape import Tape, grad_check
@@ -85,6 +86,37 @@ def test_sym_matrix_exp_degenerate_eigenvalues():
         return tp.sum_(sym_matrix_exp(v) * C)
 
     assert grad_check(f, S, h=1e-6) < 1e-4
+
+
+def exp_and_vjp(S, C):
+    """sym_matrix_exp(S) and the gradient of sum(sym_matrix_exp(S) * C) off one tape."""
+    t = Tape()
+    s = t.leaf(S)
+    out = sym_matrix_exp(s)
+    t.backward(tp.sum_(out * C))
+    return tp._data(out), s.grad
+
+
+def degenerate(seed):
+    # eigenvalues 2, 2, 2, -1, -1, 0.5 in a seeded orthonormal basis
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((6, 6)))
+    return (Q * [2.0, 2.0, 2.0, -1.0, -1.0, 0.5]) @ Q.T
+
+
+@pytest.mark.parametrize("S", [degenerate(0), degenerate(1)]
+                         + [np.random.default_rng(seed).standard_normal((n, n))
+                            for seed, n in ((0, 5), (1, 12), (2, 40))],
+                         ids=["degenerate-0", "degenerate-1", "n5", "n12", "n40"])
+def test_sym_matrix_exp_equals_the_sign_fixed_eigenbasis_bit_for_bit(monkeypatch, S):
+    # the eigenvector sign fix of sym_eig changes neither the exponential nor its adjoint
+    S = 0.5 * (S + S.T)
+    C = np.random.default_rng(7).standard_normal(S.shape)
+    got = exp_and_vjp(S, C)
+    lam, Q = sym_eig(S)
+    assert not np.array_equal(Q, linalg._eigh(S)[1])  # the fix flips some eigenvector
+    monkeypatch.setattr(linalg, "_eigh", lambda _: (lam, Q))
+    want = exp_and_vjp(S, C)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 def test_matrix_exp_gradient_on_tape():
