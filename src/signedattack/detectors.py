@@ -6,11 +6,14 @@ The adjacency is symmetric, so its top-d left singular vectors are its
 eigenvectors of largest |eigenvalue|: the TSVD view reads them off one
 symmetric eigendecomposition and runs no SVD.
 Each view feeds a one-class SVM with RBF kernel trained on clean graphs
-only; an ensemble combines per-view decision scores (min-max normalized
-over the evaluation set) by mean, min or max. ``detector_eval`` featurizes
-each graph of the clean and poisoned lists once per view, fits each view's
-model in place from the clean rows, scores the same rows and computes
-every AUC: one per view and the ensemble's.
+only. A view scores a graph by its decision over the fitted offset rho > 0
+and reads no other graph: 0 is the boundary, a negative score is outside
+it (flagged) and -1 is far from every support vector. The ensemble takes
+the mean, min or max of the view scores: ``min`` flags a graph when any
+view does, ``max`` only when every view does. ``detector_eval``
+featurizes each graph of the clean and poisoned lists once per view, fits
+each view's model in place from the clean rows, scores the same rows and
+computes every AUC: one per view and the ensemble's.
 """
 
 from __future__ import annotations
@@ -157,13 +160,6 @@ def _try_featurize(view: DetectorView, g: SignedGraph):
         return None
 
 
-def _minmax(x):
-    lo, hi = x.min(), x.max()
-    if hi - lo < 1e-300:
-        return np.full_like(x, 0.5)
-    return (x - lo) / (hi - lo)
-
-
 def detector_eval(clean, poisoned, views, strategy="max"):
     """Fit each view on the clean graphs, score clean + poisoned, compute the AUCs.
 
@@ -171,10 +167,10 @@ def detector_eval(clean, poisoned, views, strategy="max"):
     clean rows it could featurize and stored in ``view.model``, with the
     clean graphs it could not featurize counted in ``view.rejected``. A graph
     that some view cannot featurize gets no row and stays out of the AUCs.
-    Rows keep the graph's index in clean + poisoned order. Per view, decision
-    scores over the rows are min-max normalized, then combined across views
-    by the chosen strategy. Each AUC treats the anomaly class as positive by
-    negating the score. Returns (summary, per_graph_rows): the summary holds
+    Rows keep the graph's index in clean + poisoned order. A row's
+    ``view_{kind}`` is ``ocsvm_decision(view.model, x) / view.model.rho`` and
+    its ``combined`` the strategy's mean, min or max of those; neither reads
+    another row. Each AUC negates the scores, so the anomaly class is positive. Returns (summary, per_graph_rows): the summary holds
     ``{kind}_auc`` per view, in view order, then ``ensemble_{strategy}_auc``.
     """
     if strategy not in STRATEGIES:
@@ -192,7 +188,7 @@ def detector_eval(clean, poisoned, views, strategy="max"):
     anomalous = np.array([int(i >= n_clean) for i in keep])
     if not anomalous.any():
         raise MetricUndefinedError("evaluation set has no poisoned graphs")
-    per_view = np.vstack([_minmax(ocsvm_decision(v.model, np.vstack([f[i] for i in keep])))
+    per_view = np.vstack([ocsvm_decision(v.model, np.vstack([f[i] for i in keep])) / v.model.rho
                           for v, f in zip(views, feats)])
     combined = getattr(per_view, strategy)(axis=0)
     summary = {f"{v.kind}_auc": auc(-per_view[j], anomalous) for j, v in enumerate(views)}

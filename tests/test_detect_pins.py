@@ -2,10 +2,11 @@
 
 The expected values were recorded once the FeXtra victim, whose
 self-labels drive the ``fextra-ols`` poisoning, was the converged logistic
-fit. The ``view_tsvd`` column, and the ``combined`` values that read it,
-were re-recorded when the TSVD feature moved from a dense SVD to the
-adjacency's eigendecomposition, which moves the normalized scores in their
-last digits (about 5e-15); the summaries and ``view_metric`` did not move.
+fit. The score columns were re-recorded when a view's score became its
+decision divided by the fitted offset rho instead of a min-max over the
+scored set; ``metric_auc`` and ``tsvd_auc`` did not move and
+``ensemble_max_auc`` went from 0.53125 to 0.5. Clean graphs on a view's
+margin score within about 1e-6 of 0, the dual solver's tolerance.
 They must be reproduced exactly. The featurize count pins one
 featurization per graph per view, shared by fitting and scoring.
 """
@@ -21,28 +22,28 @@ from synthgraphs import geometric_polarized
 
 # strategy -> (summary, rows as (graph, label, combined, view_metric, view_tsvd))
 PINNED = {
-    "max": ({"metric_auc": 1.0, "tsvd_auc": 0.5, "ensemble_max_auc": 0.53125},
-            [(0, 1, 0.8742913898264308, 0.8742913898264308, 0.5942489437735974),
-             (1, 1, 0.8965369146528178, 0.8965369146528178, 0.5942511916159683),
-             (2, 1, 0.9374161254461715, 0.9374161254461715, 0.594250209873597),
-             (3, 1, 0.8742913898264311, 0.8742913898264311, 0.594250252526237),
-             (4, 1, 0.9750643473574064, 0.9750643473574064, 0.5942520350174973),
-             (5, 1, 1.0, 1.0, 0.5942520350174979),
-             (6, 1, 0.8742903256478141, 0.8742903256478141, 0.5942488629174304),
-             (7, 1, 0.883487373822536, 0.883487373822536, 0.6568690197740468),
-             (8, -1, 1.0, 0.0846998982007509, 1.0),
-             (9, -1, 0.0, 0.0, 0.0)]),
+    "max": ({"metric_auc": 1.0, "tsvd_auc": 0.5, "ensemble_max_auc": 0.5},
+            [(0, 1, 3.9138467578043717e-07, 3.9138467578043717e-07, -1.065177333352613e-06),
+             (1, 1, 0.024544835515009775, 0.024544835515009775, 4.6905500372555786e-07),
+             (2, 1, 0.06964862664784302, 0.06964862664784302, -2.0101906920424695e-07),
+             (3, 1, 3.9138467598619455e-07, 3.9138467598619455e-07, -1.719071259938244e-07),
+             (4, 1, 0.11118752880989212, 0.11118752880989212, 1.0447065332557089e-06),
+             (5, 1, 0.13870010663919008, 0.13870010663919008, 1.0447065336640442e-06),
+             (6, 1, -7.827693534126908e-07, -7.827693534126908e-07, -1.1203645420946265e-06),
+             (7, 1, 0.042739363063828126, 0.010146715968041653, 0.042739363063828126),
+             (8, -1, 0.27693845661908845, -0.8711898548892851, 0.27693845661908845),
+             (9, -1, -0.40559709700839, -0.964642894790927, -0.40559709700839)]),
     "mean": ({"metric_auc": 1.0, "tsvd_auc": 0.5, "ensemble_mean_auc": 1.0},
-             [(0, 1, 0.7342701668000141, 0.8742913898264308, 0.5942489437735974),
-              (1, 1, 0.745394053134393, 0.8965369146528178, 0.5942511916159683),
-              (2, 1, 0.7658331676598842, 0.9374161254461715, 0.594250209873597),
-              (3, 1, 0.734270821176334, 0.8742913898264311, 0.594250252526237),
-              (4, 1, 0.784658191187452, 0.9750643473574064, 0.5942520350174973),
-              (5, 1, 0.7971260175087489, 1.0, 0.5942520350174979),
-              (6, 1, 0.7342695942826223, 0.8742903256478141, 0.5942488629174304),
-              (7, 1, 0.7701781967982914, 0.883487373822536, 0.6568690197740468),
-              (8, -1, 0.5423499491003755, 0.0846998982007509, 1.0),
-              (9, -1, 0.0, 0.0, 0.0)]),
+             [(0, 1, -3.3689632878608795e-07, 3.9138467578043717e-07, -1.065177333352613e-06),
+              (1, 1, 0.012272652285006751, 0.024544835515009775, 4.6905500372555786e-07),
+              (2, 1, 0.034824212814386905, 0.06964862664784302, -2.0101906920424695e-07),
+              (3, 1, 1.0973877499618507e-07, 3.9138467598619455e-07, -1.719071259938244e-07),
+              (4, 1, 0.05559428675821269, 0.11118752880989212, 1.0447065332557089e-06),
+              (5, 1, 0.06935057567286187, 0.13870010663919008, 1.0447065336640442e-06),
+              (6, 1, -9.515669477536587e-07, -7.827693534126908e-07, -1.1203645420946265e-06),
+              (7, 1, 0.02644303951593489, 0.010146715968041653, 0.042739363063828126),
+              (8, -1, -0.29712569913509834, -0.8711898548892851, 0.27693845661908845),
+              (9, -1, -0.6851199958996586, -0.964642894790927, -0.40559709700839)]),
 }
 
 
