@@ -11,9 +11,9 @@ when made, so every command refuses a setting of the wrong type or one no
 run can use before the graph is read, as it does an ``out`` that is a file
 or lies under one. Every command reads its graph through
 ``experiments.load_dataset`` (an edge list or a ``.json`` dump, cut to its
-largest connected component). Exit codes: 0 success, 2
-configuration or usage error, 3 numeric failure (a non-positive Markov time
-is one).
+largest connected component). Exit codes: 0 success, 2 configuration or
+usage error ("config error") or a malformed dataset ("input error"), 3
+numeric failure (a non-positive Markov time is one).
 """
 
 from __future__ import annotations
@@ -213,7 +213,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ConfigError, ParseError, InvalidSplitError, FileNotFoundError) as e:
-        print(f"config error: {e}", file=sys.stderr)
+        label = "input" if isinstance(e, ParseError) else "config"
+        print(f"{label} error: {e}", file=sys.stderr)
         return 2
     except (NumericError, MetricUndefinedError) as e:
         print(f"numeric failure: {e}", file=sys.stderr)

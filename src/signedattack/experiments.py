@@ -95,6 +95,8 @@ class ExperimentConfig:
                 raise ConfigError(f"config key {f.name!r} must be {expected}, got {val!r}")
             if isinstance(val, list):
                 object.__setattr__(self, f.name, tuple(val))
+        if self.format not in ("plain", "rated"):
+            raise ConfigError(f"unknown edge-list format {self.format!r}")
         # attack settings
         if not self.seeds:
             raise ConfigError("at least one seed is required")
@@ -218,8 +220,7 @@ def run_attack_trial(dataset: SignedGraph, cfg: ExperimentConfig, seed: int):
     self_label_acc = float(np.mean(trial.y_hat == (split.hidden_signs > 0)))
     rows = []
     for p in cfg.resolved_powers():
-        poisoned_auc = (trial.clean_auc if flips_for_power(g, p) == 0
-                        else victim_test_auc(trial.trace.snapshots[p], split, model, cfg.t))
+        poisoned_auc = victim_test_auc(trial.trace.snapshots[p], split, model, cfg.t)
         rows.append({"seed": seed, "power": p, "attack": trial.attack, "model": model,
                      "auc_clean": trial.clean_auc, "auc_poisoned": poisoned_auc,
                      "self_label_acc": self_label_acc})

@@ -119,6 +119,37 @@ def test_ingest_of_a_file_that_is_not_utf8_exits_2(dataset_file, tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name,text", [("g.csv", "0,2,1\n0,1,x\n"),
+                                       ("g.json", '{"n": 3, "edges": 5}')],
+                         ids=["edge-list", "dump"])
+def test_a_malformed_dataset_is_reported_as_an_input_error(tmp_path, capsys, name, text):
+    # it was reported as a config error
+    path = tmp_path / name
+    path.write_text(text)
+    rc = main(["ingest", "--dataset", str(path), "--format", "plain",
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("input error: ")
+
+
+@pytest.mark.parametrize("document,error", [("{", "bad config JSON"),
+                                            ('{"bogus": 1}', "unknown config key"),
+                                            ('{"nu": 2}', "nu must be"),
+                                            ('{"format": "bogus"}', "unknown edge-list format")],
+                         ids=["not-json", "unknown-key", "unusable-setting", "unknown-format"])
+def test_a_config_fault_is_reported_as_a_config_error(reads, dataset_file, tmp_path, capsys,
+                                                      document, error):
+    # an unknown format was refused only when the dataset was read
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(document)
+    rc = main(["ingest", "--config", str(cfg), "--dataset", dataset_file,
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and error in err
+    assert reads == []
+
+
 @pytest.mark.parametrize("command", ["ingest", "attack", "detect", "metrics"])
 @pytest.mark.parametrize("out", ["afile", "afile/sub"])
 def test_an_out_that_is_or_lies_under_a_file_exits_2_before_the_graph_is_read(

@@ -257,6 +257,40 @@ def test_detector_eval_strategies_and_rows():
         detector_eval(corpus, poisoned, views, "median")
 
 
+def scrambled(graphs, seed):
+    rng = np.random.default_rng(seed)
+    return [g.with_signs([1 if rng.random() < 0.5 else -1 for _ in g.edges]) for g in graphs]
+
+
+SCORES = ("combined", "view_metric", "view_tsvd")
+
+
+@pytest.mark.parametrize("strategy", ["mean", "min", "max"])
+def test_a_graphs_row_does_not_depend_on_the_other_graphs_scored(strategy):
+    # each view's decisions were min-max normalized over the scored set, so a
+    # graph's scores moved when another poisoned graph joined it
+    corpus = make_corpus(8)
+    poisoned = scrambled(corpus[:3], seed=8)
+    views = [DetectorView("metric", t=1.0), DetectorView("tsvd", d=8)]
+    _, rows = detector_eval(corpus, poisoned, views, strategy)
+    clean_rows = [[r[c] for c in SCORES] for r in rows[:len(corpus)]]
+    for k, g in enumerate(poisoned):
+        _, alone = detector_eval(corpus, [g], views, strategy)
+        assert [[r[c] for c in SCORES] for r in alone[:len(corpus)]] == clean_rows
+        assert [alone[-1][c] for c in SCORES] == [rows[len(corpus) + k][c] for c in SCORES]
+
+
+def test_a_view_score_is_its_decision_over_the_fitted_offset():
+    corpus = make_corpus(8)
+    graphs = corpus + scrambled(corpus[:3], seed=9)
+    views = [DetectorView("metric", t=1.0), DetectorView("tsvd", d=8)]
+    _, rows = detector_eval(corpus, graphs[len(corpus):], views, "mean")
+    for view in views:
+        assert view.model.rho > 0
+        decision = ocsvm_decision(view.model, np.vstack([view.featurize(g) for g in graphs]))
+        assert [r[f"view_{view.kind}"] for r in rows] == (decision / view.model.rho).tolist()
+
+
 @pytest.mark.parametrize("settings", [{}, {"baseline": "rand"}, {"baseline": "greedy-triads"},
                                       {"target": "pole-unsym"}, {"target": "fextra-meta"},
                                       {"lam": 2.0, "eta": 5.0}],
