@@ -33,7 +33,7 @@ from .errors import (ConfigError, InvalidSplitError, MetricUndefinedError,
 from .detectors import STRATEGIES
 from .experiments import (BASELINES, ExperimentConfig, load_dataset, run_attack_experiment,
                           run_detect_experiment)
-from .graph import positive_ratio
+from .graph import EDGE_LIST_FORMATS, positive_ratio
 
 
 def _write_atomic(path, writer):
@@ -163,7 +163,7 @@ def _list_of(convert):
 def _add_common(p):
     p.add_argument("--config", help="JSON config document")
     p.add_argument("--dataset", help="edge-list or graph-dump path")
-    p.add_argument("--format", default=None, choices=["plain", "rated"])
+    p.add_argument("--format", default=None, choices=EDGE_LIST_FORMATS)
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--seed", dest="seeds", type=_list_of(int), default=None,
                    help="comma-separated trial seeds")

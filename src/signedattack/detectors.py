@@ -167,11 +167,11 @@ def detector_eval(clean, poisoned, views, strategy="max"):
     clean rows it could featurize and stored in ``view.model``, with the
     clean graphs it could not featurize counted in ``view.rejected``. A graph
     that some view cannot featurize gets no row and stays out of the AUCs.
-    Rows keep the graph's index in clean + poisoned order. A row's
+    Rows keep the graph's index in clean + poisoned order; a row's
     ``view_{kind}`` is ``ocsvm_decision(view.model, x) / view.model.rho`` and
-    its ``combined`` the strategy's mean, min or max of those; neither reads
-    another row. Each AUC negates the scores, so the anomaly class is positive. Returns (summary, per_graph_rows): the summary holds
-    ``{kind}_auc`` per view, in view order, then ``ensemble_{strategy}_auc``.
+    its ``combined`` their mean, min or max, so no row reads another. AUCs
+    negate the scores (poisoned is positive). Returns (summary, rows): the
+    summary holds ``{kind}_auc`` per view in view order, then ``ensemble_{strategy}_auc``.
     """
     if strategy not in STRATEGIES:
         raise ConfigError(f"unknown ensemble strategy {strategy!r}")

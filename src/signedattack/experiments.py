@@ -26,7 +26,7 @@ from .detectors import (DEFAULT_EMBED_DIM, DEFAULT_GAMMA, DEFAULT_NU, STRATEGIES
                         detector_eval)
 from .errors import ConfigError
 from .fextra import auc
-from .graph import (EdgeSplit, SignedGraph, largest_connected_component,
+from .graph import (EDGE_LIST_FORMATS, EdgeSplit, SignedGraph, largest_connected_component,
                     load_edge_list, load_graph_json, sample_subgraph_corpus, split_edges)
 from .pole import check_markov_time
 
@@ -95,7 +95,7 @@ class ExperimentConfig:
                 raise ConfigError(f"config key {f.name!r} must be {expected}, got {val!r}")
             if isinstance(val, list):
                 object.__setattr__(self, f.name, tuple(val))
-        if self.format not in ("plain", "rated"):
+        if self.format not in EDGE_LIST_FORMATS:
             raise ConfigError(f"unknown edge-list format {self.format!r}")
         # attack settings
         if not self.seeds:

@@ -30,6 +30,7 @@ from . import tape as tp
 from .errors import InvalidSplitError, MissingEdgeError, ParseError
 
 DEGREE_FLOOR = 1e-9
+EDGE_LIST_FORMATS = ("plain", "rated")
 
 
 class SignedGraph:
@@ -262,7 +263,7 @@ def load_edge_list(path, fmt="plain") -> SignedGraph:
     the rating sum (an exact-zero sum drops the edge). Zero ratings and
     self-loops are rejected row-wise and counted in the result metadata.
     """
-    if fmt not in ("plain", "rated"):
+    if fmt not in EDGE_LIST_FORMATS:
         raise ParseError(f"unknown edge-list format {fmt!r}")
     last_rating = {}
     rejected = 0
