@@ -3,13 +3,14 @@
 The triad balance ratio and the triad counts of ``balance_report`` come from
 traces: tr(|A|^3) is six times the number of fully signed triangles and
 tr(A^3) + tr(|A|^3) twelve times the balanced ones (hidden-sign edges are 0
-in A). Both are read off one FeXtra feature block X of all links
-(``triad_traces``): tr(A^3) = 2 sum_k s_k W_k, where W_k = X[k] @
-``fextra.BALANCED_WEDGES`` sums s_uw s_wv over the wedges (u, w, v) closing
-link k, and tr(|A|^3) sums the four triad columns instead. No n x n matrix
-is built and the terms are integers, so the sums are exact; the attack's
-lambda term reads the block its step computed. Only the tests call
-``triad_census``, the enumeration oracle for both.
+in A). tr(A^3) = 2 sum_k s_k W_k, where W_k sums s_uw s_wv over the wedges
+(u, w, v) closing link k, and tr(|A|^3) sums |s_uw s_wv| instead.
+``graph_triad_traces`` reads both off the wedge index of the graph's links;
+the attack's lambda term reads them off the FeXtra feature block X its step
+computed (``triad_traces``), where W_k = X[k] @ ``fextra.BALANCED_WEDGES``.
+No n x n matrix is built and the terms are integers, so the sums are exact
+and both routes agree bit for bit. Only the tests call ``triad_census``, the
+enumeration oracle for both.
 Polarization correlates a node's signed and unsigned random-walk transition
 rows. Its one implementation, ``polarization_term``, averages the correlation
 over the nodes where both rows vary; the detector, the report and the attack
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import tape as tp
 from .errors import MetricUndefinedError
-from .fextra import BALANCED_WEDGES, link_features, wedge_index
+from .fextra import BALANCED_WEDGES, wedge_index
 from .graph import SignedGraph
 from .pole import transition_matrix
 
@@ -69,9 +70,14 @@ def balance_ratio_terms(tr, tr_abs):
 
 
 def graph_triad_traces(g: SignedGraph):
-    """``triad_traces`` of g, read off the feature block of all its links."""
+    """``triad_traces`` of g, read straight off the wedge index of its links."""
     signs = g.signs()
-    return triad_traces(signs, link_features(signs, wedge_index(g)))
+    index = wedge_index(g)
+    a = signs[index.edge]
+    legs = a[index.first] * a[index.second]
+    W = np.bincount(index.link, legs, len(signs))
+    closed = np.bincount(index.link, np.abs(legs), len(signs))
+    return 2.0 * float(signs @ W), 2.0 * float(np.abs(signs) @ closed)
 
 
 def balance_ratio(g: SignedGraph) -> float:
@@ -133,10 +139,12 @@ def _defined_mean(corr, defined):
 def _walk_correlations(g: SignedGraph, t: float):
     """``row_correlations`` of g's signed and unsigned row-normalized walks at Markov time t.
 
-    The walks are the one place a balance metric builds the dense A.
+    The walks are the one place a balance metric builds the dense A; |A|
+    overwrites it once the signed walk is taken.
     """
     A, d = g.adjacency(), g.degrees()
-    return row_correlations(transition_matrix(A, d, t), transition_matrix(np.abs(A), d, t))
+    M_sign = transition_matrix(A, d, t)
+    return row_correlations(M_sign, transition_matrix(np.abs(A, out=A), d, t))
 
 
 def _node_values(corr, defined):

@@ -14,10 +14,19 @@ view does, ``max`` only when every view does. ``detector_eval``
 featurizes each graph of the clean and poisoned lists once per view, fits
 each view's model in place from the clean rows, scores the same rows and
 computes every AUC: one per view and the ensemble's.
+
+Featurizing is most of a detect run, and its dense eigendecompositions
+are BLAS calls. ``featurize_graphs`` featurizes one graph per CPU that
+BLAS leaves free, each on its own thread, with results identical to a
+serial run. Exporting ``OMP_NUM_THREADS=1`` (or ``OPENBLAS_NUM_THREADS=1``)
+enables this; with BLAS unpinned, OpenBLAS already runs a thread per CPU
+and the graphs are featurized one at a time.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +35,7 @@ from .balance import balance_ratio, graph_polarization
 from .errors import ConfigError, MetricUndefinedError, NumericError
 from .fextra import auc
 from .graph import SignedGraph
-from .linalg import sym_eig
+from .linalg import top_abs_eigvecs
 
 DEFAULT_NU = 0.1
 DEFAULT_GAMMA = 0.1
@@ -34,6 +43,8 @@ DEFAULT_EMBED_DIM = 32
 OCSVM_TOL = 1e-6  # KKT gap at which the dual solver stops
 OCSVM_PASSES_PER_ROW = 200  # pairwise updates allowed per training row
 STRATEGIES = ("mean", "min", "max")  # how the ensemble combines the view scores
+# where the thread count of a BLAS call is set, read in this order
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass
@@ -127,12 +138,11 @@ def tsvd_features(g: SignedGraph, d=DEFAULT_EMBED_DIM):
     """Mean of the top-d left singular vectors, zero-padded to d columns.
 
     The adjacency is symmetric, so these are its eigenvectors of largest
-    |eigenvalue|, ties in |eigenvalue| taken in ascending eigenvalue order,
-    with ``sym_eig``'s column signs (the rule ``truncated_svd`` applies).
+    |eigenvalue| (``top_abs_eigvecs``), with the column signs that
+    ``truncated_svd`` applies.
     """
-    lam, Q = sym_eig(g.adjacency())
-    top = np.argsort(-np.abs(lam), kind="stable")[:d]
-    return np.concatenate([Q[:, top].mean(axis=0), np.zeros(d - len(top))])
+    U = top_abs_eigvecs(g.adjacency(), d)
+    return np.concatenate([U.mean(axis=0), np.zeros(d - U.shape[1])])
 
 
 @dataclass
@@ -160,6 +170,81 @@ def _try_featurize(view: DetectorView, g: SignedGraph):
         return None
 
 
+def _blas_threads(usable):
+    """Threads one BLAS call may use: the first positive integer among
+    ``BLAS_THREAD_VARS``, else ``usable`` (OpenBLAS starts one per core)."""
+    for var in BLAS_THREAD_VARS:
+        value = os.environ.get(var, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return int(value)
+    return usable
+
+
+def featurize_workers(n_graphs):
+    """Graphs featurized at once: the usable CPUs over the BLAS threads, from 1 to ``n_graphs``."""
+    usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+              else os.cpu_count() or 1)
+    return max(1, min(n_graphs, usable // _blas_threads(usable)))
+
+
+def _bands(graphs, k):
+    """Graph indices sorted by size, cut into k contiguous nonempty bands of about equal sum n^3.
+
+    A graph goes to the band its cost midpoint falls in, unless that would
+    leave a band empty.
+    """
+    order = sorted(range(len(graphs)), key=lambda i: graphs[i].n)
+    cost = np.array([float(graphs[i].n) ** 3 for i in order])
+    mid = np.cumsum(cost) - cost / 2
+    bounds = [0]
+    for j in range(1, k):
+        cut = int(np.searchsorted(mid, cost.sum() * j / k))
+        bounds.append(min(max(cut, bounds[-1] + 1), len(order) - k + j))
+    bounds.append(len(order))
+    return [order[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def featurize_graphs(graphs, views):
+    """``feats[j][i]``: view j's features of graph i, None where its metric is undefined.
+
+    Graphs are featurized ``featurize_workers`` at a time: the size-sorted
+    list is cut into that many bands of about equal cost, and each band runs
+    on its own thread, the calling thread taking the first. A band
+    featurizes each of its graphs for every view. The features are the
+    serial ones bit for bit, and if any featurization raises, the error
+    raised is the first in the serial (view, graph) order.
+    """
+    feats = [[None] * len(graphs) for _ in views]
+    errors = {}
+    interrupted = threading.Event()
+
+    def run(band):
+        for i in band:
+            if interrupted.is_set():
+                return
+            for j, view in enumerate(views):
+                try:
+                    feats[j][i] = _try_featurize(view, graphs[i])
+                except Exception as e:  # raised below, in serial order
+                    errors[j, i] = e
+
+    first, *rest = _bands(graphs, featurize_workers(len(graphs)))
+    threads = [threading.Thread(target=run, args=(band,)) for band in rest]
+    for thread in threads:
+        thread.start()
+    try:
+        run(first)
+    except BaseException:  # Ctrl-C: the other bands stop at their next graph
+        interrupted.set()
+        raise
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[min(errors)]
+    return feats
+
+
 def detector_eval(clean, poisoned, views, strategy="max"):
     """Fit each view on the clean graphs, score clean + poisoned, compute the AUCs.
 
@@ -177,7 +262,7 @@ def detector_eval(clean, poisoned, views, strategy="max"):
         raise ConfigError(f"unknown ensemble strategy {strategy!r}")
     graphs = list(clean) + list(poisoned)
     n_clean = len(clean)
-    feats = [[_try_featurize(v, g) for g in graphs] for v in views]
+    feats = featurize_graphs(graphs, views)
     for v, f in zip(views, feats):
         train = [x for x in f[:n_clean] if x is not None]
         if len(train) < 2:

@@ -261,7 +261,8 @@ def load_edge_list(path, fmt="plain") -> SignedGraph:
     Duplicate rows for the same ordered pair keep the last one; reciprocal
     directed rows merge into one undirected edge whose sign is the sign of
     the rating sum (an exact-zero sum drops the edge). Zero ratings and
-    self-loops are rejected row-wise and counted in the result metadata.
+    self-loops are rejected row-wise and counted in the result metadata. A
+    file that leaves no link raises ``ParseError``.
     """
     if fmt not in EDGE_LIST_FORMATS:
         raise ParseError(f"unknown edge-list format {fmt!r}")
@@ -283,6 +284,9 @@ def load_edge_list(path, fmt="plain") -> SignedGraph:
 
     raw_edges = [(u, v, 1 if r > 0 else -1) for (u, v), r in merged.items() if r != 0.0]
     dropped = sum(1 for r in merged.values() if r == 0.0)
+    if not raw_edges:
+        raise ParseError(f"{path} has no usable row ({rejected} rows rejected, "
+                         f"{dropped} links dropped as zero-sum)")
 
     node_ids = sorted({u for u, _, _ in raw_edges} | {v for _, v, _ in raw_edges})
     remap = {old: new for new, old in enumerate(node_ids)}

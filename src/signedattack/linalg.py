@@ -7,7 +7,7 @@ series, a composite of tape primitives that differentiates by construction)
 works on any square matrix and is kept as the reference the tests compare
 the eigenbasis path against. No program path calls ``truncated_svd``:
 the detector's TSVD view reads the top-|eigenvalue| eigenvectors of
-``sym_eig``. It stays as the tests' oracle for that view and because
+``top_abs_eigvecs``. It stays as the tests' oracle for that view and because
 ``perfbench/layers.py`` wraps both ``matrix_exp`` and ``truncated_svd`` by name.
 """
 
@@ -37,10 +37,11 @@ def _fix_column_signs(M):
 
 def _eigh(S: np.ndarray):
     """``np.linalg.eigh`` of (S + S^T)/2, ``NumericError`` where it fails; eigenvector
-    signs as LAPACK leaves them."""
+    signs as LAPACK leaves them. A symmetric S is already (S + S^T)/2 bit for
+    bit, so it is decomposed as it is and no float n x n temporary is made."""
     S = np.asarray(S, dtype=float)
     try:
-        return np.linalg.eigh(0.5 * (S + S.T))
+        return np.linalg.eigh(S if np.array_equal(S, S.T) else 0.5 * (S + S.T))
     except np.linalg.LinAlgError as e:
         residual = float(np.abs(S - S.T).max())
         raise NumericError(
@@ -53,6 +54,17 @@ def sym_eig(S: np.ndarray):
     eigenvector signs; eigenvalues ascending."""
     lam, Q = _eigh(S)
     return lam, Q * _fix_column_signs(Q)
+
+
+def top_abs_eigvecs(S: np.ndarray, d: int):
+    """The columns of ``sym_eig(S)[1]`` for the d largest |eigenvalue|, in that order.
+
+    Ties in |eigenvalue| are taken in ascending eigenvalue order. The signs
+    are ``sym_eig``'s, fixed on these columns only.
+    """
+    lam, Q = _eigh(S)
+    U = Q[:, np.argsort(-np.abs(lam), kind="stable")[:d]]
+    return U * _fix_column_signs(U)
 
 
 def matrix_exp(A, order: int = EXP_TAYLOR_ORDER):

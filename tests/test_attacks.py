@@ -898,8 +898,7 @@ def test_a_step_computes_the_features_and_the_walk_at_most_once(monkeypatch, tar
             super().backward(loss)
 
     monkeypatch.setattr(tp, "Tape", RecordingTape)
-    for module in (attacks, balance):
-        monkeypatch.setattr(module, "link_features", counting(features, fextra.link_features))
+    monkeypatch.setattr(attacks, "link_features", counting(features, fextra.link_features))
     monkeypatch.setattr(pole, "sym_matrix_exp", counting(exps, pole.sym_matrix_exp))
     choose(g.mask(split.test).signs(), np.zeros(len(split.train), dtype=bool), AttackTrace())
     fextra_target = victim_model_kind(target) == "fextra"

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from signedattack import balance, fextra
 from signedattack import tape as tp
 from signedattack.balance import (balance_ratio, balance_ratio_terms, balance_report,
-                                  graph_polarization, polarization_term,
+                                  graph_polarization, graph_triad_traces, polarization_term,
                                   row_correlations, triad_census, triad_traces)
 from signedattack.errors import MetricUndefinedError
 from signedattack.fextra import link_features, wedge_index
@@ -115,6 +116,26 @@ def test_balance_ratio_and_degrees_build_no_dense_adjacency_and_the_report_one(m
     assert scatters == []
     assert balance_report(g).to_json_dict() == want[1]
     assert len(scatters) == 1
+
+
+def test_balance_ratio_reads_its_traces_off_the_wedge_index_and_calls_no_link_features(
+        monkeypatch):
+    # it built the nine-column feature block to read two of its sums
+    graphs = [two_community(40, 6, 0.1, seed=1).mask([0, 3, 5]),
+              random_signed_graph(14, density=0.35, seed=5), complete_graph(6)]
+    want = []
+    for g in graphs:
+        signs = g.signs()
+        want.append(triad_traces(signs, link_features(signs, wedge_index(g))))
+
+    def refuse(*args):
+        raise AssertionError("link_features called")
+
+    for module in (balance, fextra):
+        monkeypatch.setattr(module, "link_features", refuse, raising=False)
+    for g, traces in zip(graphs, want):
+        assert graph_triad_traces(g) == traces
+        assert balance_ratio(g) == balance_ratio_terms(*traces)
 
 
 def test_balance_invariant_under_relabeling():

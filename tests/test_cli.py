@@ -132,6 +132,19 @@ def test_a_malformed_dataset_is_reported_as_an_input_error(tmp_path, capsys, nam
     assert capsys.readouterr().err.startswith("input error: ")
 
 
+@pytest.mark.parametrize("text,rejected", [("u,v,s\n", 0), ("0,0,1\n1,1,1\n", 2)],
+                         ids=["header-only", "self-loops-only"])
+def test_an_edge_list_with_no_usable_row_is_an_input_error(tmp_path, capsys, text, rejected):
+    # it was reported as "config error: empty graph has no components"
+    path = tmp_path / "g.csv"
+    path.write_text(text)
+    rc = main(["ingest", "--dataset", str(path), "--format", "plain",
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: {path} has no usable row ({rejected} rows rejected")
+
+
 @pytest.mark.parametrize("document,error", [("{", "bad config JSON"),
                                             ('{"bogus": 1}', "unknown config key"),
                                             ('{"nu": 2}', "nu must be"),

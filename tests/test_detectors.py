@@ -1,11 +1,15 @@
-from dataclasses import replace
+import os
+import threading
+from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from signedattack import experiments
-from signedattack.detectors import (DetectorView, detector_eval, metric_features,
-                                    ocsvm_decision, ocsvm_fit, tsvd_features)
+from signedattack.detectors import (BLAS_THREAD_VARS, DetectorView, _bands, detector_eval,
+                                    featurize_workers, metric_features, ocsvm_decision, ocsvm_fit,
+                                    tsvd_features)
 from signedattack.errors import ConfigError, MetricUndefinedError, NumericError
 from signedattack.experiments import (ExperimentConfig, build_poisoned_set,
                                       run_attack_experiment, run_attack_trial,
@@ -15,6 +19,7 @@ from signedattack.graph import SignedGraph
 from signedattack.linalg import truncated_svd
 from synthgraphs import (all_positive_triangle, geometric_polarized, random_signed_graph,
                          two_community)
+from test_detect_pins import PINNED, detect_inputs  # noqa: F401 (a fixture)
 
 
 def svd_tsvd_features(g, d):
@@ -289,6 +294,91 @@ def test_a_view_score_is_its_decision_over_the_fitted_offset():
         assert view.model.rho > 0
         decision = ocsvm_decision(view.model, np.vstack([view.featurize(g) for g in graphs]))
         assert [r[f"view_{view.kind}"] for r in rows] == (decision / view.model.rho).tolist()
+
+
+def use_cpus(monkeypatch, cpus, blas_env):
+    """Make ``cpus`` CPUs usable and set exactly the BLAS variables of ``blas_env``."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    for var in BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in blas_env.items():
+        monkeypatch.setenv(var, value)
+
+
+@pytest.mark.parametrize("cpus,blas_env,n_graphs,workers", [
+    (2, {}, 36, 1),  # unpinned, BLAS already runs a thread per CPU
+    (2, {"OPENBLAS_NUM_THREADS": "1"}, 36, 2),
+    (2, {"OMP_NUM_THREADS": "1"}, 36, 2),
+    (2, {"MKL_NUM_THREADS": "1"}, 36, 2),
+    (8, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 36, 4),
+    (8, {"OMP_NUM_THREADS": "4", "MKL_NUM_THREADS": "1"}, 36, 2),
+    (8, {"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "x", "MKL_NUM_THREADS": "2"}, 36, 4),
+    (2, {"OMP_NUM_THREADS": "4"}, 36, 1),
+    (1, {"OMP_NUM_THREADS": "1"}, 36, 1),
+    (8, {"OMP_NUM_THREADS": "1"}, 3, 3),
+    (8, {"OMP_NUM_THREADS": "1"}, 0, 1),
+], ids=["unpinned", "openblas-1", "omp-1", "mkl-1", "openblas-read-first", "omp-before-mkl",
+        "first-positive-integer", "at-least-one", "one-cpu", "one-per-graph", "no-graphs"])
+def test_the_worker_count_is_the_usable_cpus_over_the_blas_threads(monkeypatch, cpus, blas_env,
+                                                                   n_graphs, workers):
+    use_cpus(monkeypatch, cpus, blas_env)
+    assert featurize_workers(n_graphs) == workers
+
+
+def test_the_bands_are_nonempty_size_sorted_runs_of_about_equal_cost():
+    sizes = [500, 300, 400] * 10 + [300] * 6  # the bench corpus and its poisoned snapshots
+    graphs = [SimpleNamespace(n=n) for n in sizes]
+    for k in range(1, len(graphs) + 1):
+        bands = _bands(graphs, k)
+        assert len(bands) == k and all(bands)
+        order = [i for band in bands for i in band]
+        assert sorted(order) == list(range(len(graphs)))
+        assert [sizes[i] for i in order] == sorted(sizes)
+    costs = [sum(sizes[i] ** 3 for i in band) for band in _bands(graphs, 2)]
+    assert abs(costs[0] - costs[1]) <= 500 ** 3
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("strategy", sorted(PINNED))
+def test_the_detect_pins_hold_with_one_and_with_two_workers(detect_inputs, monkeypatch,
+                                                            strategy, workers):
+    use_cpus(monkeypatch, workers, {"OMP_NUM_THREADS": "1"})
+    threads = set()
+    featurize = DetectorView.featurize
+
+    def recording(self, g):
+        threads.add(threading.get_ident())
+        return featurize(self, g)
+
+    monkeypatch.setattr(DetectorView, "featurize", recording)
+    cfg, dataset, corpus, poisoned = detect_inputs
+    summary, rows, _ = run_detect_experiment(replace(cfg, strategy=strategy), dataset, corpus,
+                                             poisoned)
+    want_summary, want_rows = PINNED[strategy]
+    assert summary == want_summary
+    assert [(r["graph"], r["label"], r["combined"], r["view_metric"], r["view_tsvd"])
+            for r in rows] == want_rows
+    assert len(threads) == workers
+
+
+@dataclass
+class FailingView(DetectorView):
+    fail_on: tuple = ()  # sizes of the graphs this view raises on
+
+    def featurize(self, g):
+        if g.n in self.fail_on:
+            raise NumericError(f"{self.kind} view failed on the {g.n}-node graph")
+        return super().featurize(g)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_the_error_raised_is_the_first_in_serial_view_then_graph_order(monkeypatch, workers):
+    # graph i has 40 - 4i nodes, so the size-sorted bands reach the later graphs first
+    use_cpus(monkeypatch, workers, {"OPENBLAS_NUM_THREADS": "1"})
+    graphs = [two_community(40 - 4 * i, 6, 0.1, seed=i) for i in range(6)]
+    views = [FailingView("metric", fail_on=(36, 20)), FailingView("tsvd", d=8, fail_on=(40,))]
+    with pytest.raises(NumericError, match="^metric view failed on the 36-node graph$"):
+        detector_eval(graphs[:4], graphs[4:], views)
 
 
 @pytest.mark.parametrize("settings", [{}, {"baseline": "rand"}, {"baseline": "greedy-triads"},
