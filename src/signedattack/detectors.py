@@ -17,10 +17,11 @@ computes every AUC: one per view and the ensemble's.
 
 Featurizing is most of a detect run, and its dense eigendecompositions
 are BLAS calls. ``featurize_graphs`` featurizes one graph per CPU that
-BLAS leaves free, each on its own thread, with results identical to a
-serial run. Exporting ``OMP_NUM_THREADS=1`` (or ``OPENBLAS_NUM_THREADS=1``)
-enables this; with BLAS unpinned, OpenBLAS already runs a thread per CPU
-and the graphs are featurized one at a time.
+BLAS leaves free: each worker thread takes the largest graph no other has
+taken yet, and the results are those of a serial run. Exporting
+``OMP_NUM_THREADS=1`` (or ``OPENBLAS_NUM_THREADS=1``) enables this; with
+BLAS unpinned, OpenBLAS already runs a thread per CPU and the graphs are
+featurized one at a time.
 """
 
 from __future__ import annotations
@@ -187,40 +188,27 @@ def featurize_workers(n_graphs):
     return max(1, min(n_graphs, usable // _blas_threads(usable)))
 
 
-def _bands(graphs, k):
-    """Graph indices sorted by size, cut into k contiguous nonempty bands of about equal sum n^3.
-
-    A graph goes to the band its cost midpoint falls in, unless that would
-    leave a band empty.
-    """
-    order = sorted(range(len(graphs)), key=lambda i: graphs[i].n)
-    cost = np.array([float(graphs[i].n) ** 3 for i in order])
-    mid = np.cumsum(cost) - cost / 2
-    bounds = [0]
-    for j in range(1, k):
-        cut = int(np.searchsorted(mid, cost.sum() * j / k))
-        bounds.append(min(max(cut, bounds[-1] + 1), len(order) - k + j))
-    bounds.append(len(order))
-    return [order[a:b] for a, b in zip(bounds, bounds[1:])]
-
-
 def featurize_graphs(graphs, views):
     """``feats[j][i]``: view j's features of graph i, None where its metric is undefined.
 
-    Graphs are featurized ``featurize_workers`` at a time: the size-sorted
-    list is cut into that many bands of about equal cost, and each band runs
-    on its own thread, the calling thread taking the first. A band
-    featurizes each of its graphs for every view. The features are the
-    serial ones bit for bit, and if any featurization raises, the error
-    raised is the first in the serial (view, graph) order.
+    ``featurize_workers`` workers, the calling thread one of them, share one
+    queue of the graphs sorted largest first: each takes the largest graph
+    not yet taken and featurizes it for every view, so the small graphs
+    fill the tail and no cost model is needed. The features are the serial
+    ones bit for bit, and if any featurization raises, the error raised is
+    the first in the serial (view, graph) order.
     """
     feats = [[None] * len(graphs) for _ in views]
     errors = {}
     interrupted = threading.Event()
+    queue = iter(sorted(range(len(graphs)), key=lambda i: -graphs[i].n))
+    lock = threading.Lock()
 
-    def run(band):
-        for i in band:
-            if interrupted.is_set():
+    def run():
+        while not interrupted.is_set():
+            with lock:
+                i = next(queue, None)
+            if i is None:
                 return
             for j, view in enumerate(views):
                 try:
@@ -228,13 +216,12 @@ def featurize_graphs(graphs, views):
                 except Exception as e:  # raised below, in serial order
                     errors[j, i] = e
 
-    first, *rest = _bands(graphs, featurize_workers(len(graphs)))
-    threads = [threading.Thread(target=run, args=(band,)) for band in rest]
+    threads = [threading.Thread(target=run) for _ in range(featurize_workers(len(graphs)) - 1)]
     for thread in threads:
         thread.start()
     try:
-        run(first)
-    except BaseException:  # Ctrl-C: the other bands stop at their next graph
+        run()
+    except BaseException:  # Ctrl-C: the other workers stop at their next graph
         interrupted.set()
         raise
     finally:

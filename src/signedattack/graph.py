@@ -210,13 +210,17 @@ class EdgeSplit:
 
 def load_graph_json(path) -> SignedGraph:
     """The graph of a ``SignedGraph.write_json`` dump, byte order mark optional;
-    ``ParseError`` for one that is not UTF-8 JSON or not a graph dump."""
+    ``ParseError`` for one that is not UTF-8 JSON, not a graph dump or has no
+    link, as for an edge list that leaves none."""
     with open(path, encoding="utf-8-sig") as f:
         try:
             document = json.load(f)
         except ValueError as e:  # not JSON, not UTF-8, or an integer of over 4300 digits
             raise ParseError(f"bad graph JSON: {e}") from e
-    return SignedGraph.from_json_dict(document)
+    g = SignedGraph.from_json_dict(document)
+    if not g.edges:
+        raise ParseError(f"{path} has no links (n = {g.n})")
+    return g
 
 
 def _utf8_lines(f):

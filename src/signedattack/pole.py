@@ -43,15 +43,29 @@ def transition_matrix(A, degrees, t):
     It exponentiates the symmetric generator t (D^{-1/2} A D^{-1/2} - I)
     through one eigendecomposition and returns the similarity transform
     D^{-1/2} exp(.) D^{1/2}, since D^{-1} A is similar to D^{-1/2} A D^{-1/2};
-    A must be symmetric. Every walk of the package passes through here, so
-    this is where a Markov time that is not positive (or is NaN) raises
-    ``NumericError`` (``check_markov_time``).
+    A must be symmetric. The generator is one tape node built in place,
+    whose adjoint (g t) r r^T, r = D^{-1/2} 1, multiplies in the order of
+    the composite (A r r^T - I) t. Every walk of the package passes through
+    here, so this is where a Markov time that is not positive (or is NaN)
+    raises ``NumericError`` (``check_markov_time``).
     """
     check_markov_time(t)
     d = np.maximum(np.asarray(degrees, dtype=float), DEGREE_FLOOR)
     r = 1.0 / np.sqrt(d)
-    gen = tp.mul(tp.add(tp.mul(A, np.outer(r, r)), -np.eye(d.shape[0])), t)
-    return tp.mul(sym_matrix_exp(gen), np.outer(r, np.sqrt(d)))
+
+    def generator(A):
+        gen = A * np.outer(r, r)
+        gen[np.diag_indices_from(gen)] += -1.0
+        gen *= t
+        return gen
+
+    # the adjoint builds r r^T again rather than hold it through the exponential
+    M = sym_matrix_exp(tp._apply(generator, (lambda g, out, A: g * t * np.outer(r, r),), A))
+    scale = np.outer(r, np.sqrt(d))
+    if tp._is_value(M):
+        return tp.mul(M, scale)
+    M *= scale  # a plain walk is a fresh array, scaled in place
+    return M
 
 
 def autocovariance(M, degrees, us, vs):

@@ -20,10 +20,11 @@ POLE autocovariance reads the pairs' columns of a walk as two ``gather_rows``
 ``np.bincount`` over row-major flat indices, which sums in index order as
 ``np.add.at`` does but without its per-element overhead.
 
-Five ``_apply`` nodes live outside this module, each a whole stage that
+Six ``_apply`` nodes live outside this module, each a whole stage that
 would otherwise be a chain of small nodes: ``fextra.link_features`` (the
 feature map), ``fextra.logistic_theta`` (the converged fit, whose adjoint
-solves with the Hessian at the optimum), ``linalg.sym_matrix_exp`` (the
+solves with the Hessian at the optimum), ``pole.transition_matrix``'s walk
+generator (built in place in one array), ``linalg.sym_matrix_exp`` (the
 symmetrization and the exponential, whose adjoint works in the eigenbasis),
 ``attacks._log_likelihood`` (the clipped log-likelihood) and
 ``attacks._ols_log_likelihood`` (the ``fextra-ols`` surrogate from the

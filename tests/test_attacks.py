@@ -876,9 +876,11 @@ def test_a_step_scatters_the_dense_adjacency_once_when_the_objective_reads_it(
 # nodes (one transpose, two gathers, the two ends' M^T w and five per output)
 # and normalizes them in nine; three pair calls of ten nodes each recorded
 # 47/56/64/73, and the dense R (3 nodes), the cosine matrix (10) and the
-# gather of P at the test links 22/31/39/48
-STEP_NODES = {"fextra-ols": (3, 11, 26, 34), "fextra-meta": (23, 31, 46, 54),
-              "pole-unsym": (37, 46, 54, 63)}
+# gather of P at the test links 22/31/39/48. Each walk's generator
+# t (D^-1/2 A D^-1/2 - I) is one node; as three it recorded 3/11/26/34,
+# 23/31/46/54 and 37/46/54/63
+STEP_NODES = {"fextra-ols": (3, 11, 24, 32), "fextra-meta": (23, 31, 44, 52),
+              "pole-unsym": (35, 44, 52, 61)}
 
 
 @pytest.mark.parametrize("eta", [0.0, 5.0])

@@ -145,6 +145,19 @@ def test_an_edge_list_with_no_usable_row_is_an_input_error(tmp_path, capsys, tex
     assert err.startswith(f"input error: {path} has no usable row ({rejected} rows rejected")
 
 
+@pytest.mark.parametrize("n", [0, 3])
+def test_a_graph_dump_with_no_links_is_an_input_error(tmp_path, capsys, n):
+    # n = 0 was reported as "config error: empty graph has no components";
+    # n = 3 was ingested as a one-node graph with a NaN positive ratio
+    path = tmp_path / "g.json"
+    path.write_text(f'{{"n": {n}, "edges": []}}')
+    out = tmp_path / "o"
+    rc = main(["ingest", "--dataset", str(path), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"input error: {path} has no links (n = {n})")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("document,error", [("{", "bad config JSON"),
                                             ('{"bogus": 1}', "unknown config key"),
                                             ('{"nu": 2}', "nu must be"),

@@ -1,15 +1,15 @@
 import os
+import sys
 import threading
 from dataclasses import dataclass, replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from signedattack import experiments
-from signedattack.detectors import (BLAS_THREAD_VARS, DetectorView, _bands, detector_eval,
-                                    featurize_workers, metric_features, ocsvm_decision, ocsvm_fit,
-                                    tsvd_features)
+from signedattack.detectors import (BLAS_THREAD_VARS, DetectorView, detector_eval,
+                                    featurize_graphs, featurize_workers, metric_features,
+                                    ocsvm_decision, ocsvm_fit, tsvd_features)
 from signedattack.errors import ConfigError, MetricUndefinedError, NumericError
 from signedattack.experiments import (ExperimentConfig, build_poisoned_set,
                                       run_attack_experiment, run_attack_trial,
@@ -325,29 +325,24 @@ def test_the_worker_count_is_the_usable_cpus_over_the_blas_threads(monkeypatch, 
     assert featurize_workers(n_graphs) == workers
 
 
-def test_the_bands_are_nonempty_size_sorted_runs_of_about_equal_cost():
-    sizes = [500, 300, 400] * 10 + [300] * 6  # the bench corpus and its poisoned snapshots
-    graphs = [SimpleNamespace(n=n) for n in sizes]
-    for k in range(1, len(graphs) + 1):
-        bands = _bands(graphs, k)
-        assert len(bands) == k and all(bands)
-        order = [i for band in bands for i in band]
-        assert sorted(order) == list(range(len(graphs)))
-        assert [sizes[i] for i in order] == sorted(sizes)
-    costs = [sum(sizes[i] ** 3 for i in band) for band in _bands(graphs, 2)]
-    assert abs(costs[0] - costs[1]) <= 500 ** 3
+BARRIER_TIMEOUT_S = 30  # a worker that never takes a graph breaks the barrier
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("strategy", sorted(PINNED))
 def test_the_detect_pins_hold_with_one_and_with_two_workers(detect_inputs, monkeypatch,
                                                             strategy, workers):
+    # each thread's first featurize waits at the barrier, so every worker
+    # takes a graph: the calling thread cannot drain the queue alone
     use_cpus(monkeypatch, workers, {"OMP_NUM_THREADS": "1"})
     threads = set()
+    barrier = threading.Barrier(workers, timeout=BARRIER_TIMEOUT_S)
     featurize = DetectorView.featurize
 
     def recording(self, g):
-        threads.add(threading.get_ident())
+        if threading.get_ident() not in threads:
+            threads.add(threading.get_ident())
+            barrier.wait()
         return featurize(self, g)
 
     monkeypatch.setattr(DetectorView, "featurize", recording)
@@ -359,6 +354,35 @@ def test_the_detect_pins_hold_with_one_and_with_two_workers(detect_inputs, monke
     assert [(r["graph"], r["label"], r["combined"], r["view_metric"], r["view_tsvd"])
             for r in rows] == want_rows
     assert len(threads) == workers
+
+
+@pytest.mark.parametrize("workers", [1, 2, 8])
+def test_each_worker_takes_the_largest_graph_left_and_featurizes_it_once_per_view(monkeypatch,
+                                                                                  workers):
+    # 8 workers is more than most hosts have CPUs; with a short switch
+    # interval, a graph taken twice or never shows in the counts
+    use_cpus(monkeypatch, workers, {"OPENBLAS_NUM_THREADS": "1"})
+    graphs = make_corpus(9) + make_corpus(3, seed=20)  # sizes 40, 44, 48, with ties
+    visits = []  # (thread, view kind, graph); appended to from several threads
+    featurize = DetectorView.featurize
+
+    def recording(self, g):
+        visits.append((threading.get_ident(), self.kind, id(g)))
+        return featurize(self, g)
+
+    monkeypatch.setattr(DetectorView, "featurize", recording)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        featurize_graphs(graphs, [DetectorView("metric"), DetectorView("tsvd", d=8)])
+    finally:
+        sys.setswitchinterval(interval)
+    size = {id(g): g.n for g in graphs}
+    assert sorted((kind, graph) for _, kind, graph in visits) == sorted(
+        (kind, id(g)) for kind in ("metric", "tsvd") for g in graphs)
+    for thread in {t for t, _, _ in visits}:
+        sizes = [size[graph] for t, _, graph in visits if t == thread]
+        assert sizes == sorted(sizes, reverse=True)
 
 
 @dataclass
@@ -373,12 +397,54 @@ class FailingView(DetectorView):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_the_error_raised_is_the_first_in_serial_view_then_graph_order(monkeypatch, workers):
-    # graph i has 40 - 4i nodes, so the size-sorted bands reach the later graphs first
+    # graph i has 20 + 4i nodes, so largest-first featurizes the last serial
+    # graph first and meets the serial-first error last; graph-then-view
+    # order would pick the tsvd error on graph 0
     use_cpus(monkeypatch, workers, {"OPENBLAS_NUM_THREADS": "1"})
-    graphs = [two_community(40 - 4 * i, 6, 0.1, seed=i) for i in range(6)]
-    views = [FailingView("metric", fail_on=(36, 20)), FailingView("tsvd", d=8, fail_on=(40,))]
-    with pytest.raises(NumericError, match="^metric view failed on the 36-node graph$"):
+    graphs = [two_community(20 + 4 * i, 6, 0.1, seed=i) for i in range(6)]
+    views = [FailingView("metric", fail_on=(36, 24)), FailingView("tsvd", d=8, fail_on=(40, 20))]
+    with pytest.raises(NumericError, match="^metric view failed on the 24-node graph$"):
         detector_eval(graphs[:4], graphs[4:], views)
+
+
+class Interrupt(BaseException):
+    """Raised the way ``KeyboardInterrupt`` is: not an ``Exception``."""
+
+
+def test_an_interrupt_in_the_calling_thread_stops_the_other_workers_at_their_next_graph(
+        monkeypatch):
+    use_cpus(monkeypatch, 2, {"OPENBLAS_NUM_THREADS": "1"})
+    graphs = make_corpus(8)
+    caller = threading.get_ident()
+    barrier = threading.Barrier(2, timeout=BARRIER_TIMEOUT_S)
+    joining = threading.Event()  # set once the calling thread waits for the workers
+    taken = []  # (thread, graph)
+    featurize = DetectorView.featurize
+    join = threading.Thread.join
+
+    def interrupting(self, g):
+        first = threading.get_ident() not in {t for t, _ in taken}
+        taken.append((threading.get_ident(), id(g)))
+        if first:
+            barrier.wait()
+            if threading.get_ident() == caller:
+                raise Interrupt
+            assert joining.wait(BARRIER_TIMEOUT_S)
+        return featurize(self, g)
+
+    def joining_join(self, timeout=None):
+        joining.set()
+        return join(self, timeout)
+
+    monkeypatch.setattr(DetectorView, "featurize", interrupting)
+    monkeypatch.setattr(threading.Thread, "join", joining_join)
+    before = threading.active_count()
+    with pytest.raises(Interrupt):
+        featurize_graphs(graphs, [DetectorView("metric"), DetectorView("tsvd", d=8)])
+    assert threading.active_count() == before
+    # the caller's one graph, and the other worker's first for both views
+    assert len({graph for _, graph in taken}) == 2
+    assert sorted(t == caller for t, _ in taken) == [False, False, True]
 
 
 @pytest.mark.parametrize("settings", [{}, {"baseline": "rand"}, {"baseline": "greedy-triads"},
