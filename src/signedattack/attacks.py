@@ -190,7 +190,7 @@ def _ols_log_likelihood(X, s, split: EdgeSplit, y_hat):
     def vjp(g, out, Xd):
         a_bar = p_pullback(g) * p * (1.0 - p)
         X_bar = np.zeros_like(Xd)
-        X_bar[split.test] = np.outer(a_bar, theta)[:, 1:] / X1
+        X_bar[split.test] = a_bar[:, None] * theta[1:] / X1
         X_bar[split.train] = theta_pullback(Z.T @ a_bar)
         return X_bar
 

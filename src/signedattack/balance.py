@@ -15,7 +15,10 @@ Polarization correlates a node's signed and unsigned random-walk transition
 rows. Its one implementation, ``polarization_term``, averages the correlation
 over the nodes where both rows vary; the detector, the report and the attack
 penalty all read it on the one walk of the package, the row-normalized
-``pole.transition_matrix``.
+``pole.transition_matrix``. Between the signed and the unsigned walk the
+dense A is an int8 copy, so at its peak a plain polarization holds the
+signed walk, that copy and one walk's working set, and no float n x n
+adjacency.
 """
 
 from __future__ import annotations
@@ -139,10 +142,13 @@ def _defined_mean(corr, defined):
 def _walk_correlations(g: SignedGraph, t: float):
     """``row_correlations`` of g's signed and unsigned row-normalized walks at Markov time t.
 
-    The walks are the one place a balance metric builds the dense A; |A|
-    overwrites it once the signed walk is taken.
+    The walks are the one place a balance metric builds the dense A. It is
+    kept between them as an int8 copy (its entries are -1, 0 and 1, which
+    the walk's float generator reads back exactly), and |A| overwrites it
+    once the signed walk is taken, so no float n x n adjacency is live
+    through either eigendecomposition.
     """
-    A, d = g.adjacency(), g.degrees()
+    A, d = g.adjacency().astype(np.int8), g.degrees()
     M_sign = transition_matrix(A, d, t)
     return row_correlations(M_sign, transition_matrix(np.abs(A, out=A), d, t))
 

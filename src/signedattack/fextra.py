@@ -314,8 +314,8 @@ def ols_theta(X, y):
 
     def pullback(theta_bar):
         w_bar = inv.T @ theta_bar
-        gram_bar = -inv.T @ np.outer(theta_bar, w) @ inv.T
-        Zt_bar = np.outer(w_bar, z) + gram_bar @ Z.T
+        gram_bar = -inv.T @ (theta_bar[:, None] * w) @ inv.T
+        Zt_bar = w_bar[:, None] * z + gram_bar @ Z.T
         Z_bar = Zt.T @ gram_bar + Zt_bar.T
         return Z_bar[:, 1:] / X1
 

@@ -99,9 +99,23 @@ def sym_matrix_exp(S):
     over the eigenvalue pairs with the exp(lambda) limit on (near-)degenerate
     pairs, goes back to S as G'/2 + (G'/2)^T. Neither Q e^Lambda Q^T nor the
     adjoint depends on the sign of an eigenvector, so Q is left unfixed.
+
+    A plain S is dropped once it is decomposed, so while Q e^Lambda Q^T forms
+    a plain call holds only Q, Q e^Lambda and the product. Where the caller
+    passed a temporary, as ``pole.transition_matrix`` passes its walk
+    generator, that frees it: CPython 3.11 and later move call arguments
+    into the callee's frame, while on 3.10 the caller's frame keeps them
+    until the call returns. On the tape S stays the recorded node's input.
     """
     lam, Q = _eigh(tp._data(S))
     elam = np.exp(lam)
+
+    def forward(_):
+        return (Q * elam) @ Q.T
+
+    if not tp._is_value(S):
+        del S
+        return forward(None)
 
     def vjp(g, out, S):
         diff = lam[:, None] - lam[None, :]
@@ -113,7 +127,7 @@ def sym_matrix_exp(S):
         half = Q @ (gamma * (Q.T @ g @ Q)) @ Q.T * 0.5
         return half + half.T
 
-    return tp._apply(lambda S: (Q * elam) @ Q.T, (vjp,), S)
+    return tp._apply(forward, (vjp,), S)
 
 
 def truncated_svd(A: np.ndarray, d: int):

@@ -140,7 +140,8 @@ def pole_predict(g: SignedGraph, split: EdgeSplit, t):
     """The victims' shared head ``fextra.split_probs`` on per-link (R_sign, R_abs) pairs.
 
     R_sign and R_abs are the R_uv of ``autocovariance`` (R_uu, R_vv unread) at
-    Markov time t of the walks over g's signed adjacency A and over |A|.
+    Markov time t of the walks over g's signed adjacency A and over |A|, both
+    held as int8 copies, which the walk's float generator reads exactly.
     Returns predicted positive-sign probabilities for the test links of the
     split from training-link signs only: the same converged ``fextra.lr_train``
     fit as the FeXtra victim's, on two features. A node whose links are all
@@ -148,7 +149,7 @@ def pole_predict(g: SignedGraph, split: EdgeSplit, t):
     floor marks exactly those nodes); it draws a ``RuntimeWarning``.
     """
     us, vs = g.edge_array().T
-    A, degrees = g.adjacency(), g.degrees()
+    A, degrees = g.adjacency().astype(np.int8), g.degrees()
     if (degrees == DEGREE_FLOOR).any():
         warnings.warn("graph has an isolated (all-hidden) node; degree floored",
                       RuntimeWarning, stacklevel=2)

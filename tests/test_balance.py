@@ -13,6 +13,7 @@ from signedattack.pole import transition_matrix
 from signedattack.tape import Tape, grad_check
 from balanceoracles import (dense_balance_ratio, dense_triad_trace, oracle_graph_polarization,
                             oracle_polarization_nodes, walk_pair)
+from tracedpeak import traced_peak_units
 from synthgraphs import (all_positive_triangle, complete_graph, flipped, planted_polarized,
                          random_signed_graph, two_community, two_triangles_bridge)
 
@@ -116,6 +117,14 @@ def test_balance_ratio_and_degrees_build_no_dense_adjacency_and_the_report_one(m
     assert scatters == []
     assert balance_report(g).to_json_dict() == want[1]
     assert len(scatters) == 1
+
+
+def test_polarization_holds_no_float_adjacency_through_its_walks():
+    # the adjacency stays an int8 copy between the two walks, so the peak is
+    # the signed walk plus one walk's working set, not a float A beside them
+    g = two_community(500, 12, seed=0)
+    assert g.n == 500
+    assert traced_peak_units(lambda: graph_polarization(g, 1.0), g.n) <= 5.5
 
 
 def test_balance_ratio_reads_its_traces_off_the_wedge_index_and_calls_no_link_features(

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,7 +50,7 @@ def test_ingest(dataset_file, tmp_path, capsys):
     rc = main(["ingest", "--dataset", dataset_file, "--format", "plain",
                "--out", str(out)])
     assert rc == 0
-    stats = json.load(open(out / "stats.json"))
+    stats = json.loads((out / "stats.json").read_text())
     g = load_graph_json(out / "graph.json")
     assert stats["n"] == g.n and stats["edges"] == g.num_edges
     assert "positive_ratio" in stats
@@ -409,7 +410,7 @@ def test_the_flag_override_table_covers_every_detect_flag():
 def test_each_flag_overrides_its_config_key_and_no_other(dataset_file, tmp_path, flag, value,
                                                          key, config_value, want):
     copy = tmp_path / "copy.csv"
-    copy.write_text(open(dataset_file).read())
+    copy.write_text(Path(dataset_file).read_text())
     paths = {"<dataset>": dataset_file, "<copy>": str(copy)}
     value, config_value, want = (paths.get(x, x) if isinstance(x, str) else x
                                  for x in (value, config_value, want))
@@ -437,7 +438,7 @@ def test_metrics_command(dataset_file, tmp_path):
     rc = main(["metrics", "--dataset", dataset_file, "--format", "plain",
                "--out", str(out)])
     assert rc == 0
-    rep = json.load(open(out / "balance.json"))
+    rep = json.loads((out / "balance.json").read_text())
     assert 0.0 <= rep["T"] <= 1.0
     assert rep["total_triads"] > 0
 
@@ -512,7 +513,7 @@ def test_detect_command(dataset_file, tmp_path):
     rc = main(["detect", "--config", str(cfg), "--dataset", dataset_file,
                "--format", "plain", "--out", str(out), "--target", "fextra-ols"])
     assert rc == 0
-    summary = json.load(open(out / "detector_summary.json"))
+    summary = json.loads((out / "detector_summary.json").read_text())
     assert {"metric_auc", "tsvd_auc", "ensemble_max_auc"} <= set(summary)
     rows = read_csv(out / "detector_scores.csv")
     assert len(rows) == 8 + 2  # corpus graphs + seeds x powers

@@ -1,3 +1,4 @@
+import sys
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ from signedattack.pole import (autocovariance, cosine_normalize, factorization_s
                                pole_predict, transition_matrix)
 from signedattack.tape import Tape, grad_check
 from synthgraphs import two_community, two_triangles_bridge
+from tracedpeak import traced_peak_units
 
 
 def degree_weight_matrix(degrees):
@@ -105,6 +107,17 @@ def test_weight_matrix_annihilates_ones():
     A = np.abs(g.adjacency())
     R = walk_autocovariance(A, g.degrees(), *all_pairs(g.n))[0].reshape(g.n, g.n)
     assert np.abs(R.sum(axis=1)).max() < 1e-12
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="before CPython 3.11 the caller's frame keeps a call's arguments "
+                           "alive, so the walk generator cannot be freed before the product")
+def test_a_plain_walk_frees_its_generator_before_the_product():
+    # A, then the generator beside Q and the eigensolver's workspace, then
+    # Q, Q e^Lambda and the product once the generator is gone
+    g = two_community(500, 12, seed=0)
+    assert traced_peak_units(lambda: transition_matrix(g.adjacency(), g.degrees(), 1.0),
+                             g.n) <= 4.5
 
 
 def test_autocovariance_symmetry():
