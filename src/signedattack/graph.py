@@ -2,6 +2,7 @@
 
 A :class:`SignedGraph` stores its links over nodes 0..n-1 as two arrays,
 built and validated once: one row of endpoints u < v and one sign per link.
+A node is its number alone; the graph keeps no per-node list or file ids.
 Signs are +1 or -1; a sign of 0 marks a link whose existence is known but
 whose sign is hidden (produced only by :meth:`SignedGraph.mask`, which
 models the analyst's view where test-link signs are unknown). The tuple
@@ -31,44 +32,52 @@ from .errors import InvalidSplitError, MissingEdgeError, ParseError
 
 DEGREE_FLOOR = 1e-9
 EDGE_LIST_FORMATS = ("plain", "rated")
+PAIR_KEY_WIDTH = 3037000499  # the largest w with w * w - 1 < 2**63
 
 
 class SignedGraph:
-    def __init__(self, n, edges, node_labels=None, meta=None):
+    def __init__(self, n, edges, meta=None):
         links = np.array(list(edges), dtype=np.int64)
         if links.size == 0:
             links = links.reshape(0, 3)
         if links.ndim != 2 or links.shape[1] != 3:
             raise ParseError("links must be (u, v, sign) triples")
-        self._init(int(n), links[:, :2], links[:, 2],
-                   list(node_labels) if node_labels is not None else list(range(int(n))),
-                   dict(meta or {}))
+        self._init(int(n), links[:, :2], links[:, 2], dict(meta or {}))
         self._validate()
 
-    def _init(self, n, edge, signs, node_labels, meta, support_cache=None):
+    def _init(self, n, edge, signs, meta, support_cache=None):
         self.n = n
         self._edge = np.ascontiguousarray(edge)
         self._signs = np.ascontiguousarray(signs)
         self._edge.flags.writeable = self._signs.flags.writeable = False
-        self.node_labels = node_labels
         self.meta = meta
         # values that depend on the links but not their signs, shared with
         # every graph derived by mask or with_signs
         self.support_cache = {} if support_cache is None else support_cache
 
-    def _derived(self, n, edge, signs, node_labels, support_cache=None):
+    def _derived(self, n, edge, signs, support_cache=None):
         """A graph on arrays taken from this validated one, left unvalidated.
 
         Pass ``support_cache`` only when ``edge`` is this graph's own edge array.
         """
         g = object.__new__(SignedGraph)
-        g._init(n, edge, signs, node_labels, dict(self.meta), support_cache)
+        g._init(n, edge, signs, dict(self.meta), support_cache)
         return g
 
     def _validate(self):
-        """Raise ``ParseError`` for the first link at fault, checks in the order below."""
+        """Raise ``ParseError`` for the first link at fault, checks in the order below.
+
+        A pair is keyed u * width + v, width one past the largest in-range
+        linked id, so a graph whose links reach node ``PAIR_KEY_WIDTH`` or
+        above is refused: its keys would not fit in int64.
+        """
         n, (u, v), s = self.n, self._edge.T, self._signs
-        keys = np.where((u >= 0) & (u < n) & (v >= 0) & (v < n), u * n + v, -1)
+        inside = (u >= 0) & (u < n) & (v >= 0) & (v < n)
+        width = int(np.maximum(u, v).max(where=inside, initial=-1)) + 1
+        if width > PAIR_KEY_WIDTH:
+            raise ParseError(f"a link reaches node {width - 1}; node ids that links join "
+                             f"must be below {PAIR_KEY_WIDTH}")
+        keys = np.where(inside, u * width + v, -1)
         _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
         checks = (
             (u == v, "self-loop on node {u}"),
@@ -131,29 +140,30 @@ class SignedGraph:
         """Hide the signs of the links at these positions (the analyst's view of test links)."""
         signs = self._signs.copy()
         signs[np.asarray(edge_indices, dtype=np.intp)] = 0
-        return self._derived(self.n, self._edge, signs, list(self.node_labels),
-                             self.support_cache)
+        return self._derived(self.n, self._edge, signs, self.support_cache)
 
     def with_signs(self, signs) -> "SignedGraph":
         """The same links with new signs, one per link in edge-list order, validated."""
         signs = np.asarray(signs).astype(np.int64)
         if signs.shape != self._signs.shape:
             raise ValueError(f"{signs.size} signs for {self.num_edges} links")
-        g = self._derived(self.n, self._edge, signs, list(self.node_labels), self.support_cache)
+        g = self._derived(self.n, self._edge, signs, self.support_cache)
         g._validate()
         return g
 
     def induced_subgraph(self, nodes) -> "SignedGraph":
         """The subgraph on ``nodes``, renumbered in node order, links sorted."""
         nodes = np.unique(np.asarray(nodes, dtype=np.int64))
-        keep = np.zeros(self.n, dtype=bool)
-        keep[nodes] = True
+        if nodes.size and not 0 <= nodes[0] <= nodes[-1] < self.n:
+            raise ValueError(f"nodes outside 0..{self.n - 1}")
+        # ids past the largest linked one are isolated, so no link reads them
+        keep = np.zeros(self._edge.max(initial=-1) + 1, dtype=bool)
+        keep[nodes[nodes < len(keep)]] = True
         renumber = np.cumsum(keep) - 1
         inside = keep[self._edge].all(axis=1)
         edge = renumber[self._edge[inside]]
         order = np.lexsort((edge[:, 1], edge[:, 0]))
-        labels = [self.node_labels[x] for x in nodes.tolist()]
-        return self._derived(len(nodes), edge[order], self._signs[inside][order], labels)
+        return self._derived(len(nodes), edge[order], self._signs[inside][order])
 
     # -- serialization -------------------------------------------------------
     def _sorted_rows(self):
@@ -266,7 +276,9 @@ def load_edge_list(path, fmt="plain") -> SignedGraph:
     directed rows merge into one undirected edge whose sign is the sign of
     the rating sum (an exact-zero sum drops the edge). Zero ratings and
     self-loops are rejected row-wise and counted in the result metadata. A
-    file that leaves no link raises ``ParseError``.
+    file that leaves no link raises ``ParseError``. The nodes that links
+    join are renumbered 0..n-1 in the sorted order of their ids, and the
+    ids themselves are not kept.
     """
     if fmt not in EDGE_LIST_FORMATS:
         raise ParseError(f"unknown edge-list format {fmt!r}")
@@ -297,17 +309,19 @@ def load_edge_list(path, fmt="plain") -> SignedGraph:
     edges = sorted((remap[u], remap[v], s) for u, v, s in raw_edges)
     meta = {"source": str(path), "format": fmt,
             "rejected_rows": rejected, "dropped_zero_sum": dropped}
-    return SignedGraph(len(node_ids), edges, node_ids, meta)
+    return SignedGraph(len(node_ids), edges, meta)
 
 
 def _component_roots(g: SignedGraph):
     """Each node's connected component over the link support, named by its smallest node.
 
-    Every round hooks the larger root of each link's two ends onto the
-    smaller one, then points every node at its root; rounds stop when the
-    ends of every link share a root.
+    Only the nodes up to the largest linked id get a root (node 0 alone when
+    there is no link); the nodes past it are isolated. Every round hooks the
+    larger root of each link's two ends onto the smaller one, then points
+    every node at its root; rounds stop when the ends of every link share a
+    root.
     """
-    root = np.arange(g.n)
+    root = np.arange(g.edge_array().max(initial=0) + 1)
     u, v = g.edge_array().T
     while True:
         ru, rv = root[u], root[v]
@@ -320,10 +334,9 @@ def _component_roots(g: SignedGraph):
 
 
 def largest_connected_component(g: SignedGraph) -> SignedGraph:
-    """Induced subgraph on the largest component.
+    """Induced subgraph on the largest component, renumbered in node order.
 
-    Ties break toward the component whose minimum original node id is
-    smallest; the returned graph keeps the old->new label map.
+    Ties break toward the component whose smallest node id is smallest.
     """
     if g.n == 0:
         raise InvalidSplitError("empty graph has no components")

@@ -91,6 +91,8 @@ MALFORMED_DUMPS = {
     "node-huge": ('{"n": 3, "edges": [[0, %d, 1]]}' % 10**20,
                   "not an integer (u, v, sign) triple"),
     "n-5000-digits": ('{"n": 1%s, "edges": []}' % ("0" * 5000), "bad graph JSON"),
+    "node-past-pair-keys": ('{"n": %d, "edges": [[0, %d, 1]]}' % (2**62, 2**40),
+                            "node ids that links join must be below"),
 }
 
 
@@ -157,6 +159,16 @@ def test_a_graph_dump_with_no_links_is_an_input_error(tmp_path, capsys, n):
     assert rc == 2
     assert capsys.readouterr().err.startswith(f"input error: {path} has no links (n = {n})")
     assert not out.exists()
+
+
+def test_ingest_of_a_dump_whose_n_dwarfs_its_links_keeps_the_linked_component(tmp_path):
+    # n = 2^62 exited 1 with MemoryError: the graph built one label per node
+    path = tmp_path / "g.json"
+    path.write_text('{"n": %d, "edges": [[2, 3, 1], [3, 4, -1]]}' % 2**62)
+    out = tmp_path / "o"
+    assert main(["ingest", "--dataset", str(path), "--out", str(out)]) == 0
+    assert json.loads((out / "graph.json").read_text()) == {"n": 3,
+                                                            "edges": [[0, 1, 1], [1, 2, -1]]}
 
 
 @pytest.mark.parametrize("document,error", [("{", "bad config JSON"),

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from signedattack.errors import InvalidSplitError, MissingEdgeError, ParseError
-from signedattack.graph import (SignedGraph, largest_connected_component, load_edge_list,
-                                load_graph_json, positive_ratio, sample_subgraph_corpus,
-                                split_edges)
+from signedattack.graph import (PAIR_KEY_WIDTH, SignedGraph, largest_connected_component,
+                                load_edge_list, load_graph_json, positive_ratio,
+                                sample_subgraph_corpus, split_edges)
 from densefeatures import support
 from synthgraphs import flipped, random_signed_graph, two_community
 
@@ -102,10 +102,11 @@ def test_load_reads_a_file_that_opens_with_a_byte_order_mark(tmp_path, write, lo
 
 def test_load_relabels_contiguously(tmp_path):
     p = tmp_path / "g.csv"
-    write_rows(p, [(10, 30, 1), (30, 77, -1)])
+    write_rows(p, [(30, 77, -1), (10, 30, 1)])
     g = load_edge_list(p, "plain")
     assert g.n == 3
-    assert g.node_labels == [10, 30, 77]
+    # ids 10, 30, 77 became 0, 1, 2: the signs pin which link is which
+    assert g.edges == [(0, 1, 1), (1, 2, -1)]
 
 
 def test_adjacency_identities():
@@ -137,9 +138,9 @@ def test_lcc_picks_larger_component():
 
 
 def test_lcc_tie_break_smallest_node():
-    g = SignedGraph(6, [(0, 1, 1), (1, 2, 1), (3, 4, 1), (4, 5, 1)])
+    g = SignedGraph(6, [(0, 1, 1), (1, 2, 1), (3, 4, -1), (4, 5, -1)])
     h = largest_connected_component(g)
-    assert h.node_labels == [0, 1, 2]
+    assert h.edges == [(0, 1, 1), (1, 2, 1)]
 
 
 def test_split_sizes_and_determinism():
@@ -281,13 +282,33 @@ def test_constructor_reports_the_first_fault(n, edges, message):
     assert str(exc.value) == message
 
 
+def test_a_graph_far_larger_than_its_links_is_checked_by_its_linked_ids():
+    # pairs were keyed u * n + v, which wrapped int64 here and reported
+    # "edge (12582912,12582913) outside node range"
+    u = 12582912
+    assert SignedGraph(2**40, [(u, u + 1, 1)]).edges == [(u, u + 1, 1)]
+    with pytest.raises(ParseError, match=f"^duplicate edge \\({u},{u + 1}\\)$"):
+        SignedGraph(2**40, [(u, u + 1, 1), (u, u + 1, -1)])
+    # past this id even the linked ids' key would wrap
+    SignedGraph(2**62, [(0, PAIR_KEY_WIDTH - 1, 1)])
+    with pytest.raises(ParseError, match=f"reaches node {PAIR_KEY_WIDTH}; "):
+        SignedGraph(2**62, [(0, PAIR_KEY_WIDTH, 1)])
+
+
+@pytest.mark.parametrize("nodes", [[-1, 1], [1, 2, 3]])
+def test_induced_subgraph_refuses_nodes_outside_the_graph(nodes):
+    # -1 stood for node 2 and kept the link (1, 2); 3 raised IndexError
+    with pytest.raises(ValueError, match=r"^nodes outside 0\.\.2$"):
+        SignedGraph(3, [(0, 1, 1), (1, 2, -1)]).induced_subgraph(nodes)
+
+
 def _reference_subgraph(g, nodes):
     """The induced subgraph rebuilt from g's link tuples."""
     nodes = sorted(set(nodes))
     remap = {old: new for new, old in enumerate(nodes)}
     edges = sorted((remap[u], remap[v], s) for u, v, s in g.edges
                    if u in remap and v in remap)
-    return SignedGraph(len(nodes), edges, [g.node_labels[x] for x in nodes])
+    return SignedGraph(len(nodes), edges)
 
 
 def _reference_lcc(g):
@@ -315,25 +336,23 @@ def _same_graph(h, want):
     assert h.n == want.n
     assert h.edges == want.edges
     assert np.array_equal(h.signs(), want.signs())
-    assert h.node_labels == want.node_labels
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_derived_graphs_match_the_tuple_built_graph(seed):
     rng = np.random.default_rng(seed)
     base = random_signed_graph(24, density=0.12, seed=seed)
-    # links out of sorted order and relabelled nodes
+    # links out of sorted order
     shuffled = [base.edges[k] for k in rng.permutation(base.num_edges)]
-    g = SignedGraph(base.n, shuffled, [100 + x for x in range(base.n)])
+    g = SignedGraph(base.n, shuffled)
     hidden = rng.choice(g.num_edges, size=g.num_edges // 3, replace=False)
     signs = rng.choice([-1, 0, 1], size=g.num_edges)
     nodes = rng.choice(g.n, size=15, replace=False)
 
     _same_graph(g.mask(hidden), SignedGraph(
-        g.n, [(u, v, 0 if k in set(hidden.tolist()) else s) for k, (u, v, s) in enumerate(g.edges)],
-        g.node_labels))
+        g.n, [(u, v, 0 if k in set(hidden.tolist()) else s) for k, (u, v, s) in enumerate(g.edges)]))
     _same_graph(g.with_signs(signs), SignedGraph(
-        g.n, [(u, v, int(t)) for (u, v, _), t in zip(g.edges, signs)], g.node_labels))
+        g.n, [(u, v, int(t)) for (u, v, _), t in zip(g.edges, signs)]))
     sub = g.induced_subgraph(nodes)
     _same_graph(sub, _reference_subgraph(g, nodes.tolist()))
     _same_graph(largest_connected_component(g), _reference_lcc(g))
