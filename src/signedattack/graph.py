@@ -2,6 +2,8 @@
 
 A :class:`SignedGraph` stores its links over nodes 0..n-1 as two arrays,
 built and validated once: one row of endpoints u < v and one sign per link.
+The constructor reads its links from any iterable of (u, v, sign) triples,
+one triple at a time, straight into one (m, 3) block, without a list of them.
 A node is its number alone; the graph keeps no per-node list or file ids.
 Signs are +1 or -1; a sign of 0 marks a link whose existence is known but
 whose sign is hidden (produced only by :meth:`SignedGraph.mask`, which
@@ -37,11 +39,17 @@ PAIR_KEY_WIDTH = 3037000499  # the largest w with w * w - 1 < 2**63
 
 class SignedGraph:
     def __init__(self, n, edges, meta=None):
-        links = np.array(list(edges), dtype=np.int64)
-        if links.size == 0:
-            links = links.reshape(0, 3)
-        if links.ndim != 2 or links.shape[1] != 3:
-            raise ParseError("links must be (u, v, sign) triples")
+        """The graph on nodes 0..n-1 with the links ``edges``, validated.
+
+        ``edges`` is any iterable of integer (u, v, sign) triples, an (m, 3)
+        integer array included, read once, one triple at a time, into one
+        (m, 3) block. ``ParseError`` for a link that is not a triple or that
+        :meth:`_validate` refuses; a lone number x reads as (x, x, x).
+        """
+        try:
+            links = np.fromiter(edges, dtype=np.dtype((np.int64, 3)))
+        except ValueError as e:
+            raise ParseError("links must be (u, v, sign) triples") from e
         self._init(int(n), links[:, :2], links[:, 2], dict(meta or {}))
         self._validate()
 
@@ -143,11 +151,18 @@ class SignedGraph:
         return self._derived(self.n, self._edge, signs, self.support_cache)
 
     def with_signs(self, signs) -> "SignedGraph":
-        """The same links with new signs, one per link in edge-list order, validated."""
-        signs = np.asarray(signs).astype(np.int64)
+        """The same links with new signs, one per link in edge-list order, validated.
+
+        A sign must be an integer or a float of integral value, else ``ValueError``.
+        """
+        signs = np.asarray(signs)
         if signs.shape != self._signs.shape:
             raise ValueError(f"{signs.size} signs for {self.num_edges} links")
-        g = self._derived(self.n, self._edge, signs, self.support_cache)
+        whole = np.isfinite(signs) & (signs == np.trunc(signs))
+        if not whole.all():
+            k = int(np.argmin(whole))
+            raise ValueError(f"sign {signs[k]} of link {k} is not an integer")
+        g = self._derived(self.n, self._edge, signs.astype(np.int64), self.support_cache)
         g._validate()
         return g
 
@@ -191,7 +206,7 @@ class SignedGraph:
                     and all(type(x) is int and -2**63 <= x < 2**63 for x in e)):
                 raise ParseError(f"graph dump edge {e!r} is not an integer (u, v, sign) triple "
                                  f"in int64")
-        return cls(n, [tuple(e) for e in edges])
+        return cls(n, edges)
 
     def write_json(self, path):
         with open(path, "w") as f:
@@ -228,7 +243,7 @@ def load_graph_json(path) -> SignedGraph:
         except ValueError as e:  # not JSON, not UTF-8, or an integer of over 4300 digits
             raise ParseError(f"bad graph JSON: {e}") from e
     g = SignedGraph.from_json_dict(document)
-    if not g.edges:
+    if not g.num_edges:
         raise ParseError(f"{path} has no links (n = {g.n})")
     return g
 

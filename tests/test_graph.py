@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -275,11 +277,84 @@ def test_flip_preserves_degrees_property(seed):
     (3, [(0, 1, 5), (2, 2, 1)], "edge (0,1) has sign 5, expected +1/-1 (0 = hidden)"),
     (3, [(1, 1, 1), (0, 1, 7)], "self-loop on node 1"),
     (5, [(0, 1, 1), (3, 2, 1), (0, 1, 1), (0, 9, 1)], "edge (3,2) not normalized as u<v"),
+    # a lone number is read as the triple (1, 1, 1)
+    (3, [1], "self-loop on node 1"),
 ])
 def test_constructor_reports_the_first_fault(n, edges, message):
     with pytest.raises(ParseError) as exc:
         SignedGraph(n, edges)
     assert str(exc.value) == message
+
+
+TRIPLES = [(0, 1, 1), (0, 2, -1), (1, 2, 0)]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: TRIPLES,
+    lambda: [list(t) for t in TRIPLES],
+    lambda: np.array(TRIPLES),
+    lambda: np.array(TRIPLES, dtype=np.int32),
+    lambda: (t for t in TRIPLES),
+    lambda: zip([0, 0, 1], [1, 2, 2], [1, -1, 0]),
+], ids=["tuples", "lists", "array", "int32-array", "generator", "zip"])
+def test_the_constructor_builds_the_same_arrays_from_any_iterable_of_triples(make):
+    g = SignedGraph(3, make())
+    assert g.edge_array().dtype == np.int64 and not g.edge_array().flags.writeable
+    assert g.edge_array().tolist() == [[0, 1], [0, 2], [1, 2]]
+    assert g.signs().tolist() == [1.0, -1.0, 0.0]
+
+
+@pytest.mark.parametrize("edges", [[], np.empty((0, 3), dtype=np.int64)], ids=["list", "array"])
+def test_a_graph_without_links_has_empty_arrays(edges):
+    g = SignedGraph(3, edges)
+    assert g.edge_array().shape == (0, 2) and g.edge_array().dtype == np.int64
+    assert g.signs().shape == (0,)
+
+
+# the ragged and lettered links raised a bare ValueError from numpy
+@pytest.mark.parametrize("edges", [
+    [(0, 1)],
+    [(0, 1, 1, 1)],
+    [(0, 1, 1), (1, 2)],
+    [("a", "b", "c")],
+    [(0, 1, "x")],
+    np.array([[0, 1], [1, 2]]),
+], ids=["pair", "quadruple", "ragged", "letters", "letter-sign", "two-column-array"])
+def test_a_link_that_is_not_an_integer_triple_raises_parse_error(edges):
+    with pytest.raises(ParseError, match=r"^links must be \(u, v, sign\) triples$"):
+        SignedGraph(3, edges)
+
+
+class Triple(list):
+    """A link that a weak reference can watch."""
+
+
+def test_the_constructor_reads_its_links_one_triple_at_a_time():
+    # the links were copied into a list first, which held every triple at once
+    made = []
+
+    def links():
+        for u in range(20):
+            assert sum(ref() is not None for ref in made) <= 2
+            link = Triple((u, u + 1, 1))
+            made.append(weakref.ref(link))
+            yield link
+
+    assert SignedGraph(21, links()).num_edges == 20
+    assert len(made) == 20
+
+
+@pytest.mark.parametrize("signs", [[0.5, -1.9], [1.0, np.nan], [np.inf, 1], [1, -1e-9]])
+def test_with_signs_refuses_a_sign_that_is_not_an_integer(signs):
+    # 0.5 was cut to 0, which hid the link's sign
+    with pytest.raises(ValueError, match="is not an integer$"):
+        SignedGraph(3, [(0, 1, 1), (1, 2, 1)]).with_signs(signs)
+
+
+def test_load_graph_json_makes_no_link_tuples(tmp_path):
+    path = tmp_path / "g.json"
+    two_community(20, 5, 0.2, seed=4).write_json(path)
+    assert "edges" not in load_graph_json(path).__dict__
 
 
 def test_a_graph_far_larger_than_its_links_is_checked_by_its_linked_ids():

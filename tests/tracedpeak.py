@@ -41,8 +41,3 @@ def traced_units(f, n, owner=None, name=None):
             setattr(owner, name, inner)
         if not outer:
             tracemalloc.stop()
-
-
-def traced_peak_units(f, n):
-    """The peak of :func:`traced_units`."""
-    return traced_units(f, n)[0]
