@@ -5,12 +5,12 @@ traces: tr(|A|^3) is six times the number of fully signed triangles and
 tr(A^3) + tr(|A|^3) twelve times the balanced ones (hidden-sign edges are 0
 in A). tr(A^3) = 2 sum_k s_k W_k, where W_k sums s_uw s_wv over the wedges
 (u, w, v) closing link k, and tr(|A|^3) sums |s_uw s_wv| instead.
-``graph_triad_traces`` reads both off the wedge index of the graph's links;
-the attack's lambda term reads them off the FeXtra feature block X its step
-computed (``triad_traces``), where W_k = X[k] @ ``fextra.BALANCED_WEDGES``.
-No n x n matrix is built and the terms are integers, so the sums are exact
-and both routes agree bit for bit. Only the tests call ``triad_census``, the
-enumeration oracle for both.
+There is one route to them, ``triad_traces``, which reads both off the
+FeXtra feature block X of all the graph's links, where W_k = X[k] @
+``fextra.BALANCED_WEDGES``: the attack's lambda term reads the block its
+step computed, and the report and the detector build it over a fresh
+``wedge_index``. No n x n matrix is built and the terms are integers, so the
+sums are exact. Only the tests call ``triad_census``, the enumeration oracle.
 Polarization correlates a node's signed and unsigned random-walk transition
 rows. Its one implementation, ``polarization_term``, averages the correlation
 over the nodes where both rows vary; the detector, the report and the attack
@@ -29,7 +29,7 @@ import numpy as np
 
 from . import tape as tp
 from .errors import MetricUndefinedError
-from .fextra import BALANCED_WEDGES, wedge_index
+from .fextra import BALANCED_WEDGES, link_features, wedge_index
 from .graph import SignedGraph
 from .pole import transition_matrix
 
@@ -72,19 +72,14 @@ def balance_ratio_terms(tr, tr_abs):
     return (tr + tr_abs) * (1.0 / (2.0 * tr_abs))
 
 
-def graph_triad_traces(g: SignedGraph):
-    """``triad_traces`` of g, read straight off the wedge index of its links."""
-    signs = g.signs()
-    index = wedge_index(g)
-    a = signs[index.edge]
-    legs = a[index.first] * a[index.second]
-    W = np.bincount(index.link, legs, len(signs))
-    closed = np.bincount(index.link, np.abs(legs), len(signs))
-    return 2.0 * float(signs @ W), 2.0 * float(np.abs(signs) @ closed)
+def _graph_traces(g: SignedGraph):
+    """``triad_traces`` over the feature block of all g's links, on a fresh wedge index."""
+    s = g.signs()
+    return triad_traces(s, link_features(s, wedge_index(g)))
 
 
 def balance_ratio(g: SignedGraph) -> float:
-    return float(balance_ratio_terms(*graph_triad_traces(g)))
+    return float(balance_ratio_terms(*_graph_traces(g)))
 
 
 def triad_census(g: SignedGraph):
@@ -162,7 +157,7 @@ def graph_polarization(g: SignedGraph, t: float) -> float:
 
 
 def balance_report(g: SignedGraph, t: float = 1.0) -> BalanceReport:
-    tr, tr_abs = graph_triad_traces(g)
+    tr, tr_abs = _graph_traces(g)
     total = round(tr_abs / 6)
     T = float(balance_ratio_terms(tr, tr_abs)) if total else None
     # T is exactly balanced / total, so rounding T * total recovers the count

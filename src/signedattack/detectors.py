@@ -3,8 +3,8 @@
 Two feature views are implemented: the balance-metric pair (triad balance
 ratio and graph polarization) and the mean truncated-SVD node embedding.
 The adjacency is symmetric, so its top-d left singular vectors are its
-eigenvectors of largest |eigenvalue|: the TSVD view reads them off one
-symmetric eigendecomposition and runs no SVD.
+eigenvectors of largest |eigenvalue|: the TSVD view takes them from one
+``linalg.sym_eig`` and runs no SVD.
 Each view feeds a one-class SVM with RBF kernel trained on clean graphs
 only. A view scores a graph by its decision over the fitted offset rho > 0
 and reads no other graph: 0 is the boundary, a negative score is outside
@@ -36,7 +36,7 @@ from .balance import balance_ratio, graph_polarization
 from .errors import ConfigError, MetricUndefinedError, NumericError
 from .fextra import auc
 from .graph import SignedGraph
-from .linalg import top_abs_eigvecs
+from .linalg import sym_eig
 
 DEFAULT_NU = 0.1
 DEFAULT_GAMMA = 0.1
@@ -138,11 +138,12 @@ def metric_features(g: SignedGraph, t=1.0):
 def tsvd_features(g: SignedGraph, d=DEFAULT_EMBED_DIM):
     """Mean of the top-d left singular vectors, zero-padded to d columns.
 
-    The adjacency is symmetric, so these are its eigenvectors of largest
-    |eigenvalue| (``top_abs_eigvecs``), with the column signs that
-    ``truncated_svd`` applies.
+    The adjacency is symmetric, so these are the columns of ``sym_eig`` of
+    largest |eigenvalue|, ties in ascending eigenvalue order, with the column
+    signs that ``truncated_svd`` applies.
     """
-    U = top_abs_eigvecs(g.adjacency(), d)
+    lam, Q = sym_eig(g.adjacency())
+    U = Q[:, np.argsort(-np.abs(lam), kind="stable")[:d]]
     return np.concatenate([U.mean(axis=0), np.zeros(d - U.shape[1])])
 
 

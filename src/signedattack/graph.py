@@ -92,7 +92,7 @@ class SignedGraph:
             (keys < 0, "edge ({u},{v}) outside node range 0..{top}"),
             (u > v, "edge ({u},{v}) not normalized as u<v"),
             (first[inverse] != np.arange(len(keys)), "duplicate edge ({u},{v})"),
-            (np.abs(s) > 1, "edge ({u},{v}) has sign {s}, expected +1/-1 (0 = hidden)"),
+            ((s < -1) | (s > 1), "edge ({u},{v}) has sign {s}, expected +1/-1 (0 = hidden)"),
         )
         bad = np.any([mask for mask, _ in checks], axis=0)
         if bad.any():

@@ -5,10 +5,11 @@ primitive whose backward pass applies the divided-difference rule on the
 eigenbasis. ``matrix_exp`` (scaling and squaring with a truncated Taylor
 series, a composite of tape primitives that differentiates by construction)
 works on any square matrix and is kept as the reference the tests compare
-the eigenbasis path against. No program path calls ``truncated_svd``:
-the detector's TSVD view reads the top-|eigenvalue| eigenvectors of
-``top_abs_eigvecs``. It stays as the tests' oracle for that view and because
-``perfbench/layers.py`` wraps both ``matrix_exp`` and ``truncated_svd`` by name.
+the eigenbasis path against. ``sym_eig`` is the one route to eigenvectors
+with fixed signs; the detector's TSVD view takes its columns of largest
+|eigenvalue|. No program path calls ``truncated_svd``: it stays as the
+tests' oracle for that view and because ``perfbench/layers.py`` wraps both
+``matrix_exp`` and ``truncated_svd`` by name.
 """
 
 from __future__ import annotations
@@ -53,18 +54,8 @@ def sym_eig(S: np.ndarray):
     """(lam, Q) of (S + S^T)/2 like ``np.linalg.eigh``, with deterministic
     eigenvector signs; eigenvalues ascending."""
     lam, Q = _eigh(S)
-    return lam, Q * _fix_column_signs(Q)
-
-
-def top_abs_eigvecs(S: np.ndarray, d: int):
-    """The columns of ``sym_eig(S)[1]`` for the d largest |eigenvalue|, in that order.
-
-    Ties in |eigenvalue| are taken in ascending eigenvalue order. The signs
-    are ``sym_eig``'s, fixed on these columns only.
-    """
-    lam, Q = _eigh(S)
-    U = Q[:, np.argsort(-np.abs(lam), kind="stable")[:d]]
-    return U * _fix_column_signs(U)
+    Q *= _fix_column_signs(Q)
+    return lam, Q
 
 
 def matrix_exp(A, order: int = EXP_TAYLOR_ORDER):

@@ -93,6 +93,9 @@ MALFORMED_DUMPS = {
     "n-5000-digits": ('{"n": 1%s, "edges": []}' % ("0" * 5000), "bad graph JSON"),
     "node-past-pair-keys": ('{"n": %d, "edges": [[0, %d, 1]]}' % (2**62, 2**40),
                             "node ids that links join must be below"),
+    # exited 0 and wrote the sign back into its dump
+    "sign-min-int64": ('{"n": 3, "edges": [[0, 1, -9223372036854775808], [1, 2, 1]]}',
+                       "edge (0,1) has sign -9223372036854775808"),
 }
 
 
@@ -204,6 +207,25 @@ def test_an_out_that_is_or_lies_under_a_file_exits_2_before_the_graph_is_read(
     assert rc == 2
     assert f"{str(tmp_path / 'afile')!r} is not a directory" in capsys.readouterr().err
     assert reads == [] and (tmp_path / "afile").read_text() == ""
+
+
+@pytest.mark.parametrize("command", ["ingest", "attack", "detect", "metrics"])
+def test_a_command_without_a_dataset_exits_2(tmp_path, capsys, command):
+    out = tmp_path / "o"
+    rc = main([command, "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("config error: a dataset path is required")
+    assert not out.exists()
+
+
+def test_write_atomic_leaves_no_temporary_file_when_its_writer_raises(tmp_path):
+    def fail(f):
+        f.write("partial")
+        raise RuntimeError("writer failed")
+
+    with pytest.raises(RuntimeError, match="writer failed"):
+        cli._write_atomic(str(tmp_path / "out" / "rows.csv"), fail)
+    assert os.listdir(tmp_path / "out") == []
 
 
 def test_bad_config_json(dataset_file, tmp_path):

@@ -1,3 +1,4 @@
+import re
 import weakref
 
 import numpy as np
@@ -67,13 +68,35 @@ def test_load_rated_zero_rating_rejected(tmp_path):
     assert g.meta["rejected_rows"] == 1
 
 
-def test_load_malformed_row_reports_line(tmp_path):
+@pytest.mark.parametrize("row,message", [
+    ("0,oops,1", "non-numeric field"),
+    ("0,1", "expected at least 3 columns, got 2"),
+    ("0,1,2", "plain sign must be +1 or -1, got 2"),
+], ids=["non-numeric", "two-columns", "plain-sign-2"])
+def test_load_malformed_row_reports_line(tmp_path, row, message):
     p = tmp_path / "g.csv"
     with open(p, "w") as f:
-        f.write("0,1,1\n0,oops,1\n")
-    with pytest.raises(ParseError) as exc:
+        f.write(f"0,1,1\n{row}\n")
+    with pytest.raises(ParseError, match=re.escape(message)) as exc:
         load_edge_list(p, "plain")
     assert exc.value.line == 2
+
+
+def test_load_skips_blank_rows_and_counts_their_lines(tmp_path):
+    p = tmp_path / "g.csv"
+    p.write_text("0,1,1\n\n , ,\n1,2,-1\n")
+    assert load_edge_list(p, "plain").edges == [(0, 1, 1), (1, 2, -1)]
+    p.write_text("0,1,1\n\n0,oops,1\n")
+    with pytest.raises(ParseError) as exc:
+        load_edge_list(p, "plain")
+    assert exc.value.line == 3
+
+
+def test_load_refuses_an_unknown_format(tmp_path):
+    p = tmp_path / "g.csv"
+    write_rows(p, [(0, 1, 1)])
+    with pytest.raises(ParseError, match="unknown edge-list format 'bogus'"):
+        load_edge_list(p, "bogus")
 
 
 @pytest.mark.parametrize("row", ["0,1,nan", "3,0,inf", "2.7,3,1", "inf,3,1"],
@@ -249,6 +272,17 @@ def test_positive_ratio():
     assert positive_ratio(g) == 0.75
 
 
+def test_positive_ratio_of_a_graph_with_every_sign_hidden_is_nan():
+    g = SignedGraph(4, [(0, 1, 1), (1, 2, 1), (2, 3, -1)]).mask([0, 1, 2])
+    assert np.isnan(positive_ratio(g))
+
+
+def test_has_edge_answers_for_both_orders_of_a_pair():
+    g = SignedGraph(4, [(0, 1, 1), (1, 3, -1)])
+    assert g.has_edge(0, 1) and g.has_edge(1, 0) and g.has_edge(3, 1)
+    assert not g.has_edge(0, 3) and not g.has_edge(3, 0)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(min_value=0, max_value=10 ** 6))
 def test_flip_preserves_degrees_property(seed):
@@ -279,6 +313,8 @@ def test_flip_preserves_degrees_property(seed):
     (5, [(0, 1, 1), (3, 2, 1), (0, 1, 1), (0, 9, 1)], "edge (3,2) not normalized as u<v"),
     # a lone number is read as the triple (1, 1, 1)
     (3, [1], "self-loop on node 1"),
+    # np.abs wraps -2^63 to itself in int64, and the sign was let through
+    (3, [(0, 1, -2**63)], "edge (0,1) has sign -9223372036854775808, expected +1/-1 (0 = hidden)"),
 ])
 def test_constructor_reports_the_first_fault(n, edges, message):
     with pytest.raises(ParseError) as exc:
@@ -349,6 +385,18 @@ def test_with_signs_refuses_a_sign_that_is_not_an_integer(signs):
     # 0.5 was cut to 0, which hid the link's sign
     with pytest.raises(ValueError, match="is not an integer$"):
         SignedGraph(3, [(0, 1, 1), (1, 2, 1)]).with_signs(signs)
+
+
+@pytest.mark.parametrize("signs", [[1], [1, -1, 1]])
+def test_with_signs_refuses_the_wrong_number_of_signs(signs):
+    with pytest.raises(ValueError, match=f"^{len(signs)} signs for 2 links$"):
+        SignedGraph(3, [(0, 1, 1), (1, 2, 1)]).with_signs(signs)
+
+
+def test_with_signs_refuses_the_sign_minus_two_to_the_63():
+    # it was accepted, and the graph's signs() read -9.2e18
+    with pytest.raises(ParseError, match="has sign -9223372036854775808"):
+        SignedGraph(3, [(0, 1, 1), (1, 2, 1)]).with_signs(np.array([-2**63, 1]))
 
 
 def test_load_graph_json_makes_no_link_tuples(tmp_path):
