@@ -10,8 +10,8 @@ from .linalg import sym_eig, sym_matrix_exp
 from .fextra import LRModel, auc, lr_predict, lr_train
 from .pole import autocovariance, cosine_normalize, pole_predict, transition_matrix
 from .balance import BalanceReport, balance_ratio, balance_report, graph_polarization
-from .attacks import (AttackConfig, AttackTrace, baseline_greedy_triads, baseline_rand,
-                      flip_attack, flips_for_power, penalized_loss, self_train_labels)
+from .attacks import (AttackTrace, baseline_greedy_triads, baseline_rand, flip_attack,
+                      flips_for_power, penalized_loss, self_train_labels)
 from .detectors import (DetectorView, OCSVMModel, detector_eval, metric_features,
                         ocsvm_decision, ocsvm_fit, tsvd_features)
 from .experiments import (ExperimentConfig, run_attack_experiment, run_detect_experiment,

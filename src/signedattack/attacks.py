@@ -1,7 +1,12 @@
 """Greedy sign-flip poisoning attacks against the two trust predictors.
 
 Every attack and baseline runs the same loop, flipping one training link
-per step; they differ only in how the step chooses it. An attack returns
+per step; they differ only in how the step chooses it. Each takes its
+settings as plain arguments of one shape, ``(g0, split, ..., budget)``:
+``flip_attack(g0, split, target, budget)``, ``baseline_rand(g0, split,
+budget, seed)`` and ``baseline_greedy_triads(g0, split, budget)``. The
+penalty weights ``lam``, ``eta`` and the Markov time ``t`` are keywords of
+``flip_attack`` (lam = eta = 0 is the basic attack). An attack returns
 its flip sequence alone: the poisoned graph at an attack power is the clean
 graph with a prefix of it applied (``AttackTrace.poisoned``). The gradient
 attacks evaluate the attack objective on the current poisoned graph,
@@ -57,15 +62,6 @@ from .pole import autocovariance, cosine_normalize, pole_predict, transition_mat
 LOG_CLIP = 1e-12
 
 TARGETS = ("fextra-ols", "fextra-meta", "pole-unsym")
-
-
-@dataclass
-class AttackConfig:
-    """One gradient attack: ``budget`` flips, the penalty weights and the Markov time."""
-    budget: int
-    lam: float = 0.0
-    eta: float = 0.0
-    t: float = 1.0
 
 
 @dataclass
@@ -316,13 +312,13 @@ def _greedy_flips(g0: SignedGraph, split: EdgeSplit, budget: int, choose) -> Att
     return trace
 
 
-def gradient_chooser(g0: SignedGraph, split: EdgeSplit, target: str, cfg: AttackConfig,
-                     y_hat=None):
+def gradient_chooser(g0: SignedGraph, split: EdgeSplit, target: str, y_hat=None, *,
+                     lam=0.0, eta=0.0, t=1.0):
     """The greedy step of ``flip_attack``: a ``_greedy_flips`` chooser that
     flips the link with the largest first-order increase of the objective."""
     if y_hat is None:
-        y_hat = self_train_labels(victim_model_kind(target), g0, split, cfg.t)
-    loss = make_attack_loss(target, g0.mask(split.test), split, y_hat, cfg.t, cfg.lam, cfg.eta)
+        y_hat = self_train_labels(victim_model_kind(target), g0, split, t)
+    loss = make_attack_loss(target, g0.mask(split.test), split, y_hat, t, lam, eta)
     us, vs = g0.edge_array()[split.train].T
 
     def choose(signs, pooled, trace):
@@ -344,16 +340,16 @@ def gradient_chooser(g0: SignedGraph, split: EdgeSplit, target: str, cfg: Attack
     return choose
 
 
-def flip_attack(g0: SignedGraph, split: EdgeSplit, target: str,
-                cfg: AttackConfig, y_hat=None) -> AttackTrace:
-    """Greedy budgeted sign-flip attack on the chosen target model.
+def flip_attack(g0: SignedGraph, split: EdgeSplit, target: str, budget: int, y_hat=None, *,
+                lam=0.0, eta=0.0, t=1.0) -> AttackTrace:
+    """Greedy sign-flip attack of ``budget`` flips on the chosen target model.
 
     ``g0`` is the clean graph; test links are masked internally and never
     flipped.
     """
-    _check_budget(split, cfg.budget)
-    choose = gradient_chooser(g0, split, target, cfg, y_hat)
-    return _greedy_flips(g0, split, cfg.budget, choose)
+    _check_budget(split, budget)
+    choose = gradient_chooser(g0, split, target, y_hat, lam=lam, eta=eta, t=t)
+    return _greedy_flips(g0, split, budget, choose)
 
 
 def baseline_rand(g0: SignedGraph, split: EdgeSplit, budget: int, seed: int) -> AttackTrace:

@@ -23,7 +23,7 @@ adjacency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -44,14 +44,7 @@ class BalanceReport:
     t: float
 
     def to_json_dict(self):
-        return {
-            "T": self.T,
-            "total_triads": self.total_triads,
-            "balanced_triads": self.balanced_triads,
-            "pol_nodes": [None if p is None else float(p) for p in self.pol_nodes],
-            "pol_graph": self.pol_graph,
-            "t": self.t,
-        }
+        return asdict(self)
 
 
 def triad_traces(signs, X):

@@ -165,13 +165,6 @@ class DetectorView:
         raise ConfigError(f"unknown view kind {self.kind!r}")
 
 
-def _try_featurize(view: DetectorView, g: SignedGraph):
-    try:
-        return view.featurize(g)
-    except MetricUndefinedError:
-        return None
-
-
 def _blas_threads(usable):
     """Threads one BLAS call may use: the first positive integer among
     ``BLAS_THREAD_VARS``, else ``usable`` (OpenBLAS starts one per core)."""
@@ -197,37 +190,44 @@ def featurize_graphs(graphs, views):
     not yet taken and featurizes it for every view, so the small graphs
     fill the tail and no cost model is needed. The features are the serial
     ones bit for bit, and if any featurization raises, the error raised is
-    the first in the serial (view, graph) order.
+    the first in the serial (view, graph) order. An abort (a ``BaseException``
+    that is no ``Exception``, such as Ctrl-C) in any worker stops the others
+    at their next graph and is raised before any error.
     """
     feats = [[None] * len(graphs) for _ in views]
-    errors = {}
+    errors, aborts = {}, []
     interrupted = threading.Event()
     queue = iter(sorted(range(len(graphs)), key=lambda i: -graphs[i].n))
     lock = threading.Lock()
 
     def run():
-        while not interrupted.is_set():
-            with lock:
-                i = next(queue, None)
-            if i is None:
-                return
-            for j, view in enumerate(views):
-                try:
-                    feats[j][i] = _try_featurize(view, graphs[i])
-                except Exception as e:  # raised below, in serial order
-                    errors[j, i] = e
+        try:
+            while not interrupted.is_set():
+                with lock:
+                    i = next(queue, None)
+                if i is None:
+                    return
+                for j, view in enumerate(views):
+                    try:
+                        feats[j][i] = view.featurize(graphs[i])
+                    except MetricUndefinedError:
+                        pass  # undefined: feats[j][i] stays None
+                    except Exception as e:  # raised below, in serial order
+                        errors[j, i] = e
+        except BaseException as e:  # Ctrl-C: the other workers stop at their next graph
+            aborts.append(e)
+            interrupted.set()
 
     threads = [threading.Thread(target=run) for _ in range(featurize_workers(len(graphs)) - 1)]
     for thread in threads:
         thread.start()
     try:
         run()
-    except BaseException:  # Ctrl-C: the other workers stop at their next graph
-        interrupted.set()
-        raise
     finally:
         for thread in threads:
             thread.join()
+    if aborts:
+        raise aborts[0]
     if errors:
         raise errors[min(errors)]
     return feats

@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .attacks import (AttackConfig, AttackTrace, baseline_greedy_triads, baseline_rand,
+from .attacks import (AttackTrace, baseline_greedy_triads, baseline_rand,
                       flip_attack, flips_for_power, victim_model_kind, victim_probs)
 from .detectors import (DEFAULT_EMBED_DIM, DEFAULT_GAMMA, DEFAULT_NU, STRATEGIES, DetectorView,
                         detector_eval)
@@ -201,8 +201,8 @@ def run_trial(dataset: SignedGraph, cfg: ExperimentConfig, seed: int) -> Trial:
     elif cfg.baseline == "greedy-triads":
         trace, name = baseline_greedy_triads(g, split, budget), "greedy-triads"
     else:
-        attack = AttackConfig(budget=budget, lam=cfg.lam, eta=cfg.eta, t=cfg.t)
-        trace, name = flip_attack(g, split, cfg.target, attack, y_hat), cfg.target
+        trace = flip_attack(g, split, cfg.target, budget, y_hat, lam=cfg.lam, eta=cfg.eta, t=cfg.t)
+        name = cfg.target
         if cfg.lam or cfg.eta:
             name += f"(lam={cfg.lam:g},eta={cfg.eta:g})"
     trace.snapshots = {p: trace.poisoned(g, p) for p in powers}

@@ -13,8 +13,8 @@ Every value must be reproduced exactly.
 
 import pytest
 
-from signedattack.attacks import (TARGETS, AttackConfig, baseline_greedy_triads, baseline_rand,
-                                  flip_attack, victim_model_kind)
+from signedattack.attacks import (TARGETS, baseline_greedy_triads, baseline_rand, flip_attack,
+                                  victim_model_kind)
 from signedattack.graph import split_edges
 from synthgraphs import geometric_polarized
 
@@ -42,7 +42,7 @@ def run_case(name):
     elif attack == "greedy-triads":
         trace = baseline_greedy_triads(g, split, BUDGET)
     else:
-        trace = flip_attack(g, split, attack, AttackConfig(budget=BUDGET, **overrides))
+        trace = flip_attack(g, split, attack, BUDGET, **overrides)
     return {
         "flips": [(u, v, step) for u, v, step, _ in trace.flips],
         "gains": [gain for *_, gain in trace.flips],

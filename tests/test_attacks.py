@@ -6,9 +6,8 @@ import pytest
 
 from signedattack import attacks, balance, experiments, fextra, pole
 from signedattack import tape as tp
-from signedattack.attacks import (LOG_CLIP, AttackConfig, AttackTrace, _log_likelihood,
-                                  _ols_log_likelihood, _pick_flip,
-                                  baseline_greedy_triads, baseline_rand, flip_attack,
+from signedattack.attacks import (LOG_CLIP, AttackTrace, _log_likelihood, _ols_log_likelihood,
+                                  _pick_flip, baseline_greedy_triads, baseline_rand, flip_attack,
                                   flips_for_power, gradient_chooser, make_attack_loss,
                                   penalized_loss, self_train_labels, victim_model_kind,
                                   victim_probs)
@@ -62,7 +61,6 @@ def test_self_train_degenerate_model_ties_positive():
 def test_attack_loss_plugin_values():
     # y_hat matching predictions at p=0.9 gives |test| * log 0.9
     g, split = small_instance()
-    cfg = AttackConfig(budget=1)
     y = np.ones(len(split.test))
     p = tp.Tape().leaf(np.full(len(split.test), 0.9))
     val = float(tp._data(_log_likelihood(p, y)))
@@ -96,7 +94,7 @@ def test_attack_loss_gradient_matches_finite_differences(target):
 def test_pole_attack_runs_at_300_nodes(target):
     g = two_community(300, avg_deg=24, seed=0)
     split = split_edges(g, 0.1, seed=0)
-    trace = flip_attack(g, split, target, AttackConfig(budget=5))
+    trace = flip_attack(g, split, target, 5)
     assert len(trace.flips) == 5
     assert all(gain > 0 for *_, gain in trace.flips)
     assert all(np.isfinite(trace.loss_curve))
@@ -145,7 +143,7 @@ def test_penalized_loss_no_triads_contributes_zero():
 
 def test_flip_attack_budget_zero_returns_clean():
     g, split = small_instance()
-    trace = flip_attack(g, split, "fextra-ols", AttackConfig(budget=0))
+    trace = flip_attack(g, split, "fextra-ols", 0)
     assert trace.flips == []
     assert trace.poisoned(g, 0.0).edges == g.edges
 
@@ -158,7 +156,7 @@ def flipped_links(g, trace):
 def test_flip_attack_full_budget_saturates_pool():
     g, split = small_instance(n=12, deg=4, seed=1)
     power = len(split.train) / g.num_edges
-    trace = flip_attack(g, split, "fextra-ols", AttackConfig(budget=len(split.train)))
+    trace = flip_attack(g, split, "fextra-ols", len(split.train))
     assert len(trace.flips) == len(split.train)
     assert flipped_links(g, trace) == set(int(k) for k in split.train)
     # every training sign flipped exactly once, every test sign kept
@@ -170,7 +168,7 @@ def test_flip_attack_full_budget_saturates_pool():
 def test_flip_attack_budget_identity_and_degrees():
     g, split = small_instance(n=16, deg=5, seed=2)
     B = 6
-    trace = flip_attack(g, split, "fextra-ols", AttackConfig(budget=B))
+    trace = flip_attack(g, split, "fextra-ols", B)
     g_p = trace.poisoned(g, B / g.num_edges)
     delta = np.abs(g_p.adjacency() - g.adjacency()).sum() / 4.0
     assert delta == B
@@ -179,8 +177,7 @@ def test_flip_attack_budget_identity_and_degrees():
 
 def test_flip_attack_pool_never_touches_test_links():
     g, split = small_instance(n=16, deg=5, seed=4)
-    cfg = AttackConfig(budget=10)
-    trace = flip_attack(g, split, "fextra-ols", cfg)
+    trace = flip_attack(g, split, "fextra-ols", 10)
     assert len(flipped_links(g, trace)) == 10
     assert flipped_links(g, trace).isdisjoint(set(int(k) for k in split.test))
     flips = [(u, v) for u, v, _, _ in trace.flips]
@@ -190,11 +187,11 @@ def test_flip_attack_pool_never_touches_test_links():
 def test_flip_attack_budget_exceeds_train_errors():
     g, split = small_instance(n=10, deg=4, seed=5)
     with pytest.raises(ConfigError):
-        flip_attack(g, split, "fextra-ols", AttackConfig(budget=10 ** 6))
+        flip_attack(g, split, "fextra-ols", 10 ** 6)
 
 
 @pytest.mark.parametrize("attack", [
-    lambda g, split: flip_attack(g, split, "fextra-ols", AttackConfig(budget=2)),
+    lambda g, split: flip_attack(g, split, "fextra-ols", 2),
     lambda g, split: baseline_rand(g, split, 2, 0),
     lambda g, split: baseline_greedy_triads(g, split, 2),
 ], ids=["flip_attack", "baseline_rand", "baseline_greedy_triads"])
@@ -209,7 +206,7 @@ def test_a_checkpoint_beyond_the_budget_errors(attack):
 
 
 @pytest.mark.parametrize("attack", [
-    lambda g, split: flip_attack(g, split, "fextra-ols", AttackConfig(budget=8)),
+    lambda g, split: flip_attack(g, split, "fextra-ols", 8),
     lambda g, split: baseline_rand(g, split, 8, 3),
     lambda g, split: baseline_greedy_triads(g, split, 8),
 ], ids=["fextra-ols", "rand", "greedy-triads"])
@@ -228,18 +225,16 @@ def test_poisoned_negates_exactly_the_first_flips_of_the_power(attack):
 
 def test_lambda_eta_zero_recovers_basic_flip_sequence():
     g, split = small_instance(n=14, deg=5, seed=6)
-    cfg0 = AttackConfig(budget=5, lam=0.0, eta=0.0)
-    cfg1 = AttackConfig(budget=5, lam=0.0, eta=0.0)
-    t0 = flip_attack(g, split, "fextra-ols", cfg0)
-    t1 = flip_attack(g, split, "fextra-ols", cfg1)
+    t0 = flip_attack(g, split, "fextra-ols", 5)
+    t1 = flip_attack(g, split, "fextra-ols", 5, lam=0.0, eta=0.0)
     assert t0.flips == t1.flips
     assert t0.loss_curve == t1.loss_curve
 
 
 def test_penalty_changes_flip_choice_but_same_interface():
     g, split = small_instance(n=16, deg=6, seed=7)
-    basic = flip_attack(g, split, "fextra-ols", AttackConfig(budget=6))
-    pen = flip_attack(g, split, "fextra-ols", AttackConfig(budget=6, lam=20.0))
+    basic = flip_attack(g, split, "fextra-ols", 6)
+    pen = flip_attack(g, split, "fextra-ols", 6, lam=20.0)
     assert len(pen.flips) == 6
     # strong balance penalty keeps T higher than the basic attack
     def t_of(trace):
@@ -293,8 +288,7 @@ def test_greedy_flip_is_near_optimal_single_flip():
     pool = set()
     for step in range(3):
         gains = exact_flip_gains(loss_fn, signs, split.train, pool)
-        trace = flip_attack(g, split, "fextra-ols",
-                            AttackConfig(budget=step + 1), y_hat=y_hat)
+        trace = flip_attack(g, split, "fextra-ols", step + 1, y_hat=y_hat)
         u, v, _, _ = trace.flips[step]
         k_chosen = masked.edge_index(u, v)
         ranked = sorted(gains, key=gains.get, reverse=True)
@@ -378,12 +372,11 @@ def test_baseline_greedy_triads_monotone_T():
 def test_attack_trace_independent_of_hidden_signs():
     # the attacker must never read the ground-truth test signs
     g, split = small_instance(n=14, deg=5, seed=11)
-    cfg = AttackConfig(budget=4)
     y_hat = self_train_labels("fextra", g, split)
-    t1 = flip_attack(g, split, "fextra-ols", cfg, y_hat=y_hat)
+    t1 = flip_attack(g, split, "fextra-ols", 4, y_hat=y_hat)
     scrambled = EdgeSplit(train=split.train, test=split.test,
                           hidden_signs=-split.hidden_signs)
-    t2 = flip_attack(g, scrambled, "fextra-ols", cfg, y_hat=y_hat)
+    t2 = flip_attack(g, scrambled, "fextra-ols", 4, y_hat=y_hat)
     assert t1.flips == t2.flips
 
 
@@ -406,11 +399,10 @@ def test_flip_attack_frees_each_step_tape_without_gc(monkeypatch, target, lam, e
     monkeypatch.setattr(tp, "Tape", RecordingTape)
     g = geometric_polarized(20, k=6, noise=0.1, seed=0)
     split = split_edges(g, 0.2, seed=0)
-    cfg = AttackConfig(budget=3, lam=lam, eta=eta)
     gc.collect()
     gc.disable()
     try:
-        trace = flip_attack(g, split, target, cfg)
+        trace = flip_attack(g, split, target, 3, lam=lam, eta=eta)
         alive = sum(ref() is not None for ref in made)
     finally:
         gc.enable()
@@ -432,7 +424,7 @@ def test_fextra_meta_step_records_a_small_tape(monkeypatch):
     monkeypatch.setattr(tp, "Tape", RecordingTape)
     g = geometric_polarized(20, k=6, noise=0.1, seed=0)
     split = split_edges(g, 0.2, seed=0)
-    flip_attack(g, split, "fextra-meta", AttackConfig(budget=2))
+    flip_attack(g, split, "fextra-meta", 2)
     assert len(sizes) == 2 and max(sizes) <= 60
 
 
@@ -574,7 +566,7 @@ def test_fextra_ols_step_records_3_nodes_and_no_add_at(monkeypatch):
     monkeypatch.setattr(np, "add", _NoAddAt(np.add))
     g = two_community(300, avg_deg=24, seed=0)
     split = split_edges(g, 0.1, seed=0)
-    trace = flip_attack(g, split, "fextra-ols", AttackConfig(budget=2))
+    trace = flip_attack(g, split, "fextra-ols", 2)
     assert len(trace.flips) == 2
     assert sizes == [3, 3]
 
@@ -591,7 +583,7 @@ def test_a_fextra_ols_step_builds_no_stacked_block(monkeypatch, lam):
     # blocks; np.stack and tp.prepend_ones (column_stack) built them each step
     g = two_community(60, 8, 0.1, seed=4)
     split = split_edges(g, 0.1, seed=4)
-    choose = gradient_chooser(g, split, "fextra-ols", AttackConfig(budget=2, lam=lam))
+    choose = gradient_chooser(g, split, "fextra-ols", lam=lam)
     for name in ("stack", "column_stack"):
         monkeypatch.setattr(np, name, _raises(f"np.{name}"))
     monkeypatch.setattr(tp, "prepend_ones", _raises("tp.prepend_ones"))
@@ -691,7 +683,7 @@ def test_fextra_ols_step_records_no_n_by_n_array(monkeypatch):
     monkeypatch.setattr(tp, "Tape", RecordingTape)
     g = two_community(300, avg_deg=24, seed=0)
     split = split_edges(g, 0.1, seed=0)
-    flip_attack(g, split, "fextra-ols", AttackConfig(budget=1))
+    flip_attack(g, split, "fextra-ols", 1)
     assert len(largest) == 1 and largest[0] < g.n ** 2
 
 
@@ -720,7 +712,7 @@ def test_a_pole_step_records_no_n_by_n_array_after_the_walk(monkeypatch):
     monkeypatch.setattr(attacks, "transition_matrix", recording_walk)
     g = two_community(300, avg_deg=24, seed=0)
     split = split_edges(g, 0.1, seed=0)
-    flip_attack(g, split, "pole-unsym", AttackConfig(budget=1))
+    flip_attack(g, split, "pole-unsym", 1)
     k = len(split.test)
     assert shapes == [{(k, g.n), (k,), ()}] and views == [1]
 
@@ -744,7 +736,7 @@ def test_fextra_ols_step_differentiates_the_sign_vector(monkeypatch):
     monkeypatch.setattr(tp, "Tape", RecordingTape)
     g = two_community(300, avg_deg=24, seed=0)
     split = split_edges(g, 0.1, seed=0)
-    flip_attack(g, split, "fextra-ols", AttackConfig(budget=1))
+    flip_attack(g, split, "fextra-ols", 1)
     assert [v.data.shape for v in leaves] == [(g.num_edges,)]
     assert leaves[0].grad.shape == (g.num_edges,)
     assert len(largest) == 1 and largest[0] < g.n ** 2
@@ -769,7 +761,7 @@ def test_attack_trial_fits_the_clean_victim_once(monkeypatch):
     assert sum(f is g for f in fitted) == 1
 
     split = split_edges(g, cfg.split_fraction, 0)
-    want = flip_attack(g, split, "fextra-ols", AttackConfig(budget=len(trace.flips)))
+    want = flip_attack(g, split, "fextra-ols", len(trace.flips))
     assert trace.flips == want.flips
     acc = np.mean(self_train_labels("fextra", g, split) == (split.hidden_signs > 0))
     assert 0.0 < acc < 1.0
@@ -847,7 +839,7 @@ def test_penalized_fextra_attack_builds_one_wedge_index(monkeypatch):
     wedge_index = counting(built, fextra.wedge_index)
     for module in (balance, fextra):
         monkeypatch.setattr(module, "wedge_index", wedge_index)
-    gradient_chooser(g, split, "fextra-ols", AttackConfig(budget=1, lam=2.0), y_hat)
+    gradient_chooser(g, split, "fextra-ols", y_hat, lam=2.0)
     assert len(built) == 1
 
 
@@ -860,7 +852,7 @@ def test_a_step_scatters_the_dense_adjacency_once_when_the_objective_reads_it(
         monkeypatch, target, eta, scatters):
     g, split = small_instance(n=16, deg=6, seed=7)
     y_hat = self_train_labels(victim_model_kind(target), g, split)
-    choose = gradient_chooser(g, split, target, AttackConfig(budget=1, lam=1.0, eta=eta), y_hat)
+    choose = gradient_chooser(g, split, target, y_hat, lam=1.0, eta=eta)
     calls = []
     monkeypatch.setattr(tp, "sym_scatter", counting(calls, tp.sym_scatter))
     choose(g.mask(split.test).signs(), np.zeros(len(split.train), dtype=bool), AttackTrace())
@@ -891,7 +883,7 @@ def test_a_step_computes_the_features_and_the_walk_at_most_once(monkeypatch, tar
     # when the POLE loss or eta reads it; the eta term walked a second time
     g, split = small_instance(n=16, deg=6, seed=7)
     y_hat = self_train_labels(victim_model_kind(target), g, split)
-    choose = gradient_chooser(g, split, target, AttackConfig(budget=1, lam=lam, eta=eta), y_hat)
+    choose = gradient_chooser(g, split, target, y_hat, lam=lam, eta=eta)
     features, exps, nodes = [], [], []
 
     class RecordingTape(tp.Tape):
@@ -931,6 +923,12 @@ def test_flip_attack_calls_the_objective_and_the_penalty_through_the_module(monk
     monkeypatch.setattr(attacks, "make_attack_loss", counting(made, attacks.make_attack_loss))
     monkeypatch.setattr(attacks, "penalized_loss", counting(penalized, attacks.penalized_loss))
     g, split = small_instance()
-    trace = flip_attack(g, split, "fextra-ols", AttackConfig(budget=2))
+    trace = flip_attack(g, split, "fextra-ols", 2)
     assert len(trace.flips) == 2
     assert (len(made), len(penalized)) == (1, 2)
+
+
+def test_an_unknown_victim_model_raises_config_error():
+    g, split = small_instance()
+    with pytest.raises(ConfigError, match="unknown victim model 'bogus'"):
+        victim_probs("bogus", g, split, 1.0)

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from signedattack import attacks
-from signedattack.attacks import AttackConfig, flip_attack, self_train_labels
+from signedattack.attacks import flip_attack, self_train_labels
 from signedattack.experiments import ExperimentConfig, run_attack_trial
 from signedattack.graph import split_edges
 from synthgraphs import two_community
@@ -41,7 +41,7 @@ def test_a_fextra_ols_step_runs_the_fit_the_features_and_one_backward():
     tracer = layers.Tracer()
     with layers.Patches() as patches:
         tracer.install(patches)
-        trace = flip_attack(g, split, "fextra-ols", AttackConfig(budget=4), y_hat)
+        trace = flip_attack(g, split, "fextra-ols", 4, y_hat)
     assert len(trace.flips) == 4
     for name in ("fextra.ols", "fextra.features", "tape.backward"):
         assert tracer.calls[name] == 4, name
@@ -65,5 +65,5 @@ def test_a_pole_trial_and_a_fextra_meta_step_reach_the_shared_head_and_the_walk(
     tracer = layers.Tracer()
     with layers.Patches() as patches:
         tracer.install(patches)
-        flip_attack(g, split, "fextra-meta", AttackConfig(budget=2), y_hat)
+        flip_attack(g, split, "fextra-meta", 2, y_hat)
     assert tracer.calls["fextra.lr_train"] == 2

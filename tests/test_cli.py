@@ -10,7 +10,7 @@ import pytest
 from signedattack import cli, experiments
 from signedattack.attacks import TARGETS
 from signedattack.cli import build_config, main, make_parser
-from signedattack.errors import ConfigError
+from signedattack.errors import ConfigError, MissingEdgeError
 from signedattack.experiments import ExperimentConfig, load_dataset
 from signedattack.graph import load_graph_json
 from synthgraphs import geometric_polarized
@@ -673,3 +673,14 @@ def test_detect_baseline_flag_poisons_with_that_baseline(monkeypatch, dataset_fi
                "--out", str(tmp_path / "det"), "--baseline", "rand"])
     assert rc == 0
     assert len(calls) == 1
+
+
+def test_any_other_package_error_exits_2_as_an_error(monkeypatch, dataset_file, tmp_path, capsys):
+    # neither a config, input nor numeric error: the last handler of main
+    def missing(args):
+        raise MissingEdgeError("no edge (0, 1)")
+
+    monkeypatch.setattr(cli, "cmd_ingest", missing)
+    rc = main(["ingest", "--dataset", dataset_file, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: no edge (0, 1)\n"

@@ -6,7 +6,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import pytest
 
-from signedattack import experiments
+from signedattack import detectors, experiments
 from signedattack.detectors import (BLAS_THREAD_VARS, DetectorView, detector_eval,
                                     featurize_graphs, featurize_workers, metric_features,
                                     ocsvm_decision, ocsvm_fit, tsvd_features)
@@ -447,6 +447,31 @@ def test_an_interrupt_in_the_calling_thread_stops_the_other_workers_at_their_nex
     assert sorted(t == caller for t, _ in taken) == [False, False, True]
 
 
+def test_an_interrupt_in_a_helper_thread_is_raised_by_the_call(monkeypatch):
+    # an abort lost with its thread would leave the helper's graph without
+    # features, so it would drop out of the AUCs or count as rejected
+    use_cpus(monkeypatch, 2, {"OPENBLAS_NUM_THREADS": "1"})
+    graphs = make_corpus(8)
+    caller = threading.get_ident()
+    barrier = threading.Barrier(2, timeout=BARRIER_TIMEOUT_S)
+    seen = set()
+    featurize = DetectorView.featurize
+
+    def interrupting(self, g):
+        if threading.get_ident() not in seen:
+            seen.add(threading.get_ident())
+            barrier.wait()
+            if threading.get_ident() != caller:
+                raise Interrupt
+        return featurize(self, g)
+
+    monkeypatch.setattr(DetectorView, "featurize", interrupting)
+    before = threading.active_count()
+    with pytest.raises(Interrupt):
+        featurize_graphs(graphs, [DetectorView("metric"), DetectorView("tsvd", d=8)])
+    assert threading.active_count() == before
+
+
 @pytest.mark.parametrize("settings", [{}, {"baseline": "rand"}, {"baseline": "greedy-triads"},
                                       {"target": "pole-unsym"}, {"target": "fextra-meta"},
                                       {"lam": 2.0, "eta": 5.0}],
@@ -540,3 +565,15 @@ def test_detect_rejects_a_nonpositive_markov_time_before_poisoning(monkeypatch, 
 def test_the_run_config_and_a_detector_view_share_the_detector_defaults():
     cfg, view = ExperimentConfig(), DetectorView("tsvd")
     assert (cfg.nu, cfg.gamma, cfg.embed_dim) == (view.nu, view.gamma, view.d)
+
+
+def test_an_unknown_view_kind_raises_config_error_when_it_featurizes():
+    with pytest.raises(ConfigError, match="unknown view kind 'bogus'"):
+        DetectorView("bogus").featurize(two_community(20, 6, 0.1, seed=0))
+
+
+def test_an_ocsvm_fit_out_of_passes_raises_numeric_error_naming_the_kkt_gap(monkeypatch):
+    monkeypatch.setattr(detectors, "OCSVM_PASSES_PER_ROW", 0)
+    X = np.random.default_rng(0).normal(size=(10, 3))
+    with pytest.raises(NumericError, match=r"did not converge \(KKT gap inf\)"):
+        ocsvm_fit(X)

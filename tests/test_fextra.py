@@ -4,8 +4,9 @@ import pytest
 from signedattack import tape as tp
 from signedattack.errors import MetricUndefinedError, MissingEdgeError, NumericError
 from signedattack.experiments import victim_test_auc
-from signedattack.fextra import (LR_RIDGE, OLS_LABEL_EPS, OLS_LOGITS, auc, link_features,
-                                 link_index, lr_predict, lr_train, ols_theta, wedge_index)
+from signedattack.fextra import (LR_GRAD_TOL, LR_RIDGE, OLS_LABEL_EPS, OLS_LOGITS, auc,
+                                 link_features, link_index, logistic_theta, lr_predict, lr_train,
+                                 ols_theta, wedge_index)
 from signedattack.graph import SignedGraph, largest_connected_component, split_edges
 from densefeatures import (composite_link_features, composite_ols_theta, dense_extract_features,
                            extract_features, ols_fit, predict, support)
@@ -254,6 +255,24 @@ def test_lr_train_matches_long_run_oracle():
 def test_lr_train_raises_when_it_cannot_converge():
     with pytest.raises(NumericError, match="gradient norm"), np.errstate(invalid="ignore"):
         lr_train(np.array([[0.0], [np.nan], [1.0]]), np.array([0.0, 1.0, 1.0]))
+
+
+def test_a_newton_step_that_raises_the_objective_is_retried_at_half_length(monkeypatch):
+    # on this design a full Newton step overshoots once; the fit still
+    # converges to the minimizer. One objective evaluation per step taken,
+    # one at the start and one per retry.
+    Z = np.array([[1.0, 1.0], [16.0, 24.0], [-5.0, 26.0], [6.0, 28.0]])
+    y = np.array([1.0, 1.0, 0.0, 1.0])
+    evaluations, steps = [], []
+    logaddexp, solve = np.logaddexp, np.linalg.solve
+    monkeypatch.setattr(np, "logaddexp", lambda *a: evaluations.append(1) or logaddexp(*a))
+    monkeypatch.setattr(np.linalg, "solve", lambda *a: steps.append(1) or solve(*a))
+    theta, grad_norm = logistic_theta(Z, y)
+    monkeypatch.undo()
+    assert len(evaluations) > len(steps) + 1
+    assert grad_norm <= LR_GRAD_TOL
+    p = 1.0 / (1.0 + np.exp(-(Z @ theta)))
+    assert np.linalg.norm(Z.T @ (p - y) / len(y) + LR_RIDGE * theta) <= LR_GRAD_TOL
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -480,3 +480,12 @@ def test_derived_graphs_match_the_tuple_built_graph(seed):
     _same_graph(sub, _reference_subgraph(g, nodes.tolist()))
     _same_graph(largest_connected_component(g), _reference_lcc(g))
     _same_graph(largest_connected_component(sub), _reference_lcc(sub))
+
+
+def test_the_empty_graph_has_no_largest_component():
+    with pytest.raises(InvalidSplitError, match="empty graph has no components"):
+        largest_connected_component(SignedGraph(0, []))
+
+
+def test_repr_names_the_node_and_edge_counts():
+    assert repr(SignedGraph(3, [(0, 1, 1), (1, 2, -1)])) == "SignedGraph(n=3, edges=2)"

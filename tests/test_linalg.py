@@ -3,6 +3,7 @@ import pytest
 
 from signedattack import linalg
 from signedattack import tape as tp
+from signedattack.errors import NumericError
 from signedattack.linalg import matrix_exp, sym_eig, sym_matrix_exp, truncated_svd
 from signedattack.tape import Tape, grad_check
 
@@ -158,3 +159,8 @@ def test_truncated_svd_column_residual():
     U, s, V = truncated_svd(A, 4)
     res = A @ V - U * s
     assert np.abs(res).max() < 1e-6 * s[0]
+
+
+def test_sym_eig_of_a_nan_matrix_raises_numeric_error():
+    with pytest.raises(NumericError, match="^eigendecomposition failed"):
+        sym_eig(np.full((3, 3), np.nan))
